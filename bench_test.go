@@ -255,11 +255,11 @@ func BenchmarkE8RQuantile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		shared1 := root.DeriveIndex("shared", i)
 		shared2 := root.DeriveIndex("shared", i)
-		a, err := est.Quantile(gen(root.DeriveIndex("sa", i)), size, 0.7, shared1, nil)
+		a, err := est.Quantile(repro.NewECDF(gen(root.DeriveIndex("sa", i))), size, 0.7, shared1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := est.Quantile(gen(root.DeriveIndex("sb", i)), size, 0.7, shared2, nil)
+		c, err := est.Quantile(repro.NewECDF(gen(root.DeriveIndex("sb", i))), size, 0.7, shared2, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func BenchmarkEstimatorAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				shared := root.DeriveIndex("s", i)
 				fresh := root.DeriveIndex("f", i)
-				if _, err := est.Quantile(samples, size, 0.6, shared, fresh); err != nil {
+				if _, err := est.Quantile(repro.NewECDF(samples), size, 0.6, shared, fresh); err != nil {
 					b.Fatal(err)
 				}
 			}

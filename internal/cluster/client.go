@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -149,23 +150,22 @@ type RemoteAccess struct {
 	// are per-run ephemerals, so the map is cleared when it grows past
 	// a small bound rather than tracking lifetimes.
 	streams map[*rng.Source]*sampleStream
+	// lastSrc and last cache the most recently used stream, so a run's
+	// consecutive draws skip the map. The cached source is always in
+	// streams: a reset only happens when a new source is added, and
+	// that source becomes the cached one.
+	lastSrc *rng.Source
+	last    *sampleStream
 }
 
-// sampleStream is the prefetch state of one caller sampling stream.
-// Consumption is by index rather than by reslicing so a refill reuses
-// pending's full backing array instead of the already-consumed tail.
+// sampleStream is the prefetch state of one caller sampling stream:
+// the raw bytes of its current response frame, decoded entry by entry
+// as they are consumed. A refill reuses the frame's backing array.
 type sampleStream struct {
 	seed     uint64 // stream identity drawn once from the caller source
 	batchNum uint64 // next batch ordinal; batches use independent seeds
-	pending  []sampleEntry
-	next     int // first unconsumed entry of pending
-}
-
-// sampleEntry is one prefetched weighted sample: the drawn index and
-// the item it revealed.
-type sampleEntry struct {
-	idx  int
-	item knapsack.Item
+	frame    sampleFrame
+	next     int // first unconsumed entry of frame
 }
 
 // maxStreams bounds the per-source stream map.
@@ -187,6 +187,9 @@ func DialInstance(addr string, timeout time.Duration, batch int) (*RemoteAccess,
 func DialInstanceContext(ctx context.Context, addr string, timeout time.Duration, batch int) (*RemoteAccess, error) {
 	if batch <= 0 {
 		batch = 4096
+	}
+	if batch > maxSampleBatch {
+		return nil, fmt.Errorf("%w: sample batch %d (max %d)", ErrBadMessage, batch, maxSampleBatch)
 	}
 	c, err := dial(ctx, addr, timeout)
 	if err != nil {
@@ -255,6 +258,26 @@ func (r *RemoteAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsa
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
+	stream := r.last
+	if src != r.lastSrc {
+		stream = r.stream(src)
+	}
+	if stream.next >= stream.frame.draws() {
+		if err := r.refill(ctx, stream); err != nil {
+			return 0, knapsack.Item{}, err
+		}
+	}
+	idx, item, err := stream.frame.draw(stream.next, r.n)
+	if err != nil {
+		return 0, knapsack.Item{}, err
+	}
+	stream.next++
+	return idx, item, nil
+}
+
+// stream returns src's stream, creating it on first use, and makes it
+// the cached one. r.mu must be held.
+func (r *RemoteAccess) stream(src *rng.Source) *sampleStream {
 	stream, ok := r.streams[src]
 	if !ok {
 		if len(r.streams) >= maxStreams {
@@ -265,48 +288,36 @@ func (r *RemoteAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsa
 		stream = &sampleStream{seed: src.Uint64()} //lint:alloc one stream record per caller source, not per sample
 		r.streams[src] = stream
 	}
+	r.lastSrc, r.last = src, stream
+	return stream
+}
 
-	if stream.next >= len(stream.pending) {
-		stream.pending = stream.pending[:0]
-		stream.next = 0
-		// Each batch gets an independent server-side seed derived from
-		// the stream identity and batch ordinal.
-		batchSeed := stream.seed ^ (stream.batchNum * 0x9e3779b97f4a7c15)
-		stream.batchNum++
-		payload := putU64(nil, uint64(r.batch)) //lint:alloc request payload, two words per batch RPC against a wire round trip
-		payload = putU64(payload, batchSeed)
-		resp, err := r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload})
-		if err != nil {
-			return 0, knapsack.Item{}, err
-		}
-		if err := decodeMaybeErr(resp, msgSample); err != nil {
-			return 0, knapsack.Item{}, err
-		}
-		if len(resp.payload)%24 != 0 || len(resp.payload) == 0 {
-			return 0, knapsack.Item{}, fmt.Errorf("%w: sample payload %d bytes", ErrBadMessage, len(resp.payload))
-		}
-		for off := 0; off < len(resp.payload); off += 24 {
-			idx, err := getU64(resp.payload, off)
-			if err != nil {
-				return 0, knapsack.Item{}, err
-			}
-			profit, err := getF64(resp.payload, off+8)
-			if err != nil {
-				return 0, knapsack.Item{}, err
-			}
-			weight, err := getF64(resp.payload, off+16)
-			if err != nil {
-				return 0, knapsack.Item{}, err
-			}
-			stream.pending = append(stream.pending, sampleEntry{
-				idx:  int(idx),
-				item: knapsack.Item{Profit: profit, Weight: weight},
-			})
-		}
+// refill fetches the stream's next batch and keeps its raw bytes: the
+// response payload aliases the connection's read buffer, so it is
+// copied into the stream's own frame. r.mu must be held.
+func (r *RemoteAccess) refill(ctx context.Context, stream *sampleStream) error {
+	// Each batch gets an independent server-side seed derived from the
+	// stream identity and batch ordinal.
+	batchSeed := stream.seed ^ (stream.batchNum * 0x9e3779b97f4a7c15)
+	stream.batchNum++
+	stream.frame = stream.frame[:0]
+	stream.next = 0
+	var payload [16]byte
+	binary.LittleEndian.PutUint64(payload[0:8], uint64(r.batch))
+	binary.LittleEndian.PutUint64(payload[8:16], batchSeed)
+	resp, err := r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload[:]})
+	if err != nil {
+		return err
 	}
-	entry := stream.pending[stream.next]
-	stream.next++
-	return entry.idx, entry.item, nil
+	if err := decodeMaybeErr(resp, msgSample); err != nil {
+		return err
+	}
+	f, err := decodeSampleFrame(resp.payload)
+	if err != nil {
+		return err
+	}
+	stream.frame = append(stream.frame, f...)
+	return nil
 }
 
 // Ping performs a health-check round trip.

@@ -28,14 +28,21 @@ import (
 	"math"
 
 	"lcakp/internal/engine"
+	"lcakp/internal/knapsack"
 	"lcakp/internal/obs"
 )
 
 // Protocol limits.
 const (
-	// MaxFrameSize bounds a single message payload; a sample batch of
-	// a million indices fits with room to spare.
+	// MaxFrameSize bounds a single message payload. It caps a sample
+	// batch at maxSampleBatch draws of sampleEntryLen bytes each.
 	MaxFrameSize = 16 << 20
+	// sampleEntryLen is the wire size of one drawn sample: the index as
+	// a u64, then profit and weight as f64, all little-endian.
+	sampleEntryLen = 24
+	// maxSampleBatch is the largest sample batch whose response fits
+	// in one frame.
+	maxSampleBatch = MaxFrameSize / sampleEntryLen
 	// protocolV1 is the original framing: [version][type][payload].
 	protocolV1 = 1
 	// protocolV2 adds a flags byte and optional extension fields after
@@ -412,6 +419,45 @@ func getF64(b []byte, off int) (float64, error) {
 		return 0, err
 	}
 	return math.Float64frombits(bits), nil
+}
+
+// appendSample appends one sample entry (see sampleEntryLen) to b.
+func appendSample(b []byte, idx int, item knapsack.Item) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(idx))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(item.Profit))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(item.Weight))
+}
+
+// sampleFrame is a sample response payload kept raw: entry k is the
+// sampleEntryLen bytes at offset k*sampleEntryLen, decoded only when
+// the stream consumes it.
+type sampleFrame []byte
+
+// decodeSampleFrame checks a sample response payload, a nonzero whole
+// number of entries. It is the one check a frame gets; draw decodes
+// each entry on consumption.
+func decodeSampleFrame(payload []byte) (sampleFrame, error) {
+	if len(payload) == 0 || len(payload)%sampleEntryLen != 0 {
+		return nil, fmt.Errorf("%w: sample payload %d bytes", ErrBadMessage, len(payload))
+	}
+	return sampleFrame(payload), nil
+}
+
+// draws returns the number of entries in the frame.
+func (f sampleFrame) draws() int { return len(f) / sampleEntryLen }
+
+// draw decodes entry k, which must be below draws(), with fixed-offset
+// loads, and rejects an index outside an instance of n items.
+func (f sampleFrame) draw(k, n int) (int, knapsack.Item, error) {
+	e := f[k*sampleEntryLen : (k+1)*sampleEntryLen]
+	idx := binary.LittleEndian.Uint64(e[0:8])
+	if idx >= uint64(n) {
+		return 0, knapsack.Item{}, fmt.Errorf("%w: sampled index %d (n=%d)", ErrBadMessage, idx, n)
+	}
+	return int(idx), knapsack.Item{
+		Profit: math.Float64frombits(binary.LittleEndian.Uint64(e[8:16])),
+		Weight: math.Float64frombits(binary.LittleEndian.Uint64(e[16:24])),
+	}, nil
 }
 
 // encodeErr builds an error response frame.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"lcakp/internal/rng"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -153,6 +155,10 @@ func TestServerRejectsUnknownMessageType(t *testing.T) {
 	}
 }
 
+// TestInstanceServerRejectsOversizedSampleBatch holds sample batches
+// to what one response frame carries: a request one draw over the cap
+// gets an error frame and leaves the connection serving, a dial above
+// the cap is refused, and a batch at the cap fits.
 func TestInstanceServerRejectsOversizedSampleBatch(t *testing.T) {
 	acc, _ := testAccess(t, 10)
 	srv, err := NewInstanceServer("127.0.0.1:0", acc)
@@ -174,6 +180,28 @@ func TestInstanceServerRejectsOversizedSampleBatch(t *testing.T) {
 	}
 	if err := decodeMaybeErr(resp, msgSample); !errors.Is(err, ErrRemote) {
 		t.Errorf("oversized batch error = %v, want ErrRemote", err)
+	}
+	resp, err = c.roundTrip(context.Background(), frame{msgType: msgPing})
+	if err != nil {
+		t.Fatalf("Ping after the rejected batch: %v", err)
+	}
+	if err := decodeMaybeErr(resp, msgPing); err != nil {
+		t.Errorf("Ping after the rejected batch: %v", err)
+	}
+
+	if _, err := DialInstance(srv.Addr(), 0, maxSampleBatch+1); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("DialInstance above the cap: %v, want ErrBadMessage", err)
+	}
+	remote, err := DialInstance(srv.Addr(), 0, maxSampleBatch)
+	if err != nil {
+		t.Fatalf("DialInstance at the cap: %v", err)
+	}
+	defer remote.Close()
+	if _, _, err := remote.Sample(context.Background(), rng.New(1)); err != nil {
+		t.Fatalf("Sample with a batch at the cap: %v", err)
+	}
+	if err := remote.Ping(context.Background()); err != nil {
+		t.Errorf("Ping after a batch at the cap: %v", err)
 	}
 }
 

@@ -35,6 +35,9 @@ type connScratch struct {
 	out []byte
 	// indices backs decoded batch query indices.
 	indices []int
+	// draws backs one chunk of a sample frame between its draw and its
+	// encoding.
+	draws []oracle.Draw
 }
 
 // Stats are a server's monotonic operational counters, readable at
@@ -360,9 +363,6 @@ func NewInstanceServer(addr string, access oracle.Access) (*InstanceServer, erro
 	return &InstanceServer{server: srv}, nil
 }
 
-// maxSampleBatch bounds one sample RPC.
-const maxSampleBatch = 1 << 20
-
 // handle dispatches one instance-access request.
 func (h *instanceHandler) handle(ctx context.Context, req frame, sc *connScratch) frame {
 	switch req.msgType {
@@ -399,31 +399,75 @@ func (h *instanceHandler) handle(ctx context.Context, req frame, sc *connScratch
 			return encodeErr(err)
 		}
 		if count == 0 || count > maxSampleBatch {
-			return encodeErr(fmt.Errorf("%w: sample batch %d", ErrBadMessage, count))
+			return encodeErr(fmt.Errorf("%w: sample batch %d (max %d)", ErrBadMessage, count, maxSampleBatch))
 		}
 		// The client supplies the sampling seed: samples must be fresh
 		// per run but deterministic for a given client run, so the
 		// randomness belongs to the caller, not the instance host.
-		src := rng.New(seed)
-		payload := sc.out[:0]
-		for k := uint64(0); k < count; k++ {
-			if err := ctx.Err(); err != nil {
-				return encodeErr(fmt.Errorf("sample batch aborted at %d/%d: %w", k, count, err))
-			}
-			idx, item, err := h.access.Sample(ctx, src)
-			if err != nil {
-				return encodeErr(err)
-			}
-			payload = putU64(payload, uint64(idx))
-			payload = putF64(payload, item.Profit)
-			payload = putF64(payload, item.Weight)
+		payload, err := h.drawSamples(ctx, rng.New(seed), int(count), sc)
+		if err != nil {
+			return encodeErr(err)
 		}
-		sc.out = payload
 		return frame{msgType: msgSample | respBit, payload: payload}
 
 	default:
 		return encodeErr(fmt.Errorf("%w: unknown request type %#x", ErrBadMessage, req.msgType))
 	}
+}
+
+// frameSampler is the frame method the instance server uses when its
+// access has one (oracle.SliceOracle): SampleFrame fills dst with
+// exactly the draws len(dst) successive Sample calls with src would
+// return, in order, and leaves src where those calls would.
+type frameSampler interface {
+	SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) error
+}
+
+var _ frameSampler = (*oracle.SliceOracle)(nil)
+
+// sampleChunk is how many draws the instance server takes from a frame
+// sampler between context checks.
+const sampleChunk = 4096
+
+// drawSamples encodes count draws from src into sc.out. An access with
+// a frame method fills the response sampleChunk draws at a time, in
+// two passes; any other access (Sharded, test doubles) draws one by
+// one.
+func (h *instanceHandler) drawSamples(ctx context.Context, src *rng.Source, count int, sc *connScratch) ([]byte, error) {
+	payload := sc.out[:0]
+	fs, ok := h.access.(frameSampler)
+	if !ok {
+		for k := 0; k < count; k++ {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("sample batch aborted at %d/%d: %w", k, count, err)
+			}
+			idx, item, err := h.access.Sample(ctx, src)
+			if err != nil {
+				return nil, err
+			}
+			payload = appendSample(payload, idx, item)
+		}
+		sc.out = payload
+		return payload, nil
+	}
+	if cap(sc.draws) < sampleChunk {
+		sc.draws = make([]oracle.Draw, sampleChunk) //lint:alloc grows the connection's reused draw buffer once; amortized to zero across its sample RPCs
+	}
+	for done := 0; done < count; {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("sample batch aborted at %d/%d: %w", done, count, err)
+		}
+		draws := sc.draws[:min(count-done, sampleChunk)]
+		if err := fs.SampleFrame(ctx, src, draws); err != nil {
+			return nil, err
+		}
+		for _, d := range draws {
+			payload = appendSample(payload, d.Index, d.Item)
+		}
+		done += len(draws)
+	}
+	sc.out = payload
+	return payload, nil
 }
 
 // Backend answers solution-membership queries on behalf of a

@@ -74,3 +74,68 @@ func fmtEps(eps float64) string {
 		return "x"
 	}
 }
+
+// The per-stage benchmarks below split one ComputeRule at ε = 0.2 into
+// the stages of Algorithm 2, each over fresh randomness per op.
+
+func BenchmarkCollectLarge(b *testing.B) {
+	lca, _ := benchLCA(b, 10_000, 0.2)
+	root := rng.New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := lca.collectLarge(context.Background(), root.DeriveIndex("r", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEstimateEPS(b *testing.B) {
+	lca, _ := benchLCA(b, 10_000, 0.2)
+	root := rng.New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := lca.estimateEPS(context.Background(), root.DeriveIndex("r", i), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConvertGreedy times building Ĩ and CONVERT-GREEDY over it,
+// from the large items and thresholds of one derivation.
+func BenchmarkConvertGreedy(b *testing.B) {
+	lca, _ := benchLCA(b, 10_000, 0.2)
+	ctx := context.Background()
+	fresh := rng.New(1)
+	large, _, err := lca.collectLarge(ctx, fresh.Derive("large"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	thresholds, _, _, err := lca.estimateEPS(ctx, fresh.Derive("eps"), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ruleSink = convertGreedy(lca.buildTilde(large, thresholds), thresholds, lca.params.Epsilon, nil)
+	}
+}
+
+// ruleSink and decideSink keep benchmarked results alive.
+var (
+	ruleSink   Rule
+	decideSink bool
+)
+
+func BenchmarkDecide(b *testing.B) {
+	lca, gen := benchLCA(b, 10_000, 0.2)
+	rule, err := lca.ComputeRule(context.Background(), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := gen.Float.Items
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(items)
+		decideSink = rule.Decide(k, items[k])
+	}
+}

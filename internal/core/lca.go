@@ -208,7 +208,8 @@ func (l *LCAKP) collectLarge(ctx context.Context, fresh *rng.Source) (map[int]kn
 
 // estimateEPS draws the quantile sample Q̄, keeps the efficiencies of
 // non-large items, and computes the EPS thresholds ẽ_1 ≥ … ≥ ẽ_t' with
-// the configured reproducible quantile estimator. The estimator's
+// the configured reproducible quantile estimator, over one empirical
+// CDF of the sample built for all of them. The estimator's
 // internal randomness is derived from the shared seed per threshold
 // index, so independent runs reconstruct identical random choices.
 // It also returns the efficiencies of the sampled SMALL items plus the
@@ -254,6 +255,8 @@ func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass fl
 		return nil, nil, 0, nil
 	}
 
+	// One empirical CDF serves every threshold's estimator call.
+	cdf := repro.NewECDF(indices)
 	thresholds := make([]float64, 0, t)
 	for k := 1; k <= t; k++ {
 		p := 1 - float64(float64(k)*q)
@@ -262,7 +265,7 @@ func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass fl
 		}
 		shared := l.sharedRoot.DeriveIndex("eps-threshold", k)
 		freshK := fresh.DeriveIndex("estimator", k)
-		idx, err := l.params.Estimator.Quantile(indices, l.domain.Size(), p, shared, freshK)
+		idx, err := l.params.Estimator.Quantile(cdf, l.domain.Size(), p, shared, freshK)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("core: EPS quantile %d: %w", k, err)
 		}

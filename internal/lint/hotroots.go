@@ -33,6 +33,19 @@ var defaultHotRoots = map[string]hotLevel{
 	"lcakp/internal/oracle.(PrefixSampler).SampleIndex": hotQuery,
 	"lcakp/internal/oracle.(Sharded).Sample":            hotQuery,
 	"lcakp/internal/oracle.(Sharded).QueryItem":         hotQuery,
+	// The instance server's frame draws (its frameSampler seam) run
+	// once per sample frame, thousands of draws at a time.
+	"lcakp/internal/oracle.(SliceOracle).SampleFrame": hotQuery,
+
+	// repro: the EPS sample's empirical CDF is built once per
+	// derivation and read by every threshold's estimator call, which
+	// ComputeRule reaches through the Estimator interface.
+	"lcakp/internal/repro.NewECDF":                 hotDerive,
+	"lcakp/internal/repro.(Naive).Quantile":        hotDerive,
+	"lcakp/internal/repro.(Snap).Quantile":         hotDerive,
+	"lcakp/internal/repro.(Trie).Quantile":         hotDerive,
+	"lcakp/internal/repro.(Iterated).Quantile":     hotDerive,
+	"lcakp/internal/repro.(PaddedMedian).Quantile": hotDerive,
 
 	// cluster: the wire path — frame encode/decode, the per-connection
 	// serve loop, and the client RPC paths.

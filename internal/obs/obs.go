@@ -168,58 +168,47 @@ func (r *Registry) MustRegister(name, help string, m Metric) {
 // registering it on first use. It panics if name is invalid or already
 // registered as a different kind.
 func (r *Registry) Counter(name, help string) *Counter {
-	if m := r.lookup(name); m != nil {
-		c, ok := m.(*Counter)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %s is a %s, not a counter", name, m.kind()))
-		}
-		return c
-	}
-	c := NewCounter()
-	r.MustRegister(name, help, c)
-	return c
+	return getOrCreate(r, name, help, "counter", NewCounter)
 }
 
 // Gauge returns the gauge registered under name, creating and
 // registering it on first use. It panics if name is invalid or already
 // registered as a different kind.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if m := r.lookup(name); m != nil {
-		g, ok := m.(*Gauge)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %s is a %s, not a gauge", name, m.kind()))
-		}
-		return g
-	}
-	g := NewGauge()
-	r.MustRegister(name, help, g)
-	return g
+	return getOrCreate(r, name, help, "gauge", NewGauge)
 }
 
 // Histogram returns the histogram registered under name, creating and
 // registering it on first use. It panics if name is invalid or already
 // registered as a different kind.
 func (r *Registry) Histogram(name, help string) *Histogram {
-	if m := r.lookup(name); m != nil {
-		h, ok := m.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %s is a %s, not a histogram", name, m.kind()))
-		}
-		return h
-	}
-	h := NewHistogram()
-	r.MustRegister(name, help, h)
-	return h
+	return getOrCreate(r, name, help, "histogram", NewHistogram)
 }
 
-// lookup returns the metric registered under name, or nil.
-func (r *Registry) lookup(name string) Metric {
+// getOrCreate returns the metric of kind M registered under name,
+// registering create() on first use. A miss under the read lock is
+// re-checked under the write lock, so goroutines racing on a name's
+// first use all get the one metric that won.
+func getOrCreate[M Metric](r *Registry, name, help, kind string, create func() M) M {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if e, ok := r.entries[name]; ok {
-		return e.metric
+	e, ok := r.entries[name]
+	r.mu.RUnlock()
+	if !ok {
+		if !validMetricName(name) {
+			panic(fmt.Errorf("obs: invalid metric name %q", name))
+		}
+		r.mu.Lock()
+		if e, ok = r.entries[name]; !ok {
+			e = entry{name: name, help: help, metric: create()}
+			r.entries[name] = e
+		}
+		r.mu.Unlock()
 	}
-	return nil
+	m, isKind := e.metric.(M)
+	if !isKind {
+		panic(fmt.Sprintf("obs: metric %s is a %s, not a %s", name, e.metric.kind(), kind))
+	}
+	return m
 }
 
 // WritePrometheus writes every registered metric in the Prometheus

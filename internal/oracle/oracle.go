@@ -86,6 +86,13 @@ type Access interface {
 	Sampler
 }
 
+// Draw is one weighted sample: the drawn index and the item it
+// revealed.
+type Draw struct {
+	Index int
+	Item  knapsack.Item
+}
+
 // SliceOracle is an Oracle (and Access, when built with a sampler)
 // backed by an in-memory instance.
 type SliceOracle struct {
@@ -136,11 +143,38 @@ func (o *SliceOracle) Sample(ctx context.Context, src *rng.Source) (int, knapsac
 	return idx, o.inst.Items[idx], nil
 }
 
+// SampleFrame fills dst with exactly the draws len(dst) successive
+// Sample calls with src would return, in order, and leaves src where
+// those calls would. With the alias sampler it draws in two passes
+// (see AliasSampler.sampleFrame); any other sampler draws one by one.
+func (o *SliceOracle) SampleFrame(ctx context.Context, src *rng.Source, dst []Draw) error {
+	if a, ok := o.sampler.(*AliasSampler); ok {
+		a.sampleFrame(src, o.inst.Items, dst)
+		return nil
+	}
+	for k := range dst {
+		idx, item, err := o.Sample(ctx, src)
+		if err != nil {
+			return err
+		}
+		dst[k] = Draw{Index: idx, Item: item}
+	}
+	return nil
+}
+
 // AliasSampler draws profit-weighted samples in O(1) per draw using
-// Walker's alias method with Vose's O(n) construction.
+// Walker's alias method with Vose's O(n) construction. The table is
+// one packed array of {prob, alias} columns, 16 B per item, so a draw
+// touches one cache line of the table instead of two.
 type AliasSampler struct {
-	prob  []float64
-	alias []int
+	table []aliasColumn
+}
+
+// aliasColumn is one column of the alias table: the column keeps its
+// own index with probability prob and yields alias otherwise.
+type aliasColumn struct {
+	prob  float64
+	alias int
 }
 
 var _ IndexSampler = (*AliasSampler)(nil)
@@ -166,14 +200,15 @@ func NewAliasSamplerWeights(weights []float64) (*AliasSampler, error) {
 		return nil, ErrNoMass
 	}
 
-	prob := make([]float64, n)
-	alias := make([]int, n)
-	scaled := make([]float64, n)
+	// Vose's loop runs in place: a column's prob holds its scaled
+	// weight until the column is closed, and a closed column's scaled
+	// weight is exactly its final prob.
+	table := make([]aliasColumn, n)
 	small := make([]int, 0, n)
 	large := make([]int, 0, n)
 	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
+		table[i].prob = w * float64(n) / total
+		if table[i].prob < 1 {
 			small = append(small, i)
 		} else {
 			large = append(large, i)
@@ -185,10 +220,9 @@ func NewAliasSamplerWeights(weights []float64) (*AliasSampler, error) {
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
 
-		prob[s] = scaled[s]
-		alias[s] = l
-		scaled[l] = scaled[l] + scaled[s] - 1
-		if scaled[l] < 1 {
+		table[s].alias = l
+		table[l].prob = table[l].prob + table[s].prob - 1
+		if table[l].prob < 1 {
 			small = append(small, l)
 		} else {
 			large = append(large, l)
@@ -196,23 +230,55 @@ func NewAliasSamplerWeights(weights []float64) (*AliasSampler, error) {
 	}
 	// Numerical residue: remaining columns are full.
 	for _, i := range large {
-		prob[i] = 1
-		alias[i] = i
+		table[i] = aliasColumn{prob: 1, alias: i}
 	}
 	for _, i := range small {
-		prob[i] = 1
-		alias[i] = i
+		table[i] = aliasColumn{prob: 1, alias: i}
 	}
-	return &AliasSampler{prob: prob, alias: alias}, nil
+	return &AliasSampler{table: table}, nil
 }
 
 // SampleIndex draws one index in O(1).
 func (a *AliasSampler) SampleIndex(_ context.Context, src *rng.Source) (int, error) {
-	i := src.Intn(len(a.prob))
-	if src.Float64() < a.prob[i] {
-		return i, nil
+	i := src.Intn(len(a.table))
+	if col := a.table[i]; src.Float64() >= col.prob {
+		return col.alias, nil
 	}
-	return a.alias[i], nil
+	return i, nil
+}
+
+// frameChunk is how many draws sampleFrame keeps in flight between its
+// passes: enough independent table and item loads to fill the memory
+// pipeline, few enough that the pass buffers live on the stack.
+const frameChunk = 256
+
+// sampleFrame fills dst with the draws len(dst) successive SampleIndex
+// calls would return, each with its item from items. It runs in two
+// passes per chunk: the first draws every (column, coin) pair from src
+// in SampleIndex's order, the second resolves the columns and gathers
+// the items. The second pass's iterations are independent, so their
+// cache misses on the table and the items overlap, where a one-pass
+// loop waits on each draw's coin branch before it issues the next
+// draw's loads.
+func (a *AliasSampler) sampleFrame(src *rng.Source, items []knapsack.Item, dst []Draw) {
+	var cols [frameChunk]int
+	var coins [frameChunk]float64
+	n := len(a.table)
+	for len(dst) > 0 {
+		k := min(len(dst), frameChunk)
+		for j := range k {
+			cols[j] = src.Intn(n)
+			coins[j] = src.Float64()
+		}
+		for j := range k {
+			i := cols[j]
+			if col := a.table[i]; coins[j] >= col.prob {
+				i = col.alias
+			}
+			dst[j] = Draw{Index: i, Item: items[i]}
+		}
+		dst = dst[k:]
+	}
 }
 
 // PrefixSampler draws profit-weighted samples in O(log n) per draw by

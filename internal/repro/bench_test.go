@@ -49,7 +49,7 @@ func BenchmarkTrieQuantile(b *testing.B) {
 	root := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Quantile(samples, 1<<12, 0.7, root.DeriveIndex("s", i), nil); err != nil {
+		if _, err := est.Quantile(NewECDF(samples), 1<<12, 0.7, root.DeriveIndex("s", i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func BenchmarkPaddedMedianQuantile(b *testing.B) {
 	root := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Quantile(samples, 1<<12, 0.7, root.DeriveIndex("s", i), root.DeriveIndex("f", i)); err != nil {
+		if _, err := est.Quantile(NewECDF(samples), 1<<12, 0.7, root.DeriveIndex("s", i), root.DeriveIndex("f", i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,8 +10,10 @@ import (
 // Estimator is a (possibly reproducible) approximate quantile
 // estimator over a finite domain of indices [0, domainSize).
 //
-// Quantile estimates the p-quantile of the distribution underlying
-// samples. Two kinds of randomness are distinguished, mirroring
+// Quantile estimates the p-quantile of the distribution underlying a
+// sample, given as its empirical CDF: a caller that estimates several
+// quantiles of one sample (the EPS thresholds of one derivation)
+// builds the ECDF once. Two kinds of randomness are distinguished, mirroring
 // Definition 2.5 of the paper (reproducibility):
 //
 //   - shared is the algorithm's *internal* randomness r. Reproducible
@@ -29,8 +31,9 @@ import (
 type Estimator interface {
 	// Name identifies the estimator in reports and ablation tables.
 	Name() string
-	// Quantile returns a domain index approximating the p-quantile.
-	Quantile(samples []int, domainSize int, p float64, shared, fresh *rng.Source) (int, error)
+	// Quantile returns a domain index approximating the p-quantile of
+	// the sample behind cdf.
+	Quantile(cdf *ECDF, domainSize int, p float64, shared, fresh *rng.Source) (int, error)
 }
 
 // Naive is the plain empirical quantile: accurate, cheap, and NOT
@@ -44,11 +47,11 @@ var _ Estimator = Naive{}
 func (Naive) Name() string { return "naive" }
 
 // Quantile returns the empirical p-quantile of the samples.
-func (Naive) Quantile(samples []int, domainSize int, p float64, _, _ *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, 0); err != nil {
+func (Naive) Quantile(cdf *ECDF, domainSize int, p float64, _, _ *rng.Source) (int, error) {
+	if err := checkQuantileArgs(cdf, domainSize, p, 0); err != nil {
 		return 0, err
 	}
-	x, ok := NewECDF(samples).Quantile(p)
+	x, ok := cdf.Quantile(p)
 	if !ok {
 		return 0, ErrNoSamples
 	}
@@ -75,8 +78,8 @@ var _ Estimator = Snap{}
 func (Snap) Name() string { return "snap" }
 
 // Quantile estimates at a randomized rank and snaps to the shared grid.
-func (s Snap) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, s.Tau); err != nil {
+func (s Snap) Quantile(cdf *ECDF, domainSize int, p float64, shared, _ *rng.Source) (int, error) {
+	if err := checkQuantileArgs(cdf, domainSize, p, s.Tau); err != nil {
 		return 0, err
 	}
 	if shared == nil {
@@ -94,7 +97,7 @@ func (s Snap) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.
 	rank := p + (shared.Float64()-0.5)*s.Tau/2
 	offset := shared.Intn(grid)
 
-	x, ok := NewECDF(samples).Quantile(clamp01(rank))
+	x, ok := cdf.Quantile(clamp01(rank))
 	if !ok {
 		return 0, ErrNoSamples
 	}
@@ -133,14 +136,13 @@ var _ Estimator = Trie{}
 func (Trie) Name() string { return "trie" }
 
 // Quantile performs the randomized-threshold binary search.
-func (t Trie) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, t.Tau); err != nil {
+func (t Trie) Quantile(cdf *ECDF, domainSize int, p float64, shared, _ *rng.Source) (int, error) {
+	if err := checkQuantileArgs(cdf, domainSize, p, t.Tau); err != nil {
 		return 0, err
 	}
 	if shared == nil {
 		return 0, fmt.Errorf("%w: Trie requires shared randomness", ErrBadParam)
 	}
-	ecdf := NewECDF(samples)
 	lo, hi := 0, domainSize-1
 	// The loop always runs exactly ceil(log2(domainSize)) iterations'
 	// worth of draws along the taken path; paths only diverge between
@@ -149,7 +151,7 @@ func (t Trie) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		threshold := p + float64((shared.Float64()-0.5)*t.Tau)
-		if ecdf.FractionLE(mid) >= threshold {
+		if cdf.FractionLE(mid) >= threshold {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -180,15 +182,17 @@ var _ Estimator = PaddedMedian{}
 func (PaddedMedian) Name() string { return "padded-median" }
 
 // Quantile runs the ±infinity-padding reduction of Algorithm 1.
-func (m PaddedMedian) Quantile(samples []int, domainSize int, p float64, shared, fresh *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, m.Tau); err != nil {
+func (m PaddedMedian) Quantile(cdf *ECDF, domainSize int, p float64, shared, fresh *rng.Source) (int, error) {
+	if err := checkQuantileArgs(cdf, domainSize, p, m.Tau); err != nil {
 		return 0, err
 	}
 	if shared == nil || fresh == nil {
 		return 0, fmt.Errorf("%w: PaddedMedian requires shared and fresh randomness", ErrBadParam)
 	}
 	// Extended domain: index 0 is -inf, indices 1..domainSize are the
-	// original cells shifted by one, index domainSize+1 is +inf.
+	// original cells shifted by one, index domainSize+1 is +inf. The
+	// original slots take the draws in draw order.
+	samples := cdf.Draws()
 	extSize := domainSize + 2
 	padded := make([]int, 0, 2*len(samples))
 	next := 0
@@ -211,7 +215,7 @@ func (m PaddedMedian) Quantile(samples []int, domainSize int, p float64, shared,
 		return 0, ErrNoSamples
 	}
 	inner := Trie{Tau: m.Tau / 2}
-	v, err := inner.Quantile(padded, extSize, 0.5, shared, nil)
+	v, err := inner.Quantile(NewECDF(padded), extSize, 0.5, shared, nil)
 	if err != nil {
 		return 0, fmt.Errorf("padded median: %w", err)
 	}
@@ -227,8 +231,8 @@ func (m PaddedMedian) Quantile(samples []int, domainSize int, p float64, shared,
 }
 
 // checkQuantileArgs validates the common estimator arguments.
-func checkQuantileArgs(samples []int, domainSize int, p, tau float64) error {
-	if len(samples) == 0 {
+func checkQuantileArgs(cdf *ECDF, domainSize int, p, tau float64) error {
+	if cdf == nil || cdf.N() == 0 {
 		return ErrNoSamples
 	}
 	if domainSize < 2 {

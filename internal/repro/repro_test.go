@@ -229,11 +229,11 @@ func TestTrieDeterministicGivenSharedAndSample(t *testing.T) {
 	gen := uniformGen(2000, 1<<8)
 	samples := gen(rng.New(1))
 	est := Trie{Tau: 0.1}
-	a, err := est.Quantile(samples, 1<<8, 0.4, rng.New(9).Derive("s"), nil)
+	a, err := est.Quantile(NewECDF(samples), 1<<8, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
-	b, err := est.Quantile(samples, 1<<8, 0.4, rng.New(9).Derive("s"), nil)
+	b, err := est.Quantile(NewECDF(samples), 1<<8, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
@@ -250,23 +250,23 @@ func TestEstimatorArgValidation(t *testing.T) {
 		if _, err := est.Quantile(nil, 8, 0.5, shared, fresh); !errors.Is(err, ErrNoSamples) {
 			t.Errorf("%s empty samples: %v", est.Name(), err)
 		}
-		if _, err := est.Quantile(samples, 1, 0.5, shared, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(NewECDF(samples), 1, 0.5, shared, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s domain=1: %v", est.Name(), err)
 		}
-		if _, err := est.Quantile(samples, 8, -0.1, shared, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(NewECDF(samples), 8, -0.1, shared, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s p=-0.1: %v", est.Name(), err)
 		}
-		if _, err := est.Quantile(samples, 8, 1.1, shared, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(NewECDF(samples), 8, 1.1, shared, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s p=1.1: %v", est.Name(), err)
 		}
 	}
 	// Reproducible estimators demand shared randomness.
 	for _, est := range []Estimator{Snap{Tau: 0.1}, Trie{Tau: 0.1}, PaddedMedian{Tau: 0.1}} {
-		if _, err := est.Quantile(samples, 8, 0.5, nil, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(NewECDF(samples), 8, 0.5, nil, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s nil shared: %v", est.Name(), err)
 		}
 	}
-	if _, err := (PaddedMedian{Tau: 0.1}).Quantile(samples, 8, 0.5, shared, nil); !errors.Is(err, ErrBadParam) {
+	if _, err := (PaddedMedian{Tau: 0.1}).Quantile(NewECDF(samples), 8, 0.5, shared, nil); !errors.Is(err, ErrBadParam) {
 		t.Error("PaddedMedian accepted nil fresh randomness")
 	}
 }
@@ -285,7 +285,7 @@ func TestQuantileOutputInDomainQuick(t *testing.T) {
 		shared := rng.New(seed + 1)
 		fresh := rng.New(seed + 2)
 		for _, est := range []Estimator{Naive{}, Snap{Tau: 0.1}, Trie{Tau: 0.1}, PaddedMedian{Tau: 0.1}} {
-			out, err := est.Quantile(samples, size, p, shared, fresh)
+			out, err := est.Quantile(NewECDF(samples), size, p, shared, fresh)
 			if err != nil || out < 0 || out >= size {
 				return false
 			}

@@ -211,6 +211,9 @@ type (
 type (
 	// QuantileEstimator is the reproducible-quantile interface.
 	QuantileEstimator = repro.Estimator
+	// QuantileSample is what a QuantileEstimator reads: a sample in
+	// draw order and its empirical CDF, built once per sample.
+	QuantileSample = repro.ECDF
 	// TrieQuantile is the provably reproducible estimator.
 	TrieQuantile = repro.Trie
 	// NaiveQuantile is the non-reproducible ablation baseline.
