@@ -3,6 +3,9 @@ package gateway
 import (
 	"context"
 	"testing"
+
+	"lcakp/internal/cluster"
+	"lcakp/internal/store"
 )
 
 // BenchmarkGatewayVsDirect compares repeat-query serving through the
@@ -70,4 +73,69 @@ func BenchmarkGatewayVsDirect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGatewayStoreServed measures gateway misses the artifact
+// tier answers: a store-backed gateway whose 256-entry cache is far
+// smaller than its 4,096-item artifact, cycled through in order, so
+// every answer is a cache miss, a store serve and an insert. point
+// sends point queries, batch64 batches of 64 items; the replica never
+// answers.
+func BenchmarkGatewayStoreServed(b *testing.B) {
+	const items, cacheSize, batch = 4096, 256, 64
+	srv, err := cluster.NewQueryServer("127.0.0.1:0", &scriptedBackend{})
+	if err != nil {
+		b.Fatalf("NewQueryServer: %v", err)
+	}
+	defer srv.Close()
+	bits := make([]bool, items)
+	for i := range bits {
+		bits[i] = i%3 == 1
+	}
+	a, err := store.NewArtifact(0, testParams.Seed, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
+	if err != nil {
+		b.Fatalf("NewArtifact: %v", err)
+	}
+	gw, err := New(Options{
+		Replicas:   []string{srv.Addr()},
+		Seed:       testParams.Seed,
+		HedgeDelay: -1,
+		CacheSize:  cacheSize,
+		Store:      newTestStore(b, b.TempDir(), a),
+	})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	defer gw.Close()
+	ctx := context.Background()
+	// next carries the cycle across runs: restarting it would re-ask
+	// items the previous run left resident.
+	next := 0
+
+	b.Run("point", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := gw.InSolution(ctx, next%items); err != nil {
+				b.Fatalf("InSolution: %v", err)
+			}
+			next++
+		}
+	})
+
+	b.Run("batch64", func(b *testing.B) {
+		indices := make([]int, batch)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := range indices {
+				indices[k] = next % items
+				next++
+			}
+			if _, err := gw.InSolutionBatch(ctx, indices); err != nil {
+				b.Fatalf("InSolutionBatch: %v", err)
+			}
+		}
+	})
+	if m := gw.Metrics(); m.Attempts != 0 || m.CacheHits != 0 {
+		b.Errorf("store-served benchmark made %d replica attempts and %d cache hits, want 0 and 0", m.Attempts, m.CacheHits)
+	}
 }

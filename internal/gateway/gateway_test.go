@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"lcakp/internal/core"
 	"lcakp/internal/engine"
 	"lcakp/internal/oracle"
+	"lcakp/internal/store"
 	"lcakp/internal/workload"
 )
 
@@ -234,6 +236,78 @@ func TestGatewayBatchMixesCachedAndFetched(t *testing.T) {
 	if m.CacheMisses < 10 {
 		t.Errorf("CacheMisses = %d, want >= 10 (cold items)", m.CacheMisses)
 	}
+}
+
+// TestGatewayBatchTiersWithDuplicates serves one epoch-pinned batch
+// whose positions come from all three tiers — cache hits, artifact
+// bits and replica fetches — with a duplicate of each kind. Every
+// answer must equal the truth, and the replica must see each distinct
+// replica-bound item exactly once, in one frame.
+func TestGatewayBatchTiersWithDuplicates(t *testing.T) {
+	const stored = 32 // the artifact covers items [0, stored)
+	truth := func(i int) bool { return i%3 == 1 }
+	be := &scriptedBackend{answer: truth}
+	srv, err := cluster.NewQueryServer("127.0.0.1:0", be)
+	if err != nil {
+		t.Fatalf("NewQueryServer: %v", err)
+	}
+	defer srv.Close()
+	bits := make([]bool, stored)
+	for i := range bits {
+		bits[i] = truth(i)
+	}
+	a, err := store.NewArtifact(0, testParams.Seed, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
+	if err != nil {
+		t.Fatalf("NewArtifact: %v", err)
+	}
+	gw, err := New(Options{
+		Replicas:    []string{srv.Addr()},
+		Seed:        testParams.Seed,
+		HedgeDelay:  -1,
+		MaxAttempts: 1,
+		Store:       newTestStore(t, t.TempDir(), a),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer gw.Close()
+	for _, i := range []int{100, 101, 102} {
+		gw.cache.put(Key{Seed: testParams.Seed, Item: i}, truth(i))
+	}
+
+	indices := []int{
+		100, 5, 200, 101, 6, 201, 202, // cached, stored and replica-bound items interleaved
+		100, 5, 200, // a duplicate of each kind
+		7, 102, 203, 201,
+	}
+	got, err := gw.InSolutionBatchEpoch(context.Background(), 0, indices)
+	if err != nil {
+		t.Fatalf("InSolutionBatchEpoch: %v", err)
+	}
+	for k, i := range indices {
+		if got[k] != truth(i) {
+			t.Errorf("position %d (item %d) = %v, want %v", k, i, got[k], truth(i))
+		}
+	}
+	be.mu.Lock()
+	calls, items := be.calls, append([]int(nil), be.items...)
+	be.mu.Unlock()
+	slices.Sort(items)
+	if want := []int{200, 201, 202, 203}; calls != 1 || !slices.Equal(items, want) {
+		t.Errorf("replica saw %d frames carrying %v, want 1 frame carrying %v", calls, items, want)
+	}
+	if m := gw.Metrics(); m.StoreServes < 3 {
+		t.Errorf("StoreServes = %d, want >= 3 (items 5, 6, 7)", m.StoreServes)
+	}
+	// The fetched items are cached: the same batch again needs no frame.
+	if _, err := gw.InSolutionBatchEpoch(context.Background(), 0, indices); err != nil {
+		t.Fatalf("second InSolutionBatchEpoch: %v", err)
+	}
+	be.mu.Lock()
+	if be.calls != 1 {
+		t.Errorf("second batch sent %d more frames, want 0", be.calls-1)
+	}
+	be.mu.Unlock()
 }
 
 func TestGatewayCoalescerBatchesConcurrentQueries(t *testing.T) {

@@ -18,12 +18,11 @@ import (
 // fleets while the ring stays tiny (a few KB).
 const ringVnodes = 64
 
-// fnv1a64 hashes b with FNV-1a (the same family the answer cache
-// shards with). The ring's placement is a pure function of the peer
-// address list and the key bytes, so every gateway configured with the
-// same -peers set computes the same owner for every key — agreement
-// without coordination, the consistent-hashing analogue of the
-// shared-seed argument.
+// fnv1a64 hashes b with FNV-1a. The ring's placement is a pure
+// function of the peer address list and the key bytes, so every
+// gateway configured with the same -peers set computes the same owner
+// for every key — agreement without coordination, the
+// consistent-hashing analogue of the shared-seed argument.
 func fnv1a64(b []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
@@ -459,17 +458,17 @@ func (g *Gateway) WarmFromStore(ctx context.Context, id engine.TenantID) (int, e
 	if err != nil {
 		return 0, fmt.Errorf("gateway: warm from store: %w", err)
 	}
-	answers := a.Answers()
-	for i, in := range answers {
+	for i := 0; i < a.N; i++ {
 		if err := ctx.Err(); err != nil {
 			return i, fmt.Errorf("gateway: warm from store: %w", err)
 		}
+		in, _ := a.InSolution(i) // i < a.N: in range
 		g.cache.put(t.key(ep, i), in)
 	}
-	g.counters.warmed.Add(int64(len(answers)))
+	g.counters.warmed.Add(int64(a.N))
 	obs.AddEvent(ctx, "gateway.warm_from_store",
-		obs.String("tenant", t.label), obs.Int("entries", int64(len(answers))))
-	return len(answers), nil
+		obs.String("tenant", t.label), obs.Int("entries", int64(a.N)))
+	return a.N, nil
 }
 
 // WarmAllFromStore warms every configured tenant that has an artifact

@@ -202,18 +202,23 @@ func (t *tenant) admit(ctx context.Context, n int) error {
 	return fmt.Errorf("%w: tenant %s", ErrQuotaExceeded, t.id)
 }
 
-// fetchOne resolves one item on the cache-miss path, through the
+// fetchOne resolves one item without the answer cache, through the
 // serving tiers in cost order: the materialized artifact tier first
-// (local store, then peer-fill — see Gateway.storeTier), then the
-// replica fleet via the coalescer (when enabled) or a direct
-// single-index batch call. Fleet fetches record latency; a traced
-// fetch leaves its trace ID as the latency bucket's exemplar and
-// stamps a cache_fill event on the active span, so a tail bucket in
-// /metrics names a replayable miss.
-func (t *tenant) fetchOne(ctx context.Context, ep engine.EpochID, i int) (answer bool, err error) {
+// (local store, then peer-fill — see Gateway.storeTierEpoch), then the
+// replica fleet.
+func (t *tenant) fetchOne(ctx context.Context, ep engine.EpochID, i int) (bool, error) {
 	if answer, ok := t.g.storeTierEpoch(ctx, t.id, storeEpochOf(ep), t.label, i); ok {
 		return answer, nil
 	}
+	return t.fetchFleet(ctx, ep, i)
+}
+
+// fetchFleet resolves one item from the replica fleet via the
+// coalescer (when enabled) or a direct single-index batch call. Fleet
+// fetches record latency; a traced fetch leaves its trace ID as the
+// latency bucket's exemplar and stamps a cache_fill event on the
+// active span, so a tail bucket in /metrics names a replayable miss.
+func (t *tenant) fetchFleet(ctx context.Context, ep engine.EpochID, i int) (answer bool, err error) {
 	start := time.Now()
 	if t.coal != nil {
 		answer, err = t.coal.query(ctx, ep, i)
@@ -235,10 +240,10 @@ func (t *tenant) fetchOne(ctx context.Context, ep engine.EpochID, i int) (answer
 }
 
 // InSolution answers one membership query at the tenant's current
-// epoch: admission, cache, then a single-flight-deduplicated fetch
-// from the fleet. Latency is observed on the fetch path only — a cache
-// hit reads no clock, keeping the hit path's observability overhead at
-// effectively zero.
+// epoch: admission, cache, the artifact tier, then a
+// single-flight-deduplicated fetch from the fleet. Latency is observed
+// on the fleet path only — a cache hit reads no clock, keeping the hit
+// path's observability overhead at effectively zero.
 func (t *tenant) InSolution(ctx context.Context, i int) (bool, error) {
 	return t.inSolutionAt(ctx, t.servingEpoch(), i)
 }
@@ -270,12 +275,28 @@ func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bo
 	if t.g.cache == nil {
 		return t.fetchOne(ctx, ep, i)
 	}
-	//lint:alloc stays on the stack: do only calls fn, never retains it — cached hit measures 0 allocs/op
-	answer, oc, err := t.g.cache.do(ctx, t.key(ep, i), func() (bool, error) {
-		return t.fetchOne(ctx, ep, i)
+	k := t.key(ep, i)
+	if answer, ok := t.g.cache.get(k); ok {
+		t.g.counters.cacheHits.Add(1)
+		t.c.cacheHits.Add(1)
+		return answer, nil
+	}
+	// The artifact tier answers before any single-flight record is
+	// made: reading a resident bit costs less than deduplicating the
+	// readers, so only replica-bound misses register a flight.
+	if answer, ok := t.g.storeTierEpoch(ctx, t.id, storeEpochOf(ep), t.label, i); ok {
+		t.g.cache.put(k, answer)
+		t.g.counters.cacheMisses.Add(1)
+		t.c.cacheMisses.Add(1)
+		return answer, nil
+	}
+	//lint:alloc stays on the stack: do only calls fn, never retains it — the cached-hit and store-served point pins measure 0 allocs/op
+	answer, oc, err := t.g.cache.do(ctx, k, func() (bool, error) {
+		return t.fetchFleet(ctx, ep, i)
 	})
 	switch oc {
 	case outcomeHit:
+		// Another caller filled k between the lookup above and do.
 		t.g.counters.cacheHits.Add(1)
 		t.c.cacheHits.Add(1)
 	case outcomeShared:
@@ -303,7 +324,11 @@ func (t *tenant) InSolutionBatchEpoch(ctx context.Context, ep engine.EpochID, in
 	return t.inSolutionBatchAt(ctx, t.resolveEpoch(ep), indices)
 }
 
-// inSolutionBatchAt serves one batch at a resolved epoch.
+// inSolutionBatchAt serves one batch at a resolved epoch. Each
+// position tries the cache, then the artifact tier, in place; a
+// repeated item is just another lookup. Only the replica-bound
+// remainder is gathered, and it rides one frame with each distinct
+// item once.
 func (t *tenant) inSolutionBatchAt(ctx context.Context, ep engine.EpochID, indices []int) ([]bool, error) {
 	if t.g.opts.Tracer != nil {
 		var span *obs.Span
@@ -326,18 +351,10 @@ func (t *tenant) inSolutionBatchAt(ctx context.Context, ep engine.EpochID, indic
 	}
 
 	answers := make([]bool, len(indices)) //lint:alloc escapes to the caller, which owns the answers
-	// positions gathers where each still-unknown item occurs (an item
-	// may repeat within a batch; it is fetched once). It is allocated
-	// lazily on the first miss: an all-hit batch allocates only the
-	// answer slice.
-	var positions map[int][]int
-	var missing []int
+	var fleet []int                       // positions neither the cache nor the artifact tier answered
 	for pos, item := range indices {
-		if hits, seen := positions[item]; seen {
-			positions[item] = append(hits, pos) //lint:alloc per-duplicate bookkeeping, O(misses) not O(batch)
-			continue
-		}
-		if answer, ok := t.g.cache.get(t.key(ep, item)); ok {
+		k := t.key(ep, item)
+		if answer, ok := t.g.cache.get(k); ok {
 			t.g.counters.cacheHits.Add(1)
 			t.c.cacheHits.Add(1)
 			answers[pos] = answer
@@ -345,45 +362,49 @@ func (t *tenant) inSolutionBatchAt(ctx context.Context, ep engine.EpochID, indic
 		}
 		t.g.counters.cacheMisses.Add(1)
 		t.c.cacheMisses.Add(1)
-		if positions == nil {
-			positions, missing = make(map[int][]int, len(indices)), make([]int, 0, len(indices)) //lint:alloc miss-path bookkeeping, deferred until the first cache miss
+		if answer, ok := t.g.storeTierEpoch(ctx, t.id, storeEpochOf(ep), t.label, item); ok {
+			t.g.cache.put(k, answer)
+			answers[pos] = answer
+			continue
 		}
-		positions[item] = append(positions[item], pos) //lint:alloc one first-occurrence slot per missed item, O(misses)
-		missing = append(missing, item)
+		if fleet == nil {
+			fleet = make([]int, 0, len(indices)-pos) //lint:alloc replica-bound path: allocated on the first miss the artifact tier cannot answer, priced against the wire round trip
+		}
+		fleet = append(fleet, pos)
 	}
-	if len(missing) == 0 {
+	if len(fleet) == 0 {
 		return answers, nil
 	}
-	// The artifact tier thins the fleet fetch (often to nothing):
-	// missed items a local or peer artifact covers are answered and
-	// cached here, and only the remainder rides the batch frame.
-	if t.g.opts.Store != nil {
-		remaining := missing[:0]
-		for _, item := range missing {
-			if answer, ok := t.g.storeTierEpoch(ctx, t.id, storeEpochOf(ep), t.label, item); ok {
-				t.g.cache.put(t.key(ep, item), answer)
-				for _, pos := range positions[item] {
-					answers[pos] = answer
-				}
-				continue
-			}
-			remaining = append(remaining, item)
-		}
-		if missing = remaining; len(missing) == 0 {
-			return answers, nil
-		}
-	}
-	fetched, err := t.routerCall(ctx, ep, missing)
-	if err != nil {
+	if err := t.fetchBatch(ctx, ep, indices, fleet, answers); err != nil {
 		return nil, err
 	}
-	for k, item := range missing {
-		t.g.cache.put(t.key(ep, item), fetched[k])
-		for _, pos := range positions[item] {
-			answers[pos] = fetched[k]
+	return answers, nil
+}
+
+// fetchBatch answers the replica-bound positions of a batch in one
+// frame, each distinct item once, and caches what the fleet returned.
+// Every allocation here is priced against the wire round trip.
+func (t *tenant) fetchBatch(ctx context.Context, ep engine.EpochID, indices, positions []int, answers []bool) error {
+	//lint:alloc replica-bound path: dedup bookkeeping, priced against the wire round trip
+	at := make(map[int]int, len(positions))
+	items := make([]int, 0, len(positions)) //lint:alloc replica-bound path: the frame's distinct items
+	for _, pos := range positions {
+		if _, dup := at[indices[pos]]; !dup {
+			at[indices[pos]] = len(items)
+			items = append(items, indices[pos])
 		}
 	}
-	return answers, nil
+	fetched, err := t.routerCall(ctx, ep, items)
+	if err != nil {
+		return err
+	}
+	for k, item := range items {
+		t.g.cache.put(t.key(ep, item), fetched[k])
+	}
+	for _, pos := range positions {
+		answers[pos] = fetched[at[indices[pos]]]
+	}
+	return nil
 }
 
 // warm preloads the answer cache with the given items under this

@@ -28,6 +28,10 @@ type scriptedBackend struct {
 	blockCall int
 	entered   chan struct{}
 	release   chan struct{}
+	// answer, when set, answers each index (all false otherwise).
+	answer func(int) bool
+	// items logs every index the batch calls carried, in order.
+	items []int
 }
 
 func (b *scriptedBackend) InSolution(context.Context, int) (bool, error) { return false, nil }
@@ -36,7 +40,14 @@ func (b *scriptedBackend) InSolutionBatch(ctx context.Context, indices []int) ([
 	b.mu.Lock()
 	b.calls++
 	c := b.calls
+	b.items = append(b.items, indices...)
 	b.mu.Unlock()
+	answers := make([]bool, len(indices))
+	if b.answer != nil {
+		for k, i := range indices {
+			answers[k] = b.answer(i)
+		}
+	}
 	switch c {
 	case b.failCall:
 		return nil, errors.New("synthetic chunk failure")
@@ -46,10 +57,10 @@ func (b *scriptedBackend) InSolutionBatch(ctx context.Context, indices []int) ([
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-b.release:
-			return make([]bool, len(indices)), nil
+			return answers, nil
 		}
 	}
-	return make([]bool, len(indices)), nil
+	return answers, nil
 }
 
 // scriptedGateway mounts a scriptedBackend on a wire server and fronts

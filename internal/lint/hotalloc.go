@@ -13,7 +13,7 @@ import (
 // space-efficient LCA line of work prices algorithms by probes AND
 // space), and on the serving side the cached-hit budget is zero heap
 // allocations per query — one stray interface boxing or closure
-// capture turns a ~61ns hit into a GC-visible one. Hotness comes from
+// capture turns a ~70ns hit into a GC-visible one. Hotness comes from
 // the shared call graph (hot roots in hotroots.go, //lint:hotroot in
 // testdata and future code); strict query-level functions are checked
 // everywhere, derive-level functions only inside loops (setup

@@ -61,7 +61,7 @@ var defaultHotRoots = map[string]hotLevel{
 	"lcakp/internal/cluster.(engineBackend).InSolution":      hotQuery,
 	"lcakp/internal/cluster.(engineBackend).InSolutionBatch": hotQuery,
 
-	// gateway: route / coalesce / cache — the ~61ns cached-hit path
+	// gateway: route / coalesce / cache — the ~70ns cached-hit path
 	// and everything one miss away from it.
 	"lcakp/internal/gateway.(Gateway).Resolve":        hotQuery,
 	"lcakp/internal/gateway.(tenant).InSolution":      hotQuery,
