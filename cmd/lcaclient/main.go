@@ -21,10 +21,11 @@
 //
 //	lcaclient -replicas 127.0.0.1:7080 -tenant 3:9 -api-key alpha-secret -items 3,17
 //
-// Against epoch-aware servers, -epoch pins every query to one sealed
-// instance version ("current" asks the server to serve whatever it has
-// sealed last and report which); without the flag, queries ride
-// epoch-less frames byte-identical to the pre-epoch protocol:
+// Every query names an epoch. -epoch pins it to one sealed instance
+// version, and each answer prints the epoch served ("current" asks the
+// server to serve whatever it has sealed last and report which);
+// without the flag, queries are served at the current epoch and print
+// the plain answer:
 //
 //	lcaclient -replicas 127.0.0.1:7080 -items 3,17 -epoch 2
 //	lcaclient -replicas 127.0.0.1:7080 -items 3,17 -epoch current
@@ -63,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scrape   = flags.Bool("scrape", false, "fetch each replica's metrics over the wire protocol and print the expositions (usable without a query list)")
 		tenantID = flags.String("tenant", "", `tenant to query as "<instance-hash>:<seed>" (empty = the server's default tenant)`)
 		apiKey   = flags.String("api-key", "", "API key sent with every request (for gateways running with -api-keys)")
-		epochStr = flags.String("epoch", "", `pin queries to this instance version: a sealed epoch number, or "current" to serve-and-report the server's latest (empty = legacy epoch-less frames)`)
+		epochStr = flags.String("epoch", "", `pin queries to this instance version: a sealed epoch number, or "current" to serve-and-report the server's latest (empty = serve at the current epoch without reporting it)`)
 	)
 	if err := flags.Parse(args); err != nil {
 		return 2
@@ -175,8 +176,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // querySolution performs one membership RPC under a per-request
 // deadline (0 leaves the connection's default timeout in charge). With
-// an epoch pin it rides the epoch-carrying v4 framing and returns the
-// epoch the server served; without one, the legacy epoch-less framing.
+// an epoch pin it returns the epoch the server served; without one the
+// query is served at the current epoch and reports epoch 0.
 func querySolution(c *cluster.LCAClient, i int, epochPin *engine.EpochID, timeout time.Duration) (bool, engine.EpochID, error) {
 	ctx := context.Background()
 	if timeout > 0 {
@@ -191,9 +192,9 @@ func querySolution(c *cluster.LCAClient, i int, epochPin *engine.EpochID, timeou
 	return in, 0, err
 }
 
-// parseEpoch parses the -epoch flag: "" keeps the legacy epoch-less
-// framing (nil), "current" pins the serve-current sentinel, anything
-// else must be a concrete epoch number.
+// parseEpoch parses the -epoch flag: "" means no pin (nil), "current"
+// pins the serve-current sentinel, anything else must be a concrete
+// epoch number.
 func parseEpoch(s string) (*engine.EpochID, error) {
 	if s == "" {
 		return nil, nil

@@ -165,9 +165,10 @@ func startMultiTenantReplica(t *testing.T) string {
 		{Instance: 3, Seed: 5}: true,
 		{Instance: 3, Seed: 9}: true,
 	}
-	factory := func(ctx context.Context, id engine.TenantID) (engine.TenantState, error) {
-		if !served[id] {
-			return engine.TenantState{}, fmt.Errorf("tenant %s is not served here", id)
+	factory := func(ctx context.Context, vt engine.VersionedTenant) (engine.TenantState, error) {
+		id := vt.Tenant
+		if !served[id] || vt.Epoch != 0 {
+			return engine.TenantState{}, fmt.Errorf("%s is not served here", vt)
 		}
 		acc, err := oracle.NewSliceOracle(gen.Float)
 		if err != nil {
@@ -179,7 +180,7 @@ func startMultiTenantReplica(t *testing.T) string {
 		}
 		return engine.TenantState{Engine: engine.New(lca)}, nil
 	}
-	table := engine.NewTenantTable(factory, 4)
+	table := engine.NewVersionedTenantTable(factory, 4)
 	srv, err := cluster.NewMultiLCAServer("127.0.0.1:0", table)
 	if err != nil {
 		t.Fatalf("NewMultiLCAServer: %v", err)

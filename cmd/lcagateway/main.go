@@ -5,7 +5,11 @@
 // coalescing, and a deterministic answer cache — all consistency-safe
 // because every replica answers from the same C(I, r) (Theorem 4.1).
 //
-// Start replicas (see lcaserver), then the gateway:
+// Start replicas (see lcaserver), then the gateway with the replicas'
+// tenant: its -instance-id and -seed must equal their -instance-hash
+// and -seed, because every frame the gateway sends a replica names
+// (tenant, epoch), and a replica serving another tenant answers with
+// an unknown-tenant error:
 //
 //	lcagateway -addr 127.0.0.1:7080 \
 //	    -replicas 127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073 \
@@ -142,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 	var (
 		addr     = flags.String("addr", "127.0.0.1:7080", "listen address")
 		replicas = flags.String("replicas", "", "comma-separated replica server addresses (required)")
-		instance = flags.Uint64("instance-id", 0, "instance identity for the answer-cache key")
+		instance = flags.Uint64("instance-id", 0, "instance identity of the default tenant: with -seed it keys the answer cache and names the tenant the gateway's replica frames address, so it must match the replicas' -instance-hash")
 		seed     = flags.Uint64("seed", 1, "shared LCA seed of the fleet (answer-cache key)")
 		pool     = flags.Int("pool", gateway.DefaultPoolSize, "pooled connections per replica")
 		cache    = flags.Int("cache", gateway.DefaultCacheSize, "answer-cache entries (negative disables)")

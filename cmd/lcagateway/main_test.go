@@ -39,7 +39,7 @@ func startReplicas(t *testing.T, n, k int) (addrs []string, baseline *core.LCAKP
 		if err != nil {
 			t.Fatalf("NewLCAKP: %v", err)
 		}
-		srv, err := cluster.NewLCAServer("127.0.0.1:0", engine.New(lca))
+		srv, err := cluster.NewLCAServer("127.0.0.1:0", engine.TenantID{Seed: params.Seed}, engine.New(lca))
 		if err != nil {
 			t.Fatalf("NewLCAServer: %v", err)
 		}
@@ -188,19 +188,19 @@ func startMultiTenantReplicas(t *testing.T, n, k int) (addrs []string) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	factory := func(ctx context.Context, id engine.TenantID) (engine.TenantState, error) {
+	factory := func(ctx context.Context, vt engine.VersionedTenant) (engine.TenantState, error) {
 		acc, err := oracle.NewSliceOracle(gen.Float)
 		if err != nil {
 			return engine.TenantState{}, err
 		}
-		lca, err := core.NewLCAKP(acc, core.Params{Epsilon: 0.45, Seed: id.Seed})
+		lca, err := core.NewLCAKP(acc, core.Params{Epsilon: 0.45, Seed: vt.Tenant.Seed})
 		if err != nil {
 			return engine.TenantState{}, err
 		}
 		return engine.TenantState{Engine: engine.New(lca)}, nil
 	}
 	for r := 0; r < k; r++ {
-		table := engine.NewTenantTable(factory, 8)
+		table := engine.NewVersionedTenantTable(factory, 8)
 		srv, err := cluster.NewMultiLCAServer("127.0.0.1:0", table)
 		if err != nil {
 			t.Fatalf("NewMultiLCAServer: %v", err)

@@ -7,7 +7,11 @@
 //	lcaserver -role instance -addr 127.0.0.1:7070 -workload zipf -n 100000
 //
 // Start replicas against it (any number, on any machines that can
-// reach the store; equal -seed values make them answer consistently):
+// reach the store; equal -seed values make them answer consistently).
+// A replica serves one tenant, named by -instance-hash and -seed:
+// frames naming that tenant, and untenanted frames, reach it, and a
+// gateway in front of it must be started with the same -instance-id
+// and -seed:
 //
 //	lcaserver -role lca -addr 127.0.0.1:7071 -instance 127.0.0.1:7070 -eps 0.1 -seed 7
 //	lcaserver -role lca -addr 127.0.0.1:7072 -instance 127.0.0.1:7070 -eps 0.1 -seed 7
@@ -23,8 +27,8 @@
 //	lcaserver -role lca -addr 127.0.0.1:7071 -tenants tenants.txt -tenant-budget 32
 //
 // Tenant engines are derived lazily on first query and evicted LRU
-// past the budget; the "default" row answers untenanted (pre-v3)
-// clients. Then query them with lcaclient. The server runs until
+// past the budget; the "default" row answers clients whose frames name
+// no tenant. Then query them with lcaclient. The server runs until
 // SIGINT/SIGTERM.
 //
 // With role=lca and -materialize, the replica does not serve: it
@@ -105,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		pushURL      = flags.String("push", "", "push metrics and finished spans to this OTLP-shaped collector endpoint, e.g. http://127.0.0.1:4318/v1/push (empty = off)")
 		pushEvery    = flags.Duration("push-interval", 5*time.Second, "push period (with -push)")
 		materialize  = flags.String("materialize", "", "role=lca: write the complete solution artifact into this directory and exit instead of serving")
-		instanceHash = flags.Uint64("instance-hash", 0, "instance identity the artifact is addressed by (with -materialize)")
+		instanceHash = flags.Uint64("instance-hash", 0, "instance identity (role=lca): with -seed it names the tenant the replica serves and the artifact -materialize writes")
 	)
 	if err := flags.Parse(args); err != nil {
 		return 2
@@ -131,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		if *tenants != "" {
 			srv, table, err = startMultiReplica(*addr, *tenants, *tenantBudget)
 		} else {
-			srv, eng, err = startReplica(*addr, *instanceAddr, *eps, *seed)
+			srv, eng, err = startReplica(*addr, *instanceAddr, *eps, engine.TenantID{Instance: *instanceHash, Seed: *seed})
 		}
 	default:
 		err = fmt.Errorf("unknown role %q (want instance or lca)", *role)
@@ -230,8 +234,8 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 			fmt.Fprintln(stderr, err)
 		}
 	}
-	if lcaSrv, ok := srv.(*cluster.LCAServer); ok {
-		t := lcaSrv.Metrics()
+	if eng != nil {
+		t := eng.Totals()
 		fmt.Fprintf(stdout, "lcaserver: served %d queries (%d point queries, %d samples; ok=%d canceled=%d deadline=%d budget=%d error=%d)\n",
 			t.Queries, t.PointQueries, t.Samples, t.OK, t.Canceled, t.Deadline, t.Budget, t.Errors)
 	}
@@ -321,10 +325,14 @@ func startMultiReplica(addr, manifestPath string, budget int) (closer, *engine.T
 	if err != nil {
 		return nil, nil, err
 	}
-	factory := func(ctx context.Context, id engine.TenantID) (engine.TenantState, error) {
+	factory := func(ctx context.Context, vt engine.VersionedTenant) (engine.TenantState, error) {
+		id := vt.Tenant
 		spec, ok := specs[id]
 		if !ok {
 			return engine.TenantState{}, fmt.Errorf("tenant %s is not in the manifest", id)
+		}
+		if vt.Epoch != 0 {
+			return engine.TenantState{}, fmt.Errorf("tenant %s: epoch %d requested, but manifest tenants serve epoch 0 only", id, uint64(vt.Epoch))
 		}
 		remote, err := cluster.DialInstanceContext(ctx, spec.instanceAddr, 0, 0)
 		if err != nil {
@@ -337,7 +345,7 @@ func startMultiReplica(addr, manifestPath string, budget int) (closer, *engine.T
 		}
 		return engine.TenantState{Engine: engine.New(lca), Close: remote.Close}, nil
 	}
-	table := engine.NewTenantTable(factory, budget)
+	table := engine.NewVersionedTenantTable(factory, budget)
 	srv, err := cluster.NewMultiLCAServer(addr, table)
 	if err != nil {
 		_ = table.Close()
@@ -351,7 +359,7 @@ func startMultiReplica(addr, manifestPath string, budget int) (closer, *engine.T
 
 // parseTenantManifest reads the tenant manifest: one row per servable
 // tenant, "#" comments and blank lines skipped. At most one row may be
-// marked default (it answers untenanted pre-v3 frames).
+// marked default (it answers frames that name no tenant).
 func parseTenantManifest(path string) (map[engine.TenantID]tenantSpec, *engine.TenantID, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -404,11 +412,11 @@ func parseTenantManifest(path string) (map[engine.TenantID]tenantSpec, *engine.T
 	return specs, def, nil
 }
 
-// startReplica dials the instance store and serves an LCA over it. The
-// access is wrapped with the engine instrumentation so the server's
-// Metrics report per-query access counts. The engine is returned so
-// run can attach the registry and tracer.
-func startReplica(addr, instanceAddr string, eps float64, seed uint64) (closer, *engine.Engine, error) {
+// startReplica dials the instance store and serves an LCA over it as
+// tenant id. The access is wrapped with the engine instrumentation so
+// the engine's totals report per-query access counts. The engine is
+// returned so run can attach the registry and tracer.
+func startReplica(addr, instanceAddr string, eps float64, id engine.TenantID) (closer, *engine.Engine, error) {
 	if instanceAddr == "" {
 		return nil, nil, fmt.Errorf("role=lca requires -instance address")
 	}
@@ -416,13 +424,13 @@ func startReplica(addr, instanceAddr string, eps float64, seed uint64) (closer, 
 	if err != nil {
 		return nil, nil, err
 	}
-	lca, err := core.NewLCAKP(engine.Wrap(remote), core.Params{Epsilon: eps, Seed: seed})
+	lca, err := core.NewLCAKP(engine.Wrap(remote), core.Params{Epsilon: eps, Seed: id.Seed})
 	if err != nil {
 		_ = remote.Close()
 		return nil, nil, err
 	}
 	eng := engine.New(lca)
-	srv, err := cluster.NewLCAServer(addr, eng)
+	srv, err := cluster.NewLCAServer(addr, id, eng)
 	if err != nil {
 		return nil, nil, err
 	}

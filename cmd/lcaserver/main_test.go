@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -229,7 +230,7 @@ func TestEndToEndInstancePlusReplica(t *testing.T) {
 
 	lcaAddr, stopLCA := startServer(t, []string{
 		"-role", "lca", "-addr", "127.0.0.1:0",
-		"-instance", instAddr, "-eps", "0.2", "-seed", "5",
+		"-instance", instAddr, "-eps", "0.2", "-seed", "5", "-instance-hash", "3",
 	})
 	defer stopLCA()
 
@@ -238,10 +239,21 @@ func TestEndToEndInstancePlusReplica(t *testing.T) {
 		t.Fatalf("DialLCA: %v", err)
 	}
 	defer client.Close()
+	ctx := context.Background()
+	own := engine.TenantID{Instance: 3, Seed: 5}
 	for _, i := range []int{0, 100, 299} {
-		if _, err := client.InSolution(context.Background(), i); err != nil {
+		want, err := client.InSolution(ctx, i)
+		if err != nil {
 			t.Fatalf("InSolution(%d): %v", i, err)
 		}
+		if got, err := client.InSolutionTenant(ctx, own, i); err != nil || got != want {
+			t.Fatalf("InSolutionTenant(%s, %d) = (%v, %v), want the untenanted answer %v", own, i, got, err, want)
+		}
+	}
+	// -instance-hash and -seed name the one tenant the replica serves.
+	if _, err := client.InSolutionTenant(ctx, engine.TenantID{Instance: 4, Seed: 5}, 0); !errors.Is(err, cluster.ErrRemote) ||
+		!strings.Contains(err.Error(), "unknown tenant") {
+		t.Fatalf("query for another tenant: err = %v, want an unknown-tenant rejection", err)
 	}
 }
 

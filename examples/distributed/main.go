@@ -206,13 +206,14 @@ func actThree() {
 	}
 
 	// A homogeneous multi-tenant fleet: each replica derives any tenant
-	// on first query from the shared catalogs.
-	factory := func(ctx context.Context, id lcakp.TenantID) (lcakp.TenantState, error) {
-		access, ok := catalogs[id.Instance]
-		if !ok {
-			return lcakp.TenantState{}, fmt.Errorf("no catalog with hash %d", id.Instance)
+	// on first query from the shared catalogs, which never churn, so
+	// epoch 0 is the only one there is.
+	factory := func(ctx context.Context, vt lcakp.VersionedTenant) (lcakp.TenantState, error) {
+		access, ok := catalogs[vt.Tenant.Instance]
+		if !ok || vt.Epoch != 0 {
+			return lcakp.TenantState{}, fmt.Errorf("no catalog for %s", vt)
 		}
-		lca, err := lcakp.NewLCAKP(access, params(id))
+		lca, err := lcakp.NewLCAKP(access, params(vt.Tenant))
 		if err != nil {
 			return lcakp.TenantState{}, err
 		}
@@ -221,7 +222,7 @@ func actThree() {
 	addrs := make([]string, replicas)
 	servers := make([]*lcakp.MultiLCAServer, replicas)
 	for i := range servers {
-		table := lcakp.NewTenantTable(factory, 16)
+		table := lcakp.NewVersionedTenantTable(factory, 16)
 		srv, err := lcakp.NewMultiLCAServer("127.0.0.1:0", table)
 		if err != nil {
 			log.Fatal(err)
@@ -234,7 +235,7 @@ func actThree() {
 	}
 
 	// One gateway serves all four tenants; tenants[0] doubles as the
-	// default for untagged (pre-tenancy) clients.
+	// default for untenanted clients.
 	opts := lcakp.GatewayOptions{
 		Replicas: addrs,
 		Instance: tenants[0].Instance,

@@ -74,7 +74,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 	}
 	if sc, ok := obs.SpanFromContext(ctx); ok {
 		// Carry the caller's trace across the hop so the server-side
-		// span joins the same trace (v2 framing; untraced stays v1).
+		// span joins the same trace.
 		req.trace = sc
 	}
 	c.mu.Lock()
@@ -335,11 +335,14 @@ func (r *RemoteAccess) Close() error { return r.conn.close() }
 // LCAClient queries a remote LCA replica (or anything speaking the
 // membership protocol — a gateway, a multi-tenant server).
 //
-// A client is untenanted by default and emits frames byte-identical
-// to pre-v3 builds. SetTenant/SetAPIKey install connection-level
-// defaults applied to every subsequent frame; the *Tenant call
-// variants override the namespace per call — the shape a gateway
-// needs, where one pooled connection carries many tenants' queries.
+// Every membership frame names an epoch: calls that take none send
+// engine.EpochCurrent and are served at the server's current epoch;
+// the *Epoch variants pin one and report the epoch served. A client is
+// untenanted by default — its frames address the server's default
+// tenant. SetTenant/SetAPIKey install connection-level defaults
+// applied to every subsequent frame; the *Tenant call variants
+// override the namespace per call — the shape a gateway needs, where
+// one pooled connection carries many tenants' queries.
 type LCAClient struct {
 	conn *conn
 	addr string
@@ -351,8 +354,9 @@ type LCAClient struct {
 	apiKey   []byte
 }
 
-// DialLCA connects to an LCAServer. The dial is bounded by timeout
-// alone; use DialLCAContext to also bound it by a context.
+// DialLCA connects to a membership server (a replica or a gateway).
+// The dial is bounded by timeout alone; use DialLCAContext to also
+// bound it by a context.
 func DialLCA(addr string, timeout time.Duration) (*LCAClient, error) {
 	return DialLCAContext(context.Background(), addr, timeout)
 }
@@ -372,18 +376,18 @@ func DialLCAContext(ctx context.Context, addr string, timeout time.Duration) (*L
 // Addr returns the replica address this client talks to.
 func (c *LCAClient) Addr() string { return c.addr }
 
-// SetTenant namespaces every subsequent frame to id (v3 framing). Use
-// it when the process serves exactly one tenant end to end; gateways
-// multiplexing tenants over pooled connections use the per-call
-// *Tenant variants instead.
+// SetTenant namespaces every subsequent frame to id. Use it when the
+// process serves exactly one tenant end to end; gateways multiplexing
+// tenants over pooled connections use the per-call *Tenant variants
+// instead.
 func (c *LCAClient) SetTenant(id engine.TenantID) {
 	c.defaults.Lock()
 	defer c.defaults.Unlock()
 	c.tenant = &id
 }
 
-// SetAPIKey attaches key to every subsequent frame (v3 framing); an
-// empty key detaches. Keys longer than 255 bytes fail at send time.
+// SetAPIKey attaches key to every subsequent frame; an empty key
+// detaches. Keys longer than 255 bytes fail at send time.
 func (c *LCAClient) SetAPIKey(key string) {
 	c.defaults.Lock()
 	defer c.defaults.Unlock()
@@ -394,10 +398,10 @@ func (c *LCAClient) SetAPIKey(key string) {
 	c.apiKey = []byte(key)
 }
 
-// request builds a frame carrying the connection defaults, with id
-// (when non-nil) overriding the default tenant.
-func (c *LCAClient) request(msgType uint8, payload []byte, id *engine.TenantID) frame {
-	f := frame{msgType: msgType, payload: payload}
+// request builds a frame at epoch ep carrying the connection defaults,
+// with id (when non-nil) overriding the default tenant.
+func (c *LCAClient) request(msgType uint8, payload []byte, id *engine.TenantID, ep engine.EpochID) frame {
+	f := frame{msgType: msgType, payload: payload, epoch: ep}
 	c.defaults.Lock()
 	if id == nil {
 		id = c.tenant
@@ -417,73 +421,105 @@ func (c *LCAClient) request(msgType uint8, payload []byte, id *engine.TenantID) 
 // use this to discard dead connections on check-in.
 func (c *LCAClient) Broken() bool { return c.conn.broken() }
 
-// InSolution asks the replica whether item i is in the solution. ctx
-// bounds the round trip; pair it with the server's request timeout for
-// end-to-end deadlines.
+// InSolution asks the replica whether item i is in the solution at the
+// current epoch. ctx bounds the round trip; pair it with the server's
+// request timeout for end-to-end deadlines.
 func (c *LCAClient) InSolution(ctx context.Context, i int) (bool, error) {
-	return c.inSolution(ctx, i, nil)
+	in, _, err := c.inSolution(ctx, i, nil, engine.EpochCurrent)
+	return in, err
 }
 
 // InSolutionTenant is InSolution addressed to tenant id, overriding
 // any connection-level default for this call.
 func (c *LCAClient) InSolutionTenant(ctx context.Context, id engine.TenantID, i int) (bool, error) {
-	return c.inSolution(ctx, i, &id)
+	in, _, err := c.inSolution(ctx, i, &id, engine.EpochCurrent)
+	return in, err
 }
 
-func (c *LCAClient) inSolution(ctx context.Context, i int, id *engine.TenantID) (bool, error) {
-	resp, err := c.conn.roundTrip(ctx, c.request(msgInSol, putU64(nil, uint64(i)), id))
+// InSolutionEpoch asks whether item i is in the solution of epoch ep
+// (engine.EpochCurrent: the current one) and reports the epoch served.
+// A concrete pin is echoed verbatim — the server serves exactly that
+// version or errors — and EpochCurrent learns which epoch it resolved
+// to: the key the caller needs to cache, compare, or re-pin answers
+// under.
+func (c *LCAClient) InSolutionEpoch(ctx context.Context, ep engine.EpochID, i int) (bool, engine.EpochID, error) {
+	return c.inSolution(ctx, i, nil, ep)
+}
+
+// InSolutionEpochTenant is InSolutionEpoch addressed to tenant id,
+// overriding any connection-level default for this call.
+func (c *LCAClient) InSolutionEpochTenant(ctx context.Context, id engine.TenantID, ep engine.EpochID, i int) (bool, engine.EpochID, error) {
+	return c.inSolution(ctx, i, &id, ep)
+}
+
+func (c *LCAClient) inSolution(ctx context.Context, i int, id *engine.TenantID, ep engine.EpochID) (bool, engine.EpochID, error) {
+	resp, err := c.conn.roundTrip(ctx, c.request(msgInSol, putU64(nil, uint64(i)), id, ep))
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
 	if err := decodeMaybeErr(resp, msgInSol); err != nil {
-		return false, err
+		return false, 0, err
 	}
 	if len(resp.payload) != 1 {
-		return false, fmt.Errorf("%w: InSolution payload %d bytes", ErrBadMessage, len(resp.payload))
+		return false, 0, fmt.Errorf("%w: InSolution payload %d bytes", ErrBadMessage, len(resp.payload))
 	}
-	return resp.payload[0] == 1, nil
+	return resp.payload[0] == 1, resp.epoch, nil
 }
 
 // InSolutionBatch asks the replica about several items in one RPC and
-// one replica-side pipeline run: answers within a batch are mutually
-// consistent with certainty (they share one rule computation), and the
-// per-answer amortized cost drops by the batch size.
+// one replica-side pipeline run, at the current epoch: answers within
+// a batch are mutually consistent with certainty (they share one rule
+// computation and one epoch), and the per-answer amortized cost drops
+// by the batch size.
 func (c *LCAClient) InSolutionBatch(ctx context.Context, indices []int) ([]bool, error) {
-	return c.inSolutionBatch(ctx, indices, nil)
+	answers, _, err := c.inSolutionBatch(ctx, indices, nil, engine.EpochCurrent)
+	return answers, err
 }
 
 // InSolutionBatchTenant is InSolutionBatch addressed to tenant id,
-// overriding any connection-level default for this call. It is the
-// gateway's fan-out RPC: one pooled connection serves every tenant,
-// with each frame naming its namespace.
+// overriding any connection-level default for this call.
 func (c *LCAClient) InSolutionBatchTenant(ctx context.Context, id engine.TenantID, indices []int) ([]bool, error) {
-	return c.inSolutionBatch(ctx, indices, &id)
+	answers, _, err := c.inSolutionBatch(ctx, indices, &id, engine.EpochCurrent)
+	return answers, err
 }
 
-func (c *LCAClient) inSolutionBatch(ctx context.Context, indices []int, id *engine.TenantID) ([]bool, error) {
+// InSolutionBatchEpoch is InSolutionBatch against epoch ep of the
+// connection's default tenant, reporting the epoch served.
+func (c *LCAClient) InSolutionBatchEpoch(ctx context.Context, ep engine.EpochID, indices []int) ([]bool, engine.EpochID, error) {
+	return c.inSolutionBatch(ctx, indices, nil, ep)
+}
+
+// InSolutionBatchEpochTenant is the gateway's fan-out RPC: one pooled
+// connection serves every (tenant, epoch), with each frame naming its
+// full consistency key.
+func (c *LCAClient) InSolutionBatchEpochTenant(ctx context.Context, id engine.TenantID, ep engine.EpochID, indices []int) ([]bool, engine.EpochID, error) {
+	return c.inSolutionBatch(ctx, indices, &id, ep)
+}
+
+func (c *LCAClient) inSolutionBatch(ctx context.Context, indices []int, id *engine.TenantID, ep engine.EpochID) ([]bool, engine.EpochID, error) {
 	if len(indices) == 0 {
-		return nil, nil
+		return nil, ep, nil
 	}
 	payload := make([]byte, 0, 8*len(indices)) //lint:alloc one exactly-sized request payload per batch RPC against a wire round trip
 	for _, i := range indices {
 		payload = putU64(payload, uint64(i))
 	}
-	resp, err := c.conn.roundTrip(ctx, c.request(msgInSolBatch, payload, id))
+	resp, err := c.conn.roundTrip(ctx, c.request(msgInSolBatch, payload, id, ep))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := decodeMaybeErr(resp, msgInSolBatch); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(resp.payload) != len(indices) {
-		return nil, fmt.Errorf("%w: batch response %d answers for %d queries",
+		return nil, 0, fmt.Errorf("%w: batch response %d answers for %d queries",
 			ErrBadMessage, len(resp.payload), len(indices))
 	}
 	answers := make([]bool, len(indices)) //lint:alloc escapes to the caller, which owns the answers
 	for k, b := range resp.payload {
 		answers[k] = b == 1
 	}
-	return answers, nil
+	return answers, resp.epoch, nil
 }
 
 // Ping performs a health-check round trip.
@@ -495,18 +531,18 @@ func (c *LCAClient) Ping(ctx context.Context) error {
 	return decodeMaybeErr(resp, msgPing)
 }
 
-// FetchArtifact retrieves tenant id's complete materialized artifact
-// (internal/store encoding) from a peer that serves MsgStoreFetch —
-// the transfer half of gateway peer-fill. The returned bytes are a
-// fresh copy owned by the caller, who must validate them through
-// store.Decode (the trailer checksum catches any corruption the
-// transport missed) before serving or persisting them. Peers without
-// an artifact for id (or without artifact serving at all) answer with
-// ErrRemote.
+// FetchArtifact retrieves the complete materialized artifact of tenant
+// id at epoch ep (internal/store encoding) from a peer that serves
+// MsgStoreFetch — the transfer half of gateway peer-fill: (tenant,
+// epoch) is the content address. The returned bytes are a fresh copy
+// owned by the caller, who must validate them through store.Decode
+// (the trailer checksum catches any corruption the transport missed)
+// before serving or persisting them. Peers without that artifact (or
+// without artifact serving at all) answer with ErrRemote.
 //
-//lint:coldpath artifact fetches run once per (peer, tenant) residency, not per query
-func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID) ([]byte, error) {
-	resp, err := c.conn.roundTrip(ctx, c.request(msgStoreFetch, nil, &id))
+//lint:coldpath artifact fetches run once per (peer, tenant, epoch) residency, not per query
+func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error) {
+	resp, err := c.conn.roundTrip(ctx, c.request(msgStoreFetch, nil, &id, ep))
 	if err != nil {
 		return nil, err
 	}
@@ -518,6 +554,23 @@ func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID) ([]by
 	return append([]byte(nil), resp.payload...), nil
 }
 
+// PushArtifact proactively replicates an encoded artifact to the peer
+// (MsgStorePush): the bytes are self-addressing, so no tenant header
+// travels. The receiver checksum-verifies and installs them without
+// re-pushing — one hop, owner to successor.
+//
+//lint:coldpath artifact pushes run once per materialized epoch, not per query
+func (c *LCAClient) PushArtifact(ctx context.Context, data []byte) error {
+	if len(data) == 0 {
+		return fmt.Errorf("%w: empty artifact push", ErrBadMessage)
+	}
+	resp, err := c.conn.roundTrip(ctx, frame{msgType: msgStorePush, payload: data})
+	if err != nil {
+		return err
+	}
+	return decodeMaybeErr(resp, msgStorePush)
+}
+
 // ScrapeMetrics fetches the server's Prometheus-text metrics snapshot
 // over the query connection — the same wire a client already holds, so
 // a fleet can be scraped without exposing a separate HTTP port per
@@ -525,27 +578,20 @@ func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID) ([]by
 // Note the process-wide scrape is deliberately untenanted even when a
 // default tenant is set: it reads the whole server, not one namespace.
 func (c *LCAClient) ScrapeMetrics(ctx context.Context) (string, error) {
-	return c.scrapeMetrics(ctx, nil)
+	c.defaults.Lock()
+	f := frame{msgType: msgMetrics, authKey: c.apiKey}
+	c.defaults.Unlock()
+	return c.scrapeMetrics(ctx, f)
 }
 
 // ScrapeTenantMetrics fetches the metrics snapshot of one resident
 // tenant from a multi-tenant server. Non-resident tenants answer with
 // an ErrRemote wrapping "unknown tenant".
 func (c *LCAClient) ScrapeTenantMetrics(ctx context.Context, id engine.TenantID) (string, error) {
-	return c.scrapeMetrics(ctx, &id)
+	return c.scrapeMetrics(ctx, c.request(msgMetrics, nil, &id, 0))
 }
 
-func (c *LCAClient) scrapeMetrics(ctx context.Context, id *engine.TenantID) (string, error) {
-	f := frame{msgType: msgMetrics}
-	if id != nil {
-		f = c.request(msgMetrics, nil, id)
-	} else {
-		// Untenanted scrape stays byte-identical to pre-v3 builds; only
-		// the API key (when set) upgrades the frame.
-		c.defaults.Lock()
-		f.authKey = c.apiKey
-		c.defaults.Unlock()
-	}
+func (c *LCAClient) scrapeMetrics(ctx context.Context, f frame) (string, error) {
 	resp, err := c.conn.roundTrip(ctx, f)
 	if err != nil {
 		return "", err

@@ -13,6 +13,7 @@ import (
 
 	"lcakp/internal/core"
 	"lcakp/internal/engine"
+	"lcakp/internal/obs"
 	"lcakp/internal/oracle"
 	"lcakp/internal/rng"
 	"lcakp/internal/workload"
@@ -155,14 +156,18 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
-// newTestLCAServer starts an LCA replica server over the given access.
-func newTestLCAServer(t *testing.T, acc *oracle.SliceOracle) *LCAServer {
+// testTenant is the tenant newTestLCAServer's replica serves.
+var testTenant = engine.TenantID{Instance: 42, Seed: 2}
+
+// newTestLCAServer starts a one-tenant LCA replica server (testTenant)
+// over the given access.
+func newTestLCAServer(t *testing.T, acc *oracle.SliceOracle) *MultiLCAServer {
 	t.Helper()
-	lca, err := core.NewLCAKP(acc, core.Params{Epsilon: 0.25, Seed: 2})
+	lca, err := core.NewLCAKP(acc, core.Params{Epsilon: 0.25, Seed: testTenant.Seed})
 	if err != nil {
 		t.Fatalf("NewLCAKP: %v", err)
 	}
-	srv, err := NewLCAServer("127.0.0.1:0", engine.New(lca))
+	srv, err := NewLCAServer("127.0.0.1:0", testTenant, engine.New(lca))
 	if err != nil {
 		t.Fatalf("NewLCAServer: %v", err)
 	}
@@ -466,5 +471,46 @@ func TestPingHealthCheck(t *testing.T) {
 	_ = lcaSrv.Close()
 	if err := client.Ping(context.Background()); err == nil {
 		t.Error("Ping succeeded against closed server")
+	}
+}
+
+// TestMsgMetricsScrape covers the wire scrape path: a server without a
+// registry answers with a remote error, and once a registry is
+// attached the scrape returns the Prometheus exposition including the
+// server's own counters.
+func TestMsgMetricsScrape(t *testing.T) {
+	acc, _ := testAccess(t, 100)
+	srv := newTestLCAServer(t, acc)
+
+	client, err := DialLCA(srv.Addr(), 0)
+	if err != nil {
+		t.Fatalf("DialLCA: %v", err)
+	}
+	defer client.Close()
+
+	if _, err := client.ScrapeMetrics(context.Background()); !errors.Is(err, ErrRemote) {
+		t.Fatalf("scrape without registry: error = %v, want ErrRemote", err)
+	}
+
+	srv.SetRegistry(obs.NewRegistry())
+	if _, err := client.InSolution(context.Background(), 1); err != nil {
+		t.Fatalf("InSolution: %v", err)
+	}
+	out, err := client.ScrapeMetrics(context.Background())
+	if err != nil {
+		t.Fatalf("ScrapeMetrics: %v", err)
+	}
+	for _, want := range []string{
+		"lcakp_server_conns_accepted_total 1",
+		"lcakp_server_requests_total",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("scrape missing %q; got:\n%s", want, out)
+		}
+	}
+	// The scrape itself travels over the same connection as the queries:
+	// the connection must remain usable afterwards.
+	if _, err := client.InSolution(context.Background(), 2); err != nil {
+		t.Errorf("query after scrape: %v", err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // distributed-consistency experiment (E9) and the distributed example.
 type Fleet struct {
 	Instance *InstanceServer
-	Replicas []*LCAServer
+	Replicas []*MultiLCAServer
 	Clients  []*LCAClient
 
 	accesses []*RemoteAccess
@@ -53,7 +53,7 @@ func NewFleet(access oracle.Access, k int, params core.Params) (*Fleet, error) {
 			fleet.Close()
 			return nil, fmt.Errorf("cluster: replica %d build LCA: %w", r, err)
 		}
-		replica, err := NewLCAServer("127.0.0.1:0", engine.New(lca))
+		replica, err := NewLCAServer("127.0.0.1:0", engine.TenantID{Seed: params.Seed}, engine.New(lca))
 		if err != nil {
 			fleet.Close()
 			return nil, fmt.Errorf("cluster: replica %d serve: %w", r, err)

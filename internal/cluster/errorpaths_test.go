@@ -61,7 +61,7 @@ func TestConnBrokenAfterMidFrameClose(t *testing.T) {
 		if err := readRequest(conn); err != nil {
 			return
 		}
-		_, _ = conn.Write([]byte{100, 0, 0, 0, protocolV1, msgInSol | respBit, 1, 2})
+		_, _ = conn.Write([]byte{100, 0, 0, 0, protocolVersion, msgInSol | respBit, 0, 1})
 	})
 
 	client, err := DialLCA(addr, time.Second)
@@ -160,7 +160,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	_ = client.Close()
 
 	// Restart on the same port (ephemeral listeners set SO_REUSEADDR).
-	restarted, err := NewLCAServer(addr, newTestEngine(t, acc))
+	restarted, err := NewLCAServer(addr, testTenant, newTestEngine(t, acc))
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}

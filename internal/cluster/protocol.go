@@ -12,8 +12,10 @@
 //     weighted samples — to remote LCA replicas. RemoteAccess is its
 //     client-side counterpart and implements oracle.Access, so an
 //     unmodified core.LCAKP runs against an instance it never holds.
-//   - LCAServer hosts one LCA replica and answers membership queries
-//     ("is item i in the solution?") for downstream clients.
+//   - MultiLCAServer hosts LCA replicas, one per (tenant, epoch), and
+//     answers membership queries ("is item i in the solution?") for
+//     downstream clients; NewLCAServer serves a single engine as a
+//     one-tenant table.
 //
 // Replicas configured with the same seed and parameters answer
 // according to the same solution without any coordination — the
@@ -43,82 +45,42 @@ const (
 	// maxSampleBatch is the largest sample batch whose response fits
 	// in one frame.
 	maxSampleBatch = MaxFrameSize / sampleEntryLen
-	// protocolV1 is the original framing: [version][type][payload].
-	protocolV1 = 1
-	// protocolV2 adds a flags byte and optional extension fields after
-	// the type byte; flagTrace carries a (trace ID, span ID) pair so a
-	// query can be followed across the gateway→replica hop. Writers
-	// emit v2 only when an extension is actually present — a new
-	// client that isn't tracing stays byte-identical to v1 and keeps
-	// working against old servers, while new servers accept both
-	// versions (the back-compat contract, see TestProtocolBackCompat).
-	protocolV2 = 2
-	// protocolV3 adds the tenant namespace and credential extensions:
-	// flagTenant carries the (instance hash, seed) pair naming the
-	// solution C(I, r) the frame addresses, and flagAuth a
-	// length-prefixed API key checked at the serving boundary. The
-	// versioning discipline is unchanged: writers emit the lowest
-	// version whose extensions cover the frame, so untenanted traffic
-	// stays byte-identical to what v1/v2 builds emit and keeps working
-	// against old servers, while a v2-era server rejects a tenanted
-	// frame cleanly on its unknown version byte (see
-	// TestProtocolV3BackCompat).
-	protocolV3 = 3
-	// protocolV4 adds the epoch extension: flagEpoch carries the
-	// EpochID pinning which sealed version of the tenant's instance the
-	// frame addresses, so (tenant, epoch) — the unit of bit-exact
-	// consistency under churn — travels end to end. Requests may pin a
-	// concrete epoch or send epochSentinel ("serve current"); responses
-	// echo the epoch actually served. The versioning discipline is
-	// unchanged: writers emit the lowest version whose extensions cover
-	// the frame, so epoch-less traffic stays byte-identical to what
-	// v1/v3 builds emit (see TestProtocolV4BackCompat).
-	protocolV4 = 4
-	// traceHeaderLen is the encoded size of the flagTrace extension.
+	// protocolVersion is the one frame layout this build reads and
+	// writes; the reader rejects every other version byte. It follows
+	// the four retired layouts, so a build from before the fixed epoch
+	// field rejects these frames on their version byte instead of
+	// misparsing them, and this build rejects theirs.
+	protocolVersion = 5
+	// frameHeaderLen is the fixed part of every frame body: version,
+	// type, flags, and the little-endian u64 epoch.
+	frameHeaderLen = 3 + 8
+	// traceHeaderLen is the encoded size of the flagTrace field.
 	traceHeaderLen = 16
-	// tenantHeaderLen is the encoded size of the flagTenant extension:
+	// tenantHeaderLen is the encoded size of the flagTenant field:
 	// instance hash and seed, both u64.
 	tenantHeaderLen = 16
-	// epochHeaderLen is the encoded size of the flagEpoch extension:
-	// one little-endian u64 epoch.
-	epochHeaderLen = 8
 	// maxAuthKeyLen bounds the flagAuth credential (u8 length prefix).
 	maxAuthKeyLen = 255
-	// maxFrameOverhead is the largest non-payload frame body: version,
-	// type, flags, and every extension.
-	maxFrameOverhead = 3 + traceHeaderLen + tenantHeaderLen + 1 + maxAuthKeyLen + epochHeaderLen
+	// maxFrameOverhead is the largest non-payload frame body: the fixed
+	// header and every optional field.
+	maxFrameOverhead = frameHeaderLen + traceHeaderLen + tenantHeaderLen + 1 + maxAuthKeyLen
 )
 
-// epochSentinel is engine.EpochCurrent on the wire: a request that
-// wants whatever epoch is current, told apart from a pinned epoch so
-// the server can resolve it and echo the concrete epoch back.
-const epochSentinel = uint64(engine.EpochCurrent)
-
-// Frame flags. Extensions appear in the body in ascending flag-bit
-// order.
+// Frame flags. Optional fields appear in the body in ascending
+// flag-bit order, after the fixed header.
 const (
-	// flagTrace marks a frame carrying a 16-byte trace header (v2+).
+	// flagTrace marks a frame carrying a 16-byte trace header.
 	flagTrace uint8 = 0x01
 	// flagTenant marks a frame carrying a 16-byte tenant header —
-	// instance hash then seed, both little-endian u64 (v3+).
+	// instance hash then seed, both little-endian u64.
 	flagTenant uint8 = 0x02
 	// flagAuth marks a frame carrying a length-prefixed API key: one
-	// length byte followed by that many key bytes (v3+).
+	// length byte followed by that many key bytes.
 	flagAuth uint8 = 0x04
-	// flagEpoch marks a frame carrying an 8-byte epoch header — the
-	// little-endian EpochID of the instance version addressed (v4+).
-	flagEpoch uint8 = 0x08
-	// knownFlags guards against extensions this build cannot parse: a
-	// flag we don't know may change the body layout, so unknown bits
-	// are a hard error rather than a silent misparse. v2 frames may
-	// only carry flagTrace — a tenanted frame must be v3, so a v2
-	// frame with tenant bits is as malformed as one with unassigned
-	// bits.
-	knownFlags = flagTrace
-	// knownFlagsV3 is the v3 flag universe.
-	knownFlagsV3 = flagTrace | flagTenant | flagAuth
-	// knownFlagsV4 is the v4 flag universe.
-	knownFlagsV4 = knownFlagsV3 | flagEpoch
+	// knownFlags guards against fields this build cannot parse: a flag
+	// we don't know may change the body layout, so unknown bits are a
+	// hard error rather than a silent misparse.
+	knownFlags = flagTrace | flagTenant | flagAuth
 )
 
 // Message type identifiers. Responses are request type | respBit.
@@ -130,14 +92,13 @@ const (
 	msgInSolBatch uint8 = 5
 	msgPing       uint8 = 6
 	msgMetrics    uint8 = 7
-	// msgStoreFetch requests a tenant's complete materialized artifact
-	// (internal/store encoding). The request is an empty-payload
-	// tenanted frame — the tenant header IS the content address — and
-	// the response payload is the raw artifact bytes, checksummed by
-	// their own trailer on top of TCP. Servers without an artifact
-	// provider answer with an error response, exactly like pre-v2
-	// servers answer msgMetrics, so peer-fill degrades cleanly against
-	// old nodes.
+	// msgStoreFetch requests one (tenant, epoch)'s complete
+	// materialized artifact (internal/store encoding). The request is
+	// an empty-payload tenanted frame — the tenant header and the epoch
+	// ARE the content address — and the response payload is the raw
+	// artifact bytes, checksummed by their own trailer on top of TCP.
+	// Servers without an artifact provider answer with an error
+	// response, so peer-fill falls back to the replicas.
 	msgStoreFetch uint8 = 8
 	// msgStorePush proactively replicates a tenant's materialized
 	// artifact: the request payload is the raw artifact bytes (the
@@ -145,8 +106,7 @@ const (
 	// its own header), the response is an empty ack. A freshly
 	// materialized epoch reaches its ring successor before the first
 	// miss, instead of waiting for a miss-driven msgStoreFetch. Servers
-	// without an artifact sink answer with an error response, so pushes
-	// degrade cleanly against old nodes.
+	// without an artifact sink answer with an error response.
 	msgStorePush uint8 = 9
 	msgErr       uint8 = 0x7f
 	respBit      uint8 = 0x80
@@ -165,13 +125,18 @@ var (
 	ErrUnknownTenant = errors.New("cluster: unknown tenant")
 )
 
-// frame is one wire message: a type byte, an opaque payload, and the
-// optional extensions — trace context, tenant namespace, and API key
-// (each absent unless its flag is set on the wire).
+// frame is one wire message: a type byte, the epoch, an opaque
+// payload, and the optional fields — trace context, tenant namespace,
+// and API key (each absent unless its flag is set on the wire).
 type frame struct {
 	msgType uint8
 	payload []byte
-	trace   obs.SpanContext
+	// epoch is the instance version a membership or artifact-fetch
+	// request addresses (engine.EpochCurrent asks for the current one)
+	// or the version a membership response was served at. Every other
+	// frame carries 0.
+	epoch engine.EpochID
+	trace obs.SpanContext
 	// tenant addresses the solution C(I, r) the frame queries;
 	// hasTenant distinguishes the zero tenant from an untenanted frame
 	// (which routes to the server's default tenant).
@@ -180,25 +145,11 @@ type frame struct {
 	// authKey is the caller's API key, checked by auth-enabled serving
 	// boundaries (the gateway); empty means none.
 	authKey []byte
-	// epoch pins the instance version addressed (requests) or records
-	// the version served (responses); hasEpoch distinguishes epoch 0
-	// from an epoch-less frame, which is served at the replica's
-	// current epoch exactly as every pre-v4 frame always was.
-	epoch    engine.EpochID
-	hasEpoch bool
 }
 
-// writeFrame writes one frame to w, choosing the lowest protocol
-// version whose extensions cover the frame:
+// writeFrame writes one frame to w:
 //
-//	plain            → v1  [len:u32][1][type][payload]
-//	traced only      → v2  [len:u32][2][type][flags][trace:16][payload]
-//	tenanted/authed  → v3  [len:u32][3][type][flags][trace?:16][tenant?:16][auth?:1+k][payload]
-//	epoch-pinned     → v4  [len:u32][4][type][flags][trace?:16][tenant?:16][auth?:1+k][epoch:8][payload]
-//
-// A frame without new-protocol extensions is therefore byte-identical
-// to what older builds emit — the property the back-compat suites
-// pin down — and extensions appear in ascending flag-bit order.
+//	[len:u32][version][type][flags][epoch:8][trace?:16][tenant?:16][auth?:1+k][payload]
 func writeFrame(w io.Writer, f frame) error {
 	buf, err := appendFrame(nil, f)
 	if err != nil {
@@ -222,65 +173,38 @@ func appendFrame(dst []byte, f frame) ([]byte, error) {
 		return dst, fmt.Errorf("%w: api key of %d bytes (max %d)", ErrBadMessage, len(f.authKey), maxAuthKeyLen)
 	}
 	var flags uint8
+	size := frameHeaderLen + len(f.payload)
 	if f.trace.Valid() {
 		flags |= flagTrace
+		size += traceHeaderLen
 	}
 	if f.hasTenant {
 		flags |= flagTenant
+		size += tenantHeaderLen
 	}
 	if len(f.authKey) > 0 {
 		flags |= flagAuth
+		size += 1 + len(f.authKey)
 	}
-	if f.hasEpoch {
-		flags |= flagEpoch
-	}
-	switch {
-	case flags&(flagTenant|flagAuth|flagEpoch) != 0:
-		version := uint8(protocolV3)
-		overhead := 3
-		if flags&flagTrace != 0 {
-			overhead += traceHeaderLen
-		}
-		if flags&flagTenant != 0 {
-			overhead += tenantHeaderLen
-		}
-		if flags&flagAuth != 0 {
-			overhead += 1 + len(f.authKey)
-		}
-		if flags&flagEpoch != 0 {
-			version = protocolV4
-			overhead += epochHeaderLen
-		}
-		dst = putU32(dst, uint32(len(f.payload)+overhead))
-		dst = append(dst, version, f.msgType, flags)
-		if flags&flagTrace != 0 {
-			dst = putU64(dst, uint64(f.trace.Trace))
-			dst = putU64(dst, uint64(f.trace.Span))
-		}
-		if flags&flagTenant != 0 {
-			dst = putU64(dst, f.tenant.Instance)
-			dst = putU64(dst, f.tenant.Seed)
-		}
-		if flags&flagAuth != 0 {
-			dst = append(dst, uint8(len(f.authKey)))
-			dst = append(dst, f.authKey...)
-		}
-		if flags&flagEpoch != 0 {
-			dst = putU64(dst, uint64(f.epoch))
-		}
-	case flags&flagTrace != 0:
-		dst = putU32(dst, uint32(len(f.payload)+3+traceHeaderLen))
-		dst = append(dst, protocolV2, f.msgType, flagTrace)
+	dst = putU32(dst, uint32(size))
+	dst = append(dst, protocolVersion, f.msgType, flags)
+	dst = putU64(dst, uint64(f.epoch))
+	if flags&flagTrace != 0 {
 		dst = putU64(dst, uint64(f.trace.Trace))
 		dst = putU64(dst, uint64(f.trace.Span))
-	default:
-		dst = putU32(dst, uint32(len(f.payload)+2))
-		dst = append(dst, protocolV1, f.msgType)
+	}
+	if flags&flagTenant != 0 {
+		dst = putU64(dst, f.tenant.Instance)
+		dst = putU64(dst, f.tenant.Seed)
+	}
+	if flags&flagAuth != 0 {
+		dst = append(dst, uint8(len(f.authKey)))
+		dst = append(dst, f.authKey...)
 	}
 	return append(dst, f.payload...), nil
 }
 
-// readFrame reads one frame from r, accepting all protocol versions.
+// readFrame reads one frame from r.
 func readFrame(r io.Reader) (frame, error) {
 	f, _, err := readFrameInto(r, nil)
 	return f, err
@@ -298,8 +222,11 @@ func readFrameInto(r io.Reader, buf []byte) (frame, []byte, error) {
 		return frame{}, buf, err // io.EOF passes through for clean shutdown
 	}
 	size := binary.LittleEndian.Uint32(lenBuf[:])
-	if size < 2 || size > MaxFrameSize+maxFrameOverhead {
+	if size > MaxFrameSize+maxFrameOverhead {
 		return frame{}, buf, fmt.Errorf("%w: frame size %d", ErrFrameTooLarge, size)
+	}
+	if size < frameHeaderLen {
+		return frame{}, buf, fmt.Errorf("%w: frame of %d bytes has no complete header", ErrBadMessage, size)
 	}
 	if uint32(cap(buf)) < size {
 		buf = make([]byte, size) //lint:alloc grows the reused frame buffer; amortized to zero across a connection's RPCs
@@ -315,71 +242,52 @@ func readFrameInto(r io.Reader, buf []byte) (frame, []byte, error) {
 // decodeFrameBody decodes a length-stripped frame body; the returned
 // frame's payload aliases body.
 func decodeFrameBody(body []byte) (frame, error) {
-	switch body[0] {
-	case protocolV1:
-		return frame{msgType: body[1], payload: body[2:]}, nil
-	case protocolV2, protocolV3, protocolV4:
-		if len(body) < 3 {
-			return frame{}, fmt.Errorf("%w: v%d frame of %d bytes has no flags", ErrBadMessage, body[0], len(body))
-		}
-		known := knownFlags
-		switch body[0] {
-		case protocolV3:
-			known = knownFlagsV3
-		case protocolV4:
-			known = knownFlagsV4
-		}
-		flags := body[2]
-		if flags&^known != 0 {
-			return frame{}, fmt.Errorf("%w: unknown frame flags %#x", ErrBadMessage, flags&^known)
-		}
-		f := frame{msgType: body[1]}
-		rest := body[3:]
-		if flags&flagTrace != 0 {
-			if len(rest) < traceHeaderLen {
-				return frame{}, fmt.Errorf("%w: truncated trace header (%d bytes)", ErrBadMessage, len(rest))
-			}
-			f.trace = obs.SpanContext{
-				Trace: obs.TraceID(binary.LittleEndian.Uint64(rest[0:8])),
-				Span:  obs.SpanID(binary.LittleEndian.Uint64(rest[8:16])),
-			}
-			rest = rest[traceHeaderLen:]
-		}
-		if flags&flagTenant != 0 {
-			if len(rest) < tenantHeaderLen {
-				return frame{}, fmt.Errorf("%w: truncated tenant header (%d bytes)", ErrBadMessage, len(rest))
-			}
-			f.tenant = engine.TenantID{
-				Instance: binary.LittleEndian.Uint64(rest[0:8]),
-				Seed:     binary.LittleEndian.Uint64(rest[8:16]),
-			}
-			f.hasTenant = true
-			rest = rest[tenantHeaderLen:]
-		}
-		if flags&flagAuth != 0 {
-			if len(rest) < 1 {
-				return frame{}, fmt.Errorf("%w: truncated auth header", ErrBadMessage)
-			}
-			keyLen := int(rest[0])
-			if keyLen == 0 || len(rest) < 1+keyLen {
-				return frame{}, fmt.Errorf("%w: truncated api key (%d of %d bytes)", ErrBadMessage, len(rest)-1, keyLen)
-			}
-			f.authKey = rest[1 : 1+keyLen]
-			rest = rest[1+keyLen:]
-		}
-		if flags&flagEpoch != 0 {
-			if len(rest) < epochHeaderLen {
-				return frame{}, fmt.Errorf("%w: truncated epoch header (%d bytes)", ErrBadMessage, len(rest))
-			}
-			f.epoch = engine.EpochID(binary.LittleEndian.Uint64(rest[0:8]))
-			f.hasEpoch = true
-			rest = rest[epochHeaderLen:]
-		}
-		f.payload = rest
-		return f, nil
-	default:
+	if len(body) < frameHeaderLen {
+		return frame{}, fmt.Errorf("%w: frame of %d bytes has no complete header", ErrBadMessage, len(body))
+	}
+	if body[0] != protocolVersion {
 		return frame{}, fmt.Errorf("%w: protocol version %d", ErrBadMessage, body[0])
 	}
+	flags := body[2]
+	if flags&^knownFlags != 0 {
+		return frame{}, fmt.Errorf("%w: unknown frame flags %#x", ErrBadMessage, flags&^knownFlags)
+	}
+	f := frame{msgType: body[1], epoch: engine.EpochID(binary.LittleEndian.Uint64(body[3:frameHeaderLen]))}
+	rest := body[frameHeaderLen:]
+	if flags&flagTrace != 0 {
+		if len(rest) < traceHeaderLen {
+			return frame{}, fmt.Errorf("%w: truncated trace header (%d bytes)", ErrBadMessage, len(rest))
+		}
+		f.trace = obs.SpanContext{
+			Trace: obs.TraceID(binary.LittleEndian.Uint64(rest[0:8])),
+			Span:  obs.SpanID(binary.LittleEndian.Uint64(rest[8:16])),
+		}
+		rest = rest[traceHeaderLen:]
+	}
+	if flags&flagTenant != 0 {
+		if len(rest) < tenantHeaderLen {
+			return frame{}, fmt.Errorf("%w: truncated tenant header (%d bytes)", ErrBadMessage, len(rest))
+		}
+		f.tenant = engine.TenantID{
+			Instance: binary.LittleEndian.Uint64(rest[0:8]),
+			Seed:     binary.LittleEndian.Uint64(rest[8:16]),
+		}
+		f.hasTenant = true
+		rest = rest[tenantHeaderLen:]
+	}
+	if flags&flagAuth != 0 {
+		if len(rest) < 1 {
+			return frame{}, fmt.Errorf("%w: truncated auth header", ErrBadMessage)
+		}
+		keyLen := int(rest[0])
+		if keyLen == 0 || len(rest) < 1+keyLen {
+			return frame{}, fmt.Errorf("%w: truncated api key (%d of %d bytes)", ErrBadMessage, len(rest)-1, keyLen)
+		}
+		f.authKey = rest[1 : 1+keyLen]
+		rest = rest[1+keyLen:]
+	}
+	f.payload = rest
+	return f, nil
 }
 
 // Payload encoding helpers. All integers are little-endian; floats are

@@ -3,12 +3,18 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"lcakp/internal/engine"
+	"lcakp/internal/obs"
 	"lcakp/internal/rng"
 )
 
@@ -219,5 +225,123 @@ func TestLCAServerRejectsWrongMessage(t *testing.T) {
 	}
 	if resp.msgType != msgErr|respBit {
 		t.Errorf("response type %#x, want error", resp.msgType)
+	}
+}
+
+// TestGoldenFrames pins the one wire layout byte for byte:
+//
+//	[len:u32][version][type][flags][epoch:8][trace?:16][tenant?:16][auth?:1+k][payload]
+//
+// Six frames cover every optional field alone and all of them at once;
+// each must encode to exactly its golden bytes and read back to itself.
+// The malformed cases — a wrong version byte, an unknown flag bit, and
+// each field cut short — must fail with ErrBadMessage, never misparse.
+func TestGoldenFrames(t *testing.T) {
+	id := engine.TenantID{Instance: 9, Seed: 4}
+	trace := obs.SpanContext{Trace: 0x1111, Span: 0x2222}
+	item3 := putU64(nil, 3)
+	golden := []struct {
+		name string
+		f    frame
+		hex  string
+	}{
+		{"bare", frame{msgType: msgInSol, payload: item3, epoch: engine.EpochCurrent},
+			"13000000" + "050400" + "ffffffffffffffff" + "0300000000000000"},
+		{"traced", frame{msgType: msgInSol, payload: item3, epoch: engine.EpochCurrent, trace: trace},
+			"23000000" + "050401" + "ffffffffffffffff" + "1111000000000000" + "2222000000000000" + "0300000000000000"},
+		{"tenanted", frame{msgType: msgInSol, payload: item3, epoch: engine.EpochCurrent, tenant: id, hasTenant: true},
+			"23000000" + "050402" + "ffffffffffffffff" + "0900000000000000" + "0400000000000000" + "0300000000000000"},
+		{"auth", frame{msgType: msgInSol, payload: item3, epoch: engine.EpochCurrent, authKey: []byte("k1")},
+			"16000000" + "050404" + "ffffffffffffffff" + "026b31" + "0300000000000000"},
+		{"pinned", frame{msgType: msgInSol, payload: item3, epoch: 7},
+			"13000000" + "050400" + "0700000000000000" + "0300000000000000"},
+		{"all", frame{msgType: msgInSolBatch, payload: putU64(item3, 5), epoch: 7, trace: trace,
+			tenant: id, hasTenant: true, authKey: []byte("k1")},
+			"3e000000" + "050507" + "0700000000000000" + "1111000000000000" + "2222000000000000" +
+				"0900000000000000" + "0400000000000000" + "026b31" + "0300000000000000" + "0500000000000000"},
+	}
+	for _, g := range golden {
+		t.Run(g.name, func(t *testing.T) {
+			want, err := hex.DecodeString(g.hex)
+			if err != nil {
+				t.Fatalf("bad golden hex: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := writeFrame(&buf, g.f); err != nil {
+				t.Fatalf("writeFrame: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("wire image\n got % x\nwant % x", buf.Bytes(), want)
+			}
+			got, err := readFrame(bytes.NewReader(want))
+			if err != nil {
+				t.Fatalf("readFrame: %v", err)
+			}
+			if got.msgType != g.f.msgType || !bytes.Equal(got.payload, g.f.payload) || got.epoch != g.f.epoch ||
+				got.trace != g.f.trace || got.tenant != g.f.tenant || got.hasTenant != g.f.hasTenant ||
+				!bytes.Equal(got.authKey, g.f.authKey) {
+				t.Errorf("read back %+v, want %+v", got, g.f)
+			}
+		})
+	}
+
+	// body is a frame body with the given flags and the bytes after the
+	// fixed header; malformed cases edit it before framing.
+	body := func(flags uint8, rest string) []byte {
+		b, err := hex.DecodeString("0504" + hex.EncodeToString([]byte{flags}) + "0700000000000000" + rest)
+		if err != nil {
+			t.Fatalf("bad hex: %v", err)
+		}
+		return b
+	}
+	framed := func(b []byte) []byte { return append(binary.LittleEndian.AppendUint32(nil, uint32(len(b))), b...) }
+	badVersion := body(0, "")
+	badVersion[0] = 4
+	malformed := []struct {
+		name string
+		body []byte
+	}{
+		{"bad-version", badVersion},
+		{"unknown-flag", body(0x08, "")},
+		{"truncated-header", body(0, "")[:frameHeaderLen-1]},
+		{"truncated-trace", body(flagTrace, "111100000000000022220000000000")},
+		{"truncated-tenant", body(flagTenant, "09000000000000000400000000000000"[:30])},
+		{"truncated-auth-length", body(flagAuth, "")},
+		{"truncated-auth-key", body(flagAuth, "026b")},
+		{"empty-auth-key", body(flagAuth, "00")},
+	}
+	for _, m := range malformed {
+		t.Run(m.name, func(t *testing.T) {
+			if _, err := readFrame(bytes.NewReader(framed(m.body))); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("readFrame(% x) error = %v, want ErrBadMessage", m.body, err)
+			}
+		})
+	}
+
+	// On the wire, a server drops the connection on an unparseable
+	// frame: no response at all is better than a misparse answered from
+	// the wrong namespace.
+	t.Run("unknown-flag-on-the-wire", func(t *testing.T) {
+		acc, _ := testAccess(t, 10)
+		srv := newTestLCAServer(t, acc)
+		conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(framed(body(0x08, ""))); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		var one [1]byte
+		if _, err := io.ReadFull(conn, one[:]); err == nil {
+			t.Fatal("server answered a frame with unknown flags; want connection teardown")
+		}
+	})
+
+	// Oversized API keys fail at write time, not on the wire.
+	long := frame{msgType: msgPing, authKey: bytes.Repeat([]byte("x"), maxAuthKeyLen+1)}
+	if err := writeFrame(io.Discard, long); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("oversized key: error = %v, want ErrBadMessage", err)
 	}
 }

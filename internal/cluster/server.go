@@ -127,9 +127,7 @@ func (s *server) Stats() Stats { return s.stats.snapshot() }
 // SetRegistry serves reg to peers over MsgMetrics frames (nil disables
 // wire scraping, the default) and registers the server's own
 // operational counters on it. A server without a registry answers
-// MsgMetrics with an error response, exactly as a pre-protocol-v2
-// build answers an unknown message type — so scrapers degrade
-// identically against old and unconfigured servers.
+// MsgMetrics with an error response.
 func (s *server) SetRegistry(reg *obs.Registry) {
 	s.registry.Store(reg)
 	if reg == nil {
@@ -471,8 +469,8 @@ func (h *instanceHandler) drawSamples(ctx context.Context, src *rng.Source, coun
 }
 
 // Backend answers solution-membership queries on behalf of a
-// membership server. It is the serving seam of the wire protocol:
-// LCAServer plugs in an engine-driven LCA replica, and a gateway plugs
+// membership server. It is the serving seam of the wire protocol: a
+// replica plugs in an engine per (tenant, epoch), and a gateway plugs
 // in its pooled/cached fan-out — clients cannot tell the two apart,
 // which is exactly the consistency guarantee (Definition 2.2) made
 // operational.
@@ -484,77 +482,60 @@ type Backend interface {
 	InSolutionBatch(ctx context.Context, indices []int) ([]bool, error)
 }
 
-// TenantQuery is the namespace and credential one request frame
-// carried: which solution C(I, r) it addresses (or none — the
-// server's default tenant) and the caller's API key, if any.
+// TenantQuery is the key and credential one request frame carried:
+// which solution C(I_e, r) it addresses — the tenant (or none, meaning
+// the server's default tenant) and the epoch — and the caller's API
+// key, if any.
 type TenantQuery struct {
 	// ID is the addressed tenant; meaningful only when Tenanted.
 	ID engine.TenantID
 	// Tenanted reports whether the frame named a tenant at all.
-	// Untenanted frames are what v1/v2 clients send; servers route
-	// them to their default tenant, which is the whole back-compat
-	// story for single-tenant deployments.
+	// Untenanted frames address the server's default tenant.
 	Tenanted bool
 	// Key is the API key the frame carried (nil when none).
 	Key []byte
-	// Epoch is the instance version the frame pinned; meaningful only
-	// when HasEpoch. engine.EpochCurrent asks for whatever epoch is
-	// current (the server echoes the resolved epoch back).
+	// Epoch is the instance version the frame addressed: a concrete
+	// epoch, or engine.EpochCurrent for whatever epoch is current (the
+	// server echoes the resolved epoch back).
 	Epoch engine.EpochID
-	// HasEpoch reports whether the frame carried an epoch header at
-	// all. Epoch-less frames — everything v1/v3 clients send — are
-	// served at the current epoch with no epoch echoed, keeping their
-	// responses byte-identical to pre-v4 builds.
-	HasEpoch bool
 }
 
-// TenantBackend resolves a frame's tenant namespace to the Backend
-// that answers it — the multiplexing seam of the v3 protocol. A
-// resolver may also enforce admission here (auth, quotas): Resolve
-// runs once per request frame, before any query work.
+// TenantBackend resolves a frame's tenant to the Backend answering it
+// at the tenant's current epoch, enforcing admission (auth, quotas) on
+// the way. The membership server resolves every frame through
+// EpochBackend; TenantBackend is the current-epoch shorthand a
+// resolver may offer in-process callers.
 type TenantBackend interface {
 	Resolve(ctx context.Context, q TenantQuery) (Backend, error)
 }
 
-// EpochBackend is the epoch-aware resolution seam of the v4 protocol:
-// implementations resolve the full (tenant, epoch) consistency key and
-// report which epoch actually served — the resolved value of an
-// engine.EpochCurrent request, echoed back on the wire so the client
-// learns the version its answers belong to. Resolvers that do not
-// implement it serve epoch-flagged frames only at epoch 0 (pinning any
-// later epoch is an error, never a silently wrong answer).
+// EpochBackend is the membership server's one resolution seam: it
+// resolves a frame's full (tenant, epoch) key to the Backend answering
+// exactly that solution and reports which epoch it is — the resolved
+// value of an engine.EpochCurrent request, echoed back on the wire so
+// the client learns the version its answers belong to. Admission
+// (auth, quotas) may be enforced here: ResolveEpoch runs once per
+// request frame, before any query work.
 type EpochBackend interface {
 	ResolveEpoch(ctx context.Context, q TenantQuery) (Backend, engine.EpochID, error)
 }
 
-// singleTenantResolver adapts a single Backend to the TenantBackend
-// seam: untenanted frames pass through, and tenanted frames are served
-// only when they name the declared identity (none declared = reject
-// all tenanted frames). It is how pre-tenancy constructors keep their
-// exact behavior on the v3 wire.
-type singleTenantResolver struct {
+// plainBackend mounts a Backend that has one solution and no notion of
+// tenants or epochs: untenanted frames at epoch 0 or
+// engine.EpochCurrent reach it, and tenanted frames and pins on any
+// later epoch are refused, never answered from the wrong solution.
+type plainBackend struct {
 	backend Backend
-	id      atomic.Pointer[engine.TenantID]
 }
 
-func (r *singleTenantResolver) Resolve(_ context.Context, q TenantQuery) (Backend, error) {
-	if !q.Tenanted {
-		return r.backend, nil
+func (p plainBackend) ResolveEpoch(_ context.Context, q TenantQuery) (Backend, engine.EpochID, error) {
+	if q.Tenanted {
+		return nil, 0, fmt.Errorf("%w: %s: this server hosts one untenanted backend", ErrUnknownTenant, q.ID)
 	}
-	if id := r.id.Load(); id != nil && *id == q.ID {
-		return r.backend, nil
+	if q.Epoch != 0 && q.Epoch != engine.EpochCurrent {
+		return nil, 0, fmt.Errorf("%w: epoch %d pinned, but this server serves epoch 0 only", ErrBadMessage, uint64(q.Epoch))
 	}
-	return nil, fmt.Errorf("%w: %s: this server hosts a single tenant", ErrUnknownTenant, q.ID)
-}
-
-// LCAServer hosts one LCA replica and answers solution-membership
-// queries. Every query runs through an engine.Engine, so per-query
-// metrics (point queries, samples, wall time, outcome) are recorded
-// uniformly; Metrics returns the cumulative snapshot.
-type LCAServer struct {
-	*server
-	engine   *engine.Engine
-	resolver *singleTenantResolver
+	return p.backend, 0, nil
 }
 
 // engineBackend adapts an engine.Engine to the Backend seam by
@@ -575,34 +556,6 @@ func (b engineBackend) InSolutionBatch(ctx context.Context, indices []int) ([]bo
 	return answers, err
 }
 
-// NewLCAServer starts an LCA replica server on addr over eng. The
-// replica answers according to the solution determined by the engine's
-// underlying access and parameters (most importantly the shared seed).
-// Build eng with engine.New over a core.LCAKP whose access carries the
-// engine.Instrument middleware (engine.Wrap) for access counts to
-// appear in the metrics.
-func NewLCAServer(addr string, eng *engine.Engine) (*LCAServer, error) {
-	res := &singleTenantResolver{backend: engineBackend{engine: eng}}
-	srv, err := newServer(addr, &backendHandler{backends: res})
-	if err != nil {
-		return nil, err
-	}
-	return &LCAServer{server: srv, engine: eng, resolver: res}, nil
-}
-
-// SetTenant declares which tenant this single-tenant replica serves:
-// tenanted frames naming exactly id are answered; all others are
-// rejected with ErrUnknownTenant. Untenanted frames are always served
-// (the replica's one solution is its own default tenant). Without a
-// declaration every tenanted frame is rejected — a replica must never
-// silently answer for a namespace it was not told it owns.
-func (s *LCAServer) SetTenant(id engine.TenantID) { s.resolver.id.Store(&id) }
-
-// Metrics returns the cumulative per-query metrics of every membership
-// query this replica has served — the engine's accounting, replacing
-// any handler-private counters.
-func (s *LCAServer) Metrics() engine.Totals { return s.engine.Totals() }
-
 // QueryServer serves the membership wire protocol over an arbitrary
 // Backend. It is how non-replica processes (the gateway) present
 // themselves to unmodified LCAClients.
@@ -611,21 +564,15 @@ type QueryServer struct {
 }
 
 // NewQueryServer starts a membership server on addr answering from
-// backend. A backend that also implements TenantBackend (the gateway
-// does) is mounted through its own Resolve, making the server
-// tenant-aware; any other backend serves untenanted frames only.
+// backend. A backend that also implements EpochBackend (the gateway
+// does) resolves every frame's (tenant, epoch) itself; any other
+// backend serves untenanted frames at epoch 0 only.
 func NewQueryServer(addr string, backend Backend) (*QueryServer, error) {
-	tb, ok := backend.(TenantBackend)
+	eb, ok := backend.(EpochBackend)
 	if !ok {
-		tb = &singleTenantResolver{backend: backend}
+		eb = plainBackend{backend: backend}
 	}
-	return NewTenantQueryServer(addr, tb)
-}
-
-// NewTenantQueryServer starts a membership server on addr resolving
-// every frame's tenant namespace through backends.
-func NewTenantQueryServer(addr string, backends TenantBackend) (*QueryServer, error) {
-	srv, err := newServer(addr, &backendHandler{backends: backends})
+	srv, err := newServer(addr, &backendHandler{backends: eb})
 	if err != nil {
 		return nil, err
 	}
@@ -636,9 +583,9 @@ func NewTenantQueryServer(addr string, backends TenantBackend) (*QueryServer, er
 const maxQueryBatch = 1 << 16
 
 // backendHandler implements the membership RPCs: each request frame's
-// tenant namespace resolves to a Backend, which then answers.
+// (tenant, epoch) resolves to a Backend, which then answers.
 type backendHandler struct {
-	backends TenantBackend
+	backends EpochBackend
 }
 
 // TenantMetricsProvider is implemented by backends that can render one
@@ -667,28 +614,17 @@ func (h *backendHandler) scrapeTenant(id engine.TenantID) frame {
 }
 
 // ArtifactProvider is implemented by backends that can serve a
-// tenant's complete materialized artifact (internal/store encoding)
-// over MsgStoreFetch frames — the peer-fill seam: a gateway holding an
-// artifact for C(I, r) ships it whole to a peer, which verifies the
-// trailer checksum and backfills its own store. Purity makes this
-// safe: the artifact for (I, r) has exactly one possible value, so a
-// fetched copy is indistinguishable from a locally materialized one.
+// materialized artifact (internal/store encoding) over MsgStoreFetch
+// frames — the peer-fill seam: a gateway holding the artifact of one
+// (tenant, epoch) ships it whole to a peer, which verifies the trailer
+// checksum and backfills its own store. Purity makes this safe: the
+// artifact for (I_e, r) has exactly one possible value, so a fetched
+// copy is indistinguishable from a locally materialized one.
 type ArtifactProvider interface {
-	// ArtifactBytes returns the canonical encoded artifact for tenant
-	// id, or an error when none is held (callers fall back to ordinary
-	// replica queries).
-	ArtifactBytes(ctx context.Context, id engine.TenantID) ([]byte, error)
-}
-
-// VersionedArtifactProvider extends ArtifactProvider with epoch
-// addressing: the (tenant, epoch) pair is the content address of one
-// sealed version's artifact. Providers without it serve epoch-flagged
-// fetches only at epoch 0.
-type VersionedArtifactProvider interface {
-	ArtifactProvider
-	// ArtifactBytesEpoch returns the canonical encoded artifact for
-	// (id, ep), or an error when none is held.
-	ArtifactBytesEpoch(ctx context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error)
+	// ArtifactBytes returns the canonical encoded artifact of tenant id
+	// at epoch ep, or an error when none is held (callers fall back to
+	// ordinary replica queries).
+	ArtifactBytes(ctx context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error)
 }
 
 // ArtifactSink is implemented by backends that accept proactively
@@ -712,18 +648,7 @@ func (h *backendHandler) handleStoreFetch(ctx context.Context, req frame) frame 
 	if !req.hasTenant {
 		return encodeErr(fmt.Errorf("%w: store fetch requires a tenant header", ErrBadMessage))
 	}
-	var data []byte
-	var err error
-	switch {
-	case req.hasEpoch && req.epoch != 0:
-		vp, ok := ap.(VersionedArtifactProvider)
-		if !ok {
-			return encodeErr(fmt.Errorf("%w: epoch-addressed artifacts not supported here", ErrBadMessage))
-		}
-		data, err = vp.ArtifactBytesEpoch(ctx, req.tenant, req.epoch)
-	default:
-		data, err = ap.ArtifactBytes(ctx, req.tenant)
-	}
+	data, err := ap.ArtifactBytes(ctx, req.tenant, req.epoch)
 	if err != nil {
 		return encodeErr(err)
 	}
@@ -759,43 +684,19 @@ func (h *backendHandler) handle(ctx context.Context, req frame, sc *connScratch)
 		return frame{msgType: msgPing | respBit}
 	}
 	// Artifact fetches resolve through the provider seam, not the
-	// per-query backend: the tenant header is a content address here.
+	// per-query backend: (tenant, epoch) is a content address here.
 	if req.msgType == msgStoreFetch {
 		return h.handleStoreFetch(ctx, req)
 	}
 	if req.msgType == msgStorePush {
 		return h.handleStorePush(ctx, req)
 	}
-	q := TenantQuery{
+	backend, served, err := h.backends.ResolveEpoch(ctx, TenantQuery{
 		ID:       req.tenant,
 		Tenanted: req.hasTenant,
 		Key:      req.authKey,
 		Epoch:    req.epoch,
-		HasEpoch: req.hasEpoch,
-	}
-	var backend Backend
-	var served engine.EpochID
-	var err error
-	switch {
-	case !req.hasEpoch:
-		// Epoch-less frames take the exact pre-v4 path and produce
-		// epoch-less responses: what v1/v3 clients send stays
-		// byte-identical end to end.
-		backend, err = h.backends.Resolve(ctx, q)
-	default:
-		eb, ok := h.backends.(EpochBackend)
-		switch {
-		case ok:
-			backend, served, err = eb.ResolveEpoch(ctx, q)
-		case req.epoch == 0 || uint64(req.epoch) == epochSentinel:
-			// A non-epoch-aware backend only ever serves epoch 0; both
-			// "epoch 0" and "whatever is current" resolve to it.
-			backend, err = h.backends.Resolve(ctx, q)
-		default:
-			//lint:alloc misconfigured-client rejection; a correct client never pins an epoch at a non-epoch-aware server
-			err = fmt.Errorf("%w: epoch %d pinned, but this server is not epoch-aware", ErrBadMessage, uint64(req.epoch))
-		}
-	}
+	})
 	if err != nil {
 		return encodeErr(err)
 	}
@@ -815,7 +716,7 @@ func (h *backendHandler) handle(ctx context.Context, req frame, sc *connScratch)
 			b = 1
 		}
 		sc.out = append(sc.out[:0], b)
-		return frame{msgType: msgInSol | respBit, payload: sc.out, epoch: served, hasEpoch: req.hasEpoch}
+		return frame{msgType: msgInSol | respBit, payload: sc.out, epoch: served}
 
 	case msgInSolBatch:
 		if len(req.payload)%8 != 0 {
@@ -850,19 +751,17 @@ func (h *backendHandler) handle(ctx context.Context, req frame, sc *connScratch)
 			payload = append(payload, b)
 		}
 		sc.out = payload
-		return frame{msgType: msgInSolBatch | respBit, payload: payload, epoch: served, hasEpoch: req.hasEpoch}
+		return frame{msgType: msgInSolBatch | respBit, payload: payload, epoch: served}
 
 	default:
 		return encodeErr(fmt.Errorf("%w: unknown request type %#x", ErrBadMessage, req.msgType))
 	}
 }
 
-// MultiLCAServer hosts many LCA replicas — one per tenant — behind a
-// single address: the tenant-scoped replacement for the one-(I, r)-
-// per-process deployment. Tenanted frames route to their tenant's
+// MultiLCAServer hosts LCA replicas — one engine per (tenant, epoch) —
+// behind a single address. Tenanted frames route to their tenant's
 // engine through the table (deriving it on first use); untenanted
-// frames route to the configured default tenant, which is what keeps
-// v1/v2 clients working unchanged against a v3 multi-tenant fleet.
+// frames route to the configured default tenant.
 type MultiLCAServer struct {
 	*server
 	table    *engine.TenantTable
@@ -875,26 +774,10 @@ type multiTenantResolver struct {
 	def   atomic.Pointer[engine.TenantID]
 }
 
-func (r *multiTenantResolver) Resolve(ctx context.Context, q TenantQuery) (Backend, error) {
-	id := q.ID
-	if !q.Tenanted {
-		d := r.def.Load()
-		if d == nil {
-			return nil, fmt.Errorf("%w: untenanted frame and no default tenant configured", ErrUnknownTenant)
-		}
-		id = *d
-	}
-	eng, err := r.table.Get(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	return engineBackend{engine: eng}, nil
-}
-
-// ResolveEpoch routes an epoch-flagged query to one sealed version of
-// the tenant's state. The table resolves engine.EpochCurrent to the
-// tenant's latest sealed epoch; the concrete epoch served is returned
-// for the wire echo.
+// ResolveEpoch routes a query to one sealed version of the tenant's
+// state. The table resolves engine.EpochCurrent to the tenant's latest
+// sealed epoch; the concrete epoch served is returned for the wire
+// echo.
 func (r *multiTenantResolver) ResolveEpoch(ctx context.Context, q TenantQuery) (Backend, engine.EpochID, error) {
 	id := q.ID
 	if !q.Tenanted {
@@ -904,11 +787,7 @@ func (r *multiTenantResolver) ResolveEpoch(ctx context.Context, q TenantQuery) (
 		}
 		id = *d
 	}
-	ep := q.Epoch
-	if !q.HasEpoch {
-		ep = engine.EpochCurrent
-	}
-	eng, served, err := r.table.GetEpoch(ctx, id, ep)
+	eng, served, err := r.table.GetEpoch(ctx, id, q.Epoch)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -947,9 +826,34 @@ func NewMultiLCAServer(addr string, table *engine.TenantTable) (*MultiLCAServer,
 	return &MultiLCAServer{server: srv, table: table, resolver: res}, nil
 }
 
-// SetDefaultTenant routes untenanted frames to id — the back-compat
-// bridge that lets pre-v3 clients keep querying a multi-tenant server.
-// Without one, untenanted frames are rejected with ErrUnknownTenant.
+// NewLCAServer starts a replica on addr serving one engine as tenant
+// id: a MultiLCAServer over a one-tenant table whose only entry is
+// (id, epoch 0), with id as the default tenant so untenanted frames
+// reach it too. Frames naming any other tenant fail with
+// ErrUnknownTenant, and pins on a later epoch fail — the engine has no
+// other version to serve. Build eng with engine.New over a core.LCAKP
+// whose access carries the engine.Instrument middleware (engine.Wrap)
+// for access counts to appear in its metrics.
+func NewLCAServer(addr string, id engine.TenantID, eng *engine.Engine) (*MultiLCAServer, error) {
+	table := engine.NewVersionedTenantTable(func(_ context.Context, vt engine.VersionedTenant) (engine.TenantState, error) {
+		if vt.Tenant != id {
+			return engine.TenantState{}, fmt.Errorf("%w: %s: this replica serves %s only", ErrUnknownTenant, vt.Tenant, id)
+		}
+		if vt.Epoch != 0 {
+			return engine.TenantState{}, fmt.Errorf("cluster: tenant %s: epoch %d requested, but this replica serves epoch 0 only", id, uint64(vt.Epoch))
+		}
+		return engine.TenantState{Engine: eng}, nil
+	}, 1)
+	srv, err := NewMultiLCAServer(addr, table)
+	if err != nil {
+		return nil, err
+	}
+	srv.SetDefaultTenant(id)
+	return srv, nil
+}
+
+// SetDefaultTenant routes untenanted frames to id. Without one,
+// untenanted frames are rejected with ErrUnknownTenant.
 func (s *MultiLCAServer) SetDefaultTenant(id engine.TenantID) { s.resolver.def.Store(&id) }
 
 // Table returns the server's tenant table.

@@ -11,21 +11,22 @@ import (
 	"lcakp/internal/engine"
 )
 
-// artifactBackend is a TenantBackend that also serves artifacts for
-// one tenant — the shape a gateway presents on its peer endpoint.
+// artifactBackend is an EpochBackend that also serves the artifact of
+// one (tenant, epoch) — the shape a gateway presents on its peer
+// endpoint.
 type artifactBackend struct {
 	stubBackend
-	id   engine.TenantID
+	vt   engine.VersionedTenant
 	data []byte
 }
 
-func (b *artifactBackend) Resolve(context.Context, TenantQuery) (Backend, error) {
-	return b, nil
+func (b *artifactBackend) ResolveEpoch(_ context.Context, q TenantQuery) (Backend, engine.EpochID, error) {
+	return b, q.Epoch, nil
 }
 
-func (b *artifactBackend) ArtifactBytes(_ context.Context, id engine.TenantID) ([]byte, error) {
-	if id != b.id {
-		return nil, fmt.Errorf("no artifact for %s", id)
+func (b *artifactBackend) ArtifactBytes(_ context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error) {
+	if (engine.VersionedTenant{Tenant: id, Epoch: ep}) != b.vt {
+		return nil, fmt.Errorf("no artifact for %s", engine.VersionedTenant{Tenant: id, Epoch: ep})
 	}
 	return b.data, nil
 }
@@ -41,10 +42,10 @@ func (stubBackend) InSolutionBatch(_ context.Context, indices []int) ([]bool, er
 func TestMsgStoreFetchRoundTrip(t *testing.T) {
 	id := engine.TenantID{Instance: 42, Seed: 7}
 	payload := []byte("not-a-real-artifact: transport is checksum-agnostic")
-	be := &artifactBackend{id: id, data: payload}
-	srv, err := NewTenantQueryServer("127.0.0.1:0", be)
+	be := &artifactBackend{vt: engine.VersionedTenant{Tenant: id, Epoch: 3}, data: payload}
+	srv, err := NewQueryServer("127.0.0.1:0", be)
 	if err != nil {
-		t.Fatalf("NewTenantQueryServer: %v", err)
+		t.Fatalf("NewQueryServer: %v", err)
 	}
 	defer srv.Close()
 
@@ -54,7 +55,7 @@ func TestMsgStoreFetchRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	got, err := c.FetchArtifact(context.Background(), id)
+	got, err := c.FetchArtifact(context.Background(), id, 3)
 	if err != nil {
 		t.Fatalf("FetchArtifact: %v", err)
 	}
@@ -70,9 +71,13 @@ func TestMsgStoreFetchRoundTrip(t *testing.T) {
 		t.Fatal("fetched bytes were clobbered by a later RPC on the same connection")
 	}
 
-	// An absent tenant answers with a remote error, not garbage.
-	if _, err := c.FetchArtifact(context.Background(), engine.TenantID{Instance: 1, Seed: 1}); !errors.Is(err, ErrRemote) {
-		t.Fatalf("FetchArtifact(absent) = %v, want ErrRemote", err)
+	// An absent tenant, or another epoch of the held one, answers with
+	// a remote error, not garbage.
+	if _, err := c.FetchArtifact(context.Background(), engine.TenantID{Instance: 1, Seed: 1}, 3); !errors.Is(err, ErrRemote) {
+		t.Fatalf("FetchArtifact(absent tenant) = %v, want ErrRemote", err)
+	}
+	if _, err := c.FetchArtifact(context.Background(), id, 0); !errors.Is(err, ErrRemote) {
+		t.Fatalf("FetchArtifact(absent epoch) = %v, want ErrRemote", err)
 	}
 }
 
@@ -91,7 +96,7 @@ func TestMsgStoreFetchUnsupported(t *testing.T) {
 		t.Fatalf("DialLCA: %v", err)
 	}
 	defer c.Close()
-	if _, err := c.FetchArtifact(context.Background(), engine.TenantID{Instance: 1, Seed: 2}); !errors.Is(err, ErrRemote) {
+	if _, err := c.FetchArtifact(context.Background(), engine.TenantID{Instance: 1, Seed: 2}, 0); !errors.Is(err, ErrRemote) {
 		t.Fatalf("FetchArtifact on non-provider = %v, want ErrRemote", err)
 	}
 	// The connection survives the rejection.

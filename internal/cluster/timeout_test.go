@@ -66,7 +66,8 @@ func TestServerRequestTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLCAKP: %v", err)
 	}
-	srv, err := NewLCAServer("127.0.0.1:0", engine.New(lca))
+	eng := engine.New(lca)
+	srv, err := NewLCAServer("127.0.0.1:0", testTenant, eng)
 	if err != nil {
 		t.Fatalf("NewLCAServer: %v", err)
 	}
@@ -105,7 +106,7 @@ func TestServerRequestTimeout(t *testing.T) {
 	}
 
 	// The aborted query shows up in the replica's outcome totals.
-	totals := srv.Metrics()
+	totals := eng.Totals()
 	if totals.Deadline != 1 {
 		t.Errorf("totals.Deadline = %d, want 1 (totals %+v)", totals.Deadline, totals)
 	}

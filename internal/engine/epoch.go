@@ -9,9 +9,7 @@ import (
 // (Definition 2.2, Theorem 4.1) hold for a *fixed* instance I; under
 // churn the fixed object is the pair (I_e, r) for one epoch e, so the
 // unit of bit-exact consistency becomes (TenantID, EpochID). Epoch 0
-// is the tenant's initial instance and is the implicit epoch of every
-// pre-epoch API — legacy callers and wire frames that never mention
-// epochs keep their exact behavior.
+// is the tenant's initial instance.
 type EpochID uint64
 
 // EpochCurrent is the sentinel epoch meaning "serve whatever epoch is
@@ -40,18 +38,9 @@ func (vt VersionedTenant) String() string {
 }
 
 // VersionedTenantFactory derives the state of one (tenant, epoch)
-// pair. Like TenantFactory it runs once per residency; the epoch
-// manager's sealed instances make it pure per epoch.
+// pair on first use: dial the epoch's instance, build the LCA over it
+// with the tenant's seed, wrap it in an Engine. Derivation is the
+// expensive step the table amortizes — it runs once per residency
+// (single-flight), never per query; the epoch manager's sealed
+// instances make it pure per epoch.
 type VersionedTenantFactory func(ctx context.Context, vt VersionedTenant) (TenantState, error)
-
-// versionedFromLegacy adapts a pre-epoch factory: it can only derive
-// epoch 0 (the factory has no way to see a mutated instance), so any
-// later epoch is an explicit error rather than a silently wrong rule.
-func versionedFromLegacy(factory TenantFactory) VersionedTenantFactory {
-	return func(ctx context.Context, vt VersionedTenant) (TenantState, error) {
-		if vt.Epoch != 0 {
-			return TenantState{}, fmt.Errorf("engine: tenant %s: factory is not epoch-aware (epoch %d requested)", vt.Tenant, uint64(vt.Epoch))
-		}
-		return factory(ctx, vt.Tenant)
-	}
-}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -94,19 +96,45 @@ func TestTenantTableCurrentEpochResolution(t *testing.T) {
 	}
 }
 
+// TestLegacyFactoryRejectsNonZeroEpoch pins the table over a factory
+// that can only derive epoch 0 — the shape of a one-tenant replica and
+// of manifest tenants, which have no mutated instance to serve: epoch 0
+// derives, a pin on a later epoch fails with the factory's own error
+// rather than a silently wrong rule, and the failure leaves epoch 0
+// resident and served.
 func TestLegacyFactoryRejectsNonZeroEpoch(t *testing.T) {
 	f := &countingFactory{}
-	table := NewTenantTable(f.factory, 8)
+	errNotEpochAware := errors.New("factory is not epoch-aware")
+	epochZeroOnly := func(ctx context.Context, vt VersionedTenant) (TenantState, error) {
+		if vt.Epoch != 0 {
+			return TenantState{}, fmt.Errorf("tenant %s: epoch %d requested: %w", vt.Tenant, uint64(vt.Epoch), errNotEpochAware)
+		}
+		return f.factory(ctx, vt)
+	}
+	table := NewVersionedTenantTable(epochZeroOnly, 8)
 	defer table.Close()
 	ctx := context.Background()
 	id := TenantID{Instance: 1, Seed: 2}
 
-	if _, _, err := table.GetEpoch(ctx, id, 0); err != nil {
-		t.Fatalf("epoch 0 through legacy factory: %v", err)
+	e0, _, err := table.GetEpoch(ctx, id, 0)
+	if err != nil {
+		t.Fatalf("epoch 0 through epoch-0-only factory: %v", err)
 	}
-	_, _, err := table.GetEpoch(ctx, id, 1)
-	if err == nil || !strings.Contains(err.Error(), "not epoch-aware") {
-		t.Fatalf("epoch 1 through legacy factory: err=%v", err)
+	_, _, err = table.GetEpoch(ctx, id, 1)
+	if !errors.Is(err, errNotEpochAware) || !strings.Contains(err.Error(), "not epoch-aware") {
+		t.Fatalf("epoch 1 through epoch-0-only factory: err=%v", err)
+	}
+	if st := table.Stats(); st.Derivations != 1 || st.DeriveErrors != 1 || st.Resident != 1 {
+		t.Fatalf("stats after refused epoch = %+v", st)
+	}
+	if keys := table.ResidentVersioned(); len(keys) != 1 || keys[0] != (VersionedTenant{Tenant: id}) {
+		t.Fatalf("refused epoch left residents %v", keys)
+	}
+	if again, ep, err := table.GetEpoch(ctx, id, 0); err != nil || ep != 0 || again != e0 {
+		t.Fatalf("epoch 0 after refused epoch: ep=%d err=%v same=%v", ep, err, again == e0)
+	}
+	if n := f.derivations.Load(); n != 1 {
+		t.Fatalf("derivations = %d, want 1", n)
 	}
 }
 

@@ -13,7 +13,7 @@
 //   - an Engine over a Querier (core.LCAKP satisfies it), which runs
 //     membership queries under a context and returns a per-query
 //     Metrics record (point queries, samples drawn, wall time,
-//     outcome) plus cumulative Totals. cluster.LCAServer and the
+//     outcome) plus cumulative Totals. The replica servers and the
 //     experiment harness surface these records instead of keeping
 //     private counters.
 //

@@ -40,16 +40,11 @@ type TenantState struct {
 	Close func() error
 }
 
-// TenantFactory derives the state of a tenant on first use: dial the
-// instance, build the LCA over it with the tenant's seed, wrap it in
-// an Engine. Derivation is the expensive step the table amortizes —
-// it runs once per residency (single-flight), never per query.
-type TenantFactory func(ctx context.Context, id TenantID) (TenantState, error)
-
 // DefaultTenantBudget is the resident-tenant cap applied when
-// NewTenantTable receives budget <= 0. The Alon et al. space-efficient
-// LCA line motivates the bound: per-tenant resident state must stay
-// small and bounded, so residency is a cache, not a commitment.
+// NewVersionedTenantTable receives budget <= 0. The Alon et al.
+// space-efficient LCA line motivates the bound: per-tenant resident
+// state must stay small and bounded, so residency is a cache, not a
+// commitment.
 const DefaultTenantBudget = 64
 
 // ErrTenantTableClosed is returned by Get after Close.
@@ -132,18 +127,12 @@ type TenantTable struct {
 	vecs atomic.Pointer[tenantVecs]
 }
 
-// NewTenantTable builds a table deriving tenants through a pre-epoch
-// factory; budget caps resident tenants (<= 0 selects
-// DefaultTenantBudget). The factory serves epoch 0 only — requests
-// for a later epoch fail loudly. Epoch-aware callers use
-// NewVersionedTenantTable.
-func NewTenantTable(factory TenantFactory, budget int) *TenantTable {
-	return NewVersionedTenantTable(versionedFromLegacy(factory), budget)
-}
-
 // NewVersionedTenantTable builds a table whose factory sees the full
 // (tenant, epoch) key, so sealed epochs of a mutating instance derive
-// through the same single-flight, LRU-bounded path as tenants.
+// through the same single-flight, LRU-bounded path as tenants; budget
+// caps resident (tenant, epoch) entries (<= 0 selects
+// DefaultTenantBudget). A factory that cannot derive some epoch
+// returns an error for it, which the lookup surfaces.
 func NewVersionedTenantTable(factory VersionedTenantFactory, budget int) *TenantTable {
 	if budget <= 0 {
 		budget = DefaultTenantBudget

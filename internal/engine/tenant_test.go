@@ -38,20 +38,20 @@ type countingFactory struct {
 	fail        atomic.Bool
 }
 
-func (f *countingFactory) factory(_ context.Context, id TenantID) (TenantState, error) {
+func (f *countingFactory) factory(_ context.Context, vt VersionedTenant) (TenantState, error) {
 	if f.fail.Load() {
 		return TenantState{}, fmt.Errorf("factory down")
 	}
 	f.derivations.Add(1)
 	return TenantState{
-		Engine: New(tenantQuerier{id: id}),
+		Engine: New(tenantQuerier{id: vt.Tenant}),
 		Close:  func() error { f.closes.Add(1); return nil },
 	}, nil
 }
 
 func TestTenantTableDeriveAndHit(t *testing.T) {
 	f := &countingFactory{}
-	table := NewTenantTable(f.factory, 8)
+	table := NewVersionedTenantTable(f.factory, 8)
 	defer table.Close()
 	ctx := context.Background()
 
@@ -91,12 +91,12 @@ func TestTenantTableDeriveAndHit(t *testing.T) {
 func TestTenantTableSingleFlight(t *testing.T) {
 	var derivations atomic.Int64
 	gate := make(chan struct{})
-	factory := func(context.Context, TenantID) (TenantState, error) {
+	factory := func(context.Context, VersionedTenant) (TenantState, error) {
 		derivations.Add(1)
 		<-gate // hold every leader until all callers are in flight
 		return TenantState{Engine: New(tenantQuerier{})}, nil
 	}
-	table := NewTenantTable(factory, 8)
+	table := NewVersionedTenantTable(factory, 8)
 	defer table.Close()
 
 	const callers = 16
@@ -128,7 +128,7 @@ func TestTenantTableSingleFlight(t *testing.T) {
 
 func TestTenantTableEviction(t *testing.T) {
 	f := &countingFactory{}
-	table := NewTenantTable(f.factory, 2)
+	table := NewVersionedTenantTable(f.factory, 2)
 	defer table.Close()
 	ctx := context.Background()
 
@@ -176,7 +176,7 @@ func TestTenantTableEviction(t *testing.T) {
 func TestTenantTableDeriveError(t *testing.T) {
 	f := &countingFactory{}
 	f.fail.Store(true)
-	table := NewTenantTable(f.factory, 4)
+	table := NewVersionedTenantTable(f.factory, 4)
 	defer table.Close()
 	ctx := context.Background()
 
@@ -197,7 +197,7 @@ func TestTenantTableDeriveError(t *testing.T) {
 
 func TestTenantTableClose(t *testing.T) {
 	f := &countingFactory{}
-	table := NewTenantTable(f.factory, 4)
+	table := NewVersionedTenantTable(f.factory, 4)
 	ctx := context.Background()
 	if _, err := table.Get(ctx, TenantID{Instance: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestTenantTableClose(t *testing.T) {
 
 func TestTenantTableExposeTenants(t *testing.T) {
 	f := &countingFactory{}
-	table := NewTenantTable(f.factory, 4)
+	table := NewVersionedTenantTable(f.factory, 4)
 	defer table.Close()
 	ctx := context.Background()
 
@@ -279,7 +279,7 @@ func TestTenantIDString(t *testing.T) {
 // EXPERIMENTS/CI).
 func BenchmarkTenantTableLookup(b *testing.B) {
 	f := &countingFactory{}
-	table := NewTenantTable(f.factory, 8)
+	table := NewVersionedTenantTable(f.factory, 8)
 	defer table.Close()
 	id := TenantID{Instance: 17, Seed: 7}
 	if _, err := table.Get(context.Background(), id); err != nil {

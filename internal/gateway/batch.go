@@ -17,12 +17,10 @@ var errCoalescerClosed = errors.New("gateway: coalescer closed")
 // pendingQuery is one point query parked in the coalescer.
 type pendingQuery struct {
 	item int
-	// epoch is the rider's serving epoch: a concrete pinned epoch, or
-	// epochLegacy for unpinned pre-churn queries (which ride epoch-less
-	// frames). A batch frame names exactly one (tenant, serving epoch),
-	// so the flush partitions riders by this value — queries for epochs
-	// e and e+1 parked in the same window must not share a frame, and
-	// neither may a pinned epoch-0 rider share a legacy frame.
+	// epoch is the rider's resolved serving epoch. A batch frame names
+	// exactly one (tenant, epoch), so the flush partitions riders by
+	// this value — queries for epochs e and e+1 parked in the same
+	// window must not share a frame.
 	epoch engine.EpochID
 	resp  chan pendingResult
 	// span is the rider's active span (nil when untraced). The flush

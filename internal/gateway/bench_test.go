@@ -75,6 +75,56 @@ func BenchmarkGatewayVsDirect(b *testing.B) {
 	})
 }
 
+// BenchmarkGatewayFrontDoorCached measures a cached answer served
+// through the gateway's wire front door: one client round trip through
+// cluster.NewQueryServer over a warmed gateway, the path a client
+// holding a connection to lcagateway takes. The unpinned client call
+// sends engine.EpochCurrent and the pinned one epoch 0; both resolve
+// through the same (tenant, epoch) path, and ALLOC_BUDGET.json pins
+// their allocations.
+func BenchmarkGatewayFrontDoorCached(b *testing.B) {
+	const n = 300
+	addrs, _, _ := testFleet(b, n, 1)
+	ctx := context.Background()
+	gw, err := New(Options{Replicas: addrs, Seed: testParams.Seed, HedgeDelay: -1})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	defer gw.Close()
+	for i := 0; i < n; i++ { // warm every key
+		if _, err := gw.InSolution(ctx, i); err != nil {
+			b.Fatalf("warm InSolution: %v", err)
+		}
+	}
+	front, err := cluster.NewQueryServer("127.0.0.1:0", gw)
+	if err != nil {
+		b.Fatalf("NewQueryServer: %v", err)
+	}
+	defer front.Close()
+	client, err := cluster.DialLCA(front.Addr(), 0)
+	if err != nil {
+		b.Fatalf("DialLCA: %v", err)
+	}
+	defer client.Close()
+
+	b.Run("unpinned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.InSolution(ctx, i%n); err != nil {
+				b.Fatalf("InSolution: %v", err)
+			}
+		}
+	})
+	b.Run("pinned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := client.InSolutionEpoch(ctx, 0, i%n); err != nil {
+				b.Fatalf("InSolutionEpoch: %v", err)
+			}
+		}
+	})
+}
+
 // BenchmarkGatewayStoreServed measures gateway misses the artifact
 // tier answers: a store-backed gateway whose 256-entry cache is far
 // smaller than its 4,096-item artifact, cycled through in order, so

@@ -22,8 +22,8 @@ type Key struct {
 	Instance uint64
 	// Seed is the shared LCA seed r.
 	Seed uint64
-	// Epoch is the instance version e (0 = the implicit pre-churn
-	// epoch, preserving every pre-epoch key unchanged).
+	// Epoch is the instance version e (0 = the tenant's initial
+	// instance).
 	Epoch uint64
 	// Item is the queried index.
 	Item int

@@ -44,19 +44,19 @@ func testMultiFleet(t testing.TB, n, k int) (addrs []string, servers []*cluster.
 		}
 		instances[hash] = acc
 	}
-	factory := func(_ context.Context, id engine.TenantID) (engine.TenantState, error) {
-		acc, ok := instances[id.Instance]
-		if !ok {
-			return engine.TenantState{}, fmt.Errorf("no instance with hash %d", id.Instance)
+	factory := func(_ context.Context, vt engine.VersionedTenant) (engine.TenantState, error) {
+		acc, ok := instances[vt.Tenant.Instance]
+		if !ok || vt.Epoch != 0 {
+			return engine.TenantState{}, fmt.Errorf("no instance for %s", vt)
 		}
-		lca, err := core.NewLCAKP(acc, core.Params{Epsilon: multiEpsilon, Seed: id.Seed})
+		lca, err := core.NewLCAKP(acc, core.Params{Epsilon: multiEpsilon, Seed: vt.Tenant.Seed})
 		if err != nil {
 			return engine.TenantState{}, err
 		}
 		return engine.TenantState{Engine: engine.New(lca)}, nil
 	}
 	for r := 0; r < k; r++ {
-		table := engine.NewTenantTable(factory, 8)
+		table := engine.NewVersionedTenantTable(factory, 8)
 		srv, err := cluster.NewMultiLCAServer("127.0.0.1:0", table)
 		if err != nil {
 			t.Fatalf("NewMultiLCAServer: %v", err)

@@ -87,11 +87,7 @@ func epochFleet(t testing.TB, n, k int) (addrs []string, servers []*cluster.Mult
 	return addrs, servers, tables
 }
 
-// sealEpoch advances the fleet and the gateway to epoch ep, in the
-// rollout order that leaves no skew window: the gateway first (its
-// unpinned queries switch to pinned epoch-ep frames, which replicas
-// can derive on demand regardless of their own current epoch), the
-// replicas' current epoch after (for raw epoch-less clients).
+// sealEpoch advances the gateway and the fleet to epoch ep.
 func sealEpoch(t testing.TB, gw *Gateway, tables []*engine.TenantTable, ep engine.EpochID) {
 	t.Helper()
 	id := engine.TenantID{Instance: 0, Seed: epochParams.Seed}
@@ -294,6 +290,141 @@ func TestEpochCacheIsolationConcurrent(t *testing.T) {
 	}
 	if tm.EpochQueries == 0 {
 		t.Error("TenantMetrics.EpochQueries = 0, want > 0 (every query here was epoch-addressed)")
+	}
+}
+
+// TestEpochSkewReplicasAheadOfGateway rolls the replicas to epoch 1
+// before the gateway. A gateway still at epoch 0 must answer unpinned
+// and epoch-0-pinned queries with epoch-0 bits whichever query comes
+// first, in process and through its wire front door, and again with
+// the epoch-0 artifact in its store: every frame it sends a replica
+// names (tenant, epoch), so no replica can answer from its own current
+// epoch on the gateway's behalf.
+func TestEpochSkewReplicasAheadOfGateway(t *testing.T) {
+	const n = 96
+	want0, want1 := epochBaseline(t, n, 0), epochBaseline(t, n, 1)
+	var differ []int
+	for i := range want0 {
+		if want0[i] != want1[i] {
+			differ = append(differ, i)
+		}
+	}
+	if len(differ) == 0 {
+		t.Fatal("epochs 0 and 1 answer identically; the skew would be invisible")
+	}
+	ctx := context.Background()
+	id := engine.TenantID{Instance: 0, Seed: epochParams.Seed}
+	for _, tc := range []struct {
+		name          string
+		unpinnedFirst bool
+		store         bool
+	}{
+		{"unpinned-first", true, false},
+		{"pinned-first", false, false},
+		{"store", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs, _, tables := epochFleet(t, n, 2)
+			for _, table := range tables {
+				if err := table.SetCurrentEpoch(id, 1); err != nil {
+					t.Fatalf("SetCurrentEpoch: %v", err)
+				}
+			}
+			opts := Options{Replicas: addrs, Seed: epochParams.Seed, HedgeDelay: -1}
+			if tc.store {
+				opts.Store = newTestStore(t, t.TempDir(), materializeEpochArtifact(t, n, 0))
+			}
+			gw, err := New(opts)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer gw.Close()
+			front, err := cluster.NewQueryServer("127.0.0.1:0", gw)
+			if err != nil {
+				t.Fatalf("NewQueryServer: %v", err)
+			}
+			defer front.Close()
+			client, err := cluster.DialLCA(front.Addr(), 5*time.Second)
+			if err != nil {
+				t.Fatalf("DialLCA: %v", err)
+			}
+			defer client.Close()
+
+			type ask struct {
+				name string
+				fn   func(int) (bool, error)
+			}
+			asks := []ask{
+				{"unpinned", func(i int) (bool, error) { return gw.InSolution(ctx, i) }},
+				{"pinned-0", func(i int) (bool, error) { return gw.InSolutionEpoch(ctx, 0, i) }},
+				{"wire unpinned", func(i int) (bool, error) { return client.InSolution(ctx, i) }},
+				{"wire pinned-0", func(i int) (bool, error) {
+					in, _, err := client.InSolutionEpoch(ctx, 0, i)
+					return in, err
+				}},
+			}
+			if !tc.unpinnedFirst {
+				asks[0], asks[1] = asks[1], asks[0]
+				asks[2], asks[3] = asks[3], asks[2]
+			}
+			wrong := 0
+			for _, a := range asks {
+				for _, i := range differ {
+					got, err := a.fn(i)
+					if err != nil {
+						t.Fatalf("%s item %d: %v", a.name, i, err)
+					}
+					if got != want0[i] {
+						wrong++
+						t.Errorf("%s item %d = %v, want the epoch-0 bit %v", a.name, i, got, want0[i])
+					}
+				}
+			}
+			if wrong > 0 {
+				t.Logf("%d of %d answers carried epoch-1 bits", wrong, len(asks)*len(differ))
+			}
+		})
+	}
+}
+
+// TestEpochQueriesCountSealedEpochsOnly holds the per-tenant epoch
+// counter to its help text: queries pinned to epoch 0 are not served
+// at a sealed epoch and count nothing, while unpinned queries after a
+// roll are and count one each.
+func TestEpochQueriesCountSealedEpochsOnly(t *testing.T) {
+	const n = 16
+	addrs, _, tables := epochFleet(t, n, 1)
+	ctx := context.Background()
+	id := engine.TenantID{Instance: 0, Seed: epochParams.Seed}
+	gw, err := New(Options{Replicas: addrs, Seed: epochParams.Seed, HedgeDelay: -1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer gw.Close()
+
+	for i := 0; i < 10; i++ {
+		if _, err := gw.InSolutionEpoch(ctx, 0, i); err != nil {
+			t.Fatalf("pinned-0 query: %v", err)
+		}
+	}
+	if _, err := gw.InSolutionBatchEpoch(ctx, 0, []int{1, 2, 3}); err != nil {
+		t.Fatalf("pinned-0 batch: %v", err)
+	}
+	if tm, _ := gw.TenantMetrics(id); tm.EpochQueries != 0 {
+		t.Errorf("after epoch-0 pins: EpochQueries = %d, want 0", tm.EpochQueries)
+	}
+
+	sealEpoch(t, gw, tables, 1)
+	for i := 0; i < 5; i++ {
+		if _, err := gw.InSolution(ctx, i); err != nil {
+			t.Fatalf("unpinned query: %v", err)
+		}
+	}
+	if _, err := gw.InSolutionBatch(ctx, []int{1, 2, 3}); err != nil {
+		t.Fatalf("unpinned batch: %v", err)
+	}
+	if tm, _ := gw.TenantMetrics(id); tm.EpochQueries != 8 {
+		t.Errorf("after 8 unpinned queries at epoch 1: EpochQueries = %d, want 8", tm.EpochQueries)
 	}
 }
 

@@ -67,17 +67,15 @@ type Options struct {
 	// LCA seed r; together they name the solution C(I, r) the default
 	// tenant answers from, and they key its slice of the answer cache.
 	// The default tenant serves untenanted wire frames and the plain
-	// InSolution/InSolutionBatch methods, and its outgoing frames stay
-	// untenanted — byte-identical to pre-tenancy builds, so a
-	// single-tenant gateway keeps working against old replicas.
+	// InSolution/InSolutionBatch methods. Like every tenant's, its
+	// replica frames name (tenant, epoch), so each replica must serve
+	// that tenant — a replica serving another answers with an
+	// unknown-tenant error.
 	Instance uint64
 	Seed     uint64
 	// Tenants are the explicitly served namespaces beyond the default.
-	// Their queries go out as tenanted (v3) frames, so the replicas
-	// must be tenant-aware (cluster.MultiLCAServer or single-tenant
-	// servers with a declared identity). An entry naming the default
-	// (Instance, Seed) replaces the default tenant's config (attaching
-	// a quota to it) while keeping its untenanted wire framing.
+	// An entry naming the default (Instance, Seed) replaces the default
+	// tenant's config (attaching a quota to it).
 	Tenants []TenantOptions
 	// Auth, when set, requires every wire frame resolved through
 	// Resolve to carry an API key granted the addressed tenant.
@@ -246,17 +244,17 @@ func New(opts Options) (*Gateway, error) {
 
 	defID := engine.TenantID{Instance: opts.Instance, Seed: opts.Seed}
 	g.tenants = make(map[engine.TenantID]*tenant, len(opts.Tenants)+1)
-	g.def = g.newTenant(defID, false, TenantOptions{})
+	g.def = g.newTenant(defID, TenantOptions{})
 	g.tenants[defID] = g.def
 	for _, to := range opts.Tenants {
 		id := engine.TenantID{Instance: to.Instance, Seed: to.Seed}
 		if id == defID {
 			// Reconfigure the default tenant (typically to attach a
-			// quota) while keeping its untenanted wire framing.
+			// quota).
 			if g.def.coal != nil {
 				g.def.coal.close()
 			}
-			g.def = g.newTenant(defID, false, to)
+			g.def = g.newTenant(defID, to)
 			g.tenants[defID] = g.def
 			continue
 		}
@@ -264,7 +262,7 @@ func New(opts Options) (*Gateway, error) {
 			g.Close()
 			return nil, fmt.Errorf("gateway: tenant %s configured twice", id)
 		}
-		g.tenants[id] = g.newTenant(id, true, to)
+		g.tenants[id] = g.newTenant(id, to)
 	}
 	return g, nil
 }
@@ -272,8 +270,9 @@ func New(opts Options) (*Gateway, error) {
 // Resolve is the cluster.TenantBackend seam: it authenticates the
 // frame's API key (when an Authorizer is configured), then routes the
 // frame to its tenant — the default for untenanted frames, the named
-// tenant otherwise. Unknown tenants are rejected; so are authorized
-// keys lacking a grant for the addressed tenant.
+// tenant otherwise — served at the tenant's current epoch. Unknown
+// tenants are rejected; so are authorized keys lacking a grant for the
+// addressed tenant.
 func (g *Gateway) Resolve(_ context.Context, q cluster.TenantQuery) (cluster.Backend, error) {
 	id := g.def.id
 	if q.Tenanted {
@@ -290,12 +289,13 @@ func (g *Gateway) Resolve(_ context.Context, q cluster.TenantQuery) (cluster.Bac
 	return t, nil
 }
 
-// ResolveEpoch is the cluster.EpochBackend seam: same authentication
-// and tenant routing as Resolve, then the requested epoch is pinned —
-// the sentinel resolves to the tenant's current epoch once, here, so
-// every index of the frame (and any retry or hedge of it) is served
-// from the same sealed instance. The returned Backend answers only at
-// that epoch; the returned EpochID is what the response frame echoes.
+// ResolveEpoch is the cluster.EpochBackend seam every wire frame is
+// resolved through: same authentication and tenant routing as Resolve,
+// then the requested epoch is pinned — engine.EpochCurrent resolves
+// to the tenant's current epoch once, here, so every index of the
+// frame (and any retry or hedge of it) is served from the same sealed
+// instance. The returned Backend answers only at that epoch; the
+// returned EpochID is what the response frame echoes.
 func (g *Gateway) ResolveEpoch(ctx context.Context, q cluster.TenantQuery) (cluster.Backend, engine.EpochID, error) {
 	b, err := g.Resolve(ctx, q)
 	if err != nil {
@@ -324,7 +324,7 @@ func (v epochView) InSolutionBatch(ctx context.Context, indices []int) ([]bool, 
 }
 
 // SetTenantEpoch advances tenant id's current serving epoch — the
-// epoch its epoch-less and sentinel queries answer from. Regressions
+// epoch its unpinned queries answer from. Regressions
 // are refused: epochs are sealed in order, and rolling "back" would
 // make the tenant's unpinned answers flap between instances.
 // Already-pinned queries are untouched either way — epoch e's cache

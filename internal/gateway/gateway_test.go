@@ -23,10 +23,15 @@ import (
 // keeps per-query rule computation cheap; consistency is epsilon-blind.
 var testParams = core.Params{Epsilon: 0.45, Seed: 2}
 
-// testFleet starts k independent LCA replica servers over one shared
-// in-process instance and returns their addresses plus a local LCA
-// with identical parameters as the bit-exactness baseline.
-func testFleet(t testing.TB, n, k int) (addrs []string, servers []*cluster.LCAServer, baseline *core.LCAKP) {
+// testTenant is the tenant testFleet's replicas serve: the default
+// tenant of a gateway configured with Seed testParams.Seed.
+var testTenant = engine.TenantID{Instance: 0, Seed: testParams.Seed}
+
+// testFleet starts k independent one-tenant LCA replica servers
+// (testTenant) over one shared in-process instance and returns their
+// addresses plus a local LCA with identical parameters as the
+// bit-exactness baseline.
+func testFleet(t testing.TB, n, k int) (addrs []string, servers []*cluster.MultiLCAServer, baseline *core.LCAKP) {
 	t.Helper()
 	gen, err := workload.Generate(workload.Spec{Name: "uniform", N: n, Seed: 17})
 	if err != nil {
@@ -41,7 +46,7 @@ func testFleet(t testing.TB, n, k int) (addrs []string, servers []*cluster.LCASe
 		if err != nil {
 			t.Fatalf("NewLCAKP: %v", err)
 		}
-		srv, err := cluster.NewLCAServer("127.0.0.1:0", engine.New(lca))
+		srv, err := cluster.NewLCAServer("127.0.0.1:0", testTenant, engine.New(lca))
 		if err != nil {
 			t.Fatalf("NewLCAServer: %v", err)
 		}
@@ -354,7 +359,7 @@ func TestGatewayCoalescerBatchesConcurrentQueries(t *testing.T) {
 	}
 	// The replica must have seen far fewer engine queries than the
 	// burst size (batches count once).
-	if tot := servers[0].Metrics(); tot.Queries >= burst {
+	if tot, _ := servers[0].Metrics(testTenant); tot.Queries >= burst {
 		t.Errorf("replica served %d engine queries for a %d-query burst; coalescing ineffective", tot.Queries, burst)
 	}
 }

@@ -96,7 +96,7 @@ func TestTracePropagatesGatewayToReplica(t *testing.T) {
 	eng := engine.New(lca)
 	replicaTracer := obs.NewTracer(64)
 	eng.SetTracer(replicaTracer)
-	srv, err := cluster.NewLCAServer("127.0.0.1:0", eng)
+	srv, err := cluster.NewLCAServer("127.0.0.1:0", testTenant, eng)
 	if err != nil {
 		t.Fatalf("NewLCAServer: %v", err)
 	}

@@ -265,16 +265,14 @@ func (p *peerTier) fill(ctx context.Context, vt engine.VersionedTenant, item int
 // fetchAndBackfill transfers one (tenant, epoch) artifact from peer
 // addr and installs it in the local store. The artifact's own trailer
 // checksum guards the transfer: corrupt bytes are rejected before
-// touching disk, and the fetch is retried on the next miss. Epoch-0
-// fetches use the pre-epoch MsgStoreFetch framing so they interoperate
-// with peers that predate the epoch extension.
+// touching disk, and the fetch is retried on the next miss.
 func (p *peerTier) fetchAndBackfill(ctx context.Context, addr string, vt engine.VersionedTenant) error {
 	c, err := p.client(ctx, addr)
 	if err != nil {
 		return fmt.Errorf("gateway: peer %s: %w", addr, err)
 	}
 	start := time.Now()
-	data, err := c.FetchArtifactEpoch(ctx, vt.Tenant, vt.Epoch)
+	data, err := c.FetchArtifact(ctx, vt.Tenant, vt.Epoch)
 	if err != nil {
 		return fmt.Errorf("gateway: peer %s: %w", addr, err)
 	}
@@ -344,12 +342,6 @@ func (p *peerTier) close() {
 	}
 }
 
-// storeTier answers item i for tenant t from the materialized tiers at
-// the implicit epoch 0 — the exact pre-epoch behavior.
-func (g *Gateway) storeTier(ctx context.Context, id engine.TenantID, label string, i int) (in, ok bool) {
-	return g.storeTierEpoch(ctx, id, 0, label, i)
-}
-
 // storeTierEpoch answers item i for one (tenant, epoch) from the
 // materialized tiers: the local artifact store first, then (on a store
 // miss for a peer-owned key) the peer tier. ok=false falls the query
@@ -385,18 +377,12 @@ func (g *Gateway) storeTierEpoch(ctx context.Context, id engine.TenantID, ep eng
 }
 
 // ArtifactBytes implements cluster.ArtifactProvider: it serves this
-// gateway's stored artifact for tenant id to fetching peers. Like the
-// wire metrics scrape, the artifact endpoint is not API-key gated: it
-// exposes derived solution bits (the same bits every query response
-// carries), not instance data, and peers are cluster-internal.
-func (g *Gateway) ArtifactBytes(ctx context.Context, id engine.TenantID) ([]byte, error) {
-	return g.ArtifactBytesEpoch(ctx, id, 0)
-}
-
-// ArtifactBytesEpoch implements cluster.VersionedArtifactProvider: it
-// serves one sealed epoch's stored artifact to fetching peers (epoch 0
-// is the legacy artifact, byte-identical to the pre-epoch fetch).
-func (g *Gateway) ArtifactBytesEpoch(ctx context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error) {
+// gateway's stored artifact of tenant id at epoch ep to fetching peers.
+// Like the wire metrics scrape, the artifact endpoint is not API-key
+// gated: it exposes derived solution bits (the same bits every query
+// response carries), not instance data, and peers are
+// cluster-internal.
+func (g *Gateway) ArtifactBytes(ctx context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error) {
 	st := g.opts.Store
 	if st == nil {
 		return nil, fmt.Errorf("gateway: no artifact store configured")
@@ -449,10 +435,8 @@ func (g *Gateway) WarmFromStore(ctx context.Context, id engine.TenantID) (int, e
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", cluster.ErrUnknownTenant, id)
 	}
-	// Warm at the tenant's current epoch: after a rollover the live
-	// traffic keys on the sealed epoch, so that is the artifact worth
-	// paging into the cache (while the tenant is pre-churn this is the
-	// legacy epoch-0 artifact, exactly as before).
+	// Warm at the tenant's current epoch: unpinned traffic keys on it,
+	// so that is the artifact worth paging into the cache.
 	ep := t.currentEpoch()
 	a, err := st.GetVersioned(ctx, engine.VersionedTenant{Tenant: id, Epoch: ep})
 	if err != nil {
@@ -496,7 +480,6 @@ func (g *Gateway) WarmAllFromStore(ctx context.Context) (int, error) {
 
 // ensure the provider and sink seams stay implemented.
 var (
-	_ cluster.ArtifactProvider          = (*Gateway)(nil)
-	_ cluster.VersionedArtifactProvider = (*Gateway)(nil)
-	_ cluster.ArtifactSink              = (*Gateway)(nil)
+	_ cluster.ArtifactProvider = (*Gateway)(nil)
+	_ cluster.ArtifactSink     = (*Gateway)(nil)
 )

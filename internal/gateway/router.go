@@ -78,26 +78,11 @@ func retryable(err error) bool {
 	return true
 }
 
-// call answers one batch of indices for the gateway's default tenant.
-func (r *router) call(ctx context.Context, indices []int) ([]bool, error) {
-	return r.callTenant(ctx, nil, indices)
-}
-
-// callTenant answers one batch of indices, retrying across replicas
-// until an answer arrives or attempts run out. wireID, when non-nil,
-// namespaces each frame to that tenant (v3 framing); nil frames stay
-// untenanted — byte-identical to pre-tenancy builds, which is what the
-// implicit default tenant of a single-tenant gateway emits.
-func (r *router) callTenant(ctx context.Context, wireID *engine.TenantID, indices []int) ([]bool, error) {
-	return r.callTenantEpoch(ctx, wireID, nil, indices)
-}
-
-// callTenantEpoch is callTenant with an optional epoch pin. epochPin,
-// when non-nil, stamps every frame with that concrete epoch (v4
-// framing), so failover, retries, and hedges all re-ask for the SAME
-// sealed (I_e, r) — a mid-rollover replica switch cannot mix epochs.
-// nil keeps the exact pre-epoch framing.
-func (r *router) callTenantEpoch(ctx context.Context, wireID *engine.TenantID, epochPin *engine.EpochID, indices []int) ([]bool, error) {
+// route answers one batch of indices of one (tenant, epoch), retrying
+// across replicas until an answer arrives or attempts run out. Every
+// frame — the first try, retries, and hedges — names the same vt, so a
+// mid-rollover replica switch cannot mix epochs.
+func (r *router) route(ctx context.Context, vt engine.VersionedTenant, indices []int) ([]bool, error) {
 	var lastErr error
 	var lastFailed *member
 	for attempt := 0; attempt < r.maxAttempts; attempt++ {
@@ -123,7 +108,7 @@ func (r *router) callTenantEpoch(ctx context.Context, wireID *engine.TenantID, e
 					obs.String("replica", m.addr), obs.Int("attempt", int64(attempt)))
 			}
 		}
-		answers, err := r.callMember(ctx, m, wireID, epochPin, indices)
+		answers, err := r.callMember(ctx, m, vt, indices)
 		if err == nil {
 			return answers, nil
 		}
@@ -252,11 +237,11 @@ type attemptResult struct {
 // Racing is consistency-safe because both replicas compute the same
 // C(I, r) (Lemma 4.9 makes the shared rule reproducible across
 // replicas); the loser's answer is discarded unread.
-func (r *router) callMember(ctx context.Context, m *member, wireID *engine.TenantID, epochPin *engine.EpochID, indices []int) ([]bool, error) {
+func (r *router) callMember(ctx context.Context, m *member, vt engine.VersionedTenant, indices []int) ([]bool, error) {
 	r.counters.attempts.Add(1)
 	delay := r.hedgeDelay()
 	if delay <= 0 {
-		res := r.issue(ctx, m, wireID, epochPin, indices, false)
+		res := r.issue(ctx, m, vt, indices, false)
 		if res.err != nil && retryable(res.err) {
 			if m.markDown() {
 				//lint:alloc traced-only decision event on the failure path
@@ -268,7 +253,7 @@ func (r *router) callMember(ctx context.Context, m *member, wireID *engine.Tenan
 
 	ch := make(chan attemptResult, 2) //lint:alloc hedged-mode rendezvous: one channel per RPC against a wire round trip
 	//lint:alloc hedged-mode attempt goroutine; the RPC it carries costs ~3 orders of magnitude more
-	go func() { ch <- r.issue(ctx, m, wireID, epochPin, indices, false) }()
+	go func() { ch <- r.issue(ctx, m, vt, indices, false) }()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 
@@ -293,7 +278,7 @@ func (r *router) callMember(ctx context.Context, m *member, wireID *engine.Tenan
 			obs.AddWarnEvent(ctx, "gateway.hedge",
 				obs.String("primary", m.addr), obs.String("hedge", m2.addr))
 			//lint:alloc fires at most once per hedged RPC, on the p95 tail only
-			go func() { ch <- r.issue(ctx, m2, wireID, epochPin, indices, true) }()
+			go func() { ch <- r.issue(ctx, m2, vt, indices, true) }()
 		case res := <-ch:
 			outstanding--
 			if res.err == nil {
@@ -319,11 +304,10 @@ func (r *router) callMember(ctx context.Context, m *member, wireID *engine.Tenan
 }
 
 // issue performs one RPC on one checked-out connection and feeds the
-// latency window (and the member's breaker) on success. An epoch pin
-// selects the v4 epoch-flagged call; the served-epoch echo is the pin
-// itself (the replica either serves exactly that epoch or errors), so
-// it needs no further inspection here.
-func (r *router) issue(ctx context.Context, m *member, wireID *engine.TenantID, epochPin *engine.EpochID, indices []int, hedged bool) attemptResult {
+// latency window (and the member's breaker) on success. The served
+// epoch the replica echoes is vt.Epoch itself (a replica serves exactly
+// the named epoch or errors), so it needs no further inspection here.
+func (r *router) issue(ctx context.Context, m *member, vt engine.VersionedTenant, indices []int, hedged bool) attemptResult {
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	// Each replica RPC attempt is one probe in the gateway span's
@@ -335,17 +319,7 @@ func (r *router) issue(ctx context.Context, m *member, wireID *engine.TenantID, 
 		return attemptResult{err: err, member: m, hedged: hedged}
 	}
 	start := time.Now()
-	var answers []bool
-	switch {
-	case epochPin != nil && wireID != nil:
-		answers, _, err = c.InSolutionBatchEpochTenant(ctx, *wireID, *epochPin, indices)
-	case epochPin != nil:
-		answers, _, err = c.InSolutionBatchEpoch(ctx, *epochPin, indices)
-	case wireID != nil:
-		answers, err = c.InSolutionBatchTenant(ctx, *wireID, indices)
-	default:
-		answers, err = c.InSolutionBatch(ctx, indices)
-	}
+	answers, _, err := c.InSolutionBatchEpochTenant(ctx, vt.Tenant, vt.Epoch, indices)
 	m.put(c)
 	if err == nil {
 		d := time.Since(start)

@@ -44,10 +44,10 @@ type tenantCounters struct {
 	cacheHits    obs.Counter
 	cacheMisses  obs.Counter
 	quotaRejects obs.Counter
-	// epochQueries counts epoch-addressed queries — explicitly pinned,
-	// or unpinned after the tenant rolled past epoch 0 — splitting the
-	// tenant's quota consumption into its pre-churn and epoch-versioned
-	// shares.
+	// epochQueries counts the queries (point and batch indices alike)
+	// served at sealed epochs, those above 0, whether pinned there or
+	// unpinned after a roll — the epoch-scoped slice of the quota
+	// accounting.
 	epochQueries obs.Counter
 }
 
@@ -58,7 +58,8 @@ type TenantMetrics struct {
 	QuotaRejects           int64
 	// Epoch is the tenant's current serving epoch; EpochQueries counts
 	// the queries (point and batch indices alike) served at sealed
-	// epochs — the epoch-scoped slice of the quota accounting.
+	// epochs, those above 0 — the epoch-scoped slice of the quota
+	// accounting.
 	Epoch        uint64
 	EpochQueries int64
 }
@@ -79,16 +80,11 @@ type tenant struct {
 	// label is id.String() computed once at construction, so event and
 	// exemplar attribution never formats on a serving path.
 	label string
-	// wireID is the namespace stamped on outgoing frames: nil for the
-	// implicit default tenant (untenanted frames, byte-identical to
-	// pre-tenancy builds against old replicas), the tenant's own ID for
-	// explicitly configured tenants.
-	wireID *engine.TenantID
 	// epoch is the tenant's current serving epoch, advanced by
-	// Gateway.SetTenantEpoch when a rollover completes. While it is 0
-	// (a tenant that never churned) every query takes the exact
-	// pre-epoch code path: untagged cache keys, epoch-less frames,
-	// legacy store addresses — byte-identical to a pre-epoch build.
+	// Gateway.SetTenantEpoch when a rollover completes. An unpinned
+	// query resolves to it once, at admission; from there the query
+	// names (tenant, epoch) in its cache key, store address, coalescer
+	// partition, and every replica frame.
 	epoch atomic.Uint64
 	coal  *coalescer // nil when coalescing is disabled
 	quota *tokenBucket
@@ -98,12 +94,8 @@ type tenant struct {
 var _ cluster.Backend = (*tenant)(nil)
 
 // newTenant builds one tenant's serving state.
-func (g *Gateway) newTenant(id engine.TenantID, tenanted bool, to TenantOptions) *tenant {
+func (g *Gateway) newTenant(id engine.TenantID, to TenantOptions) *tenant {
 	t := &tenant{g: g, id: id, label: id.String()}
-	if tenanted {
-		idCopy := id
-		t.wireID = &idCopy
-	}
 	if to.RateLimit > 0 {
 		t.quota = newTokenBucket(to.RateLimit, to.Burst)
 	}
@@ -113,67 +105,25 @@ func (g *Gateway) newTenant(id engine.TenantID, tenanted bool, to TenantOptions)
 	return t
 }
 
-// epochLegacy is the tenant-internal serving-epoch marker for an
-// unpinned query of a never-churned tenant: legacy epoch-less wire
-// framing, epoch-0 cache keys and store addresses — the exact
-// pre-epoch path. It is distinct from a concrete epoch-0 PIN, which
-// must ride a pinned frame: a pinned query names its instance version
-// on the wire, while a legacy frame asks the replica for whatever is
-// current. The two only coincide while every replica's current epoch
-// is still 0. engine.EpochCurrent is safe to reuse as the marker
-// because resolveEpoch eliminates the sentinel before any serving code
-// runs.
-const epochLegacy = engine.EpochCurrent
-
-// storeEpochOf maps the internal serving-epoch marker to the concrete
-// epoch that cache keys and artifact addresses use.
-func storeEpochOf(ep engine.EpochID) engine.EpochID {
-	if ep == epochLegacy {
-		return 0
-	}
-	return ep
-}
-
-// routerCall fans the tenant's batch out to the fleet under its wire
-// namespace at serving epoch ep. epochLegacy keeps the exact pre-epoch
-// framing (no epoch header at all); any concrete epoch — 0 included —
-// stamps every frame (first try, retries, hedges) with the same pinned
-// epoch, so failover can never slide a query onto a different instance
-// version mid-rollover.
+// routerCall fans the tenant's batch out to the fleet at epoch ep.
+// Every frame — first try, retries, hedges — names (tenant, ep), so
+// failover can never slide a query onto a different instance version
+// mid-rollover, and no replica answers at its own current epoch on the
+// gateway's behalf.
 func (t *tenant) routerCall(ctx context.Context, ep engine.EpochID, indices []int) ([]bool, error) {
-	if ep == epochLegacy {
-		return t.g.router.callTenant(ctx, t.wireID, indices)
-	}
-	//lint:alloc epoch-pinned miss path: the pin escapes into the router's (possibly hedged) attempts, priced against a wire RPC
-	return t.g.router.callTenantEpoch(ctx, t.wireID, &ep, indices)
+	return t.g.router.route(ctx, engine.VersionedTenant{Tenant: t.id, Epoch: ep}, indices)
 }
 
-// key builds the cache key for item i under this tenant at serving
-// epoch ep. epochLegacy and a concrete epoch-0 pin share the epoch-0
-// key — they are the same solution C(I_0, r) — and it is the exact
-// pre-epoch key, so a never-churned tenant's cache entries are
-// unchanged. Sealed epochs get disjoint keys — the cache-isolation
-// property: no entry written at epoch e can ever answer a query for
-// epoch e'.
+// key builds the cache key for item i under this tenant at epoch ep.
+// Epochs get disjoint keys — the cache-isolation property: no entry
+// written at epoch e can ever answer a query for epoch e'.
 func (t *tenant) key(ep engine.EpochID, i int) Key {
-	return Key{Instance: t.id.Instance, Seed: t.id.Seed, Epoch: uint64(storeEpochOf(ep)), Item: i}
+	return Key{Instance: t.id.Instance, Seed: t.id.Seed, Epoch: uint64(ep), Item: i}
 }
 
 // currentEpoch is the tenant's current epoch as set by SetTenantEpoch.
 func (t *tenant) currentEpoch() engine.EpochID {
 	return engine.EpochID(t.epoch.Load())
-}
-
-// servingEpoch is the serving-epoch marker for an unpinned query:
-// epochLegacy while the tenant never churned (byte-identical pre-epoch
-// behavior), the concrete current epoch after a rollover (pinned
-// frames, so one query's retries and hedges all name the same sealed
-// instance even while the fleet is mid-rollover).
-func (t *tenant) servingEpoch() engine.EpochID {
-	if ep := t.currentEpoch(); ep != 0 {
-		return ep
-	}
-	return epochLegacy
 }
 
 // resolveEpoch maps the engine.EpochCurrent sentinel to the tenant's
@@ -207,7 +157,7 @@ func (t *tenant) admit(ctx context.Context, n int) error {
 // (local store, then peer-fill — see Gateway.storeTierEpoch), then the
 // replica fleet.
 func (t *tenant) fetchOne(ctx context.Context, ep engine.EpochID, i int) (bool, error) {
-	if answer, ok := t.g.storeTierEpoch(ctx, t.id, storeEpochOf(ep), t.label, i); ok {
+	if answer, ok := t.g.storeTierEpoch(ctx, t.id, ep, t.label, i); ok {
 		return answer, nil
 	}
 	return t.fetchFleet(ctx, ep, i)
@@ -245,7 +195,7 @@ func (t *tenant) fetchFleet(ctx context.Context, ep engine.EpochID, i int) (answ
 // on the fleet path only — a cache hit reads no clock, keeping the hit
 // path's observability overhead at effectively zero.
 func (t *tenant) InSolution(ctx context.Context, i int) (bool, error) {
-	return t.inSolutionAt(ctx, t.servingEpoch(), i)
+	return t.inSolutionAt(ctx, t.currentEpoch(), i)
 }
 
 // InSolutionEpoch is InSolution pinned to one sealed epoch (or the
@@ -269,7 +219,7 @@ func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bo
 	}
 	t.g.counters.queries.Add(1)
 	t.c.queries.Add(1)
-	if ep != epochLegacy {
+	if ep != 0 {
 		t.c.epochQueries.Add(1)
 	}
 	if t.g.cache == nil {
@@ -284,7 +234,7 @@ func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bo
 	// The artifact tier answers before any single-flight record is
 	// made: reading a resident bit costs less than deduplicating the
 	// readers, so only replica-bound misses register a flight.
-	if answer, ok := t.g.storeTierEpoch(ctx, t.id, storeEpochOf(ep), t.label, i); ok {
+	if answer, ok := t.g.storeTierEpoch(ctx, t.id, ep, t.label, i); ok {
 		t.g.cache.put(k, answer)
 		t.g.counters.cacheMisses.Add(1)
 		t.c.cacheMisses.Add(1)
@@ -315,7 +265,7 @@ func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bo
 // frame under the tenant's namespace. Admission charges the whole
 // batch up front (all-or-nothing).
 func (t *tenant) InSolutionBatch(ctx context.Context, indices []int) ([]bool, error) {
-	return t.inSolutionBatchAt(ctx, t.servingEpoch(), indices)
+	return t.inSolutionBatchAt(ctx, t.currentEpoch(), indices)
 }
 
 // InSolutionBatchEpoch is InSolutionBatch pinned to one sealed epoch
@@ -340,7 +290,7 @@ func (t *tenant) inSolutionBatchAt(ctx context.Context, ep engine.EpochID, indic
 	}
 	t.g.counters.batchQueries.Add(1)
 	t.c.batchQueries.Add(1)
-	if ep != epochLegacy {
+	if ep != 0 {
 		t.c.epochQueries.Add(int64(len(indices)))
 	}
 	if len(indices) == 0 {
@@ -362,7 +312,7 @@ func (t *tenant) inSolutionBatchAt(ctx context.Context, ep engine.EpochID, indic
 		}
 		t.g.counters.cacheMisses.Add(1)
 		t.c.cacheMisses.Add(1)
-		if answer, ok := t.g.storeTierEpoch(ctx, t.id, storeEpochOf(ep), t.label, item); ok {
+		if answer, ok := t.g.storeTierEpoch(ctx, t.id, ep, t.label, item); ok {
 			t.g.cache.put(k, answer)
 			answers[pos] = answer
 			continue
@@ -426,7 +376,7 @@ func (t *tenant) warm(ctx context.Context, items []int) (int, error) {
 	}
 	// Warm at the epoch current when the warm-up starts; a rollover
 	// mid-warm leaves the tail warming the old (still-pinnable) epoch.
-	ep := t.servingEpoch()
+	ep := t.currentEpoch()
 	// Dedup and drop already-resident items before spending any RPCs.
 	seen := make(map[int]struct{}, len(items))
 	missing := make([]int, 0, len(items))

@@ -14,7 +14,8 @@ import (
 
 // scriptedBackend is a wire backend whose InSolutionBatch behavior is
 // scripted per call, for driving warm-up failure paths deterministically:
-// which chunk fails, which chunk blocks, which succeeds.
+// which chunk fails, which chunk blocks, which succeeds. It answers
+// every (tenant, epoch) a frame names.
 type scriptedBackend struct {
 	mu    sync.Mutex
 	calls int
@@ -32,6 +33,10 @@ type scriptedBackend struct {
 	answer func(int) bool
 	// items logs every index the batch calls carried, in order.
 	items []int
+}
+
+func (b *scriptedBackend) ResolveEpoch(_ context.Context, q cluster.TenantQuery) (cluster.Backend, engine.EpochID, error) {
+	return b, q.Epoch, nil
 }
 
 func (b *scriptedBackend) InSolution(context.Context, int) (bool, error) { return false, nil }

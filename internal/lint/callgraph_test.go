@@ -47,8 +47,8 @@ func TestHotnessPropagation(t *testing.T) {
 	g := loadModuleGraph(t)
 	for key, want := range map[string]hotLevel{
 		// Declared roots keep their level.
-		"lcakp/internal/gateway.(answerCache).get": hotQuery,
-		"lcakp/internal/engine.(TenantTable).Get":  hotQuery,
+		"lcakp/internal/gateway.(answerCache).get":     hotQuery,
+		"lcakp/internal/engine.(TenantTable).GetEpoch": hotQuery,
 		// ComputeRule is reachable from the query-level serving path but
 		// is clamped to its declared derive level.
 		"lcakp/internal/core.(LCAKP).ComputeRule": hotDerive,

@@ -49,34 +49,38 @@ var defaultHotRoots = map[string]hotLevel{
 
 	// cluster: the wire path — frame encode/decode, the per-connection
 	// serve loop, and the client RPC paths.
-	"lcakp/internal/cluster.(conn).roundTrip":                hotQuery,
-	"lcakp/internal/cluster.(server).serveConn":              hotQuery,
-	"lcakp/internal/cluster.(server).requestContext":         hotQuery,
-	"lcakp/internal/cluster.(instanceHandler).handle":        hotQuery,
-	"lcakp/internal/cluster.(backendHandler).handle":         hotQuery,
-	"lcakp/internal/cluster.(LCAClient).inSolution":          hotQuery,
-	"lcakp/internal/cluster.(LCAClient).inSolutionBatch":     hotQuery,
-	"lcakp/internal/cluster.(RemoteAccess).Sample":           hotQuery,
-	"lcakp/internal/cluster.(RemoteAccess).QueryItem":        hotQuery,
-	"lcakp/internal/cluster.(engineBackend).InSolution":      hotQuery,
-	"lcakp/internal/cluster.(engineBackend).InSolutionBatch": hotQuery,
+	"lcakp/internal/cluster.(conn).roundTrip":                   hotQuery,
+	"lcakp/internal/cluster.(server).serveConn":                 hotQuery,
+	"lcakp/internal/cluster.(server).requestContext":            hotQuery,
+	"lcakp/internal/cluster.(instanceHandler).handle":           hotQuery,
+	"lcakp/internal/cluster.(backendHandler).handle":            hotQuery,
+	"lcakp/internal/cluster.(multiTenantResolver).ResolveEpoch": hotQuery,
+	"lcakp/internal/cluster.(LCAClient).inSolution":             hotQuery,
+	"lcakp/internal/cluster.(LCAClient).inSolutionBatch":        hotQuery,
+	"lcakp/internal/cluster.(RemoteAccess).Sample":              hotQuery,
+	"lcakp/internal/cluster.(RemoteAccess).QueryItem":           hotQuery,
+	"lcakp/internal/cluster.(engineBackend).InSolution":         hotQuery,
+	"lcakp/internal/cluster.(engineBackend).InSolutionBatch":    hotQuery,
 
 	// gateway: route / coalesce / cache — the ~70ns cached-hit path
-	// and everything one miss away from it.
-	"lcakp/internal/gateway.(Gateway).Resolve":        hotQuery,
-	"lcakp/internal/gateway.(tenant).InSolution":      hotQuery,
-	"lcakp/internal/gateway.(tenant).InSolutionBatch": hotQuery,
-	"lcakp/internal/gateway.(coalescer).query":        hotQuery,
-	"lcakp/internal/gateway.(coalescer).run":          hotQuery,
-	"lcakp/internal/gateway.(coalescer).flush":        hotQuery,
-	"lcakp/internal/gateway.(answerCache).get":        hotQuery,
-	"lcakp/internal/gateway.(answerCache).put":        hotQuery,
-	"lcakp/internal/gateway.(answerCache).do":         hotQuery,
-	"lcakp/internal/gateway.(router).callTenant":      hotQuery,
+	// and everything one miss away from it. Every wire frame resolves
+	// through ResolveEpoch and is answered by an epochView.
+	"lcakp/internal/gateway.(Gateway).ResolveEpoch":      hotQuery,
+	"lcakp/internal/gateway.(epochView).InSolution":      hotQuery,
+	"lcakp/internal/gateway.(epochView).InSolutionBatch": hotQuery,
+	"lcakp/internal/gateway.(tenant).InSolution":         hotQuery,
+	"lcakp/internal/gateway.(tenant).InSolutionBatch":    hotQuery,
+	"lcakp/internal/gateway.(coalescer).query":           hotQuery,
+	"lcakp/internal/gateway.(coalescer).run":             hotQuery,
+	"lcakp/internal/gateway.(coalescer).flush":           hotQuery,
+	"lcakp/internal/gateway.(answerCache).get":           hotQuery,
+	"lcakp/internal/gateway.(answerCache).put":           hotQuery,
+	"lcakp/internal/gateway.(answerCache).do":            hotQuery,
+	"lcakp/internal/gateway.(router).route":              hotQuery,
 
-	// engine: the resident-tenant lookup in front of every query a
-	// multi-tenant replica serves (~53ns/op budget).
-	"lcakp/internal/engine.(TenantTable).Get": hotQuery,
+	// engine: the resident (tenant, epoch) lookup in front of every
+	// query a replica serves (~53ns/op budget).
+	"lcakp/internal/engine.(TenantTable).GetEpoch": hotQuery,
 
 	// store: the resident-artifact point lookup the gateway consults on
 	// every cache miss before touching replicas. Opening an artifact

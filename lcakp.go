@@ -116,8 +116,6 @@ type (
 type (
 	// InstanceServer serves oracle access over TCP.
 	InstanceServer = cluster.InstanceServer
-	// LCAServer serves one LCA replica over TCP.
-	LCAServer = cluster.LCAServer
 	// LCAClient queries a remote replica.
 	LCAClient = cluster.LCAClient
 	// RemoteAccess is oracle.Access backed by a remote InstanceServer.
@@ -133,19 +131,22 @@ type (
 
 // Multi-tenant serving types (internal/engine + internal/cluster): one
 // process serving many (instance, seed) pairs. A TenantID names one
-// solution C(I, r); a TenantTable lazily derives and caches the engine
-// for each served tenant; a MultiLCAServer routes tenant-tagged wire
-// frames (protocol v3) to the table, answering untagged frames from an
-// optional default tenant so pre-tenancy clients keep working.
+// solution C(I, r), and a VersionedTenant one epoch of it; a
+// TenantTable lazily derives and caches the engine for each served
+// (tenant, epoch); a MultiLCAServer routes wire frames — each naming a
+// tenant, or none for the default tenant, and an epoch — to the table.
 type (
 	// TenantID names one solution C(I, r) = (instance identity, seed).
 	TenantID = engine.TenantID
+	// VersionedTenant names one epoch of a tenant: the consistency key.
+	VersionedTenant = engine.VersionedTenant
 	// TenantTable is a bounded, concurrent table of per-tenant engines.
 	TenantTable = engine.TenantTable
 	// TenantState is one tenant's engine plus its teardown hook.
 	TenantState = engine.TenantState
-	// TenantFactory derives the state for a tenant on first use.
-	TenantFactory = engine.TenantFactory
+	// VersionedTenantFactory derives the state for a (tenant, epoch)
+	// on first use.
+	VersionedTenantFactory = engine.VersionedTenantFactory
 	// MultiLCAServer serves many tenants' engines on one address.
 	MultiLCAServer = cluster.MultiLCAServer
 )
@@ -301,11 +302,12 @@ func NewInstanceServer(addr string, access Access) (*InstanceServer, error) {
 	return cluster.NewInstanceServer(addr, access)
 }
 
-// NewLCAServer serves an LCA replica on a TCP address. Queries run
+// NewLCAServer serves an LCA replica as tenant id on a TCP address:
+// frames naming id, and untenanted frames, reach it. Queries run
 // through an Engine so the server records per-query Metrics; build the
 // LCA over WrapAccess'd access for access counts to appear in them.
-func NewLCAServer(addr string, lca *LCAKP) (*LCAServer, error) {
-	return cluster.NewLCAServer(addr, engine.New(lca))
+func NewLCAServer(addr string, id TenantID, lca *LCAKP) (*MultiLCAServer, error) {
+	return cluster.NewLCAServer(addr, id, engine.New(lca))
 }
 
 // DialInstance connects to an instance server, yielding oracle access;
@@ -325,18 +327,18 @@ func NewFleet(access Access, k int, params Params) (*Fleet, error) {
 	return cluster.NewFleet(access, k, params)
 }
 
-// NewTenantTable builds a bounded table of per-tenant engines; the
-// factory derives each tenant's state on first query (single-flight),
-// and least-recently-used tenants are evicted once budget is exceeded
-// (budget <= 0 selects the default).
-func NewTenantTable(factory TenantFactory, budget int) *TenantTable {
-	return engine.NewTenantTable(factory, budget)
+// NewVersionedTenantTable builds a bounded table of per-(tenant,
+// epoch) engines; the factory derives each one's state on first query
+// (single-flight), and least-recently-used entries are evicted once
+// budget is exceeded (budget <= 0 selects the default).
+func NewVersionedTenantTable(factory VersionedTenantFactory, budget int) *TenantTable {
+	return engine.NewVersionedTenantTable(factory, budget)
 }
 
 // NewMultiLCAServer serves a tenant table on a TCP address: wire
-// frames carrying a tenant ID route to that tenant's engine, and
-// untagged frames go to the default tenant when one is set
-// (MultiLCAServer.SetDefaultTenant).
+// frames carrying a tenant ID route to that tenant's engine at the
+// frame's epoch, and untagged frames go to the default tenant when one
+// is set (MultiLCAServer.SetDefaultTenant).
 func NewMultiLCAServer(addr string, table *TenantTable) (*MultiLCAServer, error) {
 	return cluster.NewMultiLCAServer(addr, table)
 }

@@ -190,7 +190,7 @@ func TestFacadeRemoteWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLCAKP: %v", err)
 	}
-	replica, err := lcakp.NewLCAServer("127.0.0.1:0", lca)
+	replica, err := lcakp.NewLCAServer("127.0.0.1:0", lcakp.TenantID{Seed: 3}, lca)
 	if err != nil {
 		t.Fatalf("NewLCAServer: %v", err)
 	}
