@@ -208,16 +208,16 @@ func BenchmarkE7CouponCollector(b *testing.B) {
 	}
 	root := rng.New(4)
 	hits := 0
+	draws := make([]lcakp.Draw, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := root.DeriveIndex("trial", i)
+		if _, err := counting.SampleFrame(context.Background(), src, draws); err != nil {
+			b.Fatal(err)
+		}
 		seen := make(map[int]bool, len(heavy))
-		for s := 0; s < m; s++ {
-			idx, _, err := counting.Sample(context.Background(), src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seen[idx] = true
+		for _, d := range draws {
+			seen[d.Index] = true
 		}
 		all := true
 		for _, h := range heavy {
@@ -372,11 +372,10 @@ func BenchmarkLargeSampleAmplification(b *testing.B) {
 	for _, mult := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("x%d", mult), func(b *testing.B) {
 			src := rng.New(6)
+			draws := make([]lcakp.Draw, base*mult)
 			for i := 0; i < b.N; i++ {
-				for s := 0; s < base*mult; s++ {
-					if _, _, err := counting.Sample(context.Background(), src); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := counting.SampleFrame(context.Background(), src, draws); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"lcakp/internal/core"
+	"lcakp/internal/engine"
 	"lcakp/internal/oracle"
 	"lcakp/internal/rng"
 	"lcakp/internal/workload"
@@ -60,6 +62,45 @@ func BenchmarkRemoteSampleUnbatched(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := remote.Sample(context.Background(), src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeriveRemote is the replica's half of a cold derivation:
+// one engine query over core.LCAKP on engine.Wrap of a RemoteAccess,
+// whose 17,666 draws come in 4,096-draw frames from an in-process
+// instance server over loopback (zipf, n = 1M, ε = 0.2). The instance
+// server's work runs in the same process and is included.
+func BenchmarkDeriveRemote(b *testing.B) {
+	const n = 1_000_000
+	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: n, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc, err := oracle.NewSliceOracle(gen.Float)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewInstanceServer("127.0.0.1:0", acc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	remote, err := DialInstance(srv.Addr(), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { remote.Close() })
+	lca, err := core.NewLCAKP(engine.Wrap(remote), core.Params{Epsilon: 0.2, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := engine.New(lca)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eng.Query(ctx, i%n); err != nil {
 			b.Fatal(err)
 		}
 	}

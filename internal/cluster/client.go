@@ -159,13 +159,14 @@ type RemoteAccess struct {
 }
 
 // sampleStream is the prefetch state of one caller sampling stream:
-// the raw bytes of its current response frame, decoded entry by entry
-// as they are consumed. A refill reuses the frame's backing array.
+// the response entries no call has consumed yet, kept raw. A call that
+// leaves part of a fresh response unconsumed copies that tail into
+// buf, whose backing array every later batch reuses.
 type sampleStream struct {
 	seed     uint64 // stream identity drawn once from the caller source
 	batchNum uint64 // next batch ordinal; batches use independent seeds
-	frame    sampleFrame
-	next     int // first unconsumed entry of frame
+	buf      []byte // backing array of tail
+	tail     sampleFrame
 }
 
 // maxStreams bounds the per-source stream map.
@@ -249,12 +250,20 @@ func (r *RemoteAccess) QueryItem(ctx context.Context, i int) (knapsack.Item, err
 	return knapsack.Item{Profit: profit, Weight: weight}, nil
 }
 
-// Sample draws one profit-weighted index. The caller's source is
-// compressed into a stream seed (drawn once per source) sent to the
-// server, which draws the actual samples; batches are prefetched per
-// stream to amortize round trips. Distinct sources get statistically
-// independent streams, preserving the fresh-per-run discipline.
+// Sample draws one profit-weighted item (see SampleFrame).
 func (r *RemoteAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+	d, err := oracle.SampleOne(ctx, r, src)
+	return d.Index, d.Item, err
+}
+
+// SampleFrame fills dst with profit-weighted draws. The caller's
+// source is compressed into a stream seed (drawn once per source) sent
+// to the server, which draws the actual samples; batches are
+// prefetched per stream to amortize round trips. Distinct sources get
+// statistically independent streams, preserving the fresh-per-run
+// discipline. Entries are decoded straight from the stream's tail and
+// from fresh response payloads into dst, one index check per entry.
+func (r *RemoteAccess) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
@@ -262,17 +271,30 @@ func (r *RemoteAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsa
 	if src != r.lastSrc {
 		stream = r.stream(src)
 	}
-	if stream.next >= stream.frame.draws() {
-		if err := r.refill(ctx, stream); err != nil {
-			return 0, knapsack.Item{}, err
+	filled := 0
+	for filled < len(dst) {
+		f, fresh := stream.tail, len(stream.tail) == 0
+		if fresh {
+			var err error
+			if f, err = r.fetch(ctx, stream); err != nil {
+				return filled, err
+			}
+		}
+		k, err := f.decode(dst[filled:], r.n)
+		filled += k
+		// Keep what this call did not consume, the entry that failed
+		// its check included. A fresh payload aliases the connection's
+		// read buffer, so its tail is copied into the stream's own.
+		stream.tail = f[k*sampleEntryLen:]
+		if fresh {
+			stream.buf = append(stream.buf[:0], stream.tail...) //lint:alloc grows the stream's tail buffer to at most one batch, then reuses it for every later batch
+			stream.tail = sampleFrame(stream.buf)
+		}
+		if err != nil {
+			return filled, err
 		}
 	}
-	idx, item, err := stream.frame.draw(stream.next, r.n)
-	if err != nil {
-		return 0, knapsack.Item{}, err
-	}
-	stream.next++
-	return idx, item, nil
+	return filled, nil
 }
 
 // stream returns src's stream, creating it on first use, and makes it
@@ -292,32 +314,25 @@ func (r *RemoteAccess) stream(src *rng.Source) *sampleStream {
 	return stream
 }
 
-// refill fetches the stream's next batch and keeps its raw bytes: the
-// response payload aliases the connection's read buffer, so it is
-// copied into the stream's own frame. r.mu must be held.
-func (r *RemoteAccess) refill(ctx context.Context, stream *sampleStream) error {
+// fetch requests the stream's next batch and returns its payload,
+// which aliases the connection's read buffer until the next RPC.
+// r.mu must be held.
+func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream) (sampleFrame, error) {
 	// Each batch gets an independent server-side seed derived from the
 	// stream identity and batch ordinal.
 	batchSeed := stream.seed ^ (stream.batchNum * 0x9e3779b97f4a7c15)
 	stream.batchNum++
-	stream.frame = stream.frame[:0]
-	stream.next = 0
 	var payload [16]byte
 	binary.LittleEndian.PutUint64(payload[0:8], uint64(r.batch))
 	binary.LittleEndian.PutUint64(payload[8:16], batchSeed)
 	resp, err := r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload[:]})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := decodeMaybeErr(resp, msgSample); err != nil {
-		return err
+		return nil, err
 	}
-	f, err := decodeSampleFrame(resp.payload)
-	if err != nil {
-		return err
-	}
-	stream.frame = append(stream.frame, f...)
-	return nil
+	return decodeSampleFrame(resp.payload, r.batch)
 }
 
 // Ping performs a health-check round trip.

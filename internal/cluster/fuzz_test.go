@@ -2,12 +2,17 @@ package cluster
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
 
+	"lcakp/internal/core"
 	"lcakp/internal/engine"
 	"lcakp/internal/obs"
+	"lcakp/internal/oracle"
+	"lcakp/internal/workload"
 )
 
 // FuzzProtocolRoundTrip exercises both directions of the wire
@@ -75,6 +80,83 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 		for _, body := range [][]byte{payload, raw, key} {
 			if _, err := decodeFrameBody(body); err != nil && !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("decodeFrameBody returned an unclassified error for %d bytes: %v", len(body), err)
+			}
+		}
+	})
+}
+
+// FuzzServerRequestBodies feeds arbitrary bodies for the cold path's
+// request types — msgSample and msgQuery to the instance server,
+// msgInSolBatch to a replica — to both the instance and the membership
+// handler. Neither may panic, and each must answer with a well-formed
+// response of the request's type or with an error frame.
+func FuzzServerRequestBodies(f *testing.F) {
+	const n = 300
+	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: n, Seed: 2})
+	if err != nil {
+		f.Fatalf("Generate: %v", err)
+	}
+	acc, err := oracle.NewSliceOracle(gen.Float)
+	if err != nil {
+		f.Fatalf("NewSliceOracle: %v", err)
+	}
+	lca, err := core.NewLCAKP(acc, core.Params{Epsilon: 0.3, Seed: 2})
+	if err != nil {
+		f.Fatalf("NewLCAKP: %v", err)
+	}
+	instance := &instanceHandler{access: acc}
+	membership := &backendHandler{backends: plainBackend{backend: engineBackend{engine: engine.New(lca)}}}
+	types := []uint8{msgSample, msgQuery, msgInSolBatch}
+
+	sample := func(count, seed uint64) []byte { return putU64(putU64(nil, count), seed) }
+	f.Add(uint8(0), sample(4, 1))
+	f.Add(uint8(0), sample(0, 1))
+	f.Add(uint8(0), sample(maxSampleBatch+1, 1))
+	f.Add(uint8(0), sample(3, 9)[:12])
+	f.Add(uint8(1), putU64(nil, 7))
+	f.Add(uint8(1), putU64(nil, n))
+	f.Add(uint8(1), putU64(nil, 1<<63))
+	f.Add(uint8(2), putU64(putU64(putU64(nil, 0), 1), n-1))
+	f.Add(uint8(2), putU64(putU64(nil, 5), ^uint64(0)))
+	f.Add(uint8(2), []byte{1, 2, 3})
+	f.Add(uint8(2), []byte{})
+	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
+		msgType := types[int(sel)%len(types)]
+		req := frame{msgType: msgType, payload: payload}
+		for name, h := range map[string]handler{"instance": instance, "membership": membership} {
+			var sc connScratch
+			resp := h.handle(context.Background(), req, &sc)
+			if resp.msgType == msgErr|respBit {
+				continue
+			}
+			if resp.msgType != msgType|respBit {
+				t.Fatalf("%s: request %#x answered with type %#x", name, msgType, resp.msgType)
+			}
+			switch {
+			case name == "instance" && msgType == msgSample:
+				count := binary.LittleEndian.Uint64(payload)
+				fr, err := decodeSampleFrame(resp.payload, int(count))
+				if err != nil {
+					t.Fatalf("instance: sample response for %d draws: %v", count, err)
+				}
+				if k, err := fr.decode(make([]oracle.Draw, count), n); err != nil || k != int(count) {
+					t.Fatalf("instance: sample response decoded %d of %d draws: %v", k, count, err)
+				}
+			case name == "instance" && msgType == msgQuery:
+				if len(resp.payload) != 16 {
+					t.Fatalf("instance: query response of %d bytes", len(resp.payload))
+				}
+			case name == "membership" && msgType == msgInSolBatch:
+				if len(resp.payload) != len(payload)/8 {
+					t.Fatalf("membership: %d answers for %d indices", len(resp.payload), len(payload)/8)
+				}
+				for k, b := range resp.payload {
+					if b > 1 {
+						t.Fatalf("membership: answer %d is byte %d", k, b)
+					}
+				}
+			default:
+				t.Fatalf("%s: answered request type %#x it does not serve", name, msgType)
 			}
 		}
 	})

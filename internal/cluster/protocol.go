@@ -32,6 +32,7 @@ import (
 	"lcakp/internal/engine"
 	"lcakp/internal/knapsack"
 	"lcakp/internal/obs"
+	"lcakp/internal/oracle"
 )
 
 // Protocol limits.
@@ -341,31 +342,34 @@ func appendSample(b []byte, idx int, item knapsack.Item) []byte {
 // the stream consumes it.
 type sampleFrame []byte
 
-// decodeSampleFrame checks a sample response payload, a nonzero whole
-// number of entries. It is the one check a frame gets; draw decodes
-// each entry on consumption.
-func decodeSampleFrame(payload []byte) (sampleFrame, error) {
-	if len(payload) == 0 || len(payload)%sampleEntryLen != 0 {
-		return nil, fmt.Errorf("%w: sample payload %d bytes", ErrBadMessage, len(payload))
+// decodeSampleFrame checks a sample response payload against the
+// request it answers: exactly want entries. It is the one check a frame
+// gets; decode checks each entry's index on consumption.
+func decodeSampleFrame(payload []byte, want int) (sampleFrame, error) {
+	if want <= 0 || len(payload) != want*sampleEntryLen {
+		return nil, fmt.Errorf("%w: sample payload %d bytes for %d draws", ErrBadMessage, len(payload), want)
 	}
 	return sampleFrame(payload), nil
 }
 
-// draws returns the number of entries in the frame.
-func (f sampleFrame) draws() int { return len(f) / sampleEntryLen }
-
-// draw decodes entry k, which must be below draws(), with fixed-offset
-// loads, and rejects an index outside an instance of n items.
-func (f sampleFrame) draw(k, n int) (int, knapsack.Item, error) {
-	e := f[k*sampleEntryLen : (k+1)*sampleEntryLen]
-	idx := binary.LittleEndian.Uint64(e[0:8])
-	if idx >= uint64(n) {
-		return 0, knapsack.Item{}, fmt.Errorf("%w: sampled index %d (n=%d)", ErrBadMessage, idx, n)
+// decode fills dst from the frame's leading entries, as many as both
+// hold, with fixed-offset loads, and returns how many it filled. It
+// stops at an entry whose index lies outside an instance of n items,
+// with ErrBadMessage.
+func (f sampleFrame) decode(dst []oracle.Draw, n int) (int, error) {
+	k := min(len(dst), len(f)/sampleEntryLen)
+	for j := range k {
+		e := f[j*sampleEntryLen:][:sampleEntryLen]
+		idx := binary.LittleEndian.Uint64(e[0:8])
+		if idx >= uint64(n) {
+			return j, fmt.Errorf("%w: sampled index %d (n=%d)", ErrBadMessage, idx, n)
+		}
+		dst[j] = oracle.Draw{Index: int(idx), Item: knapsack.Item{
+			Profit: math.Float64frombits(binary.LittleEndian.Uint64(e[8:16])),
+			Weight: math.Float64frombits(binary.LittleEndian.Uint64(e[16:24])),
+		}}
 	}
-	return int(idx), knapsack.Item{
-		Profit: math.Float64frombits(binary.LittleEndian.Uint64(e[8:16])),
-		Weight: math.Float64frombits(binary.LittleEndian.Uint64(e[16:24])),
-	}, nil
+	return k, nil
 }
 
 // encodeErr builds an error response frame.

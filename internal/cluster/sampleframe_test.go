@@ -7,8 +7,10 @@ import (
 	"errors"
 	"hash"
 	"hash/fnv"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"lcakp/internal/core"
 	"lcakp/internal/knapsack"
@@ -17,10 +19,6 @@ import (
 	"lcakp/internal/store"
 	"lcakp/internal/workload"
 )
-
-// perDrawAccess hides the frame method of the access it wraps, so the
-// instance server takes its one-draw-at-a-time path.
-type perDrawAccess struct{ oracle.Access }
 
 // expectedRemoteDraws replays what a RemoteAccess with the given batch
 // size returns for its first draws from src: the stream seed is src's
@@ -43,10 +41,13 @@ func expectedRemoteDraws(t *testing.T, acc oracle.Access, src *rng.Source, batch
 }
 
 // TestRemoteSampleMatchesPerDrawSequence holds the remote sample path
-// — the server's two-pass frames and the client's decode on
-// consumption — to the per-draw Sample sequence, for frame sizes whose
-// streams span several frames and a 4,096-draw frame that spans the
-// server's draw chunk, and for a server that draws one by one.
+// — the server's two-pass frames and the client's decode into the
+// caller's frame — to the per-draw Sample sequence, for batch sizes
+// whose streams span several batches and a 4,096-draw batch that
+// spans the server's draw chunk. Callers draw one at a time, and in
+// frames of mixed sizes that start and end inside batches; both ways
+// interleave two sources, which evict each other from the client's
+// last-stream cache on every call.
 func TestRemoteSampleMatchesPerDrawSequence(t *testing.T) {
 	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 5000, Seed: 3})
 	if err != nil {
@@ -56,38 +57,120 @@ func TestRemoteSampleMatchesPerDrawSequence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSliceOracle: %v", err)
 	}
-	for name, served := range map[string]oracle.Access{"framed": acc, "per-draw": perDrawAccess{acc}} {
-		srv, err := NewInstanceServer("127.0.0.1:0", served)
+	srv, err := NewInstanceServer("127.0.0.1:0", acc)
+	if err != nil {
+		t.Fatalf("NewInstanceServer: %v", err)
+	}
+	defer srv.Close()
+	for _, batch := range []int{1, 1000, sampleChunk, sampleChunk + 5} {
+		remote, err := DialInstance(srv.Addr(), 0, batch)
 		if err != nil {
-			t.Fatalf("NewInstanceServer: %v", err)
+			t.Fatalf("DialInstance: %v", err)
 		}
-		for _, batch := range []int{1, 1000, sampleChunk, sampleChunk + 5} {
-			remote, err := DialInstance(srv.Addr(), 0, batch)
+		draws := 2*batch + batch/2 + 3
+		want := expectedRemoteDraws(t, acc, rng.New(uint64(batch)), batch, draws)
+		src, other := rng.New(uint64(batch)), rng.New(99)
+		for k, w := range want {
+			idx, item, err := remote.Sample(context.Background(), src)
 			if err != nil {
-				t.Fatalf("DialInstance: %v", err)
+				t.Fatalf("batch=%d: Sample %d: %v", batch, k, err)
 			}
-			draws := 2*batch + batch/2 + 3
-			want := expectedRemoteDraws(t, acc, rng.New(uint64(batch)), batch, draws)
-			// Two interleaved sources: the second evicts the first from
-			// the client's last-stream cache on every draw.
-			src, other := rng.New(uint64(batch)), rng.New(99)
-			for k, w := range want {
-				idx, item, err := remote.Sample(context.Background(), src)
-				if err != nil {
-					t.Fatalf("%s batch=%d: Sample %d: %v", name, batch, k, err)
+			if idx != w.Index || item != w.Item {
+				t.Fatalf("batch=%d: draw %d = (%d, %+v), want (%d, %+v)", batch, k, idx, item, w.Index, w.Item)
+			}
+			if k%3 == 0 {
+				if _, _, err := remote.Sample(context.Background(), other); err != nil {
+					t.Fatalf("batch=%d: interleaved Sample: %v", batch, err)
 				}
-				if idx != w.Index || item != w.Item {
-					t.Fatalf("%s batch=%d: draw %d = (%d, %+v), want (%d, %+v)", name, batch, k, idx, item, w.Index, w.Item)
+			}
+		}
+
+		// Mixed frame sizes: a lone draw, a large-item stage, a whole
+		// server chunk and a frame past it, in opposite orders on the
+		// two sources.
+		sizes := [][]int{{1, 1266, 4096, 4100}, {4100, 4096, 1266, 1}}
+		srcs := make([]*rng.Source, len(sizes))
+		wants := make([][]oracle.Draw, len(sizes))
+		for s := range sizes {
+			seed := uint64(batch + 1000*(s+1))
+			srcs[s] = rng.New(seed)
+			wants[s] = expectedRemoteDraws(t, acc, rng.New(seed), batch, 1+1266+4096+4100)
+		}
+		for f := range sizes[0] {
+			for s, src := range srcs {
+				dst := make([]oracle.Draw, sizes[s][f])
+				n, err := remote.SampleFrame(context.Background(), src, dst)
+				if err != nil || n != len(dst) {
+					t.Fatalf("batch=%d: source %d frame %d of %d: filled %d, %v", batch, s, f, len(dst), n, err)
 				}
-				if k%3 == 0 {
-					if _, _, err := remote.Sample(context.Background(), other); err != nil {
-						t.Fatalf("%s batch=%d: interleaved Sample: %v", name, batch, err)
+				for k, d := range dst {
+					if d != wants[s][k] {
+						t.Fatalf("batch=%d: source %d frame %d: draw %d = %+v, want %+v", batch, s, f, k, d, wants[s][k])
 					}
 				}
+				wants[s] = wants[s][len(dst):]
 			}
-			remote.Close()
 		}
-		srv.Close()
+		remote.Close()
+	}
+}
+
+// TestRemoteSampleRejectsWrongFrameSize scripts an instance server that
+// answers a 4,096-draw request with 4,095 entries, then with 4,097: both
+// must fail with ErrBadMessage rather than shift the stream's later
+// draws, and the next well-sized batch must decode from its first
+// entry.
+func TestRemoteSampleRejectsWrongFrameSize(t *testing.T) {
+	const batch, n = 4096, 10_000
+	entries := func(count int) []byte {
+		var b []byte
+		for k := range count {
+			b = appendSample(b, k, knapsack.Item{Profit: 1e-4, Weight: float64(k)})
+		}
+		return b
+	}
+	answers := [][]byte{entries(batch - 1), entries(batch + 1), entries(batch)}
+	addr := scriptedServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		for {
+			req, err := readFrame(conn)
+			if err != nil {
+				return
+			}
+			resp := frame{msgType: req.msgType | respBit}
+			switch req.msgType {
+			case msgInfo:
+				resp.payload = putF64(putU64(nil, n), 1)
+			case msgSample:
+				if len(answers) == 0 {
+					return
+				}
+				resp.payload, answers = answers[0], answers[1:]
+			}
+			if err := writeFrame(conn, resp); err != nil {
+				return
+			}
+		}
+	})
+	remote, err := DialInstance(addr, time.Second, batch)
+	if err != nil {
+		t.Fatalf("DialInstance: %v", err)
+	}
+	defer remote.Close()
+	src := rng.New(1)
+	dst := make([]oracle.Draw, batch)
+	for _, name := range []string{"short", "long"} {
+		if k, err := remote.SampleFrame(context.Background(), src, dst); !errors.Is(err, ErrBadMessage) || k != 0 {
+			t.Fatalf("%s frame: filled %d, err %v, want 0 and ErrBadMessage", name, k, err)
+		}
+	}
+	if k, err := remote.SampleFrame(context.Background(), src, dst); err != nil || k != batch {
+		t.Fatalf("well-sized frame: filled %d, err %v", k, err)
+	}
+	for k, d := range dst {
+		if d.Index != k || d.Item.Weight != float64(k) {
+			t.Fatalf("draw %d = %+v, want entry %d", k, d, k)
+		}
 	}
 }
 
@@ -141,10 +224,17 @@ type remoteDrawHashing struct {
 	h hash.Hash64
 }
 
+func (d *remoteDrawHashing) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+	n, err := d.Access.SampleFrame(ctx, src, dst)
+	for _, dr := range dst[:n] {
+		d.h.Write(appendSample(nil, dr.Index, dr.Item))
+	}
+	return n, err
+}
+
 func (d *remoteDrawHashing) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-	idx, item, err := d.Access.Sample(ctx, src)
-	d.h.Write(appendSample(nil, idx, item))
-	return idx, item, err
+	dr, err := oracle.SampleOne(ctx, d, src)
+	return dr.Index, dr.Item, err
 }
 
 // TestRemoteMaterializeMatchesGolden derives the canonical rule of one
@@ -195,8 +285,9 @@ func TestRemoteMaterializeMatchesGolden(t *testing.T) {
 // FuzzSampleFrameDecode feeds arbitrary payloads to the client's
 // sample-frame decoder: each either fails the one length check or
 // yields draws that are in range for n or rejected, and that encode
-// back to exactly the bytes they came from. It must never panic or
-// read out of range.
+// back to exactly the bytes they came from. A payload of one entry
+// more or less than requested is always rejected. It must never panic
+// or read out of range.
 func FuzzSampleFrameDecode(f *testing.F) {
 	var valid []byte
 	valid = appendSample(valid, 3, knapsack.Item{Profit: 0.25, Weight: 0.5})
@@ -208,7 +299,13 @@ func FuzzSampleFrameDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 48), uint32(1<<31))
 	f.Fuzz(func(t *testing.T, payload []byte, n32 uint32) {
 		n := int(n32)
-		fr, err := decodeSampleFrame(payload)
+		want := len(payload) / sampleEntryLen
+		for _, wrong := range []int{want - 1, want + 1} {
+			if _, err := decodeSampleFrame(payload, wrong); !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("%d bytes as %d draws: err %v, want ErrBadMessage", len(payload), wrong, err)
+			}
+		}
+		fr, err := decodeSampleFrame(payload, want)
 		if err != nil {
 			if !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("unclassified decode error: %v", err)
@@ -218,27 +315,35 @@ func FuzzSampleFrameDecode(f *testing.F) {
 			}
 			return
 		}
-		if fr.draws()*sampleEntryLen != len(payload) || fr.draws() == 0 {
-			t.Fatalf("%d draws from %d bytes", fr.draws(), len(payload))
+		if want*sampleEntryLen != len(payload) || want == 0 {
+			t.Fatalf("accepted %d bytes as %d draws", len(payload), want)
 		}
-		for k := range fr.draws() {
-			idx, item, err := fr.draw(k, n)
-			entry := payload[k*sampleEntryLen : (k+1)*sampleEntryLen]
-			if err != nil {
-				if !errors.Is(err, ErrBadMessage) {
-					t.Fatalf("draw %d: unclassified error %v", k, err)
+		dst := make([]oracle.Draw, want)
+		for k := 0; k < want; {
+			filled, err := fr[k*sampleEntryLen:].decode(dst[k:], n)
+			for j, d := range dst[k : k+filled] {
+				entry := payload[(k+j)*sampleEntryLen : (k+j+1)*sampleEntryLen]
+				if d.Index < 0 || d.Index >= n {
+					t.Fatalf("draw %d: index %d out of range (n=%d)", k+j, d.Index, n)
 				}
-				if idx, _ := getU64(entry, 0); idx < uint64(n) {
-					t.Fatalf("draw %d: rejected in-range index %d (n=%d)", k, idx, n)
+				if re := appendSample(nil, d.Index, d.Item); !bytes.Equal(re, entry) {
+					t.Fatalf("draw %d: re-encodes to %x, frame holds %x", k+j, re, entry)
 				}
-				continue
 			}
-			if idx < 0 || idx >= n {
-				t.Fatalf("draw %d: index %d out of range (n=%d)", k, idx, n)
+			k += filled
+			if err == nil {
+				if k != want {
+					t.Fatalf("decoded %d of %d draws without error", k, want)
+				}
+				break
 			}
-			if re := appendSample(nil, idx, item); !bytes.Equal(re, entry) {
-				t.Fatalf("draw %d: re-encodes to %x, frame holds %x", k, re, entry)
+			if !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("draw %d: unclassified error %v", k, err)
 			}
+			if idx, _ := getU64(payload, k*sampleEntryLen); idx < uint64(n) {
+				t.Fatalf("draw %d: rejected in-range index %d (n=%d)", k, idx, n)
+			}
+			k++
 		}
 	})
 }

@@ -413,50 +413,23 @@ func (h *instanceHandler) handle(ctx context.Context, req frame, sc *connScratch
 	}
 }
 
-// frameSampler is the frame method the instance server uses when its
-// access has one (oracle.SliceOracle): SampleFrame fills dst with
-// exactly the draws len(dst) successive Sample calls with src would
-// return, in order, and leaves src where those calls would.
-type frameSampler interface {
-	SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) error
-}
-
-var _ frameSampler = (*oracle.SliceOracle)(nil)
-
-// sampleChunk is how many draws the instance server takes from a frame
-// sampler between context checks.
+// sampleChunk is how many draws the instance server takes from its
+// access per frame call, between context checks.
 const sampleChunk = 4096
 
-// drawSamples encodes count draws from src into sc.out. An access with
-// a frame method fills the response sampleChunk draws at a time, in
-// two passes; any other access (Sharded, test doubles) draws one by
-// one.
+// drawSamples encodes count draws from src into sc.out, filling the
+// response sampleChunk draws at a time.
 func (h *instanceHandler) drawSamples(ctx context.Context, src *rng.Source, count int, sc *connScratch) ([]byte, error) {
-	payload := sc.out[:0]
-	fs, ok := h.access.(frameSampler)
-	if !ok {
-		for k := 0; k < count; k++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sample batch aborted at %d/%d: %w", k, count, err)
-			}
-			idx, item, err := h.access.Sample(ctx, src)
-			if err != nil {
-				return nil, err
-			}
-			payload = appendSample(payload, idx, item)
-		}
-		sc.out = payload
-		return payload, nil
-	}
 	if cap(sc.draws) < sampleChunk {
 		sc.draws = make([]oracle.Draw, sampleChunk) //lint:alloc grows the connection's reused draw buffer once; amortized to zero across its sample RPCs
 	}
+	payload := sc.out[:0]
 	for done := 0; done < count; {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sample batch aborted at %d/%d: %w", done, count, err)
 		}
 		draws := sc.draws[:min(count-done, sampleChunk)]
-		if err := fs.SampleFrame(ctx, src, draws); err != nil {
+		if _, err := h.access.SampleFrame(ctx, src, draws); err != nil {
 			return nil, err
 		}
 		for _, d := range draws {

@@ -44,11 +44,16 @@ func (s *slowAccess) QueryItem(ctx context.Context, i int) (knapsack.Item, error
 	return s.inner.QueryItem(ctx, i)
 }
 
-func (s *slowAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+func (s *slowAccess) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
 	if err := s.wait(ctx); err != nil {
-		return 0, knapsack.Item{}, err
+		return 0, err
 	}
-	return s.inner.Sample(ctx, src)
+	return s.inner.SampleFrame(ctx, src, dst)
+}
+
+func (s *slowAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+	d, err := oracle.SampleOne(ctx, s, src)
+	return d.Index, d.Item, err
 }
 
 func (s *slowAccess) N() int            { return s.inner.N() }

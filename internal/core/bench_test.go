@@ -81,9 +81,10 @@ func fmtEps(eps float64) string {
 func BenchmarkCollectLarge(b *testing.B) {
 	lca, _ := benchLCA(b, 10_000, 0.2)
 	root := rng.New(1)
+	draws := lca.drawBuffer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := lca.collectLarge(context.Background(), root.DeriveIndex("r", i)); err != nil {
+		if _, _, err := lca.collectLarge(context.Background(), root.DeriveIndex("r", i), draws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,9 +93,10 @@ func BenchmarkCollectLarge(b *testing.B) {
 func BenchmarkEstimateEPS(b *testing.B) {
 	lca, _ := benchLCA(b, 10_000, 0.2)
 	root := rng.New(1)
+	draws := lca.drawBuffer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := lca.estimateEPS(context.Background(), root.DeriveIndex("r", i), 0); err != nil {
+		if _, _, _, err := lca.estimateEPS(context.Background(), root.DeriveIndex("r", i), 0, draws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,11 +108,12 @@ func BenchmarkConvertGreedy(b *testing.B) {
 	lca, _ := benchLCA(b, 10_000, 0.2)
 	ctx := context.Background()
 	fresh := rng.New(1)
-	large, _, err := lca.collectLarge(ctx, fresh.Derive("large"))
+	draws := lca.drawBuffer()
+	large, _, err := lca.collectLarge(ctx, fresh.Derive("large"), draws)
 	if err != nil {
 		b.Fatal(err)
 	}
-	thresholds, _, _, err := lca.estimateEPS(ctx, fresh.Derive("eps"), 0)
+	thresholds, _, _, err := lca.estimateEPS(ctx, fresh.Derive("eps"), 0, draws)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // cancelAfterSamples is an oracle access that, while armed, cancels
-// its context after serving a fixed number of weighted samples, then
-// counts every access made after the cancellation fired.
+// its context in the frame that serves its after-th weighted sample,
+// then counts every access call made after the cancellation fired.
 type cancelAfterSamples struct {
 	inner  oracle.Access
 	cancel context.CancelFunc
@@ -33,15 +33,23 @@ func (c *cancelAfterSamples) QueryItem(ctx context.Context, i int) (knapsack.Ite
 	return c.inner.QueryItem(ctx, i)
 }
 
-func (c *cancelAfterSamples) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+func (c *cancelAfterSamples) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
 	if c.fired.Load() {
 		c.postCancel.Add(1)
 	}
-	if c.armed.Load() && c.samples.Add(1) == c.after {
-		c.cancel()
-		c.fired.Store(true)
+	if c.armed.Load() {
+		m := int64(len(dst))
+		if n := c.samples.Add(m); n >= c.after && n-m < c.after {
+			c.cancel()
+			c.fired.Store(true)
+		}
 	}
-	return c.inner.Sample(ctx, src)
+	return c.inner.SampleFrame(ctx, src, dst)
+}
+
+func (c *cancelAfterSamples) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+	d, err := oracle.SampleOne(ctx, c, src)
+	return d.Index, d.Item, err
 }
 
 func (c *cancelAfterSamples) N() int            { return c.inner.N() }
@@ -49,7 +57,7 @@ func (c *cancelAfterSamples) Capacity() float64 { return c.inner.Capacity() }
 
 // TestQueryCancellationMidRun cancels the context partway through the
 // sampling pipeline and checks the three cancellation guarantees: the
-// run aborts within one sampling-loop iteration, the error wraps
+// run aborts within one frame call, the error wraps
 // context.Canceled, and the LCAKP stays reusable — a later run with
 // the same fresh randomness answers exactly as a run before the abort.
 func TestQueryCancellationMidRun(t *testing.T) {
@@ -82,9 +90,9 @@ func TestQueryCancellationMidRun(t *testing.T) {
 		}
 	}
 
-	// The aborted run: the access cancels ctx at its 10th armed sample
-	// (pipelines need far more), so the sampling loop must stop at its
-	// next iteration boundary.
+	// The aborted run: the access cancels ctx in the frame that serves
+	// its 10th armed sample (pipelines need far more), so the sampling
+	// loop must stop before its next frame call.
 	wrapped.armed.Store(true)
 	_, err = lca.Query(ctx, 0)
 	if !errors.Is(err, context.Canceled) {

@@ -115,18 +115,30 @@ func (l *LCAKP) QueryBatch(ctx context.Context, indices []int) ([]bool, error) {
 	return answers, nil
 }
 
+// drawChunk is how many draws a derivation asks its access for in one
+// frame call: the instance server's frame size.
+const drawChunk = 4096
+
+// drawBuffer is one derivation's frame buffer, shared by both sampling
+// stages.
+func (l *LCAKP) drawBuffer() []oracle.Draw {
+	return make([]oracle.Draw, min(drawChunk, max(l.params.LargeSamples, l.params.QuantileSamples)))
+}
+
 // ComputeRule executes one full run of Algorithm 2 up to (and
 // including) CONVERT-GREEDY and returns the local decision rule.
 // fresh provides this run's sampling randomness; the reproducible
-// internal randomness comes from the LCA's shared seed. Cancellation
-// and deadline expiry are checked at every sampling-loop iteration, so
-// an aborted run stops within one access of ctx firing.
+// internal randomness comes from the LCA's shared seed. Both sampling
+// stages draw in frames of at most drawChunk draws and check
+// cancellation and deadline expiry before each, so an aborted run
+// stops within one frame call (at most drawChunk draws) of ctx firing.
 func (l *LCAKP) ComputeRule(ctx context.Context, fresh *rng.Source) (Rule, error) {
 	eps := l.params.Epsilon
+	draws := l.drawBuffer()
 
 	// Line 1-3: collect the large items. Sampling proportionally to
 	// profit finds every item with profit > ε² w.h.p. (Lemma 4.2).
-	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"))
+	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"), draws)
 	if err != nil {
 		return Rule{}, err
 	}
@@ -138,7 +150,7 @@ func (l *LCAKP) ComputeRule(ctx context.Context, fresh *rng.Source) (Rule, error
 	if 1-largeMass >= eps {
 		var smallEffs []float64
 		var totalDraws int
-		thresholds, smallEffs, totalDraws, err = l.estimateEPS(ctx, fresh.Derive("eps"), largeMass)
+		thresholds, smallEffs, totalDraws, err = l.estimateEPS(ctx, fresh.Derive("eps"), largeMass, draws)
 		if err != nil {
 			return Rule{}, err
 		}
@@ -161,32 +173,35 @@ func (l *LCAKP) ComputeRule(ctx context.Context, fresh *rng.Source) (Rule, error
 // completeness w.h.p.). With UseHeavyHitters it instead runs the
 // reproducible heavy-hitters selector over the sample, whose output
 // set is identical across runs w.h.p. It returns the collected items
-// and their total (distinct) profit mass.
-func (l *LCAKP) collectLarge(ctx context.Context, fresh *rng.Source) (map[int]knapsack.Item, float64, error) {
+// and their total (distinct) profit mass. draws is the frame buffer.
+func (l *LCAKP) collectLarge(ctx context.Context, fresh *rng.Source, draws []oracle.Draw) (map[int]knapsack.Item, float64, error) {
 	eps2 := l.params.Eps2()
 	large := make(map[int]knapsack.Item)
 	seenItems := make(map[int]knapsack.Item)
 	ids := make([]int, 0, l.params.LargeSamples)
 	mass := 0.0
-	for s := 0; s < l.params.LargeSamples; s++ {
+	for s := 0; s < l.params.LargeSamples; {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, fmt.Errorf("core: large-item sampling aborted at sample %d: %w", s, err)
 		}
-		idx, it, err := l.access.Sample(ctx, fresh)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: large-item sample %d: %w", ErrSampling, s, err)
+		frame := draws[:min(len(draws), l.params.LargeSamples-s)]
+		if n, err := l.access.SampleFrame(ctx, fresh, frame); err != nil {
+			return nil, 0, fmt.Errorf("%w: large-item sample %d: %w", ErrSampling, s+n, err)
 		}
-		if l.params.UseHeavyHitters {
-			ids = append(ids, idx)
-			seenItems[idx] = it
-			continue
-		}
-		if _, seen := large[idx]; seen {
-			continue
-		}
-		if it.Profit > eps2 {
-			large[idx] = it
-			mass += it.Profit
+		s += len(frame)
+		for _, d := range frame {
+			if l.params.UseHeavyHitters {
+				ids = append(ids, d.Index)
+				seenItems[d.Index] = d.Item
+				continue
+			}
+			if _, seen := large[d.Index]; seen {
+				continue
+			}
+			if d.Item.Profit > eps2 {
+				large[d.Index] = d.Item
+				mass += d.Item.Profit
+			}
 		}
 	}
 	if !l.params.UseHeavyHitters {
@@ -214,7 +229,8 @@ func (l *LCAKP) collectLarge(ctx context.Context, fresh *rng.Source) (map[int]kn
 // index, so independent runs reconstruct identical random choices.
 // It also returns the efficiencies of the sampled SMALL items plus the
 // total draw count, the inputs of the degenerate-case weight guard.
-func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass float64) ([]float64, []float64, int, error) {
+// draws is the frame buffer.
+func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass float64, draws []oracle.Draw) ([]float64, []float64, int, error) {
 	eps := l.params.Epsilon
 	eps2 := l.params.Eps2()
 
@@ -234,21 +250,24 @@ func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass fl
 	sampleSrc := fresh.Derive("draw")
 	indices := make([]int, 0, l.params.QuantileSamples)
 	smallEffs := make([]float64, 0, l.params.QuantileSamples)
-	for s := 0; s < l.params.QuantileSamples; s++ {
+	for s := 0; s < l.params.QuantileSamples; {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, fmt.Errorf("core: EPS sampling aborted at sample %d: %w", s, err)
 		}
-		_, it, err := l.access.Sample(ctx, sampleSrc)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("%w: EPS sample %d: %w", ErrSampling, s, err)
+		frame := draws[:min(len(draws), l.params.QuantileSamples-s)]
+		if n, err := l.access.SampleFrame(ctx, sampleSrc, frame); err != nil {
+			return nil, nil, 0, fmt.Errorf("%w: EPS sample %d: %w", ErrSampling, s+n, err)
 		}
-		if it.Profit > eps2 {
-			continue
-		}
-		eff := it.Efficiency()
-		indices = append(indices, l.domain.Index(eff))
-		if eff >= eps2 {
-			smallEffs = append(smallEffs, eff)
+		s += len(frame)
+		for _, d := range frame {
+			if d.Item.Profit > eps2 {
+				continue
+			}
+			eff := d.Item.Efficiency()
+			indices = append(indices, l.domain.Index(eff))
+			if eff >= eps2 {
+				smallEffs = append(smallEffs, eff)
+			}
 		}
 	}
 	if len(indices) == 0 {

@@ -39,14 +39,15 @@ type ValueEstimate struct {
 // runs return the same estimate w.h.p.
 func (l *LCAKP) EstimateOPT(ctx context.Context, fresh *rng.Source) (ValueEstimate, error) {
 	eps := l.params.Epsilon
+	draws := l.drawBuffer()
 
-	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"))
+	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"), draws)
 	if err != nil {
 		return ValueEstimate{}, err
 	}
 	var thresholds []float64
 	if 1-largeMass >= eps {
-		thresholds, _, _, err = l.estimateEPS(ctx, fresh.Derive("eps"), largeMass)
+		thresholds, _, _, err = l.estimateEPS(ctx, fresh.Derive("eps"), largeMass, draws)
 		if err != nil {
 			return ValueEstimate{}, err
 		}

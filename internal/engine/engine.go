@@ -97,12 +97,14 @@ func Instrument() Middleware {
 				obs.AddProbes(ctx, 1)
 				return next.QueryItem(ctx, i)
 			},
-			sample: func(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+				n, err := next.SampleFrame(ctx, src, dst)
+				charged := attempted(n, err)
 				if rec, ok := ctx.Value(recordKey{}).(*record); ok {
-					rec.samples.Add(1)
+					rec.samples.Add(charged)
 				}
-				obs.AddProbes(ctx, 1)
-				return next.Sample(ctx, src)
+				obs.AddProbes(ctx, charged)
+				return n, err
 			},
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"lcakp/internal/knapsack"
 	"lcakp/internal/oracle"
 	"lcakp/internal/rng"
+	"lcakp/internal/workload"
 )
 
 // testAccess builds a tiny normalized instance and its slice oracle.
@@ -177,6 +178,110 @@ func TestWithFaultsDeterministic(t *testing.T) {
 	}
 	if len(failures) != 3 || failures[0] != 2 || failures[1] != 5 || failures[2] != 8 {
 		t.Errorf("failures at %v, want every 3rd access", failures)
+	}
+}
+
+// TestFrameAccountingMatchesPerDraw drives one middleware chain —
+// counter, budget, faults, Instrument, slice oracle — once with a
+// 4,096-draw frame and once with 4,096 one-draw frames that stop at
+// the first error, as core's per-draw loop did. Every layer must
+// charge the frame exactly as it charges the draws: same draws, same
+// source position, same Spent, counter totals and per-query record, and
+// the same error, for budgets ending before, inside, at and past the
+// frame and with a fault inside it. The charges must also be the
+// per-draw ones: every attempted draw, the refused or failed one
+// included. A second chain puts Instrument outermost, where it sees
+// the failed draws too.
+func TestFrameAccountingMatchesPerDraw(t *testing.T) {
+	const frame = 4096
+	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 5000, Seed: 1})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	base, err := oracle.NewSliceOracle(gen.Float)
+	if err != nil {
+		t.Fatalf("NewSliceOracle: %v", err)
+	}
+	injected := errors.New("backend down")
+
+	// drive runs one fresh chain and returns its draws and everything
+	// it charged.
+	type charged struct {
+		tail            uint64
+		spent           int64
+		counted, record int64
+		budgetErr       bool
+		faultErr        bool
+	}
+	drive := func(budget, every int64, instrumentOutermost, oneByOne bool) ([]oracle.Draw, charged) {
+		counter := &Counter{}
+		b := NewBudget(budget)
+		mws := []Middleware{WithCounter(counter), WithBudget(b), WithFaults(every, injected), Instrument()}
+		if instrumentOutermost {
+			mws = append(mws[3:], mws[:3]...)
+		}
+		chain := Chain(base, mws...)
+		ctx, rec := withRecord(context.Background())
+		src := rng.New(uint64(budget)*31 + uint64(every))
+		dst := make([]oracle.Draw, frame)
+		var n int
+		var err error
+		if oneByOne {
+			for ; n < frame; n++ {
+				if _, err = chain.SampleFrame(ctx, src, dst[n:n+1]); err != nil {
+					break
+				}
+			}
+		} else {
+			n, err = chain.SampleFrame(ctx, src, dst)
+		}
+		return dst[:n], charged{
+			tail:      src.Uint64(),
+			spent:     b.Spent(),
+			counted:   counter.Samples(),
+			record:    rec.samples.Load(),
+			budgetErr: errors.Is(err, oracle.ErrBudgetExhausted),
+			faultErr:  errors.Is(err, injected),
+		}
+	}
+	for _, outer := range []bool{false, true} {
+		for _, budget := range []int64{0, 1, frame - 1, frame, frame + 1} {
+			for _, every := range []int64{0, 7} {
+				name := fmt.Sprintf("instrument outermost=%v B=%d k=%d", outer, budget, every)
+				framedDraws, framed := drive(budget, every, outer, false)
+				perDrawDraws, perDraw := drive(budget, every, outer, true)
+				if len(framedDraws) != len(perDrawDraws) {
+					t.Fatalf("%s: frame filled %d draws, per-draw %d", name, len(framedDraws), len(perDrawDraws))
+				}
+				for i := range framedDraws {
+					if framedDraws[i] != perDrawDraws[i] {
+						t.Fatalf("%s: draw %d = %+v, per-draw %+v", name, i, framedDraws[i], perDrawDraws[i])
+					}
+				}
+				if framed != perDraw {
+					t.Errorf("%s: frame charged %+v, per-draw %+v", name, framed, perDraw)
+				}
+
+				// The charges per-draw access makes: the draws before
+				// the first refused (budget) or failed (fault) one run,
+				// and every layer that sees that one charges it too.
+				beforeFault := int64(frame)
+				if every > 0 {
+					beforeFault = every - 1
+				}
+				filled := min(budget, beforeFault, frame)
+				attempts := min(filled+1, frame)
+				record := filled
+				if outer {
+					record = attempts
+				}
+				want := charged{tail: framed.tail, spent: attempts, counted: attempts, record: record,
+					budgetErr: filled < frame && budget <= beforeFault, faultErr: filled < frame && budget > beforeFault}
+				if int64(len(framedDraws)) != filled || framed != want {
+					t.Errorf("%s: filled %d and charged %+v, want %d and %+v", name, len(framedDraws), framed, filled, want)
+				}
+			}
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -52,11 +53,13 @@ func Chain(base oracle.Access, mws ...Middleware) oracle.Access {
 // access is the generic middleware node: hooks around an inner Access.
 // Nil hooks forward untouched; N and Capacity always forward (the
 // model gives both to the algorithm for free, so no middleware meters
-// them).
+// them). Sampling has one hook, over frames: a middleware charges a
+// frame once, exactly as the draws of one-draw frames that stop at the
+// first failure would be charged one by one.
 type access struct {
-	inner     oracle.Access
-	queryItem func(ctx context.Context, i int) (knapsack.Item, error)
-	sample    func(ctx context.Context, src *rng.Source) (int, knapsack.Item, error)
+	inner       oracle.Access
+	queryItem   func(ctx context.Context, i int) (knapsack.Item, error)
+	sampleFrame func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error)
 }
 
 var _ oracle.Access = (*access)(nil)
@@ -68,11 +71,61 @@ func (a *access) QueryItem(ctx context.Context, i int) (knapsack.Item, error) {
 	return a.inner.QueryItem(ctx, i)
 }
 
-func (a *access) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-	if a.sample != nil {
-		return a.sample(ctx, src)
+func (a *access) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+	if a.sampleFrame != nil {
+		return a.sampleFrame(ctx, src, dst)
 	}
-	return a.inner.Sample(ctx, src)
+	return a.inner.SampleFrame(ctx, src, dst)
+}
+
+func (a *access) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+	d, err := oracle.SampleOne(ctx, a, src)
+	return d.Index, d.Item, err
+}
+
+// attempted is how many draws a frame that filled n of them charges:
+// the draws it filled, plus the one that failed, if any. Per-draw
+// access charges a failed attempt too.
+func attempted(n int, err error) int64 {
+	if err != nil {
+		return int64(n) + 1
+	}
+	return int64(n)
+}
+
+// gatedFrame runs a frame through a per-draw gate over tally, an
+// access count shared by concurrent callers, and charges tally as
+// one-draw calls that stop at the first failing one would. pass(t) is
+// how many draws the gate lets through while tally stands at t. The
+// frame forwards that prefix to next; when the gate cut it short, it
+// then fails with fail(), charging the prefix plus the refused draw.
+// When next fails first, the draws after its failure were never
+// attempted, so their charge goes back to tally.
+func gatedFrame(ctx context.Context, next oracle.Access, src *rng.Source, dst []oracle.Draw,
+	tally *atomic.Int64, pass func(t int64) int64, fail func() error) (int, error) {
+	var ok, charge int64
+	for {
+		t := tally.Load()
+		ok = min(max(pass(t), 0), int64(len(dst)))
+		charge = ok
+		if ok < int64(len(dst)) {
+			charge++
+		}
+		if tally.CompareAndSwap(t, t+charge) {
+			break
+		}
+	}
+	if ok > 0 {
+		n, err := next.SampleFrame(ctx, src, dst[:ok])
+		if err != nil {
+			tally.Add(attempted(n, err) - charge)
+			return n, err
+		}
+	}
+	if ok < int64(len(dst)) {
+		return int(ok), fail()
+	}
+	return len(dst), nil
 }
 
 func (a *access) N() int            { return a.inner.N() }
@@ -111,9 +164,10 @@ func WithCounter(c *Counter) Middleware {
 				c.queries.Add(1)
 				return next.QueryItem(ctx, i)
 			},
-			sample: func(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-				c.samples.Add(1)
-				return next.Sample(ctx, src)
+			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+				n, err := next.SampleFrame(ctx, src, dst)
+				c.samples.Add(attempted(n, err))
+				return n, err
 			},
 		}
 	}
@@ -160,9 +214,11 @@ func (b *Budget) Remaining() int64 {
 // take consumes one unit, reporting false once the budget is spent.
 func (b *Budget) take() bool { return b.spent.Add(1) <= b.budget }
 
-// WithBudget fails accesses once b is spent. The returned error
-// satisfies errors.Is(err, oracle.ErrBudgetExhausted) through any
-// number of outer layers.
+// WithBudget fails accesses once b is spent. A sample frame forwards
+// only the prefix the budget still covers, then fails, and moves
+// Spent as that many draws and the refused one would. The returned
+// error satisfies errors.Is(err, oracle.ErrBudgetExhausted) through
+// any number of outer layers.
 func WithBudget(b *Budget) Middleware {
 	return func(next oracle.Access) oracle.Access {
 		return &access{
@@ -174,12 +230,11 @@ func WithBudget(b *Budget) Middleware {
 				}
 				return next.QueryItem(ctx, i)
 			},
-			sample: func(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-				if !b.take() {
+			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+				return gatedFrame(ctx, next, src, dst, &b.spent, func(spent int64) int64 { return b.budget - spent }, func() error {
 					obs.AddWarnEvent(ctx, "engine.budget_exhausted", obs.Int("budget", b.budget))
-					return 0, knapsack.Item{}, fmt.Errorf("engine: sample: %w", oracle.ErrBudgetExhausted)
-				}
-				return next.Sample(ctx, src)
+					return fmt.Errorf("engine: sample: %w", oracle.ErrBudgetExhausted)
+				})
 			},
 		}
 	}
@@ -202,8 +257,9 @@ func NewBudgeted(inner oracle.Access, budget int64) *Budgeted {
 // WithLatency delays every access by d before forwarding, honoring
 // context cancellation and deadlines: if ctx fires during the delay
 // the access fails with a wrapped ctx.Err() and the inner access is
-// never touched. It is the fault-injection middleware for deadline
-// and slow-backend testing.
+// never touched. A sample frame is one access: it is delayed once. It
+// is the fault-injection middleware for deadline and slow-backend
+// testing.
 func WithLatency(d time.Duration) Middleware {
 	sleep := func(ctx context.Context) error {
 		timer := time.NewTimer(d)
@@ -224,11 +280,11 @@ func WithLatency(d time.Duration) Middleware {
 				}
 				return next.QueryItem(ctx, i)
 			},
-			sample: func(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
 				if err := sleep(ctx); err != nil {
-					return 0, knapsack.Item{}, err
+					return 0, err
 				}
-				return next.Sample(ctx, src)
+				return next.SampleFrame(ctx, src, dst)
 			},
 		}
 	}
@@ -236,7 +292,9 @@ func WithLatency(d time.Duration) Middleware {
 
 // WithFaults fails every k-th access (k = every) with err, forwarding
 // the rest — deterministic fault injection for retry and failover
-// tests. every <= 0 disables injection.
+// tests. Each draw of a sample frame is one access: a frame forwards
+// the prefix before its failing draw, then fails. every <= 0 disables
+// injection.
 func WithFaults(every int64, err error) Middleware {
 	var calls atomic.Int64
 	inject := func() bool {
@@ -252,12 +310,17 @@ func WithFaults(every int64, err error) Middleware {
 				}
 				return next.QueryItem(ctx, i)
 			},
-			sample: func(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-				if inject() {
-					obs.AddWarnEvent(ctx, "engine.fault_injected")
-					return 0, knapsack.Item{}, fmt.Errorf("engine: injected fault: %w", err)
+			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+				pass := func(t int64) int64 {
+					if every <= 0 {
+						return math.MaxInt64
+					}
+					return every - 1 - t%every
 				}
-				return next.Sample(ctx, src)
+				return gatedFrame(ctx, next, src, dst, &calls, pass, func() error {
+					obs.AddWarnEvent(ctx, "engine.fault_injected")
+					return fmt.Errorf("engine: injected fault: %w", err)
+				})
 			},
 		}
 	}

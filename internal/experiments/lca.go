@@ -381,17 +381,16 @@ func exactOpt(gen *workload.Generated) (float64, error) {
 	return res.Profit, nil
 }
 
-// collectedAll draws m weighted samples and reports whether every
-// index in want was drawn at least once.
+// collectedAll draws m weighted samples in one frame and reports
+// whether every index in want was drawn at least once.
 func collectedAll(sampler oracle.Sampler, want []int, m int, src *rng.Source) bool {
-	ctx := context.Background()
+	draws := make([]oracle.Draw, m)
+	if _, err := sampler.SampleFrame(context.Background(), src, draws); err != nil {
+		return false
+	}
 	seen := make(map[int]bool, len(want))
-	for s := 0; s < m; s++ {
-		idx, _, err := sampler.Sample(ctx, src)
-		if err != nil {
-			return false
-		}
-		seen[idx] = true
+	for _, d := range draws {
+		seen[d.Index] = true
 	}
 	for _, w := range want {
 		if !seen[w] {

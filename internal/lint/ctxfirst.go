@@ -23,6 +23,7 @@ var queryPathNames = map[string]bool{
 	"QueryBatch":  true,
 	"QueryItem":   true,
 	"Sample":      true,
+	"SampleFrame": true,
 	"SampleIndex": true,
 	"ComputeRule": true,
 }

@@ -24,18 +24,15 @@ var defaultHotRoots = map[string]hotLevel{
 	"lcakp/internal/core.(LCAKP).Query":       hotDerive,
 	"lcakp/internal/core.(Rule).Decide":       hotQuery,
 
-	// oracle: sampling and item probes run once per drawn sample, i.e.
-	// inside the derivation loops — every allocation here multiplies
-	// by the sample count, so the samplers are strict.
-	"lcakp/internal/oracle.(SliceOracle).Sample":        hotQuery,
+	// oracle: sample frames and item probes run inside the derivation
+	// loops — every allocation here multiplies by the frame or probe
+	// count, so the samplers are strict.
+	"lcakp/internal/oracle.(SliceOracle).SampleFrame":   hotQuery,
 	"lcakp/internal/oracle.(SliceOracle).QueryItem":     hotQuery,
 	"lcakp/internal/oracle.(AliasSampler).SampleIndex":  hotQuery,
 	"lcakp/internal/oracle.(PrefixSampler).SampleIndex": hotQuery,
-	"lcakp/internal/oracle.(Sharded).Sample":            hotQuery,
+	"lcakp/internal/oracle.(Sharded).SampleFrame":       hotQuery,
 	"lcakp/internal/oracle.(Sharded).QueryItem":         hotQuery,
-	// The instance server's frame draws (its frameSampler seam) run
-	// once per sample frame, thousands of draws at a time.
-	"lcakp/internal/oracle.(SliceOracle).SampleFrame": hotQuery,
 
 	// repro: the EPS sample's empirical CDF is built once per
 	// derivation and read by every threshold's estimator call, which
@@ -57,7 +54,7 @@ var defaultHotRoots = map[string]hotLevel{
 	"lcakp/internal/cluster.(multiTenantResolver).ResolveEpoch": hotQuery,
 	"lcakp/internal/cluster.(LCAClient).inSolution":             hotQuery,
 	"lcakp/internal/cluster.(LCAClient).inSolutionBatch":        hotQuery,
-	"lcakp/internal/cluster.(RemoteAccess).Sample":              hotQuery,
+	"lcakp/internal/cluster.(RemoteAccess).SampleFrame":         hotQuery,
 	"lcakp/internal/cluster.(RemoteAccess).QueryItem":           hotQuery,
 	"lcakp/internal/cluster.(engineBackend).InSolution":         hotQuery,
 	"lcakp/internal/cluster.(engineBackend).InSolutionBatch":    hotQuery,

@@ -30,8 +30,14 @@ func (c *CountingAccess) N() int { return c.inner.N() }
 // Capacity forwards to the wrapped access.
 func (c *CountingAccess) Capacity() float64 { return c.inner.Capacity() }
 
-// Sample forwards to the wrapped access.
+// SampleFrame forwards to the wrapped access.
+func (c *CountingAccess) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+	c.n += int64(len(dst))
+	return c.inner.SampleFrame(ctx, src, dst)
+}
+
+// Sample draws one item as a one-draw frame.
 func (c *CountingAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-	c.n++
-	return c.inner.Sample(ctx, src)
+	d, err := oracle.SampleOne(ctx, c, src)
+	return d.Index, d.Item, err
 }

@@ -37,8 +37,17 @@ func (f *FlatAccess) N() int { return len(f.items) }
 // Capacity returns the weight limit.
 func (f *FlatAccess) Capacity() float64 { return f.capacity }
 
-// Sample draws uniformly (a toy backend).
-func (f *FlatAccess) Sample(_ context.Context, src *rng.Source) (int, knapsack.Item, error) {
-	i := src.Intn(len(f.items))
-	return i, f.items[i], nil
+// SampleFrame draws uniformly (a toy backend).
+func (f *FlatAccess) SampleFrame(_ context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+	for k := range dst {
+		i := src.Intn(len(f.items))
+		dst[k] = oracle.Draw{Index: i, Item: f.items[i]}
+	}
+	return len(dst), nil
+}
+
+// Sample draws one item as a one-draw frame.
+func (f *FlatAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+	d, err := oracle.SampleOne(ctx, f, src)
+	return d.Index, d.Item, err
 }

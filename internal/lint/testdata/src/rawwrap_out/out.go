@@ -27,7 +27,13 @@ func (c *ChainLink) N() int { return c.inner.N() }
 // Capacity forwards.
 func (c *ChainLink) Capacity() float64 { return c.inner.Capacity() }
 
-// Sample forwards.
+// SampleFrame forwards.
+func (c *ChainLink) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+	return c.inner.SampleFrame(ctx, src, dst)
+}
+
+// Sample draws one item as a one-draw frame.
 func (c *ChainLink) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-	return c.inner.Sample(ctx, src)
+	d, err := oracle.SampleOne(ctx, c, src)
+	return d.Index, d.Item, err
 }

@@ -31,8 +31,8 @@ func workloadOracle(t testing.TB, name string, n int) *SliceOracle {
 
 // TestSampleFrameMatchesSample holds SampleFrame to the per-draw
 // Sample sequence — same draws, same source position after — on the
-// alias sampler's two-pass frame and on the one-by-one fallback a
-// prefix sampler takes.
+// alias sampler's two-pass frame, on the one-by-one loop a prefix
+// sampler takes, and on a sharded access drawing shard then item.
 func TestSampleFrameMatchesSample(t *testing.T) {
 	ctx := context.Background()
 	alias := workloadOracle(t, "planted-large", 2000)
@@ -40,15 +40,24 @@ func TestSampleFrameMatchesSample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPrefixSampler: %v", err)
 	}
-	for name, o := range map[string]*SliceOracle{
-		"alias":  alias,
-		"prefix": NewSliceOracleWithSampler(alias.inst, prefix),
+	shards, masses, err := SplitInstance(alias.inst, 3)
+	if err != nil {
+		t.Fatalf("SplitInstance: %v", err)
+	}
+	sharded, err := NewSharded(shards, masses)
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	for name, o := range map[string]Access{
+		"alias":   alias,
+		"prefix":  NewSliceOracleWithSampler(alias.inst, prefix),
+		"sharded": sharded,
 	} {
 		for _, size := range frameSizes {
 			one, frame := rng.New(uint64(size)), rng.New(uint64(size))
 			dst := make([]Draw, size)
-			if err := o.SampleFrame(ctx, frame, dst); err != nil {
-				t.Fatalf("%s: SampleFrame: %v", name, err)
+			if n, err := o.SampleFrame(ctx, frame, dst); err != nil || n != size {
+				t.Fatalf("%s: SampleFrame filled %d of %d: %v", name, n, size, err)
 			}
 			for k := range dst {
 				idx, item, err := o.Sample(ctx, one)
@@ -102,7 +111,7 @@ func TestAliasDrawsGolden(t *testing.T) {
 		framed := make([]Draw, draws)
 		src = rng.New(99).Derive(g.workload)
 		for off := 0; off < draws; off += 4096 {
-			if err := o.SampleFrame(ctx, src, framed[off:min(off+4096, draws)]); err != nil {
+			if _, err := o.SampleFrame(ctx, src, framed[off:min(off+4096, draws)]); err != nil {
 				t.Fatalf("SampleFrame: %v", err)
 			}
 		}
@@ -141,7 +150,7 @@ func BenchmarkSampleFrame(b *testing.B) {
 	b.Run("frame", func(b *testing.B) {
 		src := rng.New(1)
 		for i := 0; i < b.N; i++ {
-			if err := o.SampleFrame(ctx, src, dst); err != nil {
+			if _, err := o.SampleFrame(ctx, src, dst); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -60,16 +60,36 @@ type Oracle interface {
 	Capacity() float64
 }
 
-// Sampler provides weighted sampling access: Sample draws an item —
-// index plus its profit and weight — with probability proportional to
-// its profit (exactly equal to its profit when the instance is
-// normalized). This is the extra access of Section 4; as in IKY12, a
-// sample reveals the drawn item itself, so one sample costs one access
-// (no follow-up point query is needed).
+// Sampler provides weighted sampling access: each draw is an item —
+// index plus its profit and weight — drawn with probability
+// proportional to its profit (exactly equal to its profit when the
+// instance is normalized). This is the extra access of Section 4; as
+// in IKY12, a sample reveals the drawn item itself, so one draw costs
+// one access (no follow-up point query is needed).
+//
+// SampleFrame is the one sampling implementation: callers that know
+// how many draws they need ask for them in frames, and every layer
+// charges a frame once. Sample is one draw, and every implementation
+// defines it with SampleOne, over a one-draw frame.
 type Sampler interface {
-	// Sample draws one item using randomness from src; ctx bounds the
-	// draw as in Oracle.QueryItem.
+	// SampleFrame fills dst with the draws len(dst) successive single
+	// draws from src would return, in order, and leaves src where
+	// those draws would. It returns how many draws it filled; a non-nil
+	// error means the draw after them failed, as with io.ReadFull. ctx
+	// bounds the frame as in Oracle.QueryItem.
+	SampleFrame(ctx context.Context, src *rng.Source, dst []Draw) (int, error)
+	// Sample draws one item using randomness from src.
 	Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error)
+}
+
+// SampleOne draws one item as a one-draw frame of s. It is the body
+// of every Sample method, so no type keeps a second per-draw path.
+// Called on a Sample method's own concrete receiver, it inlines, its
+// frame call devirtualizes and the one-draw frame stays on the stack.
+func SampleOne(ctx context.Context, s Sampler, src *rng.Source) (Draw, error) {
+	var d [1]Draw
+	_, err := s.SampleFrame(ctx, src, d[:])
+	return d[0], err
 }
 
 // IndexSampler draws bare indices from a fixed weight vector; it is
@@ -136,30 +156,28 @@ func (o *SliceOracle) Capacity() float64 { return o.inst.Capacity }
 
 // Sample draws an item with probability proportional to profit.
 func (o *SliceOracle) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-	idx, err := o.sampler.SampleIndex(ctx, src)
-	if err != nil {
-		return 0, knapsack.Item{}, err
-	}
-	return idx, o.inst.Items[idx], nil
+	d, err := SampleOne(ctx, o, src)
+	return d.Index, d.Item, err
 }
 
-// SampleFrame fills dst with exactly the draws len(dst) successive
-// Sample calls with src would return, in order, and leaves src where
-// those calls would. With the alias sampler it draws in two passes
-// (see AliasSampler.sampleFrame); any other sampler draws one by one.
-func (o *SliceOracle) SampleFrame(ctx context.Context, src *rng.Source, dst []Draw) error {
-	if a, ok := o.sampler.(*AliasSampler); ok {
+// SampleFrame fills dst with profit-weighted draws (see
+// Sampler.SampleFrame). With the alias sampler a frame of several
+// draws is drawn in two passes (see AliasSampler.sampleFrame); a
+// one-draw frame, which would pay for the passes' buffers alone, and
+// any other sampler draw one by one.
+func (o *SliceOracle) SampleFrame(ctx context.Context, src *rng.Source, dst []Draw) (int, error) {
+	if a, ok := o.sampler.(*AliasSampler); ok && len(dst) > 1 {
 		a.sampleFrame(src, o.inst.Items, dst)
-		return nil
+		return len(dst), nil
 	}
 	for k := range dst {
-		idx, item, err := o.Sample(ctx, src)
+		idx, err := o.sampler.SampleIndex(ctx, src)
 		if err != nil {
-			return err
+			return k, err
 		}
-		dst[k] = Draw{Index: idx, Item: item}
+		dst[k] = Draw{Index: idx, Item: o.inst.Items[idx]}
 	}
-	return nil
+	return len(dst), nil
 }
 
 // AliasSampler draws profit-weighted samples in O(1) per draw using

@@ -90,18 +90,28 @@ func (s *Sharded) QueryItem(ctx context.Context, i int) (knapsack.Item, error) {
 	return s.shards[sh].QueryItem(ctx, local)
 }
 
-// Sample draws a shard proportionally to its mass, then an item within
-// it, returning the global index.
+// Sample draws one item (see SampleFrame).
 func (s *Sharded) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-	sh, err := s.masses.SampleIndex(ctx, src)
-	if err != nil {
-		return 0, knapsack.Item{}, err
+	d, err := SampleOne(ctx, s, src)
+	return d.Index, d.Item, err
+}
+
+// SampleFrame fills dst one draw at a time, each a shard drawn
+// proportionally to its mass and then an item within it, with its
+// global index, so src is consumed in the order single draws consume
+// it.
+func (s *Sharded) SampleFrame(ctx context.Context, src *rng.Source, dst []Draw) (int, error) {
+	for k := range dst {
+		sh, err := s.masses.SampleIndex(ctx, src)
+		if err != nil {
+			return k, err
+		}
+		if _, err := s.shards[sh].SampleFrame(ctx, src, dst[k:k+1]); err != nil {
+			return k, fmt.Errorf("oracle: shard %d: %w", sh, err)
+		}
+		dst[k].Index += s.offsets[sh]
 	}
-	local, item, err := s.shards[sh].Sample(ctx, src)
-	if err != nil {
-		return 0, knapsack.Item{}, fmt.Errorf("oracle: shard %d: %w", sh, err)
-	}
-	return s.offsets[sh] + local, item, nil
+	return len(dst), nil
 }
 
 // SplitInstance cuts a normalized instance into k contiguous shards

@@ -46,14 +46,21 @@ type drawHashing struct {
 	h hash.Hash64
 }
 
-func (d *drawHashing) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
-	idx, item, err := d.Access.Sample(ctx, src)
+func (d *drawHashing) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+	n, err := d.Access.SampleFrame(ctx, src, dst)
 	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(idx))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(item.Profit))
-	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(item.Weight))
-	d.h.Write(buf[:])
-	return idx, item, err
+	for _, dr := range dst[:n] {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(dr.Index))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(dr.Item.Profit))
+		binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(dr.Item.Weight))
+		d.h.Write(buf[:])
+	}
+	return n, err
+}
+
+func (d *drawHashing) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+	dr, err := oracle.SampleOne(ctx, d, src)
+	return dr.Index, dr.Item, err
 }
 
 func TestMaterializeGoldenChecksums(t *testing.T) {

@@ -19,8 +19,8 @@
 //	in, _ := lca.Query(ctx, 42)               // stateless membership query
 //
 // Every query method takes a context.Context: cancel it (or give it a
-// deadline) and the sampling pipeline aborts at the next loop boundary
-// with a wrapped ctx.Err(). Oracle instrumentation — counting, budgets,
+// deadline) and the sampling pipeline aborts within one sample frame
+// call (at most 4,096 draws) with a wrapped ctx.Err(). Oracle instrumentation — counting, budgets,
 // latency/fault injection, per-query metrics — composes via the engine
 // middleware chain (internal/engine, re-exported here as Middleware,
 // NewCounting, NewBudgeted, NewEngine).
@@ -43,6 +43,7 @@ import (
 	"lcakp/internal/obs"
 	"lcakp/internal/oracle"
 	"lcakp/internal/repro"
+	"lcakp/internal/rng"
 	"lcakp/internal/workload"
 )
 
@@ -76,9 +77,16 @@ type (
 type (
 	// Oracle is point-query access to an instance.
 	Oracle = oracle.Oracle
-	// Sampler is profit-weighted sampling access.
+	// Sampler is profit-weighted sampling access. SampleFrame is its one
+	// sampling implementation; Sample is a one-draw frame.
 	Sampler = oracle.Sampler
-	// Access bundles both access types.
+	// Draw is one weighted sample: the drawn index and its item.
+	// SampleFrame fills a slice of them.
+	Draw = oracle.Draw
+	// Source is the randomness a sampler draws from.
+	Source = rng.Source
+	// Access bundles both access types. With Draw and Source, a type
+	// outside this module can implement it.
 	Access = oracle.Access
 	// SliceOracle is in-memory access over an Instance.
 	SliceOracle = oracle.SliceOracle

@@ -204,3 +204,72 @@ func TestFacadeRemoteWrappers(t *testing.T) {
 		t.Fatalf("InSolution: %v", err)
 	}
 }
+
+// frameCounting is an Access written with the facade's names alone, as
+// a caller outside the module would write one: it serves the items of
+// an in-memory oracle and counts the sample frames asked of it.
+type frameCounting struct {
+	inner  *lcakp.SliceOracle
+	frames int
+}
+
+func (f *frameCounting) QueryItem(ctx context.Context, i int) (lcakp.Item, error) {
+	return f.inner.QueryItem(ctx, i)
+}
+
+func (f *frameCounting) SampleFrame(ctx context.Context, src *lcakp.Source, dst []lcakp.Draw) (int, error) {
+	f.frames++
+	return f.inner.SampleFrame(ctx, src, dst)
+}
+
+func (f *frameCounting) Sample(ctx context.Context, src *lcakp.Source) (int, lcakp.Item, error) {
+	var d [1]lcakp.Draw
+	_, err := f.SampleFrame(ctx, src, d[:])
+	return d[0].Index, d[0].Item, err
+}
+
+func (f *frameCounting) N() int            { return f.inner.N() }
+func (f *frameCounting) Capacity() float64 { return f.inner.Capacity() }
+
+// TestFacadeCustomAccess runs the LCA over an Access implemented
+// outside the module: it must answer as over the oracle it wraps, and
+// draw its samples in frames, not one call per draw.
+func TestFacadeCustomAccess(t *testing.T) {
+	gen, err := lcakp.GenerateWorkload(lcakp.WorkloadSpec{Name: "zipf", N: 2000, Seed: 4})
+	if err != nil {
+		t.Fatalf("GenerateWorkload: %v", err)
+	}
+	access, err := lcakp.NewSliceOracle(gen.Float)
+	if err != nil {
+		t.Fatalf("NewSliceOracle: %v", err)
+	}
+	custom := &frameCounting{inner: access}
+	params := lcakp.Params{Epsilon: 0.2, Seed: 3}
+	viaCustom, err := lcakp.NewLCAKP(custom, params)
+	if err != nil {
+		t.Fatalf("NewLCAKP: %v", err)
+	}
+	direct, err := lcakp.NewLCAKP(access, params)
+	if err != nil {
+		t.Fatalf("NewLCAKP: %v", err)
+	}
+	ctx := context.Background()
+	for _, i := range []int{0, 1, 17, 1999} {
+		got, err := viaCustom.Query(ctx, i)
+		if err != nil {
+			t.Fatalf("Query(%d) over the custom access: %v", i, err)
+		}
+		want, err := direct.Query(ctx, i)
+		if err != nil {
+			t.Fatalf("Query(%d): %v", i, err)
+		}
+		if got != want {
+			t.Errorf("item %d: custom access answers %v, slice oracle %v", i, got, want)
+		}
+	}
+	// A run asks for each stage's draws in frames of at most 4,096.
+	p := viaCustom.Params()
+	if perQuery := (p.LargeSamples+4095)/4096 + (p.QuantileSamples+4095)/4096; custom.frames > 4*perQuery {
+		t.Errorf("%d sample frames for 4 queries, want at most %d per query", custom.frames, perQuery)
+	}
+}
