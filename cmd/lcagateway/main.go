@@ -167,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		warm     = flags.Int("warm", 0, "preload the answer cache with items [0, N) at startup (0 = off)")
 		tenants  = flags.String("tenants", "", "tenant manifest file: one \"<instance-hash> <seed> [rate=<qps>] [burst=<n>]\" per line (empty = default tenant only)")
 		apiKeys  = flags.String("api-keys", "", "API-key file: one \"<key> <instance>:<seed>...\" per line (empty = no authentication)")
-		storeDir = flags.String("store", "", "materialized-artifact directory: serve cache misses from stored artifacts, warm the cache from them at startup, and serve them to peers (empty = off)")
+		storeDir = flags.String("store", "", "materialized-artifact directory: install each tenant's artifact at startup and serve it straight from its bits, look up other misses in it before the replicas, and serve its artifacts to peers (empty = off)")
 		peers    = flags.String("peers", "", "comma-separated peer gateway addresses for the artifact peer-fill ring (requires -store)")
 		selfAddr = flags.String("self", "", "this gateway's advertised address in the peer ring (default: the -addr value)")
 	)
@@ -327,13 +327,14 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		fmt.Fprintf(stdout, "lcagateway: pushing telemetry to %s every %v\n", *pushURL, *pushIvl)
 	}
 	if artifacts != nil {
-		// Come back warm: every stored tenant's artifact preloads the
-		// answer cache before the first client burst, zero replica RPCs.
+		// Come back warm: every stored tenant's artifact is installed
+		// before the first client burst and answers with zero replica
+		// RPCs.
 		warmed, err := gw.WarmAllFromStore(context.Background())
 		if err != nil {
 			fmt.Fprintf(stderr, "lcagateway: warm from store: %v\n", err)
 		}
-		fmt.Fprintf(stdout, "lcagateway: warmed %d cache entries from artifacts in %s\n", warmed, *storeDir)
+		fmt.Fprintf(stdout, "lcagateway: %d answers servable from artifacts in %s\n", warmed, *storeDir)
 	}
 	if *warm > 0 {
 		// Warm in the background: serving must not wait for the preload,

@@ -448,10 +448,11 @@ func TestGatewayStoreFlag(t *testing.T) {
 	shutdown()
 
 	text := out.String()
-	if !strings.Contains(text, "warmed 120 cache entries from artifacts") {
+	if !strings.Contains(text, "120 answers servable from artifacts") {
 		t.Errorf("output missing warm-from-store line:\n%s", text)
 	}
-	// Every query was a cache hit off the artifact: zero replica RPCs.
+	// Every query was served from the installed artifact: zero replica
+	// RPCs.
 	if !strings.Contains(text, "0 attempts, 0 retries") {
 		t.Errorf("output shows replica traffic, want none:\n%s", text)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lcakp/internal/cluster"
+	"lcakp/internal/engine"
 	"lcakp/internal/store"
 )
 
@@ -125,12 +126,16 @@ func BenchmarkGatewayFrontDoorCached(b *testing.B) {
 	})
 }
 
-// BenchmarkGatewayStoreServed measures gateway misses the artifact
-// tier answers: a store-backed gateway whose 256-entry cache is far
-// smaller than its 4,096-item artifact, cycled through in order, so
-// every answer is a cache miss, a store serve and an insert. point
-// sends point queries, batch64 batches of 64 items; the replica never
-// answers.
+// BenchmarkGatewayStoreServed measures answers the artifact tier
+// serves, on a store-backed gateway whose tenant is at epoch 1 with
+// the artifacts of epochs 0 and 1 stored (4,096 items each, a 256-entry
+// cache). point and batch64 (64-item batches) are unpinned: the first
+// frame's store hit installs epoch 1's artifact, and every later answer
+// is read from that pinned bitset with no cache lookup, store call or
+// insert. batch64-old-epoch pins its batches to the retained epoch 0,
+// which is never installed, so every position takes the slow path: a
+// cache miss, then a store lookup; store answers never enter the
+// cache. The replica never answers.
 func BenchmarkGatewayStoreServed(b *testing.B) {
 	const items, cacheSize, batch = 4096, 256, 64
 	srv, err := cluster.NewQueryServer("127.0.0.1:0", &scriptedBackend{})
@@ -138,28 +143,33 @@ func BenchmarkGatewayStoreServed(b *testing.B) {
 		b.Fatalf("NewQueryServer: %v", err)
 	}
 	defer srv.Close()
-	bits := make([]bool, items)
-	for i := range bits {
-		bits[i] = i%3 == 1
-	}
-	a, err := store.NewArtifact(0, testParams.Seed, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
-	if err != nil {
-		b.Fatalf("NewArtifact: %v", err)
+	var arts []*store.Artifact
+	for ep := uint64(0); ep < 2; ep++ {
+		bits := make([]bool, items)
+		for i := range bits {
+			bits[i] = uint64(i)%3 == ep
+		}
+		a, err := store.NewArtifactEpoch(0, testParams.Seed, ep, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
+		if err != nil {
+			b.Fatalf("NewArtifactEpoch(%d): %v", ep, err)
+		}
+		arts = append(arts, a)
 	}
 	gw, err := New(Options{
 		Replicas:   []string{srv.Addr()},
 		Seed:       testParams.Seed,
 		HedgeDelay: -1,
 		CacheSize:  cacheSize,
-		Store:      newTestStore(b, b.TempDir(), a),
+		Store:      newTestStore(b, b.TempDir(), arts...),
 	})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
 	defer gw.Close()
+	if err := gw.SetTenantEpoch(gw.def.id, 1); err != nil {
+		b.Fatalf("SetTenantEpoch: %v", err)
+	}
 	ctx := context.Background()
-	// next carries the cycle across runs: restarting it would re-ask
-	// items the previous run left resident.
 	next := 0
 
 	b.Run("point", func(b *testing.B) {
@@ -172,19 +182,24 @@ func BenchmarkGatewayStoreServed(b *testing.B) {
 		}
 	})
 
-	b.Run("batch64", func(b *testing.B) {
-		indices := make([]int, batch)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for k := range indices {
-				indices[k] = next % items
-				next++
+	indices := make([]int, batch)
+	for _, bc := range []struct {
+		name string
+		ep   engine.EpochID
+	}{{"batch64", engine.EpochCurrent}, {"batch64-old-epoch", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k := range indices {
+					indices[k] = next % items
+					next++
+				}
+				if _, err := gw.InSolutionBatchEpoch(ctx, bc.ep, indices); err != nil {
+					b.Fatalf("InSolutionBatchEpoch: %v", err)
+				}
 			}
-			if _, err := gw.InSolutionBatch(ctx, indices); err != nil {
-				b.Fatalf("InSolutionBatch: %v", err)
-			}
-		}
-	})
+		})
+	}
 	if m := gw.Metrics(); m.Attempts != 0 || m.CacheHits != 0 {
 		b.Errorf("store-served benchmark made %d replica attempts and %d cache hits, want 0 and 0", m.Attempts, m.CacheHits)
 	}

@@ -2,7 +2,9 @@ package gateway
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -532,6 +534,162 @@ func TestStorePushToSuccessorZeroFetchOnMiss(t *testing.T) {
 	}
 	if m.StoreServes != int64(n) {
 		t.Errorf("successor: StoreServes = %d, want %d", m.StoreServes, n)
+	}
+}
+
+// TestEpochRollNeverServesOldArtifactBits holds the installed-artifact
+// tier to the epoch its frames resolve to. Readers send unpinned batch
+// and point frames through the wire front door while a roller moves a
+// store-backed gateway through epochs 1..4: odd epochs Put the
+// artifact and then roll (the roll installs it), even epochs roll
+// first and Put later, so for a while the installed artifact is the
+// previous epoch's. Every answer must equal the reference of the epoch
+// its response echoes; a frame of epoch e served from epoch e-1's
+// bitset fails on the items the two epochs disagree on.
+func TestEpochRollNeverServesOldArtifactBits(t *testing.T) {
+	const n, last, readers, framesPerPhase = 96, 4, 2, 40
+	ctx := context.Background()
+	id := engine.TenantID{Instance: 0, Seed: epochParams.Seed}
+	want := make([][]bool, last+1)
+	arts := make([]*store.Artifact, last+1)
+	for ep := range want {
+		want[ep] = epochBaseline(t, n, uint64(ep))
+		arts[ep] = materializeEpochArtifact(t, n, uint64(ep))
+		if got := arts[ep].Answers(); !slices.Equal(got, want[ep]) {
+			t.Fatalf("epoch %d: artifact bits differ from the replica reference", ep)
+		}
+		if ep > 0 && slices.Equal(want[ep], want[ep-1]) {
+			t.Fatalf("epochs %d and %d answer identically; a stale bit would be invisible", ep-1, ep)
+		}
+	}
+
+	addrs, _, _ := epochFleet(t, n, 2)
+	st := newTestStore(t, t.TempDir(), arts[0])
+	gw, err := New(Options{Replicas: addrs, Seed: epochParams.Seed, HedgeDelay: -1, Store: st})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer gw.Close()
+	if _, err := gw.WarmAllFromStore(ctx); err != nil {
+		t.Fatalf("WarmAllFromStore: %v", err)
+	}
+	front, err := cluster.NewQueryServer("127.0.0.1:0", gw)
+	if err != nil {
+		t.Fatalf("NewQueryServer: %v", err)
+	}
+	defer front.Close()
+
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
+	}
+	var frames [last + 1]atomic.Int64 // answered frames per echoed epoch
+	var wrong atomic.Int64
+	clients := make([]*cluster.LCAClient, readers)
+	for r := range clients {
+		client, err := cluster.DialLCA(front.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatalf("DialLCA: %v", err)
+		}
+		defer client.Close()
+		clients[r] = client
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	// stopReaders runs before the clients close, also when the roller
+	// fails the test, so no reader reports after the test has ended.
+	stopReaders := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stopReaders()
+	for r, client := range clients {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			check := func(kind string, ep engine.EpochID, i int, got bool) {
+				if int(ep) > last {
+					t.Errorf("%s frame echoed epoch %d, never sealed", kind, ep)
+				} else if got != want[ep][i] {
+					if wrong.Add(1) <= 5 {
+						t.Errorf("%s item %d = %v at echoed epoch %d, want %v", kind, i, got, ep, want[ep][i])
+					}
+				}
+			}
+			for k := r; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var ep engine.EpochID
+				if k%2 == 0 {
+					got, e, err := client.InSolutionBatchEpoch(ctx, engine.EpochCurrent, items)
+					if err != nil {
+						t.Errorf("batch: %v", err)
+						return
+					}
+					for i := range items {
+						check("batch", e, i, got[i])
+					}
+					ep = e
+				} else {
+					i := k % n
+					got, e, err := client.InSolutionEpoch(ctx, engine.EpochCurrent, i)
+					if err != nil {
+						t.Errorf("point: %v", err)
+						return
+					}
+					check("point", e, i, got)
+					ep = e
+				}
+				if int(ep) <= last {
+					frames[ep].Add(1)
+				}
+			}
+		}(r)
+	}
+
+	// waitFrames lets the readers answer framesPerPhase more frames at
+	// epoch ep before the roller moves on.
+	waitFrames := func(ep engine.EpochID) {
+		target := frames[ep].Load() + framesPerPhase
+		deadline := time.Now().Add(10 * time.Second)
+		for frames[ep].Load() < target {
+			if time.Now().After(deadline) {
+				t.Fatalf("readers answered %d frames at epoch %d, want %d", frames[ep].Load(), ep, target)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFrames(0)
+	for ep := engine.EpochID(1); ep <= last; ep++ {
+		putFirst := ep%2 == 1
+		if putFirst {
+			if err := st.Put(ctx, arts[ep]); err != nil {
+				t.Fatalf("Put(%d): %v", ep, err)
+			}
+		}
+		if err := gw.SetTenantEpoch(id, ep); err != nil {
+			t.Fatalf("SetTenantEpoch(%d): %v", ep, err)
+		}
+		// The roll installs a stored artifact; without one the previous
+		// epoch's stays installed while frames of ep are served.
+		installed := ep - 1
+		if putFirst {
+			installed = ep
+		}
+		if a := gw.def.art.Load(); a == nil || a.Epoch != uint64(installed) {
+			t.Fatalf("after the roll to %d: installed artifact is not epoch %d's", ep, installed)
+		}
+		if !putFirst {
+			waitFrames(ep)
+			if err := st.Put(ctx, arts[ep]); err != nil {
+				t.Fatalf("Put(%d): %v", ep, err)
+			}
+		}
+		waitFrames(ep)
+	}
+	stopReaders()
+	if m := gw.Metrics(); m.StoreServes == 0 || m.Attempts == 0 {
+		t.Errorf("StoreServes = %d, Attempts = %d: want both tiers exercised", m.StoreServes, m.Attempts)
 	}
 }
 

@@ -125,11 +125,12 @@ type Options struct {
 	// the replica over the wire frame's trace header, so one client
 	// query can be followed across the gateway→replica hop.
 	Tracer *obs.Tracer
-	// Store, when set, mounts the materialized artifact tier: cache
-	// misses consult the local artifact store before the fleet,
-	// WarmFromStore loads whole tenants from artifacts, and the gateway
-	// serves its artifacts to peers over MsgStoreFetch
-	// (cluster.ArtifactProvider).
+	// Store, when set, mounts the materialized artifact tier: each
+	// tenant serves its current epoch straight from that epoch's
+	// artifact once one is installed (by WarmFromStore, SetTenantEpoch
+	// or a store hit), other misses consult the local artifact store
+	// after the cache and before the fleet, and the gateway serves its
+	// artifacts to peers over MsgStoreFetch (cluster.ArtifactProvider).
 	Store *store.Store
 	// Peers are the other gateways' wire addresses in the peer-fill
 	// ring. With a Store and at least one peer configured, a store miss
@@ -329,6 +330,9 @@ func (v epochView) InSolutionBatch(ctx context.Context, indices []int) ([]bool, 
 // make the tenant's unpinned answers flap between instances.
 // Already-pinned queries are untouched either way — epoch e's cache
 // keys, artifacts, and frames remain valid and queryable forever.
+// With a store, the new epoch's artifact, when the store has it, is
+// installed as the tenant's first tier; after Store.Put it is already
+// resident, so the roll stays a map load.
 func (g *Gateway) SetTenantEpoch(id engine.TenantID, ep engine.EpochID) error {
 	t, ok := g.tenants[id]
 	if !ok {
@@ -340,6 +344,9 @@ func (g *Gateway) SetTenantEpoch(id engine.TenantID, ep engine.EpochID) error {
 			return fmt.Errorf("gateway: tenant %s: epoch regression %d -> %d", id, cur, ep)
 		}
 		if t.epoch.CompareAndSwap(cur, uint64(ep)) {
+			if g.opts.Store != nil {
+				t.adopt(context.TODO(), ep)
+			}
 			return nil
 		}
 	}

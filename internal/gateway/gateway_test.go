@@ -315,6 +315,59 @@ func TestGatewayBatchTiersWithDuplicates(t *testing.T) {
 	be.mu.Unlock()
 }
 
+// TestGatewayCacheDisabledBatchUsesArtifactTier pins that a gateway
+// without an answer cache still serves batches from its store: the
+// artifact tier does not depend on the cache. The first batch finds
+// the artifact through the store, the second reads the artifact that
+// store hit installed; neither may reach the replica, whose answers
+// are wrong on purpose.
+func TestGatewayCacheDisabledBatchUsesArtifactTier(t *testing.T) {
+	const stored = 16
+	truth := func(i int) bool { return i%3 == 1 }
+	be := &scriptedBackend{answer: func(i int) bool { return !truth(i) }}
+	srv, err := cluster.NewQueryServer("127.0.0.1:0", be)
+	if err != nil {
+		t.Fatalf("NewQueryServer: %v", err)
+	}
+	defer srv.Close()
+	bits := make([]bool, stored)
+	for i := range bits {
+		bits[i] = truth(i)
+	}
+	a, err := store.NewArtifact(0, testParams.Seed, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
+	if err != nil {
+		t.Fatalf("NewArtifact: %v", err)
+	}
+	gw, err := New(Options{
+		Replicas:   []string{srv.Addr()},
+		Seed:       testParams.Seed,
+		HedgeDelay: -1,
+		CacheSize:  -1,
+		Store:      newTestStore(t, t.TempDir(), a),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer gw.Close()
+	indices := []int{1, 2, 4, 1}
+	for round := 1; round <= 2; round++ {
+		got, err := gw.InSolutionBatch(context.Background(), indices)
+		if err != nil {
+			t.Fatalf("round %d: InSolutionBatch: %v", round, err)
+		}
+		for k, i := range indices {
+			if got[k] != truth(i) {
+				t.Errorf("round %d: position %d (item %d) = %v, want %v", round, k, i, got[k], truth(i))
+			}
+		}
+		m := gw.Metrics()
+		if m.Attempts != 0 || m.StoreServes != int64(round*len(indices)) {
+			t.Errorf("round %d: Attempts = %d, StoreServes = %d, want 0 and %d",
+				round, m.Attempts, m.StoreServes, round*len(indices))
+		}
+	}
+}
+
 func TestGatewayCoalescerBatchesConcurrentQueries(t *testing.T) {
 	addrs, servers, baseline := testFleet(t, 200, 1)
 	gw, err := New(Options{

@@ -38,11 +38,14 @@ type Metrics struct {
 	// Errors counts queries that exhausted every attempt and surfaced
 	// an error to the caller.
 	Errors int64
-	// Warmed counts cache entries preloaded by Warm and WarmFromStore.
+	// Warmed counts answers made servable ahead of traffic: cache
+	// entries Warm fetched, and the items of the artifacts
+	// WarmFromStore installed.
 	Warmed int64
-	// StoreServes counts queries answered from the materialized
-	// artifact tier (local store, including just-backfilled artifacts)
-	// instead of the replica fleet.
+	// StoreServes counts queries (batch positions included) answered
+	// from the materialized artifact tier — a tenant's installed
+	// artifact or the local store, including just-backfilled artifacts
+	// — instead of the replica fleet.
 	StoreServes int64
 	// PeerFills counts whole artifacts fetched from owning peers;
 	// PeerFillErrors counts fetches that failed (the query fell back to
@@ -169,7 +172,7 @@ func (g *Gateway) RegisterMetrics(reg *obs.Registry) error {
 		{"lcakp_gateway_hedge_wins_total", "hedges whose answer arrived first", &c.hedgeWins},
 		{"lcakp_gateway_reconnects_total", "replica unhealthy-to-healthy transitions", &c.reconnects},
 		{"lcakp_gateway_query_errors_total", "queries that exhausted every attempt", &c.errorsN},
-		{"lcakp_gateway_warmed_total", "cache entries preloaded by Warm", &c.warmed},
+		{"lcakp_gateway_warmed_total", "answers made servable ahead of traffic by Warm and WarmFromStore", &c.warmed},
 		{"lcakp_gateway_quota_rejects_total", "queries rejected by tenant quotas", &c.quotaRejects},
 		{"lcakp_gateway_auth_rejects_total", "wire frames rejected by the authorizer", &c.authRejects},
 		{"lcakp_gateway_breaker_trips_total", "replica circuit-breaker transitions to open", &c.breakerTrips},

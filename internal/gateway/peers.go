@@ -342,38 +342,39 @@ func (p *peerTier) close() {
 	}
 }
 
-// storeTierEpoch answers item i for one (tenant, epoch) from the
-// materialized tiers: the local artifact store first, then (on a store
-// miss for a peer-owned key) the peer tier. ok=false falls the query
-// through to the replica fleet — the tiers only ever short-circuit
-// work, never change an answer, because an artifact bit and a replica
-// answer are the same pure function C(I_e, r) evaluated in different
-// places.
-func (g *Gateway) storeTierEpoch(ctx context.Context, id engine.TenantID, ep engine.EpochID, label string, i int) (in, ok bool) {
-	st := g.opts.Store
+// artifactTier answers item i at epoch ep from the materialized
+// tiers: the local artifact store first, then (on a store miss for a
+// peer-owned key) the peer tier. ok=false falls the query through to
+// the replica fleet — the tiers only ever short-circuit work, never
+// change an answer, because an artifact bit and a replica answer are
+// the same pure function C(I_e, r) evaluated in different places. A
+// hit at the current epoch adopts that epoch's artifact, so the
+// tenant's next frame reads the bitset directly: this is how a gateway
+// that was never warmed, a peer backfill, and a Put that lands after
+// the roll reach the fast path.
+func (t *tenant) artifactTier(ctx context.Context, ep engine.EpochID, i int) (in, ok bool) {
+	st := t.g.opts.Store
 	if st == nil {
 		return false, false
 	}
-	vt := engine.VersionedTenant{Tenant: id, Epoch: ep}
+	vt := engine.VersionedTenant{Tenant: t.id, Epoch: ep}
 	in, ok, err := st.LookupEpoch(ctx, vt, i)
 	if err != nil {
 		// A corrupt or unreadable artifact must not take the query down:
 		// replicas still answer. But it must be visible.
 		obs.AddWarnEvent(ctx, "gateway.store_error",
-			obs.String("tenant", label), obs.String("error", err.Error()))
+			obs.String("tenant", t.label), obs.String("error", err.Error()))
 		return false, false
 	}
-	if ok {
-		g.counters.storeServes.Add(1)
-		return in, true
+	if !ok && t.g.peerTier != nil {
+		in, ok = t.g.peerTier.fill(ctx, vt, i)
 	}
-	if g.peerTier != nil {
-		if in, ok = g.peerTier.fill(ctx, vt, i); ok {
-			g.counters.storeServes.Add(1)
-			return in, true
-		}
+	if !ok {
+		return false, false
 	}
-	return false, false
+	t.g.counters.storeServes.Add(1)
+	t.adopt(ctx, ep)
+	return in, true
 }
 
 // ArtifactBytes implements cluster.ArtifactProvider: it serves this
@@ -417,16 +418,14 @@ func (g *Gateway) AcceptArtifact(ctx context.Context, data []byte) error {
 	return nil
 }
 
-// WarmFromStore preloads tenant id's slice of the answer cache from
-// the local artifact store: every answer bit of the artifact becomes a
-// cache entry, with zero replica traffic. It returns the number of
-// entries loaded. Combined with lcagateway -store, this is how a
-// restarted gateway comes back warm without re-asking the fleet
-// anything — the artifact is the cache's durable form.
+// WarmFromStore makes tenant id's current-epoch artifact the first
+// tier its frames read: the artifact is opened (or found resident) and
+// installed, so every item it covers is served from its bitset with
+// zero replica traffic and no answer-cache entry. It returns the
+// number of answers made servable, the artifact's item count.
+// Combined with lcagateway -store, this is how a restarted gateway
+// comes back warm without re-asking the fleet anything.
 func (g *Gateway) WarmFromStore(ctx context.Context, id engine.TenantID) (int, error) {
-	if g.cache == nil {
-		return 0, fmt.Errorf("gateway: warm from store: caching is disabled")
-	}
 	st := g.opts.Store
 	if st == nil {
 		return 0, fmt.Errorf("gateway: warm from store: no store configured")
@@ -435,30 +434,23 @@ func (g *Gateway) WarmFromStore(ctx context.Context, id engine.TenantID) (int, e
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", cluster.ErrUnknownTenant, id)
 	}
-	// Warm at the tenant's current epoch: unpinned traffic keys on it,
-	// so that is the artifact worth paging into the cache.
-	ep := t.currentEpoch()
-	a, err := st.GetVersioned(ctx, engine.VersionedTenant{Tenant: id, Epoch: ep})
+	// Warm at the tenant's current epoch: unpinned traffic resolves to
+	// it, so that is the artifact worth installing.
+	a, err := st.GetVersioned(ctx, engine.VersionedTenant{Tenant: id, Epoch: t.currentEpoch()})
 	if err != nil {
 		return 0, fmt.Errorf("gateway: warm from store: %w", err)
 	}
-	for i := 0; i < a.N; i++ {
-		if err := ctx.Err(); err != nil {
-			return i, fmt.Errorf("gateway: warm from store: %w", err)
-		}
-		in, _ := a.InSolution(i) // i < a.N: in range
-		g.cache.put(t.key(ep, i), in)
-	}
+	t.install(a)
 	g.counters.warmed.Add(int64(a.N))
 	obs.AddEvent(ctx, "gateway.warm_from_store",
-		obs.String("tenant", t.label), obs.Int("entries", int64(a.N)))
+		obs.String("tenant", t.label), obs.Int("answers", int64(a.N)))
 	return a.N, nil
 }
 
 // WarmAllFromStore warms every configured tenant that has an artifact
-// in the local store, returning total entries loaded. Tenants without
-// artifacts are skipped silently — absence is the normal cold state,
-// not an error.
+// of its current epoch in the local store, returning the total answers
+// made servable. Tenants without one are skipped silently — absence is
+// the normal cold state, not an error.
 func (g *Gateway) WarmAllFromStore(ctx context.Context) (int, error) {
 	total := 0
 	for _, id := range g.Tenants() {

@@ -290,9 +290,9 @@ func TestPeerFillOwnedKeysZeroReplicaTraffic(t *testing.T) {
 
 // TestGatewayRestartServesWarmFromStore is the restart acceptance run:
 // a gateway process dies, a new one mounts the same artifact
-// directory, warms its cache from the artifacts, and serves its whole
-// key space — every answer exact, zero replica traffic. The artifact
-// is the cache's durable form.
+// directory, installs the artifacts, and serves its whole key space
+// from them — every answer exact, zero replica traffic, no cache
+// entry. The artifact is the durable form of every answer.
 func TestGatewayRestartServesWarmFromStore(t *testing.T) {
 	const n = 80
 	addrs, _, baseline := testFleet(t, n, 1)
@@ -339,8 +339,9 @@ func TestGatewayRestartServesWarmFromStore(t *testing.T) {
 	if m.Attempts != 0 {
 		t.Errorf("restarted gateway made %d replica attempts, want 0", m.Attempts)
 	}
-	if m.CacheHits != int64(n) {
-		t.Errorf("restarted gateway: CacheHits = %d, want %d (every query warm)", m.CacheHits, n)
+	if m.StoreServes != int64(n) || m.CacheHits != 0 {
+		t.Errorf("restarted gateway: StoreServes = %d, CacheHits = %d, want %d and 0 (every query served by the installed artifact)",
+			m.StoreServes, m.CacheHits, n)
 	}
 	if m.Warmed != int64(n) {
 		t.Errorf("restarted gateway: Warmed = %d, want %d", m.Warmed, n)

@@ -10,6 +10,7 @@ import (
 	"lcakp/internal/cluster"
 	"lcakp/internal/engine"
 	"lcakp/internal/obs"
+	"lcakp/internal/store"
 )
 
 // Admission errors. They surface to wire clients as remote errors
@@ -66,8 +67,9 @@ type TenantMetrics struct {
 
 // tenant is one served namespace: its share of the answer cache (via
 // key prefix), its own coalescer (a batch frame carries exactly one
-// tenant), its quota, and its counters. It implements cluster.Backend,
-// so resolving a frame's tenant yields the thing that answers it.
+// tenant), its quota, its counters, and the artifact of its current
+// epoch. It implements cluster.Backend, so resolving a frame's tenant
+// yields the thing that answers it.
 //
 // The shared machinery — pool, breakers, router, cache shards — is the
 // gateway's: replicas are multi-tenant, so connections and health are
@@ -86,6 +88,15 @@ type tenant struct {
 	// names (tenant, epoch) in its cache key, store address, coalescer
 	// partition, and every replica frame.
 	epoch atomic.Uint64
+	// art is the resident artifact of the tenant's current epoch, nil
+	// until one is installed (see install). It is the first tier a
+	// frame tries: a frame resolved to art's epoch reads every covered
+	// position straight from the bitset, with no cache or store call.
+	// The pointer only moves forward, so for a moment after a roll it
+	// may still hold the previous epoch's artifact; the epoch check on
+	// the read side (artifactAt) is what keeps those bits off frames of
+	// the new epoch.
+	art   atomic.Pointer[store.Artifact]
 	coal  *coalescer // nil when coalescing is disabled
 	quota *tokenBucket
 	c     tenantCounters
@@ -152,12 +163,56 @@ func (t *tenant) admit(ctx context.Context, n int) error {
 	return fmt.Errorf("%w: tenant %s", ErrQuotaExceeded, t.id)
 }
 
+// artifactAt returns the tenant's installed artifact when it is epoch
+// ep's, else nil: one atomic load per frame, and a nil pointer on a
+// gateway without a store.
+func (t *tenant) artifactAt(ep engine.EpochID) *store.Artifact {
+	if a := t.art.Load(); a != nil && a.Epoch == uint64(ep) {
+		return a
+	}
+	return nil
+}
+
+// install makes a, an artifact of this tenant, the one frames read
+// first. It never installs an artifact of a non-current epoch and
+// never moves the pointer back to an older epoch, whatever order
+// concurrent installs and rolls run in.
+func (t *tenant) install(a *store.Artifact) {
+	for {
+		old := t.art.Load()
+		if a.Epoch != t.epoch.Load() || (old != nil && old.Epoch >= a.Epoch) {
+			return
+		}
+		if t.art.CompareAndSwap(old, a) {
+			return
+		}
+	}
+}
+
+// adopt installs the store's artifact of epoch ep when ep is the
+// current epoch and the pointer is behind it. A resident artifact
+// costs one map load; an absent one an os.Stat, which is why only
+// SetTenantEpoch and store hits call it, never a cache hit.
+//
+//lint:coldpath runs on rolls and store hits; the store is read once per (tenant, epoch), later calls return after two atomic loads
+func (t *tenant) adopt(ctx context.Context, ep engine.EpochID) {
+	if ep != t.currentEpoch() {
+		return
+	}
+	if a := t.art.Load(); a != nil && a.Epoch >= uint64(ep) {
+		return
+	}
+	if a, err := t.g.opts.Store.GetVersioned(ctx, engine.VersionedTenant{Tenant: t.id, Epoch: ep}); err == nil {
+		t.install(a)
+	}
+}
+
 // fetchOne resolves one item without the answer cache, through the
 // serving tiers in cost order: the materialized artifact tier first
-// (local store, then peer-fill — see Gateway.storeTierEpoch), then the
-// replica fleet.
+// (local store, then peer-fill — see artifactTier), then the replica
+// fleet.
 func (t *tenant) fetchOne(ctx context.Context, ep engine.EpochID, i int) (bool, error) {
-	if answer, ok := t.g.storeTierEpoch(ctx, t.id, ep, t.label, i); ok {
+	if answer, ok := t.artifactTier(ctx, ep, i); ok {
 		return answer, nil
 	}
 	return t.fetchFleet(ctx, ep, i)
@@ -190,10 +245,11 @@ func (t *tenant) fetchFleet(ctx context.Context, ep engine.EpochID, i int) (answ
 }
 
 // InSolution answers one membership query at the tenant's current
-// epoch: admission, cache, the artifact tier, then a
-// single-flight-deduplicated fetch from the fleet. Latency is observed
-// on the fleet path only — a cache hit reads no clock, keeping the hit
-// path's observability overhead at effectively zero.
+// epoch: admission, the installed artifact, the cache, the artifact
+// tier, then a single-flight-deduplicated fetch from the fleet.
+// Latency is observed on the fleet path only — an artifact or cache
+// hit reads no clock, keeping the hit path's observability overhead at
+// effectively zero.
 func (t *tenant) InSolution(ctx context.Context, i int) (bool, error) {
 	return t.inSolutionAt(ctx, t.currentEpoch(), i)
 }
@@ -222,6 +278,12 @@ func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bo
 	if ep != 0 {
 		t.c.epochQueries.Add(1)
 	}
+	if a := t.artifactAt(ep); a != nil {
+		if answer, ok := a.Answer(i); ok {
+			t.g.counters.storeServes.Add(1)
+			return answer, nil
+		}
+	}
 	if t.g.cache == nil {
 		return t.fetchOne(ctx, ep, i)
 	}
@@ -233,9 +295,9 @@ func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bo
 	}
 	// The artifact tier answers before any single-flight record is
 	// made: reading a resident bit costs less than deduplicating the
-	// readers, so only replica-bound misses register a flight.
-	if answer, ok := t.g.storeTierEpoch(ctx, t.id, ep, t.label, i); ok {
-		t.g.cache.put(k, answer)
+	// readers, so only replica-bound misses register a flight. Its bits
+	// stay out of the cache, which holds only what replicas derived.
+	if answer, ok := t.artifactTier(ctx, ep, i); ok {
 		t.g.counters.cacheMisses.Add(1)
 		t.c.cacheMisses.Add(1)
 		return answer, nil
@@ -261,9 +323,10 @@ func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bo
 }
 
 // InSolutionBatch answers a batch at the tenant's current epoch,
-// serving what it can from the cache and fetching the rest in one
-// frame under the tenant's namespace. Admission charges the whole
-// batch up front (all-or-nothing).
+// serving what it can from the installed artifact, the cache and the
+// artifact tier, and fetching the rest in one frame under the tenant's
+// namespace. Admission charges the whole batch up front
+// (all-or-nothing).
 func (t *tenant) InSolutionBatch(ctx context.Context, indices []int) ([]bool, error) {
 	return t.inSolutionBatchAt(ctx, t.currentEpoch(), indices)
 }
@@ -274,8 +337,10 @@ func (t *tenant) InSolutionBatchEpoch(ctx context.Context, ep engine.EpochID, in
 	return t.inSolutionBatchAt(ctx, t.resolveEpoch(ep), indices)
 }
 
-// inSolutionBatchAt serves one batch at a resolved epoch. Each
-// position tries the cache, then the artifact tier, in place; a
+// inSolutionBatchAt serves one batch at a resolved epoch. A position
+// the installed artifact of ep covers is read from its bitset and
+// counted with the others once per frame. Every other position tries
+// the cache (when there is one), then the artifact tier, in place; a
 // repeated item is just another lookup. Only the replica-bound
 // remainder is gathered, and it rides one frame with each distinct
 // item once.
@@ -296,24 +361,30 @@ func (t *tenant) inSolutionBatchAt(ctx context.Context, ep engine.EpochID, indic
 	if len(indices) == 0 {
 		return nil, nil
 	}
-	if t.g.cache == nil {
-		return t.routerCall(ctx, ep, indices)
-	}
 
 	answers := make([]bool, len(indices)) //lint:alloc escapes to the caller, which owns the answers
-	var fleet []int                       // positions neither the cache nor the artifact tier answered
+	a := t.artifactAt(ep)
+	served := 0     // positions the installed artifact answered
+	var fleet []int // positions no tier before the fleet answered
 	for pos, item := range indices {
-		k := t.key(ep, item)
-		if answer, ok := t.g.cache.get(k); ok {
-			t.g.counters.cacheHits.Add(1)
-			t.c.cacheHits.Add(1)
-			answers[pos] = answer
-			continue
+		if a != nil {
+			if answer, ok := a.Answer(item); ok {
+				answers[pos] = answer
+				served++
+				continue
+			}
 		}
-		t.g.counters.cacheMisses.Add(1)
-		t.c.cacheMisses.Add(1)
-		if answer, ok := t.g.storeTierEpoch(ctx, t.id, ep, t.label, item); ok {
-			t.g.cache.put(k, answer)
+		if t.g.cache != nil {
+			if answer, ok := t.g.cache.get(t.key(ep, item)); ok {
+				t.g.counters.cacheHits.Add(1)
+				t.c.cacheHits.Add(1)
+				answers[pos] = answer
+				continue
+			}
+			t.g.counters.cacheMisses.Add(1)
+			t.c.cacheMisses.Add(1)
+		}
+		if answer, ok := t.artifactTier(ctx, ep, item); ok {
 			answers[pos] = answer
 			continue
 		}
@@ -321,6 +392,9 @@ func (t *tenant) inSolutionBatchAt(ctx context.Context, ep engine.EpochID, indic
 			fleet = make([]int, 0, len(indices)-pos) //lint:alloc replica-bound path: allocated on the first miss the artifact tier cannot answer, priced against the wire round trip
 		}
 		fleet = append(fleet, pos)
+	}
+	if served > 0 {
+		t.g.counters.storeServes.Add(int64(served))
 	}
 	if len(fleet) == 0 {
 		return answers, nil
@@ -332,8 +406,9 @@ func (t *tenant) inSolutionBatchAt(ctx context.Context, ep engine.EpochID, indic
 }
 
 // fetchBatch answers the replica-bound positions of a batch in one
-// frame, each distinct item once, and caches what the fleet returned.
-// Every allocation here is priced against the wire round trip.
+// frame, each distinct item once, and caches what the fleet returned
+// (when there is a cache). Every allocation here is priced against the
+// wire round trip.
 func (t *tenant) fetchBatch(ctx context.Context, ep engine.EpochID, indices, positions []int, answers []bool) error {
 	//lint:alloc replica-bound path: dedup bookkeeping, priced against the wire round trip
 	at := make(map[int]int, len(positions))
@@ -348,8 +423,10 @@ func (t *tenant) fetchBatch(ctx context.Context, ep engine.EpochID, indices, pos
 	if err != nil {
 		return err
 	}
-	for k, item := range items {
-		t.g.cache.put(t.key(ep, item), fetched[k])
+	if t.g.cache != nil {
+		for k, item := range items {
+			t.g.cache.put(t.key(ep, item), fetched[k])
+		}
 	}
 	for _, pos := range positions {
 		answers[pos] = fetched[at[indices[pos]]]

@@ -45,10 +45,13 @@
 // lookups straight off the raw bytes — a byte slice, an mmap'd region,
 // or a section shipped over the wire — without decoding the whole
 // artifact: answer bit i is one shift and mask away from the header.
-// The encoding is canonical (sorted large indices, fixed field order),
-// so two processes materializing the same (I, r) produce bit-identical
+// The encoding is canonical (strictly increasing large indices, fixed
+// field order, zero reserved field, padding bits and unused flags), so
+// two processes materializing the same (I, r) produce bit-identical
 // files — the property TestMaterializeDeterministicBytes pins and the
-// peer tier relies on when it ships artifacts between gateways.
+// peer tier relies on when it ships artifacts between gateways. Decode
+// refuses any other byte image, so every artifact it accepts
+// re-encodes to exactly its input (FuzzArtifactDecode).
 package store
 
 import (
@@ -152,10 +155,20 @@ func (a *Artifact) Size() int { return len(a.data) }
 // mapped answer section; out-of-range indices report an error (the
 // artifact cannot answer for items it was not materialized over).
 func (a *Artifact) InSolution(i int) (bool, error) {
-	if i < 0 || i >= a.N {
+	in, ok := a.Answer(i)
+	if !ok {
 		return false, fmt.Errorf("store: item %d out of artifact range [0, %d)", i, a.N)
 	}
-	return a.answers[i>>3]&(1<<(i&7)) != 0, nil
+	return in, nil
+}
+
+// Answer reports item i's membership bit and whether the artifact
+// covers i. It builds no error, so it inlines into per-position loops.
+func (a *Artifact) Answer(i int) (in, ok bool) {
+	if !a.Contains(i) {
+		return false, false
+	}
+	return a.answers[i>>3]&(1<<(i&7)) != 0, true
 }
 
 // Contains reports whether item i is inside the artifact's range.
@@ -248,8 +261,9 @@ func NewArtifactEpoch(instance, seed, epoch uint64, epsilon float64, answers []b
 // appendRuleSection encodes the rule section:
 //
 //	[0:8)  e_small (f64 bits)
-//	[8:9)  flags (bit 0: singleton)
-//	[9:13) large-index count (u32), then that many u32 indices (sorted)
+//	[8:9)  flags (bit 0: singleton; the other bits are zero)
+//	[9:13) large-index count (u32), then that many u32 indices
+//	       (strictly increasing)
 //	then   threshold count (u32), then that many f64s
 func appendRuleSection(dst []byte, r RuleSection) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.ESmall))
@@ -274,6 +288,9 @@ func decodeRuleSection(b []byte) (RuleSection, error) {
 	if len(b) < 13 {
 		return RuleSection{}, fmt.Errorf("%w: rule section of %d bytes", ErrCorrupt, len(b))
 	}
+	if b[8]&^1 != 0 {
+		return RuleSection{}, fmt.Errorf("%w: unknown rule flags %#02x", ErrCorrupt, b[8])
+	}
 	r := RuleSection{ESmall: math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))}
 	r.Singleton = b[8]&1 != 0
 	largeN := int(binary.LittleEndian.Uint32(b[9:13]))
@@ -286,6 +303,9 @@ func decodeRuleSection(b []byte) (RuleSection, error) {
 		for k := range r.Large {
 			r.Large[k] = binary.LittleEndian.Uint32(b[off : off+4])
 			off += 4
+			if k > 0 && r.Large[k] <= r.Large[k-1] {
+				return RuleSection{}, fmt.Errorf("%w: large indices not strictly increasing at %d", ErrCorrupt, k)
+			}
 		}
 	}
 	thN := int(binary.LittleEndian.Uint32(b[off : off+4]))
@@ -347,6 +367,12 @@ func decodeArtifact(data []byte) (*Artifact, error) {
 	if ansOff != header || ansLen != (n+7)/8 ||
 		ruleOff != ansOff+ansLen || ruleOff+ruleLen != len(body) {
 		return nil, fmt.Errorf("%w: inconsistent section offsets", ErrCorrupt)
+	}
+	if reserved := binary.LittleEndian.Uint16(data[6:8]); reserved != 0 {
+		return nil, fmt.Errorf("%w: reserved header field %#04x", ErrCorrupt, reserved)
+	}
+	if n%8 != 0 && data[ruleOff-1]>>(n%8) != 0 {
+		return nil, fmt.Errorf("%w: answer bits set past item %d", ErrCorrupt, n)
 	}
 	var epoch uint64
 	if header == headerSizeV2 {

@@ -158,12 +158,10 @@ func (s *Store) LookupEpoch(ctx context.Context, vt engine.VersionedTenant, i in
 	if v, loaded := s.entries.Load(vt); loaded {
 		e := v.(*entry)
 		e.lastUse.Store(s.clock.Add(1))
-		if !e.a.Contains(i) {
-			return false, false, nil
+		if in, ok = e.a.Answer(i); ok {
+			s.hits.Inc()
 		}
-		in, _ = e.a.InSolution(i)
-		s.hits.Inc()
-		return in, true, nil
+		return in, ok, nil
 	}
 	a, err := s.open(ctx, vt)
 	if err != nil {
@@ -172,11 +170,8 @@ func (s *Store) LookupEpoch(ctx context.Context, vt engine.VersionedTenant, i in
 		}
 		return false, false, err
 	}
-	if !a.Contains(i) {
-		return false, false, nil
-	}
-	in, _ = a.InSolution(i)
-	return in, true, nil
+	in, ok = a.Answer(i)
+	return in, ok, nil
 }
 
 // Get returns tenant id's decoded epoch-0 artifact, opening and
