@@ -62,7 +62,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"lcakp/internal/cluster"
 	"lcakp/internal/gateway"
@@ -162,8 +161,6 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		debug    = flags.String("debug-addr", "", "serve /metrics, /debug/traces, /debug/slow, and /debug/pprof on this HTTP address (empty = off)")
 		traceN   = flags.Int("trace", 0, "record per-query trace spans, retaining the last N, and dump them at shutdown (0 = off)")
 		slowTh   = flags.Duration("slow-threshold", 0, "force-retain complete span trees for queries slower than this; implies -trace (0 = capture error/warn-event traces only when tracing)")
-		pushURL  = flags.String("push", "", "push metrics and finished spans to this OTLP-shaped collector endpoint, e.g. http://127.0.0.1:4318/v1/push (empty = off)")
-		pushIvl  = flags.Duration("push-interval", 5*time.Second, "push period (with -push)")
 		warm     = flags.Int("warm", 0, "preload the answer cache with items [0, N) at startup (0 = off)")
 		tenants  = flags.String("tenants", "", "tenant manifest file: one \"<instance-hash> <seed> [rate=<qps>] [burst=<n>]\" per line (empty = default tenant only)")
 		apiKeys  = flags.String("api-keys", "", "API-key file: one \"<key> <instance>:<seed>...\" per line (empty = no authentication)")
@@ -304,27 +301,6 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		}
 		defer dbg.Close()
 		fmt.Fprintf(stdout, "lcagateway: debug endpoint on %s\n", dbg.Addr())
-	}
-	if *pushURL != "" {
-		pusher, err := obs.NewPusher(obs.PusherOptions{
-			Endpoint: *pushURL,
-			Service:  "lcagateway",
-			Instance: srv.Addr(),
-			Interval: *pushIvl,
-			Registry: reg,
-			Recorder: rec,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := pusher.RegisterMetrics(reg, ""); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		pusher.Start()
-		defer pusher.Close()
-		fmt.Fprintf(stdout, "lcagateway: pushing telemetry to %s every %v\n", *pushURL, *pushIvl)
 	}
 	if artifacts != nil {
 		// Come back warm: every stored tenant's artifact is installed

@@ -408,9 +408,9 @@ func TestGatewayStoreFlag(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MaterializeRule: %v", err)
 	}
-	artifact, err := store.Materialize(ctx, acc, rule, 0, 9)
+	artifact, err := store.MaterializeEpoch(ctx, acc, rule, 0, 9, 0)
 	if err != nil {
-		t.Fatalf("Materialize: %v", err)
+		t.Fatalf("MaterializeEpoch: %v", err)
 	}
 	dir := t.TempDir()
 	st, err := store.New(dir, 0)

@@ -117,7 +117,8 @@ func runMaterialize(stdout, stderr io.Writer, lca *core.LCAKP, access oracle.Acc
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	a, err := store.Materialize(ctx, access, rule, instanceHash, seed)
+	// A static instance is its tenant's epoch 0.
+	a, err := store.MaterializeEpoch(ctx, access, rule, instanceHash, seed, 0)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -134,7 +135,7 @@ func runMaterialize(stdout, stderr io.Writer, lca *core.LCAKP, access oracle.Acc
 	}
 	fmt.Fprintf(stdout, "\nmaterialized i%d-s%d: %d items, %d bytes, checksum %016x\n",
 		instanceHash, seed, a.N, a.Size(), a.Checksum())
-	fmt.Fprintf(stdout, "artifact: %s\n", st.Path(engine.TenantID{Instance: instanceHash, Seed: seed}))
+	fmt.Fprintf(stdout, "artifact: %s\n", st.PathVersioned(engine.VersionedTenant{Tenant: engine.TenantID{Instance: instanceHash, Seed: seed}}))
 	return 0
 }
 

@@ -106,8 +106,6 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		debugAddr    = flags.String("debug-addr", "", "serve /metrics, /debug/traces, /debug/slow, and /debug/pprof on this HTTP address (empty = off)")
 		traceN       = flags.Int("trace", 0, "record per-query trace spans, retaining the last N, and dump them at shutdown (0 = off)")
 		slowThresh   = flags.Duration("slow-threshold", 0, "force-retain complete span trees for queries slower than this; implies -trace (0 = capture error/warn-event traces only when tracing)")
-		pushURL      = flags.String("push", "", "push metrics and finished spans to this OTLP-shaped collector endpoint, e.g. http://127.0.0.1:4318/v1/push (empty = off)")
-		pushEvery    = flags.Duration("push-interval", 5*time.Second, "push period (with -push)")
 		materialize  = flags.String("materialize", "", "role=lca: write the complete solution artifact into this directory and exit instead of serving")
 		instanceHash = flags.Uint64("instance-hash", 0, "instance identity (role=lca): with -seed it names the tenant the replica serves and the artifact -materialize writes")
 	)
@@ -201,27 +199,6 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		defer dbg.Close()
 		fmt.Fprintf(stdout, "lcaserver: debug endpoint on %s\n", dbg.Addr())
 	}
-	if *pushURL != "" {
-		pusher, err := obs.NewPusher(obs.PusherOptions{
-			Endpoint: *pushURL,
-			Service:  "lcaserver",
-			Instance: srv.Addr(),
-			Interval: *pushEvery,
-			Registry: reg,
-			Recorder: rec,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := pusher.RegisterMetrics(reg, ""); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		pusher.Start()
-		defer pusher.Close()
-		fmt.Fprintf(stdout, "lcaserver: pushing telemetry to %s every %v\n", *pushURL, *pushEvery)
-	}
 
 	fmt.Fprintf(stdout, "lcaserver: role=%s listening on %s\n", *role, srv.Addr())
 	wait()
@@ -275,7 +252,8 @@ func runMaterialize(stdout, stderr io.Writer, instanceAddr, dir string, eps floa
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	a, err := store.Materialize(ctx, engine.Wrap(remote), rule, instanceHash, seed)
+	// A static instance is its tenant's epoch 0.
+	a, err := store.MaterializeEpoch(ctx, engine.Wrap(remote), rule, instanceHash, seed, 0)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -292,7 +270,7 @@ func runMaterialize(stdout, stderr io.Writer, instanceAddr, dir string, eps floa
 	}
 	fmt.Fprintf(stdout, "lcaserver: materialized i%d-s%d: %d items, %d bytes, checksum %016x in %v\n",
 		instanceHash, seed, a.N, a.Size(), a.Checksum(), time.Since(start).Round(time.Millisecond))
-	fmt.Fprintf(stdout, "lcaserver: artifact: %s\n", st.Path(engine.TenantID{Instance: instanceHash, Seed: seed}))
+	fmt.Fprintf(stdout, "lcaserver: artifact: %s\n", st.PathVersioned(engine.VersionedTenant{Tenant: engine.TenantID{Instance: instanceHash, Seed: seed}}))
 	return 0
 }
 

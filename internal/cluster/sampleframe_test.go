@@ -239,12 +239,13 @@ func (d *remoteDrawHashing) Sample(ctx context.Context, src *rng.Source) (int, k
 
 // TestRemoteMaterializeMatchesGolden derives the canonical rule of one
 // golden store triple (zipf, n=20,000, ε=0.2, seed 7) through an
-// instance server and a RemoteAccess. The artifact checksum must equal
-// the one the in-memory derivation pins in internal/store, and the
-// hash of the 17,666 remote draws the value computed before frames
-// were drawn in two passes and decoded on consumption.
+// instance server and a RemoteAccess. The hash of the 17,666 remote
+// draws must equal the value computed before frames were drawn in two
+// passes and decoded on consumption; the epoch-0 artifact's body hash
+// (answer and rule sections) and checksum must equal the ones the
+// in-memory derivation pins in internal/store.
 func TestRemoteMaterializeMatchesGolden(t *testing.T) {
-	const wantChecksum, wantDraws uint64 = 0x9c7fc4a510ad9ed9, 0x50c31ff5756d723f
+	const wantDraws, wantBody, wantChecksum uint64 = 0x50c31ff5756d723f, 0xed3c9c4069750f72, 0x63e1ba3298e8ee0d
 	ctx := context.Background()
 	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 20_000, Seed: 17})
 	if err != nil {
@@ -273,12 +274,16 @@ func TestRemoteMaterializeMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MaterializeRule: %v", err)
 	}
-	a, err := store.Materialize(ctx, acc, rule, 1, 7)
+	a, err := store.MaterializeEpoch(ctx, acc, rule, 1, 7, 0)
 	if err != nil {
-		t.Fatalf("Materialize: %v", err)
+		t.Fatalf("MaterializeEpoch: %v", err)
 	}
-	if got, draws := a.Checksum(), hashing.h.Sum64(); got != wantChecksum || draws != wantDraws {
-		t.Errorf("remote derivation: checksum %#016x draws %#016x, want %#016x %#016x", got, draws, wantChecksum, wantDraws)
+	b := a.Bytes()
+	body := fnv.New64a()
+	body.Write(b[binary.LittleEndian.Uint32(b[36:40]) : len(b)-8]) // answer offset to trailer
+	if draws, bh, sum := hashing.h.Sum64(), body.Sum64(), a.Checksum(); draws != wantDraws || bh != wantBody || sum != wantChecksum {
+		t.Errorf("remote derivation: draws %#016x body %#016x checksum %#016x, want %#016x %#016x %#016x",
+			draws, bh, sum, wantDraws, wantBody, wantChecksum)
 	}
 }
 

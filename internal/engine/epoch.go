@@ -26,10 +26,10 @@ type VersionedTenant struct {
 	Epoch EpochID
 }
 
-// String renders the key as a metrics label. Epoch 0 keeps the
-// pre-epoch "i<instance>-s<seed>" form so dashboards and stored
-// artifacts addressed before epochs existed keep resolving; later
-// epochs append "-e<epoch>".
+// String renders the key as a metrics label and artifact file name.
+// Epoch 0 renders as the tenant alone ("i<instance>-s<seed>"), so a
+// tenant that never churns carries no epoch suffix on dashboards or
+// in its store path; later epochs append "-e<epoch>".
 func (vt VersionedTenant) String() string {
 	if vt.Epoch == 0 {
 		return vt.Tenant.String()

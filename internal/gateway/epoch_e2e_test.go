@@ -693,6 +693,58 @@ func TestEpochRollNeverServesOldArtifactBits(t *testing.T) {
 	}
 }
 
+// TestEpochLatePutInstallsArtifact pins the store's Put hook: an
+// epoch's artifact Put after the roll is installed at once, so even
+// when the answer cache already holds every item asked for, the next
+// frame is read from the artifact, not from replica-filled entries.
+func TestEpochLatePutInstallsArtifact(t *testing.T) {
+	const n = 64
+	ctx := context.Background()
+	addrs, _, tables := epochFleet(t, n, 1)
+	st := newTestStore(t, t.TempDir())
+	gw, err := New(Options{Replicas: addrs, Seed: epochParams.Seed, HedgeDelay: -1, Store: st})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer gw.Close()
+
+	// Epoch 1 has no artifact yet: the replicas answer and fill the cache.
+	sealEpoch(t, gw, tables, 1)
+	want := epochBaseline(t, n, 1)
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, err := gw.InSolutionBatch(ctx, items)
+		if err != nil {
+			t.Fatalf("batch before the Put: %v", err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("batch before the Put: answers differ from the epoch-1 reference")
+		}
+	}
+	if m := gw.Metrics(); m.CacheHits != n || m.StoreServes != 0 {
+		t.Fatalf("before the Put: CacheHits = %d, StoreServes = %d, want %d and 0", m.CacheHits, m.StoreServes, n)
+	}
+
+	if err := st.Put(ctx, materializeEpochArtifact(t, n, 1)); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	before := gw.Metrics()
+	got, err := gw.InSolutionBatch(ctx, items)
+	if err != nil {
+		t.Fatalf("batch after the Put: %v", err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("batch after the Put: answers differ from the epoch-1 reference")
+	}
+	after := gw.Metrics()
+	if serves, hits := after.StoreServes-before.StoreServes, after.CacheHits-before.CacheHits; serves != n || hits != 0 {
+		t.Errorf("batch after the Put: %d store serves and %d cache hits, want %d and 0", serves, hits, n)
+	}
+}
+
 // BenchmarkGatewayEpochPinnedCachedHit measures the epoch-pinned
 // cached-hit path — the steady state of a pinned consumer after
 // rollover. The pin adds one field to the cache key and nothing else;

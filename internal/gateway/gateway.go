@@ -127,10 +127,12 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Store, when set, mounts the materialized artifact tier: each
 	// tenant serves its current epoch straight from that epoch's
-	// artifact once one is installed (by WarmFromStore, SetTenantEpoch
-	// or a store hit), other misses consult the local artifact store
-	// after the cache and before the fleet, and the gateway serves its
-	// artifacts to peers over MsgStoreFetch (cluster.ArtifactProvider).
+	// artifact once one is installed (by WarmFromStore, SetTenantEpoch,
+	// a Put into the store or a store hit), other misses consult the
+	// local artifact store after the cache and before the fleet, and
+	// the gateway serves its artifacts to peers over MsgStoreFetch
+	// (cluster.ArtifactProvider). The gateway takes the store's one Put
+	// hook until Close.
 	Store *store.Store
 	// Peers are the other gateways' wire addresses in the peer-fill
 	// ring. With a Store and at least one peer configured, a store miss
@@ -235,12 +237,6 @@ func New(opts Options) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: peers configured without a self address for the ring")
 		}
 		g.peerTier = newPeerTier(g, opts.SelfAddr, opts.Peers, opts.RPCTimeout)
-		// Proactive replication: every locally materialized artifact is
-		// pushed to its tenant's ring successor, so the successor serves
-		// the epoch with zero fetch-on-miss. Only Put fires the hook —
-		// artifacts received from peers install via PutBytes, which never
-		// does — so replication is one hop and cannot cascade.
-		opts.Store.SetOnPut(g.peerTier.pushToSuccessor)
 	}
 
 	defID := engine.TenantID{Instance: opts.Instance, Seed: opts.Seed}
@@ -265,7 +261,27 @@ func New(opts Options) (*Gateway, error) {
 		}
 		g.tenants[id] = g.newTenant(id, to)
 	}
+	if opts.Store != nil {
+		// Hooked only once the tenant map is complete: the hook reads it.
+		opts.Store.SetOnPut(g.onPut)
+	}
 	return g, nil
+}
+
+// onPut is the store's Put hook. It installs the artifact on its
+// tenant, so an epoch whose Put lands after the roll reaches the fast
+// path even when the cache already covers every item asked for, and
+// with a peer tier it replicates the artifact to the ring successor.
+// Only Put fires the hook — artifacts received from peers install via
+// PutBytes, which never does — so replication is one hop and cannot
+// cascade.
+func (g *Gateway) onPut(a *store.Artifact) {
+	if t, ok := g.tenants[engine.TenantID{Instance: a.Instance, Seed: a.Seed}]; ok {
+		t.install(a)
+	}
+	if g.peerTier != nil {
+		g.peerTier.pushToSuccessor(a)
+	}
 }
 
 // Resolve is the cluster.TenantBackend seam: it authenticates the
@@ -508,10 +524,12 @@ func (g *Gateway) Close() error {
 				t.coal.close()
 			}
 		}
-		if g.peerTier != nil {
-			// Detach the push hook first so a Put racing Close cannot
+		if g.opts.Store != nil {
+			// Detach the Put hook first so a Put racing Close cannot
 			// dial through closing connections.
 			g.opts.Store.SetOnPut(nil)
+		}
+		if g.peerTier != nil {
 			g.peerTier.close()
 		}
 		g.pool.close()

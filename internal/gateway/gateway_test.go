@@ -261,9 +261,9 @@ func TestGatewayBatchTiersWithDuplicates(t *testing.T) {
 	for i := range bits {
 		bits[i] = truth(i)
 	}
-	a, err := store.NewArtifact(0, testParams.Seed, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
+	a, err := store.NewArtifactEpoch(0, testParams.Seed, 0, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
 	if err != nil {
-		t.Fatalf("NewArtifact: %v", err)
+		t.Fatalf("NewArtifactEpoch: %v", err)
 	}
 	gw, err := New(Options{
 		Replicas:    []string{srv.Addr()},
@@ -334,9 +334,9 @@ func TestGatewayCacheDisabledBatchUsesArtifactTier(t *testing.T) {
 	for i := range bits {
 		bits[i] = truth(i)
 	}
-	a, err := store.NewArtifact(0, testParams.Seed, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
+	a, err := store.NewArtifactEpoch(0, testParams.Seed, 0, testParams.Epsilon, bits, store.RuleSection{ESmall: -1})
 	if err != nil {
-		t.Fatalf("NewArtifact: %v", err)
+		t.Fatalf("NewArtifactEpoch: %v", err)
 	}
 	gw, err := New(Options{
 		Replicas:   []string{srv.Addr()},

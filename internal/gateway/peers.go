@@ -302,10 +302,10 @@ func (p *peerTier) lookupLocal(ctx context.Context, vt engine.VersionedTenant, i
 // the epoch from its local store with zero fetch-on-miss — the warm
 // path for failover: when this gateway dies, queries landing on the
 // successor find the artifact already resident. Fired from the store's
-// SetOnPut hook; the transfer itself runs in a goroutine so Put never
-// blocks on a peer. One hop only: the receiver installs via PutBytes,
-// which never re-fires the hook, so a push cannot cascade around the
-// ring.
+// Put hook (Gateway.onPut); the transfer itself runs in a goroutine so
+// Put never blocks on a peer. One hop only: the receiver installs via
+// PutBytes, which never re-fires the hook, so a push cannot cascade
+// around the ring.
 //
 //lint:coldpath one artifact transfer per local materialization, not query traffic
 func (p *peerTier) pushToSuccessor(a *store.Artifact) {
@@ -350,8 +350,7 @@ func (p *peerTier) close() {
 // the same pure function C(I_e, r) evaluated in different places. A
 // hit at the current epoch adopts that epoch's artifact, so the
 // tenant's next frame reads the bitset directly: this is how a gateway
-// that was never warmed, a peer backfill, and a Put that lands after
-// the roll reach the fast path.
+// that was never warmed and a peer backfill reach the fast path.
 func (t *tenant) artifactTier(ctx context.Context, ep engine.EpochID, i int) (in, ok bool) {
 	st := t.g.opts.Store
 	if st == nil {

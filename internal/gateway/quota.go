@@ -37,10 +37,13 @@ func newTokenBucket(rate float64, burst int) *tokenBucket {
 // caller is admitted. All-or-nothing: a batch either fits entirely or
 // is rejected entirely (partial admission would answer some indices
 // and reject others within one consistent batch, which helps nobody).
-func (b *tokenBucket) take(n int) bool {
+func (b *tokenBucket) take(n int) bool { return b.takeAt(time.Now(), n) }
+
+// takeAt is take at the instant now, refilling for the time since the
+// previous take.
+func (b *tokenBucket) takeAt(now time.Time, n int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := time.Now()
 	b.tokens += now.Sub(b.last).Seconds() * b.rate
 	b.last = now
 	if b.tokens > b.burst {

@@ -34,9 +34,9 @@ func materializeFleetArtifact(t testing.TB, n int) *store.Artifact {
 	if err != nil {
 		t.Fatalf("MaterializeRule: %v", err)
 	}
-	a, err := store.Materialize(ctx, acc, rule, 0, testParams.Seed)
+	a, err := store.MaterializeEpoch(ctx, acc, rule, 0, testParams.Seed, 0)
 	if err != nil {
-		t.Fatalf("Materialize: %v", err)
+		t.Fatalf("MaterializeEpoch: %v", err)
 	}
 	return a
 }
@@ -279,7 +279,7 @@ func TestPeerFillOwnedKeysZeroReplicaTraffic(t *testing.T) {
 	}
 	// The local store persisted the fill: the artifact file exists and
 	// matches the original bytes.
-	a, err := store.ReadFile(gwFill.opts.Store.Path(id))
+	a, err := store.ReadFile(gwFill.opts.Store.PathVersioned(engine.VersionedTenant{Tenant: id}))
 	if err != nil {
 		t.Fatalf("backfilled artifact unreadable: %v", err)
 	}

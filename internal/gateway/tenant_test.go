@@ -73,28 +73,29 @@ func TestBreakerTripAndProbeCycle(t *testing.T) {
 
 func TestTokenBucketAdmission(t *testing.T) {
 	b := newTokenBucket(1000, 10) // starts full at 10 tokens
+	t0 := b.last
 
-	if !b.take(10) {
+	if !b.takeAt(t0, 10) {
 		t.Fatal("full bucket refused its burst")
 	}
-	if b.take(5) {
+	if b.takeAt(t0, 5) {
 		t.Fatal("empty bucket admitted 5 tokens")
 	}
 	// All-or-nothing: a partial fit is a rejection, and the failed take
 	// must not have drained anything.
-	time.Sleep(5 * time.Millisecond) // ~5 tokens refill
-	if b.take(10) {
+	t5 := t0.Add(5 * time.Millisecond) // 5 tokens refill
+	if b.takeAt(t5, 10) {
 		t.Fatal("bucket admitted more than its refill")
 	}
-	if !b.take(1) {
+	if !b.takeAt(t5, 1) {
 		t.Fatal("rejected take drained tokens; admission must be all-or-nothing")
 	}
 	// Refill caps at the burst.
-	time.Sleep(30 * time.Millisecond) // would be ~30 tokens uncapped
-	if b.take(11) {
+	t35 := t0.Add(35 * time.Millisecond) // 34 tokens uncapped
+	if b.takeAt(t35, 11) {
 		t.Fatal("bucket exceeded its burst cap")
 	}
-	if !b.take(10) {
+	if !b.takeAt(t35, 10) {
 		t.Fatal("bucket below burst after a long idle refill")
 	}
 }

@@ -83,6 +83,6 @@ var defaultHotRoots = map[string]hotLevel{
 	// every cache miss before touching replicas. Opening an artifact
 	// from disk amortizes like a derivation; the per-item bit probe on
 	// a resident handle is strict (0 allocs, BenchmarkStoreLookup).
-	"lcakp/internal/store.(Store).Lookup":        hotDerive,
+	"lcakp/internal/store.(Store).LookupEpoch":   hotDerive,
 	"lcakp/internal/store.(Artifact).InSolution": hotQuery,
 }

@@ -12,13 +12,12 @@ import (
 // Registry writes — the Prometheus 0.0.4 text format
 // (WritePrometheus, served on /metrics) plus the package's extended
 // variant carrying OpenMetrics-style exemplar annotations on summary
-// quantile lines (WriteExemplarExposition, served on /debug/exemplars
-// and consumed by the push path; never /metrics, since no scrape
-// format permits exemplars there). It is what keeps the exposition
-// honest: the golden test round-trips /metrics through it, the Pusher
-// converts families into OTLP-shaped payloads with it, and any drift
-// between writer and grammar fails loudly instead of silently
-// producing unscrapable text.
+// quantile lines (WriteExemplarExposition, served on /debug/exemplars;
+// never /metrics, since no scrape format permits exemplars there). It
+// is what keeps the exposition honest: the golden test round-trips
+// /metrics through it, the /debug/exemplars tests read exemplars with
+// it, and any drift between writer and grammar fails loudly instead of
+// silently producing unscrapable text.
 
 // Family is one parsed metric family: a TYPE header and its samples.
 type Family struct {

@@ -578,120 +578,3 @@ func TestDebugTracesFilterAndLimit(t *testing.T) {
 		t.Errorf("bad trace id returned %d, want 400", code)
 	}
 }
-
-// --- pusher delivery, bounded queue, and backoff ---
-
-func TestPusherQueueBoundsAndRecovers(t *testing.T) {
-	var healthy atomic.Bool
-	var received atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !healthy.Load() {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		received.Add(1)
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
-
-	reg := NewRegistry()
-	c := reg.Counter("lcakp_pushertest_total", "test counter")
-	p, err := NewPusher(PusherOptions{
-		Endpoint:   srv.URL,
-		Registry:   reg,
-		QueueLimit: 2,
-	})
-	if err != nil {
-		t.Fatalf("NewPusher: %v", err)
-	}
-
-	// Collector down: every flush fails, the queue stays bounded.
-	for i := 0; i < 5; i++ {
-		c.Inc() // make each payload non-empty
-		if err := p.Flush(context.Background()); err == nil {
-			t.Fatal("Flush against a down collector must error")
-		}
-	}
-	p.mu.Lock()
-	queued := len(p.queue)
-	p.mu.Unlock()
-	if queued > 2 {
-		t.Errorf("queue holds %d payloads, want <= QueueLimit 2", queued)
-	}
-	if p.dropped.Value() == 0 {
-		t.Error("dropped counter must count payloads pushed off the bounded queue")
-	}
-
-	// Collector back: the retained queue drains in order.
-	healthy.Store(true)
-	if err := p.Flush(context.Background()); err != nil {
-		t.Fatalf("Flush after recovery: %v", err)
-	}
-	if received.Load() == 0 {
-		t.Error("recovered collector received nothing")
-	}
-	p.mu.Lock()
-	queued = len(p.queue)
-	p.mu.Unlock()
-	if queued != 0 {
-		t.Errorf("queue not drained after recovery: %d left", queued)
-	}
-	if p.pushes.Value() == 0 {
-		t.Error("pushes counter must count delivered payloads")
-	}
-}
-
-// TestPusherFlushesSerialize fires concurrent Flush calls (the shape
-// of Close racing the loop's in-flight flush) against a slow
-// collector: flushes must serialize, so no queue entry is ever
-// double-POSTed or trimmed while undelivered.
-func TestPusherFlushesSerialize(t *testing.T) {
-	var inFlight, maxInFlight atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := inFlight.Add(1)
-		for {
-			m := maxInFlight.Load()
-			if n <= m || maxInFlight.CompareAndSwap(m, n) {
-				break
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-		inFlight.Add(-1)
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
-
-	reg := NewRegistry()
-	c := reg.Counter("lcakp_pusherserial_total", "test counter")
-	p, err := NewPusher(PusherOptions{Endpoint: srv.URL, Registry: reg})
-	if err != nil {
-		t.Fatalf("NewPusher: %v", err)
-	}
-
-	const flushers = 4
-	var wg sync.WaitGroup
-	for i := 0; i < flushers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Inc() // make each payload non-empty
-			if err := p.Flush(context.Background()); err != nil {
-				t.Errorf("Flush: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if got := maxInFlight.Load(); got != 1 {
-		t.Errorf("max concurrent POSTs = %d, want 1 (flushes must serialize)", got)
-	}
-	if got := p.pushes.Value(); got != flushers {
-		t.Errorf("pushes = %d, want exactly %d (each enqueued payload delivered once)", got, flushers)
-	}
-	p.mu.Lock()
-	queued := len(p.queue)
-	p.mu.Unlock()
-	if queued != 0 {
-		t.Errorf("queue holds %d payloads after all flushes delivered, want 0", queued)
-	}
-}

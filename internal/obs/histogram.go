@@ -202,7 +202,7 @@ func (h *Histogram) kind() string { return "summary" }
 // only a timestamp after the value, and OpenMetrics restricts
 // exemplars to counters and histogram buckets), so they live solely in
 // the package's extended exposition (exposeExemplars), served on
-// /debug/exemplars and consumed by the push path.
+// /debug/exemplars.
 func (h *Histogram) expose(w io.Writer, name string) error {
 	return h.exposeWith(w, name, false)
 }

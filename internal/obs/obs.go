@@ -223,11 +223,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // WriteExemplarExposition writes the same exposition with the
 // package's exemplar annotations appended to histogram quantile lines
 // (` # {trace_id="...",tenant="..."} v`). This extended format is the
-// in-repo forensics contract — ParseExposition reads it and the push
-// path converts it to OTLP exemplars — but it is NOT valid Prometheus
-// 0.0.4 or OpenMetrics (neither permits exemplars on summary
-// quantiles), so it is served only on /debug/exemplars, never
-// /metrics.
+// in-repo forensics contract — ParseExposition reads it — but it is
+// NOT valid Prometheus 0.0.4 or OpenMetrics (neither permits exemplars
+// on summary quantiles), so it is served only on /debug/exemplars,
+// never /metrics.
 func (r *Registry) WriteExemplarExposition(w io.Writer) error {
 	return r.writeExposition(w, true)
 }

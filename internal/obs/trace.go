@@ -24,8 +24,8 @@ type TraceID uint64
 func (t TraceID) String() string { return fmt.Sprintf("%016x", uint64(t)) }
 
 // MarshalJSON renders the ID as its quoted hex form, matching the
-// -trace dump and OTLP conventions so IDs grep identically across
-// text dumps, /debug/slow JSON, and pushed payloads.
+// -trace dump so IDs grep identically across text dumps and
+// /debug/slow JSON.
 func (t TraceID) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + t.String() + `"`), nil
 }
@@ -211,10 +211,6 @@ type Span struct {
 	// atomic.Bool so finished Span values stay freely copyable (the
 	// recorder ring and its readers copy them by value).
 	ended uint32
-	// seq is the recorder-assigned record sequence number; it lets a
-	// Pusher drain "spans finished since my last push" from the ring
-	// without the recorder keeping per-consumer state.
-	seq uint64
 }
 
 // Event records an informational decision event on a live span. Events
@@ -438,7 +434,6 @@ func (r *SpanRecorder) record(s Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	s.seq = r.total
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, s)
 	} else {
@@ -476,27 +471,6 @@ func (r *SpanRecorder) Trace(id TraceID) []Span {
 		}
 	}
 	return out
-}
-
-// SpansSince returns the retained spans recorded after cursor (a value
-// previously returned by SpansSince; start from 0), in record order,
-// plus the new cursor. Spans that aged out of the ring between calls
-// are lost to this consumer — the ring bounds memory, not delivery.
-func (r *SpanRecorder) SpansSince(cursor uint64) ([]Span, uint64) {
-	r.mu.Lock()
-	var out []Span
-	next := cursor
-	for i := range r.buf {
-		if s := r.buf[i]; s.seq > cursor {
-			out = append(out, s)
-			if s.seq > next {
-				next = s.seq
-			}
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out, next
 }
 
 // WriteText dumps the retained spans one per line — the -trace dump

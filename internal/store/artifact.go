@@ -14,32 +14,28 @@
 // artifact is the preprocessing, paid once, and every subsequent
 // lookup is O(1).
 //
-// Layout (format versions 1 and 2, all integers little-endian):
+// Layout (format version 2, all integers little-endian):
 //
 //	[0:4)    magic "LCAS"
 //	[4:6)    format version (u16)
 //	[6:8)    reserved (0)
 //	[8:16)   instance hash (u64)   ┐ the content address: the tenant
-//	[16:24)  seed (u64)            ┘ (instance, seed) naming C(I, r)
+//	[16:24)  seed (u64)            ┘ (instance, seed), with the epoch
 //	[24:32)  epsilon (f64 bits)
 //	[32:36)  item count n (u32)
 //	[36:40)  answer section offset (u32)
 //	[40:44)  answer section length (u32)
 //	[44:48)  rule section offset (u32)
 //	[48:52)  rule section length (u32)
-//	[52:60)  epoch (u64) — format version 2 only, never zero
+//	[52:60)  epoch (u64)           — the address's third part; may be 0
 //	answers  ceil(n/8) bytes, bit i = item i's membership (LSB first)
 //	rule     the decision-rule section (see appendRuleSection)
 //	trailer  CRC-64/ECMA over everything before it (u64)
 //
-// Version 2 extends the content address with the epoch: under item
-// churn the solution is a pure function of (I_e, r), so (instance,
-// seed, epoch) names one immutable value exactly as (instance, seed)
-// did for a fixed instance. Epoch 0 — the implicit pre-churn epoch —
-// always encodes as version 1, so a tenant that never churns produces
-// bytes indistinguishable from a pre-epoch build, the encoding stays
-// canonical (one epoch, one byte image), and old readers keep
-// accepting every artifact a static fleet emits.
+// Under item churn the solution is a pure function of (I_e, r), so
+// (instance, seed, epoch) names one immutable value exactly as
+// (instance, seed) does for a fixed instance. Epoch 0 is an ordinary
+// epoch: its artifact has the same header, with a zero epoch field.
 //
 // The section offsets live in the header so a reader can serve point
 // lookups straight off the raw bytes — a byte slice, an mmap'd region,
@@ -67,16 +63,11 @@ import (
 
 // Format constants.
 const (
-	// FormatVersion is the artifact encoding version this build writes
-	// for epoch-0 artifacts — the exact pre-epoch format.
-	FormatVersion = 1
-	// FormatVersionEpoch is the encoding for sealed epochs (epoch > 0):
-	// version 1 plus the epoch field. This build reads both.
-	FormatVersionEpoch = 2
-	// headerSizeV1 and headerSizeV2 are the fixed encoded header
-	// lengths of the two format versions.
-	headerSizeV1 = 52
-	headerSizeV2 = 60
+	// FormatVersion is the one artifact encoding version this build
+	// writes and reads.
+	FormatVersion = 2
+	// headerSize is the fixed encoded header length.
+	headerSize = 60
 	// trailerSize is the trailing checksum length.
 	trailerSize = 8
 	// magic opens every artifact.
@@ -129,7 +120,7 @@ type RuleSection struct {
 type Artifact struct {
 	// Instance, Seed, and Epoch are the content address: the epoch
 	// (I_e, r) of the tenant whose solution this is. Epoch 0 is the
-	// implicit pre-churn epoch (format version 1 on the wire).
+	// tenant's instance before any churn.
 	Instance uint64
 	Seed     uint64
 	Epoch    uint64
@@ -198,20 +189,10 @@ func (a *Artifact) Rule() (RuleSection, error) {
 	return decodeRuleSection(a.data[off : off+length])
 }
 
-// NewArtifact encodes a materialized solution: the answer bit per item
-// plus the rule it was derived from, under the (instance, seed)
-// content address — the epoch-0 (fixed-instance) form, bit-identical
-// to what pre-epoch builds wrote.
-func NewArtifact(instance, seed uint64, epsilon float64, answers []bool, rule RuleSection) (*Artifact, error) {
-	return NewArtifactEpoch(instance, seed, 0, epsilon, answers, rule)
-}
-
-// NewArtifactEpoch encodes a materialized solution of one sealed epoch
-// under the (instance, seed, epoch) content address. Epoch 0 emits
-// format version 1 (the pre-epoch encoding, byte for byte); any other
-// epoch emits version 2. The encoding is canonical — Large is sorted
-// here, every field has a fixed offset, one version per epoch value —
-// so equal inputs yield bit-identical artifacts wherever they are
+// NewArtifactEpoch encodes a materialized solution of one epoch under
+// the (instance, seed, epoch) content address. The encoding is
+// canonical — Large is sorted here and every field has a fixed offset
+// — so equal inputs yield bit-identical artifacts wherever they are
 // produced.
 func NewArtifactEpoch(instance, seed, epoch uint64, epsilon float64, answers []bool, rule RuleSection) (*Artifact, error) {
 	n := len(answers)
@@ -220,37 +201,31 @@ func NewArtifactEpoch(instance, seed, epoch uint64, epsilon float64, answers []b
 	}
 	sort.Slice(rule.Large, func(i, j int) bool { return rule.Large[i] < rule.Large[j] })
 
-	version, header := uint16(FormatVersion), headerSizeV1
-	if epoch != 0 {
-		version, header = FormatVersionEpoch, headerSizeV2
-	}
 	answerLen := (n + 7) / 8
 	ruleBytes := appendRuleSection(nil, rule)
-	total := header + answerLen + len(ruleBytes) + trailerSize
+	total := headerSize + answerLen + len(ruleBytes) + trailerSize
 	if total > MaxArtifactSize {
 		return nil, fmt.Errorf("store: artifact of %d bytes exceeds MaxArtifactSize", total)
 	}
 
 	data := make([]byte, 0, total)
 	data = append(data, magic...)
-	data = binary.LittleEndian.AppendUint16(data, version)
+	data = binary.LittleEndian.AppendUint16(data, FormatVersion)
 	data = binary.LittleEndian.AppendUint16(data, 0) // reserved
 	data = binary.LittleEndian.AppendUint64(data, instance)
 	data = binary.LittleEndian.AppendUint64(data, seed)
 	data = binary.LittleEndian.AppendUint64(data, math.Float64bits(epsilon))
 	data = binary.LittleEndian.AppendUint32(data, uint32(n))
-	data = binary.LittleEndian.AppendUint32(data, uint32(header))
+	data = binary.LittleEndian.AppendUint32(data, headerSize)
 	data = binary.LittleEndian.AppendUint32(data, uint32(answerLen))
-	data = binary.LittleEndian.AppendUint32(data, uint32(header+answerLen))
+	data = binary.LittleEndian.AppendUint32(data, uint32(headerSize+answerLen))
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(ruleBytes)))
-	if epoch != 0 {
-		data = binary.LittleEndian.AppendUint64(data, epoch)
-	}
+	data = binary.LittleEndian.AppendUint64(data, epoch)
 
-	data = data[:header+answerLen]
+	data = data[:headerSize+answerLen]
 	for i, in := range answers {
 		if in {
-			data[header+i>>3] |= 1 << (i & 7)
+			data[headerSize+i>>3] |= 1 << (i & 7)
 		}
 	}
 	data = append(data, ruleBytes...)
@@ -332,7 +307,7 @@ func Decode(data []byte) (*Artifact, error) {
 
 // decodeArtifact is Decode's implementation.
 func decodeArtifact(data []byte) (*Artifact, error) {
-	if len(data) < headerSizeV1+trailerSize {
+	if len(data) < headerSize+trailerSize {
 		return nil, fmt.Errorf("%w: %d bytes is smaller than any artifact", ErrCorrupt, len(data))
 	}
 	if len(data) > MaxArtifactSize {
@@ -341,18 +316,8 @@ func decodeArtifact(data []byte) (*Artifact, error) {
 	if string(data[0:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[0:4])
 	}
-	var header int
-	switch v := binary.LittleEndian.Uint16(data[4:6]); v {
-	case FormatVersion:
-		header = headerSizeV1
-	case FormatVersionEpoch:
-		header = headerSizeV2
-	default:
-		return nil, fmt.Errorf("%w: version %d (this build reads %d and %d)",
-			ErrBadVersion, v, FormatVersion, FormatVersionEpoch)
-	}
-	if len(data) < header+trailerSize {
-		return nil, fmt.Errorf("%w: %d bytes is smaller than the header", ErrCorrupt, len(data))
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != FormatVersion {
+		return nil, fmt.Errorf("%w: version %d (this build reads %d)", ErrBadVersion, v, FormatVersion)
 	}
 	body := data[:len(data)-trailerSize]
 	want := binary.LittleEndian.Uint64(data[len(data)-trailerSize:])
@@ -364,7 +329,7 @@ func decodeArtifact(data []byte) (*Artifact, error) {
 	ansLen := int(binary.LittleEndian.Uint32(data[40:44]))
 	ruleOff := int(binary.LittleEndian.Uint32(data[44:48]))
 	ruleLen := int(binary.LittleEndian.Uint32(data[48:52]))
-	if ansOff != header || ansLen != (n+7)/8 ||
+	if ansOff != headerSize || ansLen != (n+7)/8 ||
 		ruleOff != ansOff+ansLen || ruleOff+ruleLen != len(body) {
 		return nil, fmt.Errorf("%w: inconsistent section offsets", ErrCorrupt)
 	}
@@ -374,18 +339,10 @@ func decodeArtifact(data []byte) (*Artifact, error) {
 	if n%8 != 0 && data[ruleOff-1]>>(n%8) != 0 {
 		return nil, fmt.Errorf("%w: answer bits set past item %d", ErrCorrupt, n)
 	}
-	var epoch uint64
-	if header == headerSizeV2 {
-		if epoch = binary.LittleEndian.Uint64(data[52:60]); epoch == 0 {
-			// Epoch 0 must be version 1, or the same solution would have
-			// two valid byte images and content addressing breaks.
-			return nil, fmt.Errorf("%w: version-2 artifact addressing epoch 0", ErrCorrupt)
-		}
-	}
 	a := &Artifact{
 		Instance: binary.LittleEndian.Uint64(data[8:16]),
 		Seed:     binary.LittleEndian.Uint64(data[16:24]),
-		Epoch:    epoch,
+		Epoch:    binary.LittleEndian.Uint64(data[52:60]),
 		Epsilon:  math.Float64frombits(binary.LittleEndian.Uint64(data[24:32])),
 		N:        n,
 		data:     data,

@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc64"
+	"path/filepath"
 	"testing"
 
 	"lcakp/internal/engine"
@@ -27,62 +27,50 @@ func materializeTestEpoch(t testing.TB, n int, instance, epoch uint64) *Artifact
 	return a
 }
 
-// TestArtifactEpochEncoding pins the two-version story: epoch 0 writes
-// the exact pre-epoch format-1 bytes, sealed epochs write format 2
-// with the epoch in the header, and both round-trip through Decode.
+// TestArtifactEpochEncoding pins the one format across epochs: epoch 0
+// and epoch 5 of the same solution share the version and the header
+// layout, differ only in the epoch field (and so the trailer), and
+// carry identical answer and rule sections.
 func TestArtifactEpochEncoding(t *testing.T) {
 	const n = 200
-	a0, _, _ := materializeTest(t, n, 7)
-	viaEpoch := materializeTestEpoch(t, n, 7, 0)
-	if !bytes.Equal(a0.Bytes(), viaEpoch.Bytes()) {
-		t.Fatal("epoch-0 artifact drifted from the pre-epoch format-1 bytes")
-	}
-	if v := binary.LittleEndian.Uint16(a0.Bytes()[4:6]); v != FormatVersion {
-		t.Fatalf("epoch-0 artifact version = %d, want %d", v, FormatVersion)
-	}
-
+	a0 := materializeTestEpoch(t, n, 7, 0)
 	a5 := materializeTestEpoch(t, n, 7, 5)
-	if v := binary.LittleEndian.Uint16(a5.Bytes()[4:6]); v != FormatVersionEpoch {
-		t.Fatalf("epoch-5 artifact version = %d, want %d", v, FormatVersionEpoch)
+	b0, b5 := a0.Bytes(), a5.Bytes()
+	if len(b0) != len(b5) {
+		t.Fatalf("epoch 0 encodes to %d bytes, epoch 5 to %d", len(b0), len(b5))
 	}
-	if a5.Epoch != 5 || a5.Instance != 7 || a5.Seed != testParams.Seed {
-		t.Fatalf("epoch artifact address = (i%d, s%d, e%d)", a5.Instance, a5.Seed, a5.Epoch)
+	for _, b := range [][]byte{b0, b5} {
+		if v := binary.LittleEndian.Uint16(b[4:6]); v != FormatVersion {
+			t.Fatalf("artifact version = %d, want %d", v, FormatVersion)
+		}
+		if off := binary.LittleEndian.Uint32(b[36:40]); off != headerSize {
+			t.Fatalf("answer section at %d, want %d", off, headerSize)
+		}
 	}
-	back, err := Decode(append([]byte(nil), a5.Bytes()...))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	if !bytes.Equal(b0[:52], b5[:52]) {
+		t.Fatal("epochs 0 and 5 differ in a header field other than the epoch")
 	}
-	if back.Epoch != 5 || back.N != n {
-		t.Fatalf("decoded epoch artifact = (e%d, n%d)", back.Epoch, back.N)
+	if e0, e5 := binary.LittleEndian.Uint64(b0[52:60]), binary.LittleEndian.Uint64(b5[52:60]); e0 != 0 || e5 != 5 {
+		t.Fatalf("epoch fields = %d, %d, want 0, 5", e0, e5)
 	}
-	// Same rule, same instance: the answer sections agree bit for bit
-	// even though the headers (and so the full byte images) differ.
-	for i := 0; i < n; i++ {
-		b0, _ := a0.InSolution(i)
-		b5, _ := a5.InSolution(i)
-		if b0 != b5 {
-			t.Fatalf("answer bit %d differs between epoch encodings", i)
+	if !bytes.Equal(b0[headerSize:len(b0)-trailerSize], b5[headerSize:len(b5)-trailerSize]) {
+		t.Fatal("epochs 0 and 5 of one solution have different answer or rule sections")
+	}
+	for _, want := range []*Artifact{a0, a5} {
+		back, err := Decode(bytes.Clone(want.Bytes()))
+		if err != nil {
+			t.Fatalf("Decode epoch %d: %v", want.Epoch, err)
+		}
+		if back.Epoch != want.Epoch || back.Instance != 7 || back.Seed != testParams.Seed || back.N != n {
+			t.Fatalf("decoded artifact = (i%d, s%d, e%d, n%d), want (i7, s%d, e%d, n%d)",
+				back.Instance, back.Seed, back.Epoch, back.N, testParams.Seed, want.Epoch, n)
 		}
 	}
 }
 
-// TestArtifactV2RejectsEpochZero pins canonicality: a format-2 header
-// claiming epoch 0 is corruption (epoch 0 has exactly one encoding,
-// format 1), even with a valid checksum.
-func TestArtifactV2RejectsEpochZero(t *testing.T) {
-	a := materializeTestEpoch(t, 64, 3, 9)
-	raw := append([]byte(nil), a.Bytes()...)
-	binary.LittleEndian.PutUint64(raw[52:60], 0)
-	body := raw[:len(raw)-trailerSize]
-	binary.LittleEndian.PutUint64(raw[len(raw)-trailerSize:], crc64.Checksum(body, crcTable))
-	if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v2 artifact with epoch 0: err = %v, want ErrCorrupt", err)
-	}
-}
-
 // TestStoreEpochAddressing pins the store's (tenant, epoch) keying:
-// epoch 0 keeps the legacy path and API, sealed epochs get their own
-// path, residency, and misplacement detection.
+// every epoch, epoch 0 included, gets its own path, residency, and
+// lookups, and epoch 0's file keeps the i%d-s%d.lcas name.
 func TestStoreEpochAddressing(t *testing.T) {
 	s, err := New(t.TempDir(), 4)
 	if err != nil {
@@ -92,7 +80,7 @@ func TestStoreEpochAddressing(t *testing.T) {
 	ctx := context.Background()
 
 	const n = 128
-	a0, _, _ := materializeTest(t, n, 11)
+	a0 := materializeTestEpoch(t, n, 11, 0)
 	a3 := materializeTestEpoch(t, n, 11, 3)
 	if err := s.Put(ctx, a0); err != nil {
 		t.Fatalf("Put epoch 0: %v", err)
@@ -102,57 +90,45 @@ func TestStoreEpochAddressing(t *testing.T) {
 	}
 
 	id := engine.TenantID{Instance: 11, Seed: testParams.Seed}
+	vt0 := engine.VersionedTenant{Tenant: id}
 	vt3 := engine.VersionedTenant{Tenant: id, Epoch: 3}
-	if p0, p3 := s.Path(id), s.PathVersioned(vt3); p0 == p3 {
+	p0, p3 := s.PathVersioned(vt0), s.PathVersioned(vt3)
+	if p0 == p3 {
 		t.Fatalf("epoch 0 and epoch 3 share a path: %s", p0)
 	}
-	if !s.Has(id) || !s.HasVersioned(vt3) {
-		t.Fatal("Has/HasVersioned missed a persisted artifact")
+	if b0, b3 := filepath.Base(p0), filepath.Base(p3); b0 != "i11-s2.lcas" || b3 != "i11-s2-e3.lcas" {
+		t.Fatalf("artifact file names = %s, %s, want i11-s2.lcas, i11-s2-e3.lcas", b0, b3)
+	}
+	if !s.HasVersioned(vt0) || !s.HasVersioned(vt3) {
+		t.Fatal("HasVersioned missed a persisted artifact")
 	}
 	if s.HasVersioned(engine.VersionedTenant{Tenant: id, Epoch: 4}) {
 		t.Fatal("HasVersioned invented epoch 4")
 	}
 
-	got0, err := s.Get(ctx, id)
+	got0, err := s.GetVersioned(ctx, vt0)
 	if err != nil || got0.Epoch != 0 {
-		t.Fatalf("Get: epoch %d, err %v", got0.Epoch, err)
+		t.Fatalf("GetVersioned epoch 0: err %v", err)
 	}
 	got3, err := s.GetVersioned(ctx, vt3)
 	if err != nil || got3.Epoch != 3 {
-		t.Fatalf("GetVersioned: err %v", err)
+		t.Fatalf("GetVersioned epoch 3: err %v", err)
 	}
 	if _, err := s.GetVersioned(ctx, engine.VersionedTenant{Tenant: id, Epoch: 4}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetVersioned for absent epoch: err = %v, want ErrNotFound", err)
 	}
 
-	// Legacy Lookup serves the epoch-0 artifact; LookupEpoch the sealed one.
 	for i := 0; i < n; i += 17 {
-		want0, _ := a0.InSolution(i)
-		in, ok, err := s.Lookup(ctx, id, i)
-		if err != nil || !ok || in != want0 {
-			t.Fatalf("Lookup(%d) = (%v, %v, %v)", i, in, ok, err)
+		for _, c := range []struct {
+			vt engine.VersionedTenant
+			a  *Artifact
+		}{{vt0, a0}, {vt3, a3}} {
+			want, _ := c.a.InSolution(i)
+			in, ok, err := s.LookupEpoch(ctx, c.vt, i)
+			if err != nil || !ok || in != want {
+				t.Fatalf("LookupEpoch(%s, %d) = (%v, %v, %v), want %v", c.vt, i, in, ok, err, want)
+			}
 		}
-		want3, _ := a3.InSolution(i)
-		in, ok, err = s.LookupEpoch(ctx, vt3, i)
-		if err != nil || !ok || in != want3 {
-			t.Fatalf("LookupEpoch(%d) = (%v, %v, %v)", i, in, ok, err)
-		}
-	}
-
-	// Listing surfaces both keys; the legacy view dedups to the tenant.
-	vts, err := s.ListVersioned()
-	if err != nil {
-		t.Fatalf("ListVersioned: %v", err)
-	}
-	if len(vts) != 2 || vts[0] != (engine.VersionedTenant{Tenant: id}) || vts[1] != vt3 {
-		t.Fatalf("ListVersioned = %v", vts)
-	}
-	ids, err := s.List()
-	if err != nil {
-		t.Fatalf("List: %v", err)
-	}
-	if len(ids) != 1 || ids[0] != id {
-		t.Fatalf("List = %v", ids)
 	}
 }
 

@@ -36,12 +36,27 @@ func canonicalTestArtifact(t testing.TB, epoch uint64) *Artifact {
 	return a
 }
 
+// formatOneImage re-encodes a as the retired format 1: a 52-byte header
+// without the epoch field, section offsets moved down to match, and a
+// valid checksum, so only the version field refuses it.
+func formatOneImage(a *Artifact) []byte {
+	b := a.Bytes()
+	const shift = headerSize - 52
+	v1 := append(bytes.Clone(b[:52]), b[headerSize:]...)
+	binary.LittleEndian.PutUint16(v1[4:6], 1)
+	for _, off := range []int{36, 44} { // answer and rule section offsets
+		binary.LittleEndian.PutUint32(v1[off:], binary.LittleEndian.Uint32(v1[off:])-shift)
+	}
+	reseal(v1)
+	return v1
+}
+
 // TestDecodeRejectsNonCanonicalBytes pins one byte image per solution:
 // each mutation below leaves a valid checksum and decodes to a
 // solution that re-encodes to different bytes, so Decode must refuse
-// it.
+// it. The same solution in the retired format 1 is refused by version.
 func TestDecodeRejectsNonCanonicalBytes(t *testing.T) {
-	for _, epoch := range []uint64{0, 3} {
+	for _, epoch := range []uint64{0, 5} {
 		orig := canonicalTestArtifact(t, epoch).Bytes()
 		ansOff := int(binary.LittleEndian.Uint32(orig[36:40]))
 		ruleOff := int(binary.LittleEndian.Uint32(orig[44:48]))
@@ -67,6 +82,9 @@ func TestDecodeRejectsNonCanonicalBytes(t *testing.T) {
 			}
 		}
 	}
+	if _, err := Decode(formatOneImage(canonicalTestArtifact(t, 0))); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("format-1 image: Decode error = %v, want ErrBadVersion", err)
+	}
 }
 
 // FuzzArtifactDecode feeds arbitrary bytes to Decode; with reseal set,
@@ -76,11 +94,12 @@ func TestDecodeRejectsNonCanonicalBytes(t *testing.T) {
 // without panicking, and whose decoded fields re-encode to exactly the
 // input.
 func FuzzArtifactDecode(f *testing.F) {
-	for _, epoch := range []uint64{0, 3} { // format versions 1 and 2
+	for _, epoch := range []uint64{0, 5} {
 		data := canonicalTestArtifact(f, epoch).Bytes()
 		f.Add(data, false)
 		f.Add(data, true)
 	}
+	f.Add(formatOneImage(canonicalTestArtifact(f, 0)), false)
 	f.Fuzz(func(t *testing.T, data []byte, resealed bool) {
 		in := bytes.Clone(data)
 		if resealed {

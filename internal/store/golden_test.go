@@ -16,27 +16,38 @@ import (
 )
 
 // goldenArtifacts pins, for fixed (workload, ε, seed) triples over
-// workload seed 17 and instance hash 1, the checksum of the artifact
-// materialized from store.MaterializeRule and the hash of every sample
-// that derivation drew. The values were computed before the alias
-// table was packed and the EPS sample's CDF was built once per
-// derivation. The determinism tests compare two runs of one build;
-// these pin the sampling stream and its rule across commits. The draw
-// hash fails on any changed draw, which the checksum alone need not:
-// the rule is reproducible under fresh samples by design.
+// workload seed 17 and instance hash 1, three values of the epoch-0
+// artifact materialized from store.MaterializeRule: the hash of every
+// sample that derivation drew, the FNV-64a hash of the artifact body
+// (its answer and rule sections, the bytes between header and
+// trailer), and the artifact checksum. The determinism tests compare
+// two runs of one build; these pin the sampling stream, the solution
+// and its encoding across commits. The draw hash fails on any changed
+// draw, which the body need not: the rule is reproducible under fresh
+// samples by design. The draw and body hashes predate the one-format
+// header; only the checksums moved with it.
 var goldenArtifacts = []struct {
 	workload string
 	n        int
 	eps      float64
 	seed     uint64
-	checksum uint64
 	draws    uint64
+	body     uint64
+	checksum uint64
 }{
-	{"uniform", 400, 0.45, 2, 0xf1a6083c7817b022, 0x74b209db39a8ef8e},
-	{"zipf", 20_000, 0.2, 7, 0x9c7fc4a510ad9ed9, 0x2b10610762d36db9},
-	{"planted-large", 5_000, 0.25, 3, 0x229774ea9485f527, 0x5d12e493d4c354e3},
-	{"correlated", 8_000, 0.3, 11, 0x6fa96db406a16cbb, 0xba5d221002425e67},
-	{"zipf", 10_000, 0.1, 5, 0x40f64079275912d1, 0x8f2464a01930a2fa},
+	{"uniform", 400, 0.45, 2, 0x74b209db39a8ef8e, 0x99c8d4c4fa3a0727, 0xb7b2a24c9966f9f8},
+	{"zipf", 20_000, 0.2, 7, 0x2b10610762d36db9, 0xed3c9c4069750f72, 0x63e1ba3298e8ee0d},
+	{"planted-large", 5_000, 0.25, 3, 0x5d12e493d4c354e3, 0xda8ca39184c986bf, 0x8563137f022dfd43},
+	{"correlated", 8_000, 0.3, 11, 0xba5d221002425e67, 0x8a79fe935fa4bc26, 0x0d7b600c80996556},
+	{"zipf", 10_000, 0.1, 5, 0x8f2464a01930a2fa, 0x7179f629158f9d5f, 0x1a8c975cda070e38},
+}
+
+// bodyHash is the FNV-64a hash of a's answer and rule sections.
+func bodyHash(a *Artifact) uint64 {
+	b := a.Bytes()
+	h := fnv.New64a()
+	h.Write(b[headerSize : len(b)-trailerSize])
+	return h.Sum64()
 }
 
 // drawHashing hashes every sample drawn through it: index, then the
@@ -83,13 +94,13 @@ func TestMaterializeGoldenChecksums(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MaterializeRule: %v", err)
 		}
-		a, err := Materialize(ctx, acc, rule, 1, g.seed)
+		a, err := MaterializeEpoch(ctx, acc, rule, 1, g.seed, 0)
 		if err != nil {
-			t.Fatalf("Materialize: %v", err)
+			t.Fatalf("MaterializeEpoch: %v", err)
 		}
-		if got, draws := a.Checksum(), hashing.h.Sum64(); got != g.checksum || draws != g.draws {
-			t.Errorf("%s n=%d ε=%v seed=%d: checksum %#016x draws %#016x, want %#016x %#016x (thresholds %v)",
-				g.workload, g.n, g.eps, g.seed, got, draws, g.checksum, g.draws, rule.Thresholds)
+		if draws, body, sum := hashing.h.Sum64(), bodyHash(a), a.Checksum(); draws != g.draws || body != g.body || sum != g.checksum {
+			t.Errorf("%s n=%d ε=%v seed=%d: draws %#016x body %#016x checksum %#016x, want %#016x %#016x %#016x (thresholds %v)",
+				g.workload, g.n, g.eps, g.seed, draws, body, sum, g.draws, g.body, g.checksum, rule.Thresholds)
 		}
 	}
 }

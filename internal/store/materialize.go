@@ -62,24 +62,15 @@ func MaterializeRule(ctx context.Context, lca *core.LCAKP) (core.Rule, error) {
 	return lca.ComputeRule(ctx, fresh)
 }
 
-// Materialize evaluates a derived rule over every item of the instance
-// and encodes the complete solution as an artifact addressed by
-// (instance, seed). This is the Rubinfeld–Tamir–Vardi–Xie
-// preprocessing step made explicit: n oracle probes paid once, after
-// which every lookup anywhere in the fleet is a bit probe. The scan is
-// deterministic (index order, one probe per item), so two processes
-// materializing the same (I, r) emit bit-identical artifacts —
-// TestMaterializeDeterministicBytes holds this against the encoder.
-//
-//lint:coldpath materialization is offline preprocessing, never on the query path
-func Materialize(ctx context.Context, access oracle.Access, rule core.Rule, instance, seed uint64) (*Artifact, error) {
-	return MaterializeEpoch(ctx, access, rule, instance, seed, 0)
-}
-
-// MaterializeEpoch is Materialize for one sealed epoch: the scan runs
-// over the epoch's instance I_e and the artifact carries (instance,
-// seed, epoch) as its content address. Epoch 0 produces the exact
-// pre-epoch (format version 1) bytes.
+// MaterializeEpoch evaluates a derived rule over every item of one
+// epoch's instance I_e and encodes the complete solution as an
+// artifact addressed by (instance, seed, epoch). This is the
+// Rubinfeld–Tamir–Vardi–Xie preprocessing step made explicit: n oracle
+// probes paid once, after which every lookup anywhere in the fleet is
+// a bit probe. The scan is deterministic (index order, one probe per
+// item), so two processes materializing the same (I_e, r) emit
+// bit-identical artifacts — TestMaterializeDeterministicBytes holds
+// this against the encoder.
 //
 //lint:coldpath materialization is offline preprocessing, never on the query path
 func MaterializeEpoch(ctx context.Context, access oracle.Access, rule core.Rule, instance, seed, epoch uint64) (*Artifact, error) {

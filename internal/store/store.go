@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -61,10 +59,10 @@ type Stats struct {
 // interchangeable makes the store trivially coherent — an artifact for
 // (I, r) has exactly one possible value, so there is no staleness, no
 // versioned reads, and eviction is always safe. Under churn the store
-// is keyed by (tenant, epoch): each sealed epoch is its own immutable
-// artifact, and epoch 0 keeps the exact pre-epoch paths and bytes.
+// is keyed by (tenant, epoch): each epoch, epoch 0 included, is its own
+// immutable artifact.
 //
-// The hot path (Lookup on a resident artifact) is lock-free: one
+// The hot path (LookupEpoch on a resident artifact) is lock-free: one
 // sync.Map load plus a bit probe, guarded by BenchmarkStoreLookup at
 // 0 allocs/op so the gateway can put the store between its answer
 // cache and the replica fleet without a latency cliff.
@@ -110,12 +108,13 @@ func New(dir string, budget int) (*Store, error) {
 }
 
 // SetOnPut installs a hook invoked after every Put successfully
-// persists a locally materialized artifact — the seam the gateway's
-// proactive replication tier hangs off (push the new artifact to the
-// ring successor). The hook runs synchronously on the Put caller; long
-// work belongs in a goroutine the hook spawns. PutBytes — the path
-// that installs artifacts *received* from a peer — deliberately never
-// fires it, so a push can never cascade around the ring.
+// persists a locally materialized artifact — the seam a store-backed
+// gateway hangs off (install the artifact on its tenant and, with a
+// peer tier, push it to the ring successor). The hook runs
+// synchronously on the Put caller; long work belongs in a goroutine
+// the hook spawns. PutBytes — the path that installs artifacts
+// *received* from a peer — deliberately never fires it, so a push can
+// never cascade around the ring.
 func (s *Store) SetOnPut(fn func(*Artifact)) {
 	s.mu.Lock()
 	s.onPut = fn
@@ -125,33 +124,22 @@ func (s *Store) SetOnPut(fn func(*Artifact)) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Path returns the content-addressed location of tenant id's epoch-0
-// artifact — the exact pre-epoch path.
-func (s *Store) Path(id engine.TenantID) string {
-	return s.PathVersioned(engine.VersionedTenant{Tenant: id})
-}
-
 // PathVersioned returns the content-addressed location of one epoch's
-// artifact: a fan-out subdirectory keyed by the low byte of the
-// instance hash, then the canonical (tenant, epoch) name — i%d-s%d.lcas
-// for epoch 0 (unchanged from pre-epoch builds), i%d-s%d-e%d.lcas for
-// sealed epochs. The address is a pure function of the key, so every
-// process agrees on where an artifact lives; all epochs of one tenant
-// share a fan-out directory.
+// artifact: a fan-out subdirectory named by the low byte of instance
+// hash XOR seed, then the (tenant, epoch) key's String() —
+// i%d-s%d.lcas for epoch 0, i%d-s%d-e%d.lcas for later epochs. The
+// address is a pure function of the key, so every process agrees on
+// where an artifact lives; all epochs of one tenant share a fan-out
+// directory.
 func (s *Store) PathVersioned(vt engine.VersionedTenant) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%02x", byte(vt.Tenant.Instance^vt.Tenant.Seed)), vt.String()+".lcas")
 }
 
-// Lookup answers item i's membership for tenant id's epoch-0 artifact,
-// opening it on first use. The boolean ok reports whether an artifact
+// LookupEpoch answers item i's membership from one epoch's artifact,
+// opening it on first use. The boolean ok reports whether the artifact
 // exists and covers i; err reports opens that failed for a reason
 // other than absence (corruption, I/O), which callers should surface
 // rather than silently falling through to a replica.
-func (s *Store) Lookup(ctx context.Context, id engine.TenantID, i int) (in, ok bool, err error) {
-	return s.LookupEpoch(ctx, engine.VersionedTenant{Tenant: id}, i)
-}
-
-// LookupEpoch is Lookup against one sealed epoch's artifact.
 func (s *Store) LookupEpoch(ctx context.Context, vt engine.VersionedTenant, i int) (in, ok bool, err error) {
 	s.lookups.Inc()
 	//lint:alloc measured 0 allocs/op (BenchmarkStoreLookup): Load does not retain the key, so the box stays on the stack
@@ -174,13 +162,8 @@ func (s *Store) LookupEpoch(ctx context.Context, vt engine.VersionedTenant, i in
 	return in, ok, nil
 }
 
-// Get returns tenant id's decoded epoch-0 artifact, opening and
+// GetVersioned returns one epoch's decoded artifact, opening and
 // validating it on first use. Absence is ErrNotFound.
-func (s *Store) Get(ctx context.Context, id engine.TenantID) (*Artifact, error) {
-	return s.GetVersioned(ctx, engine.VersionedTenant{Tenant: id})
-}
-
-// GetVersioned is Get for one sealed epoch's artifact.
 func (s *Store) GetVersioned(ctx context.Context, vt engine.VersionedTenant) (*Artifact, error) {
 	if v, ok := s.entries.Load(vt); ok {
 		e := v.(*entry)
@@ -190,13 +173,8 @@ func (s *Store) GetVersioned(ctx context.Context, vt engine.VersionedTenant) (*A
 	return s.open(ctx, vt)
 }
 
-// Has reports whether an epoch-0 artifact for id exists (resident or
-// on disk) without decoding it.
-func (s *Store) Has(id engine.TenantID) bool {
-	return s.HasVersioned(engine.VersionedTenant{Tenant: id})
-}
-
-// HasVersioned is Has for one sealed epoch's artifact.
+// HasVersioned reports whether one epoch's artifact exists (resident
+// or on disk) without decoding it.
 func (s *Store) HasVersioned(vt engine.VersionedTenant) bool {
 	if _, ok := s.entries.Load(vt); ok {
 		return true
@@ -359,66 +337,6 @@ func (s *Store) PutBytes(ctx context.Context, data []byte) (*Artifact, error) {
 		return nil, err
 	}
 	return a, nil
-}
-
-// List scans the store's directory tree and returns the tenant IDs of
-// every artifact present (sorted by instance, then seed, deduplicated
-// across epochs). It trusts file names only for enumeration; opening
-// still validates content.
-func (s *Store) List() ([]engine.TenantID, error) {
-	vts, err := s.ListVersioned()
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]engine.TenantID, 0, len(vts))
-	for _, vt := range vts {
-		if len(ids) == 0 || ids[len(ids)-1] != vt.Tenant {
-			ids = append(ids, vt.Tenant)
-		}
-	}
-	return ids, nil
-}
-
-// ListVersioned scans the store's directory tree and returns the full
-// (tenant, epoch) key of every artifact present, sorted by instance,
-// seed, then epoch. Both file-name forms parse: the epoch-0 i%d-s%d
-// legacy name and the sealed-epoch i%d-s%d-e%d name.
-func (s *Store) ListVersioned() ([]engine.VersionedTenant, error) {
-	var vts []engine.VersionedTenant
-	err := filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".lcas") {
-			return err
-		}
-		name := strings.TrimSuffix(d.Name(), ".lcas")
-		var inst, seed, ep uint64
-		vt := engine.VersionedTenant{}
-		if _, err := fmt.Sscanf(name, "i%d-s%d-e%d", &inst, &seed, &ep); err == nil {
-			vt = engine.VersionedTenant{Tenant: engine.TenantID{Instance: inst, Seed: seed}, Epoch: engine.EpochID(ep)}
-		} else if _, err := fmt.Sscanf(name, "i%d-s%d", &inst, &seed); err == nil {
-			vt = engine.VersionedTenant{Tenant: engine.TenantID{Instance: inst, Seed: seed}}
-		} else {
-			return nil
-		}
-		// Sscanf tolerates trailing junk; only names that round-trip to
-		// the canonical form are artifacts of ours.
-		if vt.String() == name {
-			vts = append(vts, vt)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: list artifacts: %w", err)
-	}
-	sort.Slice(vts, func(i, j int) bool {
-		if vts[i].Tenant.Instance != vts[j].Tenant.Instance {
-			return vts[i].Tenant.Instance < vts[j].Tenant.Instance
-		}
-		if vts[i].Tenant.Seed != vts[j].Tenant.Seed {
-			return vts[i].Tenant.Seed < vts[j].Tenant.Seed
-		}
-		return vts[i].Epoch < vts[j].Epoch
-	})
-	return vts, nil
 }
 
 // Stats returns a snapshot of the store's counters.

@@ -36,7 +36,7 @@ func buildLCA(t testing.TB, n int) (*core.LCAKP, oracle.Access) {
 }
 
 // materializeTest derives the canonical rule and materializes the full
-// artifact for the shared test workload.
+// epoch-0 artifact for the shared test workload.
 func materializeTest(t testing.TB, n int, instance uint64) (*Artifact, core.Rule, oracle.Access) {
 	t.Helper()
 	lca, acc := buildLCA(t, n)
@@ -44,9 +44,9 @@ func materializeTest(t testing.TB, n int, instance uint64) (*Artifact, core.Rule
 	if err != nil {
 		t.Fatalf("MaterializeRule: %v", err)
 	}
-	a, err := Materialize(context.Background(), acc, rule, instance, testParams.Seed)
+	a, err := MaterializeEpoch(context.Background(), acc, rule, instance, testParams.Seed, 0)
 	if err != nil {
-		t.Fatalf("Materialize: %v", err)
+		t.Fatalf("MaterializeEpoch: %v", err)
 	}
 	return a, rule, acc
 }
@@ -169,28 +169,28 @@ func TestStoreLifecycle(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	a, rule, acc := materializeTest(t, 200, 11)
-	id := engine.TenantID{Instance: 11, Seed: testParams.Seed}
+	id := engine.VersionedTenant{Tenant: engine.TenantID{Instance: 11, Seed: testParams.Seed}}
 
 	// Absent artifact: Lookup says no coverage, Get says ErrNotFound.
-	if _, ok, err := s.Lookup(ctx, id, 0); ok || err != nil {
+	if _, ok, err := s.LookupEpoch(ctx, id, 0); ok || err != nil {
 		t.Fatalf("Lookup on empty store = (ok=%v, err=%v)", ok, err)
 	}
-	if _, err := s.Get(ctx, id); !errors.Is(err, ErrNotFound) {
+	if _, err := s.GetVersioned(ctx, id); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get on empty store: %v, want ErrNotFound", err)
 	}
-	if s.Has(id) {
+	if s.HasVersioned(id) {
 		t.Fatal("Has on empty store")
 	}
 
 	if err := s.Put(ctx, a); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if !s.Has(id) {
+	if !s.HasVersioned(id) {
 		t.Fatal("Has after Put = false")
 	}
 	for i := 0; i < a.N; i++ {
 		it, _ := acc.QueryItem(ctx, i)
-		in, ok, err := s.Lookup(ctx, id, i)
+		in, ok, err := s.LookupEpoch(ctx, id, i)
 		if err != nil || !ok {
 			t.Fatalf("Lookup(%d) = (ok=%v, err=%v)", i, ok, err)
 		}
@@ -199,7 +199,7 @@ func TestStoreLifecycle(t *testing.T) {
 		}
 	}
 	// Out-of-range item: covered artifact, uncovered index.
-	if _, ok, err := s.Lookup(ctx, id, a.N); ok || err != nil {
+	if _, ok, err := s.LookupEpoch(ctx, id, a.N); ok || err != nil {
 		t.Fatalf("Lookup past range = (ok=%v, err=%v)", ok, err)
 	}
 
@@ -209,16 +209,12 @@ func TestStoreLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(restart): %v", err)
 	}
-	got, err := s2.Get(ctx, id)
+	got, err := s2.GetVersioned(ctx, id)
 	if err != nil {
 		t.Fatalf("Get after restart: %v", err)
 	}
 	if !bytes.Equal(got.Bytes(), a.Bytes()) {
 		t.Fatal("artifact changed across restart")
-	}
-	ids, err := s2.List()
-	if err != nil || len(ids) != 1 || ids[0] != id {
-		t.Fatalf("List = (%v, %v), want [%v]", ids, err, id)
 	}
 
 	// PutBytes is the backfill path: raw bytes in, validated artifact
@@ -230,7 +226,7 @@ func TestStoreLifecycle(t *testing.T) {
 	if _, err := s3.PutBytes(ctx, a.Bytes()); err != nil {
 		t.Fatalf("PutBytes: %v", err)
 	}
-	if !s3.Has(id) {
+	if !s3.HasVersioned(id) {
 		t.Fatal("backfilled artifact absent")
 	}
 	corrupt := append([]byte(nil), a.Bytes()...)
@@ -248,7 +244,7 @@ func TestStoreLifecycle(t *testing.T) {
 	if err := s.Put(ctx, a); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after Close: %v, want ErrClosed", err)
 	}
-	if _, err := s.Get(ctx, id); !errors.Is(err, ErrClosed) {
+	if _, err := s.GetVersioned(ctx, id); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after Close: %v, want ErrClosed", err)
 	}
 }
@@ -263,18 +259,18 @@ func TestStoreRejectsCorruptFile(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	a, _, _ := materializeTest(t, 100, 5)
-	id := engine.TenantID{Instance: 5, Seed: testParams.Seed}
+	id := engine.VersionedTenant{Tenant: engine.TenantID{Instance: 5, Seed: testParams.Seed}}
 	if err := s.Put(ctx, a); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	// Corrupt one byte of the answer section on disk, then reopen
 	// through a fresh store (the first store holds it resident).
-	path := s.Path(id)
+	path := s.PathVersioned(id)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	raw[headerSizeV1] ^= 0x01
+	raw[headerSize] ^= 0x01
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
@@ -282,10 +278,10 @@ func TestStoreRejectsCorruptFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := s2.Get(ctx, id); !errors.Is(err, ErrCorrupt) {
+	if _, err := s2.GetVersioned(ctx, id); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get over corrupt file: %v, want ErrCorrupt", err)
 	}
-	if _, _, err := s2.Lookup(ctx, id, 0); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := s2.LookupEpoch(ctx, id, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Lookup over corrupt file: %v, want ErrCorrupt", err)
 	}
 	if st := s2.Stats(); st.Corrupt == 0 {
@@ -302,11 +298,11 @@ func TestStoreRejectsMisplacedArtifact(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	a, _, _ := materializeTest(t, 100, 5)
-	other := engine.TenantID{Instance: 6, Seed: testParams.Seed}
-	if err := a.WriteFile(s.Path(other)); err != nil {
+	other := engine.VersionedTenant{Tenant: engine.TenantID{Instance: 6, Seed: testParams.Seed}}
+	if err := a.WriteFile(s.PathVersioned(other)); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if _, err := s.Get(ctx, other); !errors.Is(err, ErrCorrupt) {
+	if _, err := s.GetVersioned(ctx, other); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get on misplaced artifact: %v, want ErrCorrupt", err)
 	}
 }
@@ -319,13 +315,13 @@ func TestStoreEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	var ids []engine.TenantID
+	var ids []engine.VersionedTenant
 	for inst := uint64(1); inst <= 4; inst++ {
 		a, _, _ := materializeTest(t, 50, inst)
 		if err := s.Put(ctx, a); err != nil {
 			t.Fatalf("Put(i%d): %v", inst, err)
 		}
-		ids = append(ids, engine.TenantID{Instance: inst, Seed: testParams.Seed})
+		ids = append(ids, engine.VersionedTenant{Tenant: engine.TenantID{Instance: inst, Seed: testParams.Seed}})
 	}
 	st := s.Stats()
 	if st.Resident > 2 {
@@ -336,7 +332,7 @@ func TestStoreEviction(t *testing.T) {
 	}
 	// Every artifact still answers (evicted ones re-open).
 	for _, id := range ids {
-		if _, ok, err := s.Lookup(ctx, id, 0); !ok || err != nil {
+		if _, ok, err := s.LookupEpoch(ctx, id, 0); !ok || err != nil {
 			t.Fatalf("Lookup(%v) after eviction = (ok=%v, err=%v)", id, ok, err)
 		}
 	}
@@ -354,11 +350,11 @@ func BenchmarkStoreLookup(b *testing.B) {
 	if err := s.Put(ctx, a); err != nil {
 		b.Fatalf("Put: %v", err)
 	}
-	id := engine.TenantID{Instance: 11, Seed: testParams.Seed}
+	id := engine.VersionedTenant{Tenant: engine.TenantID{Instance: 11, Seed: testParams.Seed}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := s.Lookup(ctx, id, i%a.N); !ok || err != nil {
+		if _, ok, err := s.LookupEpoch(ctx, id, i%a.N); !ok || err != nil {
 			b.Fatalf("Lookup = (ok=%v, err=%v)", ok, err)
 		}
 	}

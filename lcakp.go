@@ -209,11 +209,6 @@ type (
 	SlowTraceLog = obs.SlowTraceLog
 	// SlowTrace is one force-retained trace (span tree + capture reason).
 	SlowTrace = obs.SlowTrace
-	// TelemetryPusher periodically POSTs metrics and finished spans to
-	// a collector (cmd/lcaobs) as OTLP-shaped JSON.
-	TelemetryPusher = obs.Pusher
-	// TelemetryPusherOptions configures a TelemetryPusher.
-	TelemetryPusherOptions = obs.PusherOptions
 )
 
 // Reproducible statistics types.
@@ -382,10 +377,4 @@ func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 // Tracer.SetSlowLog. threshold <= 0 captures only on warn events.
 func NewSlowTraceLog(capacity int, threshold time.Duration) *SlowTraceLog {
 	return obs.NewSlowTraceLog(capacity, threshold)
-}
-
-// NewTelemetryPusher builds a push exporter towards a cmd/lcaobs
-// collector; call Start to begin pushing and Close on shutdown.
-func NewTelemetryPusher(opts TelemetryPusherOptions) (*TelemetryPusher, error) {
-	return obs.NewPusher(opts)
 }
