@@ -69,9 +69,9 @@ func BenchmarkRemoteSampleUnbatched(b *testing.B) {
 
 // BenchmarkDeriveRemote is the replica's half of a cold derivation:
 // one engine query over core.LCAKP on engine.Wrap of a RemoteAccess,
-// whose 17,666 draws come in 4,096-draw frames from an in-process
-// instance server over loopback (zipf, n = 1M, ε = 0.2). The instance
-// server's work runs in the same process and is included.
+// whose 17,666 draws come in six requests of exactly those draws from
+// an in-process instance server over loopback (zipf, n = 1M, ε = 0.2).
+// The instance server's work runs in the same process and is included.
 func BenchmarkDeriveRemote(b *testing.B) {
 	const n = 1_000_000
 	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: n, Seed: 1})

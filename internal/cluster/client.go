@@ -135,18 +135,22 @@ func (c *conn) close() error { return c.netConn.Close() }
 // RemoteAccess is an oracle.Access backed by a remote InstanceServer.
 // It lets an unmodified core.LCAKP run against an instance held
 // elsewhere — the "massive input" deployment of the LCA model.
-// Instance info (n, capacity) is fetched once at dial time; samples
-// are fetched in batches to amortize round trips.
+// Instance info (n, capacity) is fetched once at dial time. A caller
+// stream's draws are laid out in batches of batch draws, batch b drawn
+// by the server from seed ^ b·φ. A frame call requests at most one
+// batch at a time and opens a batch with only the draws it still
+// needs; fetch says how a later call resumes such a batch.
 type RemoteAccess struct {
 	conn     *conn
 	n        int
 	capacity float64
 
-	// batch is the sample prefetch size.
+	// batch is the stream's layout unit and the largest sample
+	// request.
 	batch int
 
 	mu sync.Mutex
-	// streams tracks one prefetch buffer per caller source. Sources
+	// streams tracks one sampling stream per caller source. Sources
 	// are per-run ephemerals, so the map is cleared when it grows past
 	// a small bound rather than tracking lifetimes.
 	streams map[*rng.Source]*sampleStream
@@ -158,15 +162,20 @@ type RemoteAccess struct {
 	last    *sampleStream
 }
 
-// sampleStream is the prefetch state of one caller sampling stream:
-// the response entries no call has consumed yet, kept raw. A call that
-// leaves part of a fresh response unconsumed copies that tail into
-// buf, whose backing array every later batch reuses.
+// sampleStream is the sampling state of one caller stream: where it
+// stands in its batches, and the response entries no call has
+// consumed yet, kept raw. A call that leaves part of a fresh response
+// unconsumed copies that tail into buf, whose backing array every
+// later batch reuses.
 type sampleStream struct {
 	seed     uint64 // stream identity drawn once from the caller source
 	batchNum uint64 // next batch ordinal; batches use independent seeds
-	buf      []byte // backing array of tail
-	tail     sampleFrame
+	// short is how many leading draws of batch batchNum-1 were
+	// fetched when it was opened with fewer than a whole batch; 0 when
+	// no batch is open short.
+	short int
+	buf   []byte // backing array of tail
+	tail  sampleFrame
 }
 
 // maxStreams bounds the per-source stream map.
@@ -174,9 +183,12 @@ const maxStreams = 128
 
 var _ oracle.Access = (*RemoteAccess)(nil)
 
-// DialInstance connects to an InstanceServer. batch controls sample
-// prefetching (0 selects 4096). The dial is bounded by timeout alone;
-// use DialInstanceContext to also bound it by a context.
+// DialInstance connects to an InstanceServer. batch is the number of
+// draws in each batch of a sampling stream (0 selects 4096): the unit
+// the per-draw sequence is laid out in and the largest sample request.
+// It is not a prefetch: a frame call opens a batch with only the draws
+// it needs. The dial is bounded by timeout alone; use
+// DialInstanceContext to also bound it by a context.
 func DialInstance(addr string, timeout time.Duration, batch int) (*RemoteAccess, error) {
 	return DialInstanceContext(context.Background(), addr, timeout, batch)
 }
@@ -258,11 +270,13 @@ func (r *RemoteAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsa
 
 // SampleFrame fills dst with profit-weighted draws. The caller's
 // source is compressed into a stream seed (drawn once per source) sent
-// to the server, which draws the actual samples; batches are
-// prefetched per stream to amortize round trips. Distinct sources get
+// to the server, which draws the actual samples. Distinct sources get
 // statistically independent streams, preserving the fresh-per-run
-// discipline. Entries are decoded straight from the stream's tail and
-// from fresh response payloads into dst, one index check per entry.
+// discipline. A call fetches only the draws it needs, at most one
+// batch per request (see fetch), so frames of whole batches plus one
+// final short frame per stream cost exactly their draws. Entries are
+// decoded straight from the stream's tail and from fresh response
+// payloads into dst, one index check per entry.
 func (r *RemoteAccess) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -276,7 +290,7 @@ func (r *RemoteAccess) SampleFrame(ctx context.Context, src *rng.Source, dst []o
 		f, fresh := stream.tail, len(stream.tail) == 0
 		if fresh {
 			var err error
-			if f, err = r.fetch(ctx, stream); err != nil {
+			if f, err = r.fetch(ctx, stream, len(dst)-filled); err != nil {
 				return filled, err
 			}
 		}
@@ -314,17 +328,26 @@ func (r *RemoteAccess) stream(src *rng.Source) *sampleStream {
 	return stream
 }
 
-// fetch requests the stream's next batch and returns its payload,
-// which aliases the connection's read buffer until the next RPC.
-// r.mu must be held.
-func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream) (sampleFrame, error) {
+// fetch requests the stream's next draws and returns their payload,
+// which aliases the connection's read buffer until the next RPC. It
+// opens the next batch with need draws when that is less than a whole
+// batch: a request's draws are a prefix of its batch's per-draw
+// sequence. The stream's next fetch resumes a batch opened short by
+// fetching it whole and skipping the prefix already delivered. A
+// failed fetch abandons its batch. r.mu must be held.
+func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream, need int) (sampleFrame, error) {
+	b, count, skip := stream.batchNum, min(need, r.batch), 0
+	if stream.short > 0 {
+		b, count, skip = b-1, r.batch, stream.short
+		stream.short = 0
+	} else {
+		stream.batchNum++
+	}
 	// Each batch gets an independent server-side seed derived from the
 	// stream identity and batch ordinal.
-	batchSeed := stream.seed ^ (stream.batchNum * 0x9e3779b97f4a7c15)
-	stream.batchNum++
 	var payload [16]byte
-	binary.LittleEndian.PutUint64(payload[0:8], uint64(r.batch))
-	binary.LittleEndian.PutUint64(payload[8:16], batchSeed)
+	binary.LittleEndian.PutUint64(payload[0:8], uint64(count))
+	binary.LittleEndian.PutUint64(payload[8:16], stream.seed^(b*0x9e3779b97f4a7c15))
 	resp, err := r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload[:]})
 	if err != nil {
 		return nil, err
@@ -332,7 +355,14 @@ func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream) (sampleF
 	if err := decodeMaybeErr(resp, msgSample); err != nil {
 		return nil, err
 	}
-	return decodeSampleFrame(resp.payload, r.batch)
+	f, err := decodeSampleFrame(resp.payload, count)
+	if err != nil {
+		return nil, err
+	}
+	if count < r.batch {
+		stream.short = count
+	}
+	return f[skip*sampleEntryLen:], nil
 }
 
 // Ping performs a health-check round trip.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lcakp/internal/core"
+	"lcakp/internal/engine"
 	"lcakp/internal/knapsack"
 	"lcakp/internal/oracle"
 	"lcakp/internal/rng"
@@ -284,6 +285,52 @@ func TestRemoteMaterializeMatchesGolden(t *testing.T) {
 	if draws, bh, sum := hashing.h.Sum64(), body.Sum64(), a.Checksum(); draws != wantDraws || bh != wantBody || sum != wantChecksum {
 		t.Errorf("remote derivation: draws %#016x body %#016x checksum %#016x, want %#016x %#016x %#016x",
 			draws, bh, sum, wantDraws, wantBody, wantChecksum)
+	}
+}
+
+// TestColdDerivationFetchesExactlyItsDraws answers one item by a cold
+// derivation at ε = 0.2 over a RemoteAccess with the default batch and
+// counts what the instance server drew. Def 2.2 charges 17,666 samples
+// and one point query, and the server must draw exactly those: six
+// sample requests (1,266 large-item draws, then four whole 4,096-draw
+// batches and 16 EPS draws) and one point-query request.
+func TestColdDerivationFetchesExactlyItsDraws(t *testing.T) {
+	const wantSamples, wantSampleRequests = 17_666, 6
+	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 20_000, Seed: 17})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	acc, err := oracle.NewSliceOracle(gen.Float)
+	if err != nil {
+		t.Fatalf("NewSliceOracle: %v", err)
+	}
+	drawn := &engine.Counter{}
+	srv, err := NewInstanceServer("127.0.0.1:0", engine.Chain(acc, engine.WithCounter(drawn)))
+	if err != nil {
+		t.Fatalf("NewInstanceServer: %v", err)
+	}
+	defer srv.Close()
+	remote, err := DialInstance(srv.Addr(), 0, 0)
+	if err != nil {
+		t.Fatalf("DialInstance: %v", err)
+	}
+	defer remote.Close()
+	lca, err := core.NewLCAKP(engine.Wrap(remote), core.Params{Epsilon: 0.2, Seed: 7})
+	if err != nil {
+		t.Fatalf("NewLCAKP: %v", err)
+	}
+	before := srv.Stats().RequestsServed
+	_, m, err := engine.New(lca).Query(context.Background(), 42)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if m.Samples != wantSamples || m.PointQueries != 1 {
+		t.Fatalf("Def 2.2 charge: %d samples, %d point queries, want %d and 1", m.Samples, m.PointQueries, wantSamples)
+	}
+	sampleRequests := srv.Stats().RequestsServed - before - drawn.Queries()
+	if drawn.Samples() != wantSamples || sampleRequests != wantSampleRequests || drawn.Queries() != 1 {
+		t.Errorf("instance server drew %d samples in %d sample requests and served %d point queries, want %d in %d and 1",
+			drawn.Samples(), sampleRequests, drawn.Queries(), wantSamples, wantSampleRequests)
 	}
 }
 

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"testing"
 
 	"lcakp/internal/rng"
@@ -32,16 +33,28 @@ func BenchmarkECDFQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkDomainIndex indexes efficiencies drawn log-uniformly from
+// the default domain at ε = 0.2: [ε²/8, 1e9], 12 bits.
 func BenchmarkDomainIndex(b *testing.B) {
-	d, err := NewDomain(1e-3, 1e9, 12)
+	d, err := NewDomain(0.2*0.2/8, 1e9, 12)
 	if err != nil {
 		b.Fatal(err)
 	}
+	src := rng.New(1)
+	effs := make([]float64, 4096)
+	for k := range effs {
+		effs[k] = math.Exp(src.Uniform(math.Log(d.Min()), math.Log(d.Max())))
+	}
+	sum := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = d.Index(float64(i%1000) + 0.5)
+		sum += d.Index(effs[i%len(effs)])
 	}
+	benchSink = sum
 }
+
+// benchSink keeps benchmark results live.
+var benchSink int
 
 func BenchmarkTrieQuantile(b *testing.B) {
 	samples := benchSamples(20_000, 1<<12)

@@ -64,6 +64,10 @@ type Domain struct {
 	bits   int
 	logMin float64
 	logStp float64
+	// invStp is 1/logStp, and margin bounds in cells how far Index's
+	// log-free estimate can lie from the reference formula's value.
+	invStp float64
+	margin float64
 }
 
 // maxDomainBits caps domain size; 2^30 indices is far beyond any
@@ -80,9 +84,13 @@ func NewDomain(min, max float64, bits int) (*Domain, error) {
 		return nil, fmt.Errorf("%w: bits %d not in [1, %d]", ErrBadDomain, bits, maxDomainBits)
 	}
 	size := 1 << bits
-	logMin := math.Log(min)
-	logStp := (math.Log(max) - logMin) / float64(size-1)
-	return &Domain{min: min, max: max, bits: bits, logMin: logMin, logStp: logStp}, nil
+	logMin, logMax := math.Log(min), math.Log(max)
+	logStp := (logMax - logMin) / float64(size-1)
+	return &Domain{
+		min: min, max: max, bits: bits, logMin: logMin, logStp: logStp,
+		invStp: 1 / logStp,
+		margin: indexMargin(logMin, logMax, logStp, size),
+	}, nil
 }
 
 // Bits returns log2 of the domain size.
@@ -100,7 +108,57 @@ func (d *Domain) Max() float64 { return d.max }
 // Index maps a value to its domain cell. Values at or below Min map to
 // 0; values at or above Max (including +Inf) map to Size()-1; NaN maps
 // to 0 (callers should have filtered invalid values already).
+//
+// The cell is the one the reference formula
+// int((math.Log(v) - logMin) / logStp) gives, for every float64. Index
+// computes it without a logarithm call: ln v is the float's exponent
+// times ln 2, plus the log of the table center nearest its mantissa,
+// plus a degree-5 series for the remaining ratio. When the estimate
+// lies within the domain's margin of a cell edge, or v is subnormal,
+// Index evaluates the reference formula instead.
 func (d *Domain) Index(v float64) int {
+	if i, ok := d.estimate(v); ok {
+		return i
+	}
+	return d.indexLog(v)
+}
+
+// estimate is Index's log-free path: the cell and true, or false when
+// v lies outside (Min, Max) or is subnormal, or when the estimate lies
+// within the margin of a cell edge.
+func (d *Domain) estimate(v float64) (int, bool) {
+	if !(v > d.min && v < d.max) {
+		return 0, false
+	}
+	b := math.Float64bits(v)
+	exp := int(b>>52) - 1023 // v > 0: the sign bit is clear
+	if exp == -1023 {
+		return 0, false // subnormal: no implicit leading bit
+	}
+	mant := b & (1<<52 - 1)
+	j := mant >> (52 - logTableBits)
+	// m - c_j, exactly: the mantissa bits below the table index, less
+	// half a table step, scaled by 2^-52.
+	dm := float64(int64(mant&(1<<(52-logTableBits)-1))-1<<(51-logTableBits)) * 0x1p-52
+	r := float64(dm * logTable[j].inv) // m/c_j - 1, |r| <= 2^-(logTableBits+1)
+	// ln(1+r) = r + r²(-1/2 + r/3) + r⁴(-1/4 + r/5), evaluated in two
+	// halves: a shorter dependency chain than Horner's five steps.
+	r2 := float64(r * r)
+	a := float64(r*(1.0/3)) - 0.5
+	c := float64(r*0.2) - 0.25
+	p := r + float64(r2*(a+float64(r2*c)))
+	// ln c_j + exp·ln 2 - logMin does not wait for the series.
+	base := float64(float64(exp)*math.Ln2) - d.logMin + logTable[j].log
+	y := float64((base + p) * d.invStp)
+	i := int(y)
+	if f := y - float64(i); f > d.margin && f < 1-d.margin {
+		return min(i, d.Size()-1), true
+	}
+	return 0, false
+}
+
+// indexLog is Index by the reference formula.
+func (d *Domain) indexLog(v float64) int {
 	if math.IsNaN(v) || v <= d.min {
 		return 0
 	}
@@ -115,6 +173,46 @@ func (d *Domain) Index(v float64) int {
 		return d.Size() - 1
 	}
 	return i
+}
+
+// logTableBits is how many leading mantissa bits select Index's
+// logTable entry.
+const logTableBits = 7
+
+// logTable[j] holds ln c_j and 1/c_j for c_j = 1 + (j + 1/2)/2^7, the
+// center of the mantissas whose leading seven bits are j.
+var logTable = func() (t [1 << logTableBits]struct{ log, inv float64 }) {
+	for j := range t {
+		c := 1 + (float64(j)+0.5)/(1<<logTableBits)
+		t[j].log, t[j].inv = math.Log(c), 1/c
+	}
+	return t
+}()
+
+// indexMargin bounds, in cells, how far Index's estimate can lie from
+// the reference formula's value, for a domain of size cells over
+// [e^logMin, e^logMax] with step logStp. It is twice the sum of the
+// error terms below, counted with every operation rounded separately;
+// a fused multiply-add only removes roundings. With u = 2^-53 and A
+// bounding every log-space magnitude involved (ln v, the exponent
+// times ln 2, the partial sums and the difference to logMin):
+//
+//   - the estimate of ln v - logMin: the product exp·Ln2 and Ln2's
+//     own rounding (A·u each), the subtraction and the two sums (3A·u
+//     together), the table log (below 2 ulps, 3u), the series'
+//     roundings (u) and its truncation (below 2^-48/5);
+//   - the reference: math.Log (taken as below 2 ulps, 4A·u) and its
+//     subtraction (A·u);
+//   - in cell units: the reference's quotient, the product by invStp
+//     and invStp's own rounding, below 5u·size together.
+//
+// When the margin reaches half a cell, Index always takes the
+// reference formula.
+func indexMargin(logMin, logMax, logStp float64, size int) float64 {
+	const u = 0x1p-53
+	a := math.Max(math.Abs(logMin), math.Abs(logMax)) + 2 + math.Abs(logMin)
+	logErr := float64(10*u*a) + 4*u + 0x1p-48/5
+	return 2 * (float64(logErr/logStp) + float64(5*u*float64(size)))
 }
 
 // Value returns the representative value of cell i (its lower

@@ -314,7 +314,10 @@ func NewLCAServer(addr string, id TenantID, lca *LCAKP) (*MultiLCAServer, error)
 }
 
 // DialInstance connects to an instance server, yielding oracle access;
-// timeout 0 selects the default, batch 0 the default prefetch size.
+// timeout 0 selects the default, batch 0 the default batch size: the
+// unit a sampling stream's draws are laid out in and the largest sample
+// request, not a prefetch (a frame opens a batch with only the draws
+// it needs).
 func DialInstance(addr string, timeout time.Duration, batch int) (*RemoteAccess, error) {
 	return cluster.DialInstance(addr, timeout, batch)
 }
