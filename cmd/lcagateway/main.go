@@ -39,12 +39,16 @@
 //	admin-secret *
 //
 // Materialized artifacts: -store mounts a directory of solution
-// artifacts (see lcaserver -materialize). Cache misses consult the
-// local artifact before the fleet, the cache is preloaded from every
-// stored tenant at startup, and the gateway serves its artifacts to
-// peer gateways. -peers names the other gateways of a peer-fill ring;
-// on a store miss for a peer-owned key the owning peer's artifact is
-// fetched whole and persisted locally before any replica is asked:
+// artifacts (see lcaserver -materialize). At startup each tenant's
+// artifact of its current epoch is installed and answers straight from
+// its bits; other misses consult the local store before the fleet, and
+// the gateway serves its artifacts to peer gateways. -peers names the
+// other gateways of a peer-fill ring, which assigns each tenant one
+// owner: a gateway that does not own a tenant pulls the tenant's
+// artifact whole from the owner, at startup and on a store miss, and
+// persists it locally before any replica is asked. A fetch is checked
+// like a read, so with -api-keys every gateway of the ring loads the
+// same key file and presents a key it grants the tenant:
 //
 //	lcagateway -addr 127.0.0.1:7080 -store /var/lib/lcakp/artifacts \
 //	    -peers 127.0.0.1:7081,127.0.0.1:7082 -replicas ...
@@ -303,9 +307,9 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		fmt.Fprintf(stdout, "lcagateway: debug endpoint on %s\n", dbg.Addr())
 	}
 	if artifacts != nil {
-		// Come back warm: every stored tenant's artifact is installed
-		// before the first client burst and answers with zero replica
-		// RPCs.
+		// Come back warm: every stored or pulled tenant artifact is
+		// installed before the first client burst and answers with
+		// zero replica RPCs.
 		warmed, err := gw.WarmAllFromStore(context.Background())
 		if err != nil {
 			fmt.Fprintf(stderr, "lcagateway: warm from store: %v\n", err)
@@ -341,8 +345,8 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 	fmt.Fprintf(stdout, "lcagateway: %d attempts, %d retries, %d failovers, %d hedges (%d wins), %d reconnects, %d errors\n",
 		m.Attempts, m.Retries, m.Failovers, m.Hedges, m.HedgeWins, m.Reconnects, m.Errors)
 	if artifacts != nil {
-		fmt.Fprintf(stdout, "lcagateway: %d artifact serves, %d peer fills (%d errors), %d backfills, %d artifacts served to peers\n",
-			m.StoreServes, m.PeerFills, m.PeerFillErrors, m.Backfills, m.ArtifactsServed)
+		fmt.Fprintf(stdout, "lcagateway: %d artifact serves, %d peer fills (%d errors), %d artifacts served to peers\n",
+			m.StoreServes, m.PeerFills, m.PeerFillErrors, m.ArtifactsServed)
 	}
 	if len(tenantOpts) > 0 || auth != nil {
 		fmt.Fprintf(stdout, "lcagateway: %d auth rejects, %d quota rejects\n", m.AuthRejects, m.QuotaRejects)

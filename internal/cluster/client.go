@@ -579,15 +579,21 @@ func (c *LCAClient) Ping(ctx context.Context) error {
 // FetchArtifact retrieves the complete materialized artifact of tenant
 // id at epoch ep (internal/store encoding) from a peer that serves
 // MsgStoreFetch — the transfer half of gateway peer-fill: (tenant,
-// epoch) is the content address. The returned bytes are a fresh copy
-// owned by the caller, who must validate them through store.Decode
-// (the trailer checksum catches any corruption the transport missed)
-// before serving or persisting them. Peers without that artifact (or
-// without artifact serving at all) answer with ErrRemote.
+// epoch) is the content address. The frame carries key as its API key
+// (nil for none) in place of any SetAPIKey default: one peer
+// connection carries the fetches of every tenant, and the serving
+// peer checks the key against the tenant like any read. The returned
+// bytes are a fresh copy owned by the caller, who must validate them
+// through store.Decode (the trailer checksum catches any corruption
+// the transport missed) before serving or persisting them. Peers
+// without that artifact (or without artifact serving at all), and
+// peers refusing the key, answer with ErrRemote.
 //
 //lint:coldpath artifact fetches run once per (peer, tenant, epoch) residency, not per query
-func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error) {
-	resp, err := c.conn.roundTrip(ctx, c.request(msgStoreFetch, nil, &id, ep))
+func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID, ep engine.EpochID, key []byte) ([]byte, error) {
+	f := c.request(msgStoreFetch, nil, &id, ep)
+	f.authKey = key
+	resp, err := c.conn.roundTrip(ctx, f)
 	if err != nil {
 		return nil, err
 	}
@@ -597,23 +603,6 @@ func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID, ep en
 	// The response payload aliases the connection's read buffer; copy
 	// before the next RPC reuses it.
 	return append([]byte(nil), resp.payload...), nil
-}
-
-// PushArtifact proactively replicates an encoded artifact to the peer
-// (MsgStorePush): the bytes are self-addressing, so no tenant header
-// travels. The receiver checksum-verifies and installs them without
-// re-pushing — one hop, owner to successor.
-//
-//lint:coldpath artifact pushes run once per materialized epoch, not per query
-func (c *LCAClient) PushArtifact(ctx context.Context, data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("%w: empty artifact push", ErrBadMessage)
-	}
-	resp, err := c.conn.roundTrip(ctx, frame{msgType: msgStorePush, payload: data})
-	if err != nil {
-		return err
-	}
-	return decodeMaybeErr(resp, msgStorePush)
 }
 
 // ScrapeMetrics fetches the server's Prometheus-text metrics snapshot

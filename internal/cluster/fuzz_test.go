@@ -87,9 +87,11 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 
 // FuzzServerRequestBodies feeds arbitrary bodies for the cold path's
 // request types — msgSample and msgQuery to the instance server,
-// msgInSolBatch to a replica — to both the instance and the membership
-// handler. Neither may panic, and each must answer with a well-formed
-// response of the request's type or with an error frame.
+// msgInSolBatch to a replica, msgStoreFetch, and the retired store push
+// (type 9) — to both the instance and the membership handler. Neither
+// may panic, and each must answer with a well-formed response of the
+// request's type or with an error frame. Neither handler serves
+// artifacts, so both fetch and push come back as error frames.
 func FuzzServerRequestBodies(f *testing.F) {
 	const n = 300
 	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: n, Seed: 2})
@@ -106,7 +108,8 @@ func FuzzServerRequestBodies(f *testing.F) {
 	}
 	instance := &instanceHandler{access: acc}
 	membership := &backendHandler{backends: plainBackend{backend: engineBackend{engine: engine.New(lca)}}}
-	types := []uint8{msgSample, msgQuery, msgInSolBatch}
+	const retiredStorePush uint8 = 9
+	types := []uint8{msgSample, msgQuery, msgInSolBatch, msgStoreFetch, retiredStorePush}
 
 	sample := func(count, seed uint64) []byte { return putU64(putU64(nil, count), seed) }
 	f.Add(uint8(0), sample(4, 1))
@@ -120,6 +123,8 @@ func FuzzServerRequestBodies(f *testing.F) {
 	f.Add(uint8(2), putU64(putU64(nil, 5), ^uint64(0)))
 	f.Add(uint8(2), []byte{1, 2, 3})
 	f.Add(uint8(2), []byte{})
+	f.Add(uint8(3), []byte{})
+	f.Add(uint8(4), []byte("LCAS artifact bytes"))
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
 		msgType := types[int(sel)%len(types)]
 		req := frame{msgType: msgType, payload: payload}

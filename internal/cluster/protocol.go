@@ -96,21 +96,16 @@ const (
 	// msgStoreFetch requests one (tenant, epoch)'s complete
 	// materialized artifact (internal/store encoding). The request is
 	// an empty-payload tenanted frame — the tenant header and the epoch
-	// ARE the content address — and the response payload is the raw
-	// artifact bytes, checksummed by their own trailer on top of TCP.
-	// Servers without an artifact provider answer with an error
-	// response, so peer-fill falls back to the replicas.
+	// ARE the content address — and servers resolve it like any read,
+	// API key included. The response payload is the raw artifact bytes,
+	// checksummed by their own trailer on top of TCP. Servers without
+	// an artifact provider answer with an error response, so peer-fill
+	// falls back to the replicas. Type 9 is retired: it was an
+	// unauthenticated artifact push, and servers answer it as an
+	// unknown type.
 	msgStoreFetch uint8 = 8
-	// msgStorePush proactively replicates a tenant's materialized
-	// artifact: the request payload is the raw artifact bytes (the
-	// artifact is self-addressing — tenant, epoch, and checksum live in
-	// its own header), the response is an empty ack. A freshly
-	// materialized epoch reaches its ring successor before the first
-	// miss, instead of waiting for a miss-driven msgStoreFetch. Servers
-	// without an artifact sink answer with an error response.
-	msgStorePush uint8 = 9
-	msgErr       uint8 = 0x7f
-	respBit      uint8 = 0x80
+	msgErr        uint8 = 0x7f
+	respBit       uint8 = 0x80
 )
 
 // Protocol errors.

@@ -600,20 +600,16 @@ type ArtifactProvider interface {
 	ArtifactBytes(ctx context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error)
 }
 
-// ArtifactSink is implemented by backends that accept proactively
-// pushed artifacts (MsgStorePush): the payload is the raw artifact
-// bytes, self-addressing via its own header and verified against its
-// own trailer checksum before installation. Push acceptance must never
-// trigger a further push — replication is one hop, owner to successor,
-// or the ring would echo artifacts forever.
-type ArtifactSink interface {
-	AcceptArtifact(ctx context.Context, data []byte) error
-}
-
-// handleStoreFetch answers one MsgStoreFetch frame.
+// handleStoreFetch answers one MsgStoreFetch frame whose (tenant,
+// epoch) handle has already resolved through ResolveEpoch, so the
+// artifact, which holds every answer of the tenant at once, is read
+// under the same keys and grants as a batch of those answers, and at
+// the epoch the resolution served. A fetch is not charged to a quota:
+// quotas meter query work, which spends replica oracle access, and a
+// transfer of stored bytes spends none.
 //
 //lint:coldpath artifact fetches run once per (peer, tenant) residency, not per query
-func (h *backendHandler) handleStoreFetch(ctx context.Context, req frame) frame {
+func (h *backendHandler) handleStoreFetch(ctx context.Context, req frame, served engine.EpochID) frame {
 	ap, ok := h.backends.(ArtifactProvider)
 	if !ok {
 		return encodeErr(fmt.Errorf("%w: artifact serving not supported here", ErrBadMessage))
@@ -621,7 +617,7 @@ func (h *backendHandler) handleStoreFetch(ctx context.Context, req frame) frame 
 	if !req.hasTenant {
 		return encodeErr(fmt.Errorf("%w: store fetch requires a tenant header", ErrBadMessage))
 	}
-	data, err := ap.ArtifactBytes(ctx, req.tenant, req.epoch)
+	data, err := ap.ArtifactBytes(ctx, req.tenant, served)
 	if err != nil {
 		return encodeErr(err)
 	}
@@ -631,38 +627,16 @@ func (h *backendHandler) handleStoreFetch(ctx context.Context, req frame) frame 
 	return frame{msgType: msgStoreFetch | respBit, payload: data}
 }
 
-// handleStorePush accepts one proactively replicated artifact.
-//
-//lint:coldpath artifact pushes run once per materialized epoch, not per query
-func (h *backendHandler) handleStorePush(ctx context.Context, req frame) frame {
-	sink, ok := h.backends.(ArtifactSink)
-	if !ok {
-		return encodeErr(fmt.Errorf("%w: artifact push not supported here", ErrBadMessage))
-	}
-	if len(req.payload) == 0 {
-		return encodeErr(fmt.Errorf("%w: empty artifact push", ErrBadMessage))
-	}
-	if err := sink.AcceptArtifact(ctx, req.payload); err != nil {
-		return encodeErr(err)
-	}
-	return frame{msgType: msgStorePush | respBit}
-}
-
-// handle dispatches membership queries (single or batched).
+// handle dispatches membership queries (single or batched) and
+// artifact fetches. Every type but ping resolves the frame's (tenant,
+// epoch) through ResolveEpoch first, so keys and grants apply to each
+// read alike.
 func (h *backendHandler) handle(ctx context.Context, req frame, sc *connScratch) frame {
 	// Pings answer before tenant resolution: they probe transport
 	// liveness (pools, health loops), not any one tenant's state, and
 	// must keep working for credential-less health checkers.
 	if req.msgType == msgPing {
 		return frame{msgType: msgPing | respBit}
-	}
-	// Artifact fetches resolve through the provider seam, not the
-	// per-query backend: (tenant, epoch) is a content address here.
-	if req.msgType == msgStoreFetch {
-		return h.handleStoreFetch(ctx, req)
-	}
-	if req.msgType == msgStorePush {
-		return h.handleStorePush(ctx, req)
 	}
 	backend, served, err := h.backends.ResolveEpoch(ctx, TenantQuery{
 		ID:       req.tenant,
@@ -675,6 +649,9 @@ func (h *backendHandler) handle(ctx context.Context, req frame, sc *connScratch)
 	}
 
 	switch req.msgType {
+	case msgStoreFetch:
+		return h.handleStoreFetch(ctx, req, served)
+
 	case msgInSol:
 		idx, err := getU64(req.payload, 0)
 		if err != nil {

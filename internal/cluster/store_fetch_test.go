@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestMsgStoreFetchRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	got, err := c.FetchArtifact(context.Background(), id, 3)
+	got, err := c.FetchArtifact(context.Background(), id, 3, nil)
 	if err != nil {
 		t.Fatalf("FetchArtifact: %v", err)
 	}
@@ -73,10 +74,10 @@ func TestMsgStoreFetchRoundTrip(t *testing.T) {
 
 	// An absent tenant, or another epoch of the held one, answers with
 	// a remote error, not garbage.
-	if _, err := c.FetchArtifact(context.Background(), engine.TenantID{Instance: 1, Seed: 1}, 3); !errors.Is(err, ErrRemote) {
+	if _, err := c.FetchArtifact(context.Background(), engine.TenantID{Instance: 1, Seed: 1}, 3, nil); !errors.Is(err, ErrRemote) {
 		t.Fatalf("FetchArtifact(absent tenant) = %v, want ErrRemote", err)
 	}
-	if _, err := c.FetchArtifact(context.Background(), id, 0); !errors.Is(err, ErrRemote) {
+	if _, err := c.FetchArtifact(context.Background(), id, 0, nil); !errors.Is(err, ErrRemote) {
 		t.Fatalf("FetchArtifact(absent epoch) = %v, want ErrRemote", err)
 	}
 }
@@ -96,11 +97,57 @@ func TestMsgStoreFetchUnsupported(t *testing.T) {
 		t.Fatalf("DialLCA: %v", err)
 	}
 	defer c.Close()
-	if _, err := c.FetchArtifact(context.Background(), engine.TenantID{Instance: 1, Seed: 2}, 0); !errors.Is(err, ErrRemote) {
+	if _, err := c.FetchArtifact(context.Background(), engine.TenantID{Instance: 1, Seed: 2}, 0, nil); !errors.Is(err, ErrRemote) {
 		t.Fatalf("FetchArtifact on non-provider = %v, want ErrRemote", err)
 	}
 	// The connection survives the rejection.
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("Ping after rejected fetch: %v", err)
+	}
+}
+
+// sinkBackend is an artifact backend that would install pushed
+// artifacts if a frame ever reached it, counting each call.
+type sinkBackend struct {
+	artifactBackend
+	accepted atomic.Int64
+}
+
+func (b *sinkBackend) AcceptArtifact(context.Context, []byte) error {
+	b.accepted.Add(1)
+	return nil
+}
+
+// TestStorePushFrameRefused pins that artifacts move only by fetch:
+// a frame of the retired push type (9) carrying artifact bytes gets an
+// error frame, and no backend method that could install bytes runs,
+// whatever methods the backend has.
+func TestStorePushFrameRefused(t *testing.T) {
+	id := engine.TenantID{Instance: 42, Seed: 7}
+	be := &sinkBackend{artifactBackend: artifactBackend{vt: engine.VersionedTenant{Tenant: id}, data: []byte("held")}}
+	srv, err := NewQueryServer("127.0.0.1:0", be)
+	if err != nil {
+		t.Fatalf("NewQueryServer: %v", err)
+	}
+	defer srv.Close()
+	c, err := dial(context.Background(), srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.close()
+
+	const retiredStorePush uint8 = 9
+	resp, err := c.roundTrip(context.Background(), frame{msgType: retiredStorePush, payload: []byte("LCAS pushed artifact bytes")})
+	if err != nil {
+		t.Fatalf("roundTrip: %v", err)
+	}
+	if resp.msgType != msgErr|respBit {
+		t.Errorf("push frame answered with type %#x, want an error frame", resp.msgType)
+	}
+	if n := be.accepted.Load(); n != 0 {
+		t.Errorf("AcceptArtifact ran %d times, want 0", n)
+	}
+	if _, err := c.roundTrip(context.Background(), frame{msgType: msgPing}); err != nil {
+		t.Fatalf("ping after refused push: %v", err)
 	}
 }

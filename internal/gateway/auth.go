@@ -14,17 +14,31 @@ import (
 )
 
 // authEntry is one API key's grant: every tenant (all) or an explicit
-// set.
+// set. The key is kept beside its digest for the one outbound use, a
+// peer fetch (keyFor); inbound checks compare digests only.
 type authEntry struct {
+	key     []byte
 	hash    [sha256.Size]byte
 	all     bool
 	tenants map[engine.TenantID]struct{}
 }
 
-// Authorizer maps API keys to tenant grants. Keys are stored and
-// compared as SHA-256 digests with a constant-time comparison that
-// always scans every entry, so neither the match position nor a
-// near-miss prefix leaks through timing.
+// covers reports whether the entry grants tenant id.
+func (e *authEntry) covers(id engine.TenantID) bool {
+	if e.all {
+		return true
+	}
+	_, ok := e.tenants[id]
+	return ok
+}
+
+// Authorizer maps API keys to tenant grants. Inbound keys are compared
+// as SHA-256 digests with a constant-time comparison that always scans
+// every entry, so neither the match position nor a near-miss prefix
+// leaks through timing. A ring of gateways shares one key file, as it
+// shares its -peers list: a gateway fetching a tenant's artifact from
+// a peer presents a key the file grants that tenant, and the peer
+// checks it like any read.
 type Authorizer struct {
 	entries []authEntry
 }
@@ -36,7 +50,7 @@ func NewAuthorizer() *Authorizer { return &Authorizer{} }
 // Grant authorizes key for the given tenants; an empty tenant list
 // grants every tenant (the wildcard).
 func (a *Authorizer) Grant(key string, tenants ...engine.TenantID) {
-	e := authEntry{hash: sha256.Sum256([]byte(key))}
+	e := authEntry{key: []byte(key), hash: sha256.Sum256([]byte(key))}
 	if len(tenants) == 0 {
 		e.all = true
 	} else {
@@ -63,14 +77,27 @@ func (a *Authorizer) Allow(key []byte, id engine.TenantID) bool {
 		e := &a.entries[i]
 		match := subtle.ConstantTimeCompare(e.hash[:], sum[:])
 		covers := 0
-		if e.all {
-			covers = 1
-		} else if _, ok := e.tenants[id]; ok {
+		if e.covers(id) {
 			covers = 1
 		}
 		allowed |= match & covers
 	}
 	return allowed == 1
+}
+
+// keyFor returns the key a peer fetch of tenant id presents: the first
+// key, in grant (file) order, that grants id. It is nil when none does
+// or a is nil, and the fetch then carries no key.
+func (a *Authorizer) keyFor(id engine.TenantID) []byte {
+	if a == nil {
+		return nil
+	}
+	for i := range a.entries {
+		if a.entries[i].covers(id) {
+			return a.entries[i].key
+		}
+	}
+	return nil
 }
 
 // ParseAPIKeys reads an API-key ACL in the lcagateway file format: one

@@ -451,89 +451,101 @@ func materializeEpochArtifact(t testing.TB, n int, ep uint64) *store.Artifact {
 	return a
 }
 
-// TestStorePushToSuccessorZeroFetchOnMiss pins proactive replication:
-// a freshly materialized epoch Put into one gateway's store is pushed
-// to the tenant's ring successor, where it appears without the
-// successor ever fetching — and the successor then serves the sealed
-// epoch with zero peer fills and zero replica traffic.
-func TestStorePushToSuccessorZeroFetchOnMiss(t *testing.T) {
+// TestStorePullAtBootAndRollZeroFetchOnMiss pins the one artifact
+// transfer direction: the tenant's owner materializes, and a gateway
+// that does not own the tenant pulls each current-epoch artifact from
+// it — at boot (WarmAllFromStore) and after a roll (SetTenantEpoch) —
+// before its first query at that epoch. Once the owner is gone, the
+// puller serves both epochs from its own store with no further fill
+// and zero replica traffic.
+func TestStorePullAtBootAndRollZeroFetchOnMiss(t *testing.T) {
 	const n = 64
 	const sealedEpoch = 2
 	addrs, _, _ := epochFleet(t, n, 1)
 	ctx := context.Background()
 	id := engine.TenantID{Instance: 0, Seed: epochParams.Seed}
-	vt := engine.VersionedTenant{Tenant: id, Epoch: sealedEpoch}
-	want := epochBaseline(t, n, sealedEpoch)
+	want := map[engine.EpochID][]bool{0: epochBaseline(t, n, 0), sealedEpoch: epochBaseline(t, n, sealedEpoch)}
 
-	// Successor: empty store, mounted on the wire so it can accept
-	// MsgStorePush frames.
-	succStore := newTestStore(t, t.TempDir())
-	gwSucc, err := New(Options{Replicas: addrs, Seed: epochParams.Seed, HedgeDelay: -1, Store: succStore})
-	if err != nil {
-		t.Fatalf("New(successor): %v", err)
-	}
-	defer gwSucc.Close()
-	succSrv, err := cluster.NewQueryServer("127.0.0.1:0", gwSucc)
-	if err != nil {
-		t.Fatalf("NewQueryServer(successor): %v", err)
-	}
-	defer succSrv.Close()
-
-	// Materializing gateway: the successor is its only peer, so the
-	// ring successor of every tenant is the successor gateway.
+	// Owner: holds epoch 0, mounted on the wire, then materializes the
+	// sealed epoch.
 	gwOwner, err := New(Options{
 		Replicas:   addrs,
 		Seed:       epochParams.Seed,
 		HedgeDelay: -1,
-		Store:      newTestStore(t, t.TempDir()),
-		Peers:      []string{succSrv.Addr()},
-		SelfAddr:   "gw-materializer",
+		Store:      newTestStore(t, t.TempDir(), materializeEpochArtifact(t, n, 0)),
 	})
 	if err != nil {
 		t.Fatalf("New(owner): %v", err)
 	}
 	defer gwOwner.Close()
-
+	ownerSrv, err := cluster.NewQueryServer("127.0.0.1:0", gwOwner)
+	if err != nil {
+		t.Fatalf("NewQueryServer(owner): %v", err)
+	}
+	defer ownerSrv.Close()
 	if err := gwOwner.opts.Store.Put(ctx, materializeEpochArtifact(t, n, sealedEpoch)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 
-	// The push runs asynchronously off the Put hook; poll for arrival.
-	deadline := time.Now().Add(5 * time.Second)
-	for !succStore.HasVersioned(vt) {
-		if time.Now().After(deadline) {
-			t.Fatalf("pushed artifact never appeared on the successor (push errors: %d)",
-				gwOwner.Metrics().StorePushErrors)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Puller: empty store, at an address the ring places as a
+	// non-owner of the tenant.
+	gwPull, err := New(Options{
+		Replicas:   addrs,
+		Seed:       epochParams.Seed,
+		HedgeDelay: -1,
+		Store:      newTestStore(t, t.TempDir()),
+		Peers:      []string{ownerSrv.Addr()},
+		SelfAddr:   nonOwnerSelf(t, id, 0, ownerSrv.Addr()),
+	})
+	if err != nil {
+		t.Fatalf("New(puller): %v", err)
 	}
-	if m := gwOwner.Metrics(); m.StorePushes != 1 || m.StorePushErrors != 0 {
-		t.Errorf("owner: StorePushes = %d StorePushErrors = %d, want 1 and 0", m.StorePushes, m.StorePushErrors)
+	defer gwPull.Close()
+	pulled := gwPull.tenants[id]
+
+	warmed, err := gwPull.WarmAllFromStore(ctx)
+	if err != nil {
+		t.Fatalf("WarmAllFromStore: %v", err)
 	}
-	if m := gwSucc.Metrics(); m.PushesAccepted != 1 {
-		t.Errorf("successor: PushesAccepted = %d, want 1", m.PushesAccepted)
+	if warmed != n || pulled.artifactAt(0) == nil {
+		t.Fatalf("after boot: warmed %d answers, epoch-0 artifact installed %v; want %d and true",
+			warmed, pulled.artifactAt(0) != nil, n)
 	}
 
-	// Zero fetch-on-miss: the successor serves the sealed epoch from
-	// its local store — no peer fill, no replica attempt.
-	for i := 0; i < n; i++ {
-		got, err := gwSucc.InSolutionEpoch(ctx, sealedEpoch, i)
-		if err != nil {
-			t.Fatalf("successor InSolutionEpoch(%d): %v", i, err)
-		}
-		if got != want[i] {
-			t.Errorf("successor epoch-%d item %d = %v, want %v", sealedEpoch, i, got, want[i])
+	for _, gw := range []*Gateway{gwOwner, gwPull} {
+		if err := gw.SetTenantEpoch(id, sealedEpoch); err != nil {
+			t.Fatalf("SetTenantEpoch: %v", err)
 		}
 	}
-	m := gwSucc.Metrics()
-	if m.PeerFills != 0 {
-		t.Errorf("successor fetched on miss: PeerFills = %d, want 0", m.PeerFills)
+	gwPull.peerTier.wg.Wait() // the roll's background pull
+	if pulled.artifactAt(sealedEpoch) == nil {
+		t.Fatalf("after the roll: epoch-%d artifact not installed (peer fill errors: %d)",
+			sealedEpoch, gwPull.Metrics().PeerFillErrors)
 	}
-	if m.Attempts != 0 {
-		t.Errorf("successor reached the fleet: Attempts = %d, want 0", m.Attempts)
+	if m := gwPull.Metrics(); m.PeerFills != 2 || m.PeerFillErrors != 0 {
+		t.Fatalf("after boot and roll: PeerFills = %d PeerFillErrors = %d, want 2 and 0", m.PeerFills, m.PeerFillErrors)
 	}
-	if m.StoreServes != int64(n) {
-		t.Errorf("successor: StoreServes = %d, want %d", m.StoreServes, n)
+
+	// Zero fetch-on-miss: with the owner gone, both epochs serve from
+	// the puller's store — no further fill, no replica attempt.
+	if err := ownerSrv.Close(); err != nil {
+		t.Fatalf("close owner server: %v", err)
+	}
+	for _, ep := range []engine.EpochID{0, sealedEpoch} {
+		for i := 0; i < n; i++ {
+			got, err := gwPull.InSolutionEpoch(ctx, ep, i)
+			if err != nil {
+				t.Fatalf("InSolutionEpoch(%d, %d): %v", uint64(ep), i, err)
+			}
+			if got != want[ep][i] {
+				t.Errorf("epoch-%d item %d = %v, want %v", uint64(ep), i, got, want[ep][i])
+			}
+		}
+	}
+	m := gwPull.Metrics()
+	if m.Attempts != 0 || m.StoreServes != 2*n || m.PeerFills != 2 {
+		t.Errorf("sweep: Attempts/StoreServes/PeerFills = %d/%d/%d, want 0/%d/2",
+			m.Attempts, m.StoreServes, m.PeerFills, 2*n)
 	}
 }
 

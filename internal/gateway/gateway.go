@@ -78,9 +78,11 @@ type Options struct {
 	// tenant's config (attaching a quota to it).
 	Tenants []TenantOptions
 	// Auth, when set, requires every wire frame resolved through
-	// Resolve to carry an API key granted the addressed tenant.
-	// In-process calls (the exported methods) are not authenticated —
-	// the caller already holds the Gateway.
+	// Resolve — artifact fetches included — to carry an API key
+	// granted the addressed tenant. In-process calls (the exported
+	// methods) are not authenticated — the caller already holds the
+	// Gateway. With Peers, the gateway's own artifact fetches present
+	// a key Auth grants the tenant, so a ring shares one key file.
 	Auth *Authorizer
 	// PoolSize caps idle pooled connections per replica (0 selects
 	// DefaultPoolSize).
@@ -128,17 +130,20 @@ type Options struct {
 	// Store, when set, mounts the materialized artifact tier: each
 	// tenant serves its current epoch straight from that epoch's
 	// artifact once one is installed (by WarmFromStore, SetTenantEpoch,
-	// a Put into the store or a store hit), other misses consult the
-	// local artifact store after the cache and before the fleet, and
-	// the gateway serves its artifacts to peers over MsgStoreFetch
-	// (cluster.ArtifactProvider). The gateway takes the store's one Put
-	// hook until Close.
+	// a Put into the store — a peer pull included — or a store hit),
+	// other misses consult the local artifact store after the cache and
+	// before the fleet, and the gateway serves its artifacts to peers
+	// over MsgStoreFetch (cluster.ArtifactProvider), each fetch keyed
+	// like a read. The gateway takes the store's one Put hook until
+	// Close.
 	Store *store.Store
 	// Peers are the other gateways' wire addresses in the peer-fill
-	// ring. With a Store and at least one peer configured, a store miss
-	// on a peer-owned (instance, seed, item) key fetches the owning
-	// peer's whole artifact and backfills it locally before falling
-	// back to replica fetch. Ignored without a Store.
+	// ring, which assigns each tenant one owner. With a Store and at
+	// least one peer configured, a gateway that does not own a tenant
+	// pulls the tenant's current-epoch artifact from the owner at boot
+	// (WarmAllFromStore), after a roll (SetTenantEpoch), and on a store
+	// miss, before falling back to replica fetch. Ignored without a
+	// Store.
 	Peers []string
 	// SelfAddr is this gateway's own advertised wire address in the
 	// peer ring — required when Peers is non-empty, so every gateway
@@ -269,18 +274,12 @@ func New(opts Options) (*Gateway, error) {
 }
 
 // onPut is the store's Put hook. It installs the artifact on its
-// tenant, so an epoch whose Put lands after the roll reaches the fast
-// path even when the cache already covers every item asked for, and
-// with a peer tier it replicates the artifact to the ring successor.
-// Only Put fires the hook — artifacts received from peers install via
-// PutBytes, which never does — so replication is one hop and cannot
-// cascade.
+// tenant, so an epoch whose artifact lands after the roll — a late
+// Put or a peer pull — reaches the fast path even when the cache
+// already covers every item asked for.
 func (g *Gateway) onPut(a *store.Artifact) {
 	if t, ok := g.tenants[engine.TenantID{Instance: a.Instance, Seed: a.Seed}]; ok {
 		t.install(a)
-	}
-	if g.peerTier != nil {
-		g.peerTier.pushToSuccessor(a)
 	}
 }
 
@@ -348,7 +347,9 @@ func (v epochView) InSolutionBatch(ctx context.Context, indices []int) ([]bool, 
 // keys, artifacts, and frames remain valid and queryable forever.
 // With a store, the new epoch's artifact, when the store has it, is
 // installed as the tenant's first tier; after Store.Put it is already
-// resident, so the roll stays a map load.
+// resident, so the roll stays a map load. With a peer tier, a gateway
+// that does not own the tenant and lacks the artifact pulls it from
+// the owner in the background, and the store's Put hook installs it.
 func (g *Gateway) SetTenantEpoch(id engine.TenantID, ep engine.EpochID) error {
 	t, ok := g.tenants[id]
 	if !ok {
@@ -362,6 +363,9 @@ func (g *Gateway) SetTenantEpoch(id engine.TenantID, ep engine.EpochID) error {
 		if t.epoch.CompareAndSwap(cur, uint64(ep)) {
 			if g.opts.Store != nil {
 				t.adopt(context.TODO(), ep)
+			}
+			if g.peerTier != nil && t.artifactAt(ep) == nil {
+				g.peerTier.pullInBackground(engine.VersionedTenant{Tenant: id, Epoch: ep})
 			}
 			return nil
 		}
@@ -515,7 +519,8 @@ func (g *Gateway) WarmTenant(ctx context.Context, id engine.TenantID, items []in
 	return t.warm(ctx, items)
 }
 
-// Close flushes parked queries, stops the health loop, and closes all
+// Close flushes parked queries, stops the health loop, cancels the
+// peer tier's background pulls and waits for them, and closes all
 // pooled connections. It is idempotent.
 func (g *Gateway) Close() error {
 	g.closeOnce.Do(func() {
@@ -525,8 +530,8 @@ func (g *Gateway) Close() error {
 			}
 		}
 		if g.opts.Store != nil {
-			// Detach the Put hook first so a Put racing Close cannot
-			// dial through closing connections.
+			// Detach the Put hook first so a Put racing Close installs
+			// nothing on a closing gateway.
 			g.opts.Store.SetOnPut(nil)
 		}
 		if g.peerTier != nil {

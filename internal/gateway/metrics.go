@@ -44,26 +44,16 @@ type Metrics struct {
 	Warmed int64
 	// StoreServes counts queries (batch positions included) answered
 	// from the materialized artifact tier — a tenant's installed
-	// artifact or the local store, including just-backfilled artifacts
-	// — instead of the replica fleet.
+	// artifact or the local store, including artifacts pulled from
+	// peers — instead of the replica fleet.
 	StoreServes int64
-	// PeerFills counts whole artifacts fetched from owning peers;
-	// PeerFillErrors counts fetches that failed (the query fell back to
-	// replica fetch).
+	// PeerFills counts whole artifacts pulled from owning peers and
+	// persisted in the local store; PeerFillErrors counts pulls that
+	// failed (queries fall back to replica fetch).
 	PeerFills, PeerFillErrors int64
-	// Backfills counts fetched artifacts persisted into the local store.
-	Backfills int64
 	// ArtifactsServed counts MsgStoreFetch requests this gateway
 	// answered for its peers.
 	ArtifactsServed int64
-	// StorePushes counts artifacts proactively replicated to the ring
-	// successor after a local Put; StorePushErrors counts pushes that
-	// failed (the successor falls back to fetch-on-miss, so a failed
-	// push costs latency later, never correctness).
-	StorePushes, StorePushErrors int64
-	// PushesAccepted counts MsgStorePush artifacts this gateway
-	// installed on behalf of pushing peers.
-	PushesAccepted int64
 	// QuotaRejects counts queries rejected at admission by a tenant's
 	// token bucket (across all tenants; see TenantMetrics for the
 	// per-tenant split).
@@ -111,11 +101,7 @@ type counters struct {
 	storeServes     obs.Counter
 	peerFills       obs.Counter
 	peerFillErrors  obs.Counter
-	backfills       obs.Counter
 	artifactsServed obs.Counter
-	storePushes     obs.Counter
-	storePushErrors obs.Counter
-	pushesAccepted  obs.Counter
 }
 
 // snapshot reads the counters into a Metrics value.
@@ -142,11 +128,7 @@ func (c *counters) snapshot() Metrics {
 		StoreServes:     c.storeServes.Value(),
 		PeerFills:       c.peerFills.Value(),
 		PeerFillErrors:  c.peerFillErrors.Value(),
-		Backfills:       c.backfills.Value(),
 		ArtifactsServed: c.artifactsServed.Value(),
-		StorePushes:     c.storePushes.Value(),
-		StorePushErrors: c.storePushErrors.Value(),
-		PushesAccepted:  c.pushesAccepted.Value(),
 	}
 }
 
@@ -177,13 +159,9 @@ func (g *Gateway) RegisterMetrics(reg *obs.Registry) error {
 		{"lcakp_gateway_auth_rejects_total", "wire frames rejected by the authorizer", &c.authRejects},
 		{"lcakp_gateway_breaker_trips_total", "replica circuit-breaker transitions to open", &c.breakerTrips},
 		{"lcakp_gateway_store_serves_total", "queries answered from the artifact tier", &c.storeServes},
-		{"lcakp_gateway_peer_fills_total", "whole artifacts fetched from owning peers", &c.peerFills},
-		{"lcakp_gateway_peer_fill_errors_total", "peer artifact fetches that failed", &c.peerFillErrors},
-		{"lcakp_gateway_backfills_total", "fetched artifacts persisted locally", &c.backfills},
+		{"lcakp_gateway_peer_fills_total", "whole artifacts pulled from owning peers and persisted locally", &c.peerFills},
+		{"lcakp_gateway_peer_fill_errors_total", "peer artifact pulls that failed", &c.peerFillErrors},
 		{"lcakp_gateway_artifacts_served_total", "MsgStoreFetch requests answered for peers", &c.artifactsServed},
-		{"lcakp_store_pushes_total", "artifacts proactively pushed to the ring successor", &c.storePushes},
-		{"lcakp_store_push_errors_total", "successor pushes that failed", &c.storePushErrors},
-		{"lcakp_store_pushes_accepted_total", "pushed artifacts installed for peers", &c.pushesAccepted},
 		{"lcakp_gateway_query_latency_seconds", "point-query fetch latency (cache misses; hits are not clock-sampled)", &g.lat},
 		{"lcakp_gateway_rpc_latency_seconds", "successful replica RPC latency", &g.rpcLat},
 		{"lcakp_gateway_healthy_replicas", "replicas currently passing health checks",

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"lcakp/internal/cluster"
 	"lcakp/internal/engine"
 	"lcakp/internal/obs"
-	"lcakp/internal/store"
 )
 
 // ringVnodes is the virtual-node count per peer. 64 points per peer
@@ -39,8 +39,8 @@ type ringPoint struct {
 	addr string
 }
 
-// peerRing consistent-hashes the (instance, seed, item) keyspace
-// across gateway peers. It is immutable after construction.
+// peerRing consistent-hashes tenants across gateway peers. It is
+// immutable after construction.
 type peerRing struct {
 	points []ringPoint
 	self   string
@@ -76,22 +76,17 @@ func newPeerRing(self string, peers []string) *peerRing {
 	return r
 }
 
-// owner returns the peer owning the (instance, seed, item) key: the
-// first virtual node clockwise of the key's hash. Ownership is a
-// function of the tenant and item only — never the epoch — so a
-// tenant's keys stay with the same owners across churn and a sealed
-// epoch's artifacts replicate to the same successor the epoch-0
-// artifact did.
-func (r *peerRing) owner(id engine.TenantID, item int) string {
-	var key [24]byte
-	put := func(off int, v uint64) {
-		for k := 0; k < 8; k++ {
-			key[off+k] = byte(v >> (8 * k))
-		}
+// owner returns the peer owning tenant id: the first virtual node
+// clockwise of the tenant's hash. Ownership is a function of the
+// tenant alone — not of the item, because the whole (tenant, epoch)
+// artifact is what moves, and not of the epoch, so a tenant keeps its
+// owner across churn.
+func (r *peerRing) owner(id engine.TenantID) string {
+	var key [16]byte
+	for k := 0; k < 8; k++ {
+		key[k] = byte(id.Instance >> (8 * k))
+		key[8+k] = byte(id.Seed >> (8 * k))
 	}
-	put(0, id.Instance)
-	put(8, id.Seed)
-	put(16, uint64(item))
 	h := fnv1a64(key[:])
 	// Binary search for the first point at or after h, wrapping.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
@@ -101,61 +96,47 @@ func (r *peerRing) owner(id engine.TenantID, item int) string {
 	return r.points[i].addr
 }
 
-// successor returns the first peer other than self clockwise of the
-// tenant's ring position — the natural replica target for tenant id's
-// artifacts. Empty when the ring has no other peer. Every gateway
-// computes the same successor for a tenant (the ring is a pure
-// function of the address set), so proactive replication needs no
-// placement coordination.
-func (r *peerRing) successor(id engine.TenantID) string {
-	var key [16]byte
-	for k := 0; k < 8; k++ {
-		key[k] = byte(id.Instance >> (8 * k))
-		key[8+k] = byte(id.Seed >> (8 * k))
-	}
-	h := fnv1a64(key[:])
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	for k := 0; k < len(r.points); k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if p.addr != r.self {
-			return p.addr
-		}
-	}
-	return ""
-}
-
-// peerFlight is one in-progress artifact fetch that concurrent misses
-// for the same tenant join.
+// peerFlight is one in-progress artifact pull that concurrent pulls
+// of the same (tenant, epoch) join.
 type peerFlight struct {
 	done chan struct{}
 	err  error
 }
 
-// peerTier is the gateway's inter-gateway artifact-fill layer: on a
-// store miss it asks the key's owning peer for the whole tenant
-// artifact over MsgStoreFetch, verifies it, and backfills the local
-// store — after which every query for that tenant serves locally.
-// Shipping whole artifacts (not individual bits) is the right
-// granularity because answers are immutable: one transfer converts a
-// remote tenant into a local one permanently.
+// peerTier is the gateway's inter-gateway artifact layer. Artifacts
+// move one way: a gateway that does not own a tenant pulls the
+// tenant's whole (tenant, epoch) artifact from the owner over
+// MsgStoreFetch, verifies it and persists it in its local store —
+// at boot, after an epoch roll, and on a store miss — after which
+// every query for that epoch serves locally. Shipping whole artifacts
+// (not individual bits) is the right granularity because answers are
+// immutable: one transfer converts a remote tenant into a local one
+// permanently.
 type peerTier struct {
 	g       *Gateway
 	ring    *peerRing
 	timeout time.Duration
 
+	// ctx runs the background pulls of epoch rolls; close cancels it
+	// and waits on wg for them.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
 	mu      sync.Mutex
+	closed  bool
 	clients map[string]*cluster.LCAClient
 	flights map[engine.VersionedTenant]*peerFlight
-	// failedAt records the last failed fetch per (tenant, epoch) so
+	// failedAt records the last failed pull per (tenant, epoch) so
 	// misses do not hammer a dead peer on every query; retry after
 	// peerRetry. Keyed by epoch because a peer can hold epoch e's
 	// artifact while e+1 is still materializing — one epoch failing to
-	// fetch says nothing about the others.
+	// transfer says nothing about the others.
 	failedAt map[engine.VersionedTenant]time.Time
 }
 
-// peerRetry is the dwell time before re-attempting a failed peer fetch
-// for the same tenant.
+// peerRetry is the dwell time before re-attempting a failed pull of
+// the same (tenant, epoch).
 const peerRetry = 5 * time.Second
 
 // newPeerTier builds the peer tier; self is this gateway's advertised
@@ -164,10 +145,13 @@ func newPeerTier(g *Gateway, self string, peers []string, timeout time.Duration)
 	if timeout <= 0 {
 		timeout = cluster.DefaultTimeout
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &peerTier{
 		g:        g,
 		ring:     newPeerRing(self, peers),
 		timeout:  timeout,
+		ctx:      ctx,
+		cancel:   cancel,
 		clients:  make(map[string]*cluster.LCAClient),
 		flights:  make(map[engine.VersionedTenant]*peerFlight),
 		failedAt: make(map[engine.VersionedTenant]time.Time),
@@ -176,8 +160,8 @@ func newPeerTier(g *Gateway, self string, peers []string, timeout time.Duration)
 
 // client returns a live connection to peer addr, dialing or re-dialing
 // as needed. Peer connections are cold-path (one artifact per tenant
-// ever crosses them), so a single serialized connection per peer is
-// plenty.
+// and epoch crosses them), so a single serialized connection per peer
+// is plenty.
 //
 //lint:coldpath peer connections carry one artifact per (tenant, residency), not query traffic
 func (p *peerTier) client(ctx context.Context, addr string) (*cluster.LCAClient, error) {
@@ -197,45 +181,62 @@ func (p *peerTier) client(ctx context.Context, addr string) (*cluster.LCAClient,
 		return nil, err
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		_ = fresh.Close()
+		return nil, errPeerTierClosed
+	}
 	if existing := p.clients[addr]; existing != nil && !existing.Broken() {
-		// A concurrent fill dialed first; keep theirs.
-		p.mu.Unlock()
+		// A concurrent pull dialed first; keep theirs.
 		_ = fresh.Close()
 		return existing, nil
 	}
 	p.clients[addr] = fresh
-	p.mu.Unlock()
 	return fresh, nil
 }
 
-// fill resolves a store miss through the owning peer: fetch epoch
-// vt.Epoch of tenant vt.Tenant's whole artifact, verify, backfill the
-// local store, and answer item i from it. ok reports whether the peer
-// path produced an answer; on false the caller falls back to replica
-// fetch. Keys this gateway itself owns never fetch (the ring made us
-// the authority — peers come to us), so fill is a no-op for them.
+// errPeerTierClosed fails a pull that outlived the gateway's Close.
+var errPeerTierClosed = errors.New("gateway: peer tier closed")
+
+// fill resolves a store miss through the tenant's owner: pull epoch
+// vt.Epoch of the tenant's whole artifact, then answer item i from
+// the local store. ok reports whether the peer path produced an
+// answer; on false the caller falls back to replica fetch.
 //
 //lint:coldpath one whole-artifact transfer per (tenant, epoch, peer) residency; every later query is a local bit probe
 func (p *peerTier) fill(ctx context.Context, vt engine.VersionedTenant, item int) (in, ok bool) {
-	owner := p.ring.owner(vt.Tenant, item)
-	if owner == p.ring.self {
+	if !p.pull(ctx, vt) {
 		return false, false
+	}
+	in, ok, err := p.g.opts.Store.LookupEpoch(ctx, vt, item)
+	return in, ok && err == nil
+}
+
+// pull transfers vt's artifact from the tenant's owner into the local
+// store, unless this gateway owns the tenant: the ring made it the
+// authority, and peers pull from it. Concurrent pulls of one (tenant,
+// epoch) share one transfer, and a failed transfer is not retried for
+// peerRetry. It reports whether the artifact arrived, by this call or
+// by the transfer it joined.
+//
+//lint:coldpath one whole-artifact transfer per (tenant, epoch, peer) residency
+func (p *peerTier) pull(ctx context.Context, vt engine.VersionedTenant) bool {
+	owner := p.ring.owner(vt.Tenant)
+	if owner == p.ring.self {
+		return false
 	}
 	p.mu.Lock()
 	if t, failed := p.failedAt[vt]; failed && time.Since(t) < peerRetry {
 		p.mu.Unlock()
-		return false, false
+		return false
 	}
 	if fl, inFlight := p.flights[vt]; inFlight {
 		p.mu.Unlock()
 		select {
 		case <-fl.done:
-			if fl.err != nil {
-				return false, false
-			}
-			return p.lookupLocal(ctx, vt, item)
+			return fl.err == nil
 		case <-ctx.Done():
-			return false, false
+			return false
 		}
 	}
 	fl := &peerFlight{done: make(chan struct{})}
@@ -257,22 +258,40 @@ func (p *peerTier) fill(ctx context.Context, vt engine.VersionedTenant, item int
 		obs.AddWarnEvent(ctx, "gateway.peer_fill_error",
 			obs.String("tenant", vt.String()), obs.String("peer", owner),
 			obs.String("error", fl.err.Error()))
-		return false, false
+		return false
 	}
-	return p.lookupLocal(ctx, vt, item)
+	return true
+}
+
+// pullInBackground starts pull(vt) for a caller that must not wait on
+// a peer (an epoch roll). The pull runs under the tier's context, so
+// close cancels it and waits for it; the store's Put hook installs the
+// artifact when it lands.
+func (p *peerTier) pullInBackground(vt engine.VersionedTenant) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		p.pull(p.ctx, vt)
+	}()
 }
 
 // fetchAndBackfill transfers one (tenant, epoch) artifact from peer
-// addr and installs it in the local store. The artifact's own trailer
-// checksum guards the transfer: corrupt bytes are rejected before
-// touching disk, and the fetch is retried on the next miss.
+// addr, presenting the key this gateway's Authorizer grants the
+// tenant, and persists it in the local store. The artifact's own
+// trailer checksum guards the transfer: corrupt bytes are rejected
+// before touching disk, and the pull is retried after the dwell.
 func (p *peerTier) fetchAndBackfill(ctx context.Context, addr string, vt engine.VersionedTenant) error {
 	c, err := p.client(ctx, addr)
 	if err != nil {
 		return fmt.Errorf("gateway: peer %s: %w", addr, err)
 	}
 	start := time.Now()
-	data, err := c.FetchArtifact(ctx, vt.Tenant, vt.Epoch)
+	data, err := c.FetchArtifact(ctx, vt.Tenant, vt.Epoch, p.g.opts.Auth.keyFor(vt.Tenant))
 	if err != nil {
 		return fmt.Errorf("gateway: peer %s: %w", addr, err)
 	}
@@ -281,76 +300,36 @@ func (p *peerTier) fetchAndBackfill(ctx context.Context, addr string, vt engine.
 		return fmt.Errorf("gateway: backfill from %s: %w", addr, err)
 	}
 	p.g.counters.peerFills.Add(1)
-	p.g.counters.backfills.Add(1)
 	obs.AddEvent(ctx, "gateway.peer_fill",
 		obs.String("tenant", vt.String()), obs.String("peer", addr),
 		obs.Int("bytes", int64(a.Size())), obs.String("wall", time.Since(start).String()))
 	return nil
 }
 
-// lookupLocal answers from the (just backfilled) local store.
-func (p *peerTier) lookupLocal(ctx context.Context, vt engine.VersionedTenant, item int) (bool, bool) {
-	in, ok, err := p.g.opts.Store.LookupEpoch(ctx, vt, item)
-	if err != nil || !ok {
-		return false, false
-	}
-	return in, true
-}
-
-// pushToSuccessor proactively replicates a freshly materialized
-// artifact to the tenant's ring successor, so the successor can serve
-// the epoch from its local store with zero fetch-on-miss — the warm
-// path for failover: when this gateway dies, queries landing on the
-// successor find the artifact already resident. Fired from the store's
-// Put hook (Gateway.onPut); the transfer itself runs in a goroutine so
-// Put never blocks on a peer. One hop only: the receiver installs via
-// PutBytes, which never re-fires the hook, so a push cannot cascade
-// around the ring.
-//
-//lint:coldpath one artifact transfer per local materialization, not query traffic
-func (p *peerTier) pushToSuccessor(a *store.Artifact) {
-	id := engine.TenantID{Instance: a.Instance, Seed: a.Seed}
-	succ := p.ring.successor(id)
-	if succ == "" {
-		return
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
-		defer cancel()
-		c, err := p.client(ctx, succ)
-		if err == nil {
-			err = c.PushArtifact(ctx, a.Bytes())
-		}
-		if err != nil {
-			p.g.counters.storePushErrors.Add(1)
-			obs.AddWarnEvent(ctx, "gateway.store_push_error",
-				obs.String("tenant", id.String()), obs.String("peer", succ),
-				obs.String("error", err.Error()))
-			return
-		}
-		p.g.counters.storePushes.Add(1)
-	}()
-}
-
-// close releases the peer connections.
+// close cancels the background pulls, releases the peer connections —
+// which fails any transfer still reading — and waits for the pulls to
+// return.
 func (p *peerTier) close() {
+	p.cancel()
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.closed = true
 	for addr, c := range p.clients {
 		_ = c.Close()
 		delete(p.clients, addr)
 	}
+	p.mu.Unlock()
+	p.wg.Wait()
 }
 
 // artifactTier answers item i at epoch ep from the materialized
 // tiers: the local artifact store first, then (on a store miss for a
-// peer-owned key) the peer tier. ok=false falls the query through to
-// the replica fleet — the tiers only ever short-circuit work, never
-// change an answer, because an artifact bit and a replica answer are
-// the same pure function C(I_e, r) evaluated in different places. A
-// hit at the current epoch adopts that epoch's artifact, so the
-// tenant's next frame reads the bitset directly: this is how a gateway
-// that was never warmed and a peer backfill reach the fast path.
+// tenant another peer owns) the peer tier. ok=false falls the query
+// through to the replica fleet — the tiers only ever short-circuit
+// work, never change an answer, because an artifact bit and a replica
+// answer are the same pure function C(I_e, r) evaluated in different
+// places. A hit at the current epoch adopts that epoch's artifact, so
+// the tenant's next frame reads the bitset directly: this is how a
+// gateway that was never warmed reaches the fast path.
 func (t *tenant) artifactTier(ctx context.Context, ep engine.EpochID, i int) (in, ok bool) {
 	st := t.g.opts.Store
 	if st == nil {
@@ -376,12 +355,14 @@ func (t *tenant) artifactTier(ctx context.Context, ep engine.EpochID, i int) (in
 	return in, true
 }
 
-// ArtifactBytes implements cluster.ArtifactProvider: it serves this
-// gateway's stored artifact of tenant id at epoch ep to fetching peers.
-// Like the wire metrics scrape, the artifact endpoint is not API-key
-// gated: it exposes derived solution bits (the same bits every query
-// response carries), not instance data, and peers are
-// cluster-internal.
+// ArtifactBytes implements cluster.ArtifactProvider: it returns this
+// gateway's stored artifact of tenant id at epoch ep. The artifact
+// holds every answer of the tenant at once, so the wire server reads
+// it only for a MsgStoreFetch frame that has resolved through
+// ResolveEpoch — the frame's key checked against the tenant, an
+// unserved tenant refused, the epoch resolved — exactly as for a
+// batch read of those answers. In-process callers are not
+// authenticated: they already hold the Gateway.
 func (g *Gateway) ArtifactBytes(ctx context.Context, id engine.TenantID, ep engine.EpochID) ([]byte, error) {
 	st := g.opts.Store
 	if st == nil {
@@ -393,28 +374,6 @@ func (g *Gateway) ArtifactBytes(ctx context.Context, id engine.TenantID, ep engi
 	}
 	g.counters.artifactsServed.Add(1)
 	return a.Bytes(), nil
-}
-
-// AcceptArtifact implements cluster.ArtifactSink: it installs an
-// artifact proactively pushed by a peer (MsgStorePush). Installation
-// goes through PutBytes, which decodes and checksum-verifies the bytes
-// and — critically — never fires the store's on-put hook, so accepting
-// a push can never emit a further push: replication is exactly one
-// hop, owner to successor.
-func (g *Gateway) AcceptArtifact(ctx context.Context, data []byte) error {
-	st := g.opts.Store
-	if st == nil {
-		return fmt.Errorf("gateway: no artifact store configured")
-	}
-	a, err := st.PutBytes(ctx, data)
-	if err != nil {
-		return err
-	}
-	g.counters.pushesAccepted.Add(1)
-	obs.AddEvent(ctx, "gateway.store_push_accepted",
-		obs.String("tenant", engine.TenantID{Instance: a.Instance, Seed: a.Seed}.String()),
-		obs.Int("epoch", int64(a.Epoch)), obs.Int("bytes", int64(a.Size())))
-	return nil
 }
 
 // WarmFromStore makes tenant id's current-epoch artifact the first
@@ -448,16 +407,19 @@ func (g *Gateway) WarmFromStore(ctx context.Context, id engine.TenantID) (int, e
 
 // WarmAllFromStore warms every configured tenant that has an artifact
 // of its current epoch in the local store, returning the total answers
-// made servable. Tenants without one are skipped silently — absence is
-// the normal cold state, not an error.
+// made servable. With a peer tier, a tenant another peer owns whose
+// artifact is not local is pulled from its owner first. Tenants
+// without an artifact are skipped silently — absence is the normal
+// cold state, not an error, and a failed pull counts in PeerFillErrors.
 func (g *Gateway) WarmAllFromStore(ctx context.Context) (int, error) {
+	st := g.opts.Store
+	if st == nil {
+		return 0, nil
+	}
 	total := 0
 	for _, id := range g.Tenants() {
-		if g.opts.Store == nil {
-			continue
-		}
-		t := g.tenants[id]
-		if !g.opts.Store.HasVersioned(engine.VersionedTenant{Tenant: id, Epoch: t.currentEpoch()}) {
+		vt := engine.VersionedTenant{Tenant: id, Epoch: g.tenants[id].currentEpoch()}
+		if !st.HasVersioned(vt) && (g.peerTier == nil || !g.peerTier.pull(ctx, vt)) {
 			continue
 		}
 		n, err := g.WarmFromStore(ctx, id)
@@ -469,8 +431,5 @@ func (g *Gateway) WarmAllFromStore(ctx context.Context) (int, error) {
 	return total, nil
 }
 
-// ensure the provider and sink seams stay implemented.
-var (
-	_ cluster.ArtifactProvider = (*Gateway)(nil)
-	_ cluster.ArtifactSink     = (*Gateway)(nil)
-)
+// ensure the provider seam stays implemented.
+var _ cluster.ArtifactProvider = (*Gateway)(nil)

@@ -84,7 +84,7 @@ func NewDomain(min, max float64, bits int) (*Domain, error) {
 		return nil, fmt.Errorf("%w: bits %d not in [1, %d]", ErrBadDomain, bits, maxDomainBits)
 	}
 	size := 1 << bits
-	logMin, logMax := math.Log(min), math.Log(max)
+	logMin, logMax := ln(min), ln(max)
 	logStp := (logMax - logMin) / float64(size-1)
 	return &Domain{
 		min: min, max: max, bits: bits, logMin: logMin, logStp: logStp,
@@ -110,7 +110,7 @@ func (d *Domain) Max() float64 { return d.max }
 // to 0 (callers should have filtered invalid values already).
 //
 // The cell is the one the reference formula
-// int((math.Log(v) - logMin) / logStp) gives, for every float64. Index
+// int((ln(v) - logMin) / logStp) gives, for every float64. Index
 // computes it without a logarithm call: ln v is the float's exponent
 // times ln 2, plus the log of the table center nearest its mantissa,
 // plus a degree-5 series for the remaining ratio. When the estimate
@@ -165,7 +165,7 @@ func (d *Domain) indexLog(v float64) int {
 	if v >= d.max {
 		return d.Size() - 1
 	}
-	i := int((math.Log(v) - d.logMin) / d.logStp)
+	i := int((ln(v) - d.logMin) / d.logStp)
 	if i < 0 {
 		return 0
 	}
@@ -173,6 +173,20 @@ func (d *Domain) indexLog(v float64) int {
 		return d.Size() - 1
 	}
 	return i
+}
+
+// ln is the natural logarithm of a domain bound or a value inside a
+// domain: math.Log, bit for bit, for normal v, and for subnormal v
+// math.Log(v·2⁵²) − 52·ln 2, where the scaling is exact. Go's amd64
+// math.Log misreads subnormal inputs (it returns −709.09 for 5e-324,
+// whose log is −744.44), while pure-Go platforms read them right;
+// keeping subnormals off it gives a domain the same cells on every
+// platform, as replicas that must agree on efficiency indices need.
+func ln(v float64) float64 {
+	if v < 0x1p-1022 {
+		return math.Log(v*0x1p52) - 52*math.Ln2
+	}
+	return math.Log(v)
 }
 
 // logTableBits is how many leading mantissa bits select Index's

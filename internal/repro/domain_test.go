@@ -155,3 +155,71 @@ func TestDomainIndexDefersOnNarrowDomain(t *testing.T) {
 		t.Errorf("estimate decided %d values, want 0", c.decided)
 	}
 }
+
+// frexpLog is ln v by math.Frexp, which normalizes a subnormal v
+// exactly: v = frac·2^exp with frac in [1/2, 1), a normal input for
+// math.Log on every platform.
+func frexpLog(v float64) float64 {
+	frac, exp := math.Frexp(v)
+	return math.Log(frac) + float64(exp)*math.Ln2
+}
+
+// TestDomainLogSubnormal holds a domain to the math.Frexp reference
+// where the bounds or the values are subnormal: its log bounds, and
+// the cell indexLog gives every subnormal value inside it, the ones
+// within 10⁻⁹ of a cell edge excepted. Go's amd64 math.Log returns
+// −709.09 for 5e-324 (true −744.44), so there a domain that took
+// math.Log of a subnormal bound indexed differently than on pure-Go
+// platforms.
+func TestDomainLogSubnormal(t *testing.T) {
+	src := rng.New(23)
+	for _, rg := range []struct{ min, max float64 }{
+		{math.SmallestNonzeroFloat64, 1},
+		{1e-320, 1e-300},
+		{1e-310, 1},
+		{math.SmallestNonzeroFloat64, 1e-310},
+		{math.Float64frombits(1<<52 - 1), 1},
+	} {
+		for _, bits := range []int{1, 12, 20} {
+			d, err := NewDomain(rg.min, rg.max, bits)
+			if err != nil {
+				t.Fatalf("NewDomain: %v", err)
+			}
+			for _, b := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"logMin", d.logMin, frexpLog(rg.min)},
+				{"logMax", d.logMin + float64(d.Size()-1)*d.logStp, frexpLog(rg.max)},
+			} {
+				if math.Abs(b.got-b.want) > 1e-12*math.Abs(d.logMin) {
+					t.Fatalf("bits=%d [%g, %g]: %s = %v, math.Frexp reference %v", bits, rg.min, rg.max, b.name, b.got, b.want)
+				}
+			}
+			checked := 0
+			for k := 0; k < 20_000; k++ {
+				v := math.Float64frombits(src.Uint64() >> 12) // subnormal
+				if k%2 == 1 {
+					v = math.Float64frombits(math.Float64bits(rg.min) + uint64(k)) // just above min
+				}
+				if !(v > rg.min && v < rg.max && v < 0x1p-1022) {
+					continue
+				}
+				y := (frexpLog(v) - frexpLog(rg.min)) / d.logStp
+				want := int(y)
+				if f := y - float64(want); f < 1e-9 || f > 1-1e-9 {
+					continue
+				}
+				want = min(want, d.Size()-1)
+				if got := d.indexLog(v); got != want {
+					t.Fatalf("bits=%d [%g, %g]: indexLog(%v = %#016x) = %d, math.Frexp reference %d",
+						bits, rg.min, rg.max, v, math.Float64bits(v), got, want)
+				}
+				checked++
+			}
+			if checked == 0 && math.Nextafter(rg.min, 1) < 0x1p-1022 {
+				t.Fatalf("bits=%d [%g, %g]: no subnormal value checked", bits, rg.min, rg.max)
+			}
+		}
+	}
+}

@@ -153,9 +153,10 @@ func TestStoreRejectsMisplacedEpochArtifact(t *testing.T) {
 	}
 }
 
-// TestPutHookFiresOnlyForLocalPuts pins the push-cascade guard: Put
-// (local materialization) fires the SetOnPut hook, PutBytes (artifact
-// received from a peer) must not.
+// TestPutHookFiresOnlyForLocalPuts pins that the store has one
+// persist path: every artifact put into this store — materialized here
+// (Put) or fetched from a peer (PutBytes) — fires the SetOnPut hook,
+// so a store-backed gateway installs either kind on its tenant.
 func TestPutHookFiresOnlyForLocalPuts(t *testing.T) {
 	s, err := New(t.TempDir(), 4)
 	if err != nil {
@@ -179,10 +180,10 @@ func TestPutHookFiresOnlyForLocalPuts(t *testing.T) {
 	if _, err := s.PutBytes(ctx, append([]byte(nil), a7.Bytes()...)); err != nil {
 		t.Fatalf("PutBytes: %v", err)
 	}
-	if len(fired) != 1 {
-		t.Fatalf("hook fired on PutBytes: fired = %v", fired)
+	if len(fired) != 2 || fired[1] != 7 {
+		t.Fatalf("hook after PutBytes: fired = %v, want [2 7]", fired)
 	}
 	if !s.HasVersioned(engine.VersionedTenant{Tenant: engine.TenantID{Instance: 11, Seed: testParams.Seed}, Epoch: 7}) {
-		t.Fatal("PutBytes did not persist the pushed artifact")
+		t.Fatal("PutBytes did not persist the fetched artifact")
 	}
 }

@@ -107,14 +107,12 @@ func New(dir string, budget int) (*Store, error) {
 	}, nil
 }
 
-// SetOnPut installs a hook invoked after every Put successfully
-// persists a locally materialized artifact — the seam a store-backed
-// gateway hangs off (install the artifact on its tenant and, with a
-// peer tier, push it to the ring successor). The hook runs
+// SetOnPut installs a hook invoked after every successful persist —
+// a Put, and so a PutBytes — the seam a store-backed gateway hangs
+// off to install the artifact on its tenant, whether it was
+// materialized here or fetched from a peer. The hook runs
 // synchronously on the Put caller; long work belongs in a goroutine
-// the hook spawns. PutBytes — the path that installs artifacts
-// *received* from a peer — deliberately never fires it, so a push can
-// never cascade around the ring.
+// the hook spawns.
 func (s *Store) SetOnPut(fn func(*Artifact)) {
 	s.mu.Lock()
 	s.onPut = fn
@@ -276,26 +274,11 @@ func (s *Store) installLocked(id engine.VersionedTenant, a *Artifact) {
 }
 
 // Put persists artifact a atomically at its content address — the
-// (instance, seed, epoch) the self-addressing bytes name — and makes
-// it resident, then fires the SetOnPut hook (proactive replication).
-// Writing the same artifact twice is a harmless no-op in effect: the
-// bytes are canonical, so the rename replaces a file with an identical
-// one.
+// (instance, seed, epoch) the self-addressing bytes name — makes it
+// resident, then fires the SetOnPut hook. Writing the same artifact
+// twice is a harmless no-op in effect: the bytes are canonical, so the
+// rename replaces a file with an identical one.
 func (s *Store) Put(ctx context.Context, a *Artifact) error {
-	if err := s.put(ctx, a); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	hook := s.onPut
-	s.mu.Unlock()
-	if hook != nil {
-		hook(a)
-	}
-	return nil
-}
-
-// put persists and installs without firing the replication hook.
-func (s *Store) put(ctx context.Context, a *Artifact) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -316,24 +299,25 @@ func (s *Store) put(ctx context.Context, a *Artifact) error {
 	if !s.closed {
 		s.installLocked(id, a)
 	}
+	hook := s.onPut
 	s.mu.Unlock()
+	if hook != nil {
+		hook(a)
+	}
 	return nil
 }
 
-// PutBytes validates data as a complete artifact and persists it —
-// the backfill path for artifacts fetched from (or pushed by) a peer.
-// Validation happens before any byte lands on disk, so a corrupted or
-// truncated transfer can never become a local artifact. PutBytes never
-// fires the SetOnPut replication hook: an artifact that arrived over
-// the ring must not be pushed onward, or one Put would cascade around
-// every gateway.
+// PutBytes validates data as a complete artifact and Puts it — the
+// backfill path for artifacts fetched from a peer. Validation happens
+// before any byte lands on disk, so a corrupted or truncated transfer
+// can never become a local artifact.
 func (s *Store) PutBytes(ctx context.Context, data []byte) (*Artifact, error) {
 	a, err := Decode(data)
 	if err != nil {
 		s.corrupt.Inc()
 		return nil, err
 	}
-	if err := s.put(ctx, a); err != nil {
+	if err := s.Put(ctx, a); err != nil {
 		return nil, err
 	}
 	return a, nil
