@@ -1,9 +1,11 @@
 // Command lcagateway fronts a fleet of LCA replica servers with one
 // address speaking the same wire protocol the replicas speak. Behind
 // it: pooled connections, health-checked failover, power-of-two-
-// choices load balancing, optional hedged requests, point-query
-// coalescing, and a deterministic answer cache — all consistency-safe
-// because every replica answers from the same C(I, r) (Theorem 4.1).
+// choices load balancing, optional hedged requests, and a
+// deterministic answer cache — all consistency-safe because every
+// replica answers from the same C(I, r) (Theorem 4.1). Concurrent
+// misses need no batching at the gateway: each replica shares one
+// in-flight derivation among the queries that overlap it.
 //
 // Start replicas (see lcaserver), then the gateway with the replicas'
 // tenant: its -instance-id and -seed must equal their -instance-hash
@@ -156,8 +158,6 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		hedge    = flags.Duration("hedge", -1, "hedge delay: >0 fixed, 0 adaptive p95, negative disables")
 		retries  = flags.Int("attempts", gateway.DefaultMaxAttempts, "max replica attempts per query")
 		backoff  = flags.Duration("backoff", gateway.DefaultRetryBackoff, "base retry backoff")
-		window   = flags.Duration("batch-window", 0, "point-query coalescing window (0 disables)")
-		maxBatch = flags.Int("max-batch", gateway.DefaultMaxBatch, "max coalesced batch size")
 		health   = flags.Duration("health", gateway.DefaultHealthInterval, "replica health-check interval")
 		rpcTO    = flags.Duration("rpc-timeout", 0, "per-RPC timeout towards replicas (0 = connection default)")
 		timeout  = flags.Duration("timeout", 0, "per-request deadline for downstream clients (0 = unbounded)")
@@ -252,8 +252,6 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 		RetryBackoff:   *backoff,
 		HedgeDelay:     *hedge,
 		CacheSize:      *cache,
-		BatchWindow:    *window,
-		MaxBatch:       *maxBatch,
 		HealthInterval: *health,
 		Tracer:         tracer,
 		Store:          artifacts,
@@ -340,8 +338,8 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 	}
 	m := gw.Metrics()
 	fmt.Fprintf(stdout, "lcagateway: served %d point + %d batch queries\n", m.Queries, m.BatchQueries)
-	fmt.Fprintf(stdout, "lcagateway: cache hit rate %.3f (%d hits, %d misses), %d single-flight shares, %d coalesced\n",
-		m.CacheHitRate(), m.CacheHits, m.CacheMisses, m.FlightsShared, m.Coalesced)
+	fmt.Fprintf(stdout, "lcagateway: cache hit rate %.3f (%d hits, %d misses), %d single-flight shares\n",
+		m.CacheHitRate(), m.CacheHits, m.CacheMisses, m.FlightsShared)
 	fmt.Fprintf(stdout, "lcagateway: %d attempts, %d retries, %d failovers, %d hedges (%d wins), %d reconnects, %d errors\n",
 		m.Attempts, m.Retries, m.Failovers, m.Hedges, m.HedgeWins, m.Reconnects, m.Errors)
 	if artifacts != nil {

@@ -37,8 +37,8 @@ type conn struct {
 	brokenErr error
 	// wbuf and rbuf are frame scratch buffers reused across RPCs under
 	// mu, so a steady-state round trip allocates nothing for framing. A
-	// response frame's payload aliases rbuf and is valid only until the
-	// next RPC on this connection.
+	// response frame's payload aliases rbuf, so it is read only under
+	// mu (see roundTrip).
 	wbuf, rbuf []byte
 }
 
@@ -60,17 +60,20 @@ func dial(ctx context.Context, addr string, timeout time.Duration) (*conn, error
 	return &conn{netConn: netConn, timeout: timeout}, nil
 }
 
-// roundTrip sends one request and reads its response. The RPC is
-// bounded by the earlier of the connection's per-RPC timeout and the
-// context's deadline; a context that fires mid-RPC surfaces as a
-// wrapped ctx.Err(). Any transport error poisons the connection (see
-// ErrConnBroken). The returned frame's payload aliases the
-// connection's read buffer: callers must decode it before issuing the
-// next RPC on the same connection (every current caller decodes
-// synchronously).
-func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
+// roundTrip sends one request, reads its response, and hands the
+// response to decode (when non-nil) while the connection is still
+// locked. The response payload aliases the connection's read buffer,
+// which the next RPC overwrites, so decode must copy out whatever it
+// keeps: the buffer's lifetime is the lock's. An error frame, or a
+// response of another type than the request's, fails with ErrRemote or
+// ErrBadMessage before decode runs. The RPC is bounded by the earlier
+// of the connection's per-RPC timeout and the context's deadline, and a
+// context that is canceled mid-RPC interrupts the write or the read at
+// once; either surfaces as a wrapped ctx.Err(). Any transport error
+// poisons the connection (see ErrConnBroken).
+func (c *conn) roundTrip(ctx context.Context, req frame, decode func(resp frame) error) error {
 	if err := ctx.Err(); err != nil {
-		return frame{}, fmt.Errorf("cluster: round trip aborted: %w", err)
+		return fmt.Errorf("cluster: round trip aborted: %w", err)
 	}
 	if sc, ok := obs.SpanFromContext(ctx); ok {
 		// Carry the caller's trace across the hop so the server-side
@@ -80,7 +83,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.brokenErr != nil {
-		return frame{}, fmt.Errorf("%w: %v", ErrConnBroken, c.brokenErr)
+		return fmt.Errorf("%w: %v", ErrConnBroken, c.brokenErr)
 	}
 	deadline := time.Now().Add(c.timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -88,7 +91,12 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 	}
 	if err := c.netConn.SetDeadline(deadline); err != nil {
 		c.brokenErr = err
-		return frame{}, fmt.Errorf("cluster: set deadline: %w", err)
+		return fmt.Errorf("cluster: set deadline: %w", err)
+	}
+	if ctx.Done() != nil {
+		// Only a context that can end arms the interrupt, so RPCs on
+		// context.Background pay nothing for it.
+		defer c.interruptOnDone(ctx)()
 	}
 	wbuf, err := appendFrame(c.wbuf[:0], req)
 	c.wbuf = wbuf
@@ -97,7 +105,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 	}
 	if err != nil {
 		c.brokenErr = err
-		return frame{}, c.rpcErr(ctx, "write request", err)
+		return c.rpcErr(ctx, "write request", err)
 	}
 	var resp frame
 	resp, c.rbuf, err = readFrameInto(c.netConn, c.rbuf)
@@ -105,9 +113,33 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 		// A failed or partial response read leaves the stream position
 		// unknown even when the write succeeded.
 		c.brokenErr = err
-		return frame{}, c.rpcErr(ctx, "read response", err)
+		return c.rpcErr(ctx, "read response", err)
 	}
-	return resp, nil
+	if err := decodeMaybeErr(resp, req.msgType); err != nil || decode == nil {
+		return err
+	}
+	return decode(resp)
+}
+
+// interruptOnDone makes ctx ending expire the connection's deadline,
+// which fails a blocked write or read at once instead of when the
+// deadline set for the RPC passes. The returned stop disarms it and,
+// if it already fired, waits for it, so its deadline cannot land on
+// the next RPC (which sets its own deadline before writing). c.mu must
+// be held until stop returns.
+//
+//lint:coldpath armed only for contexts that can end; the RPC it guards is a wire round trip
+func (c *conn) interruptOnDone(ctx context.Context) (stop func()) {
+	fired := make(chan struct{})
+	disarm := context.AfterFunc(ctx, func() {
+		_ = c.netConn.SetDeadline(time.Unix(1, 0))
+		close(fired)
+	})
+	return func() {
+		if !disarm() {
+			<-fired
+		}
+	}
 }
 
 // broken reports whether the connection has been poisoned by a
@@ -208,21 +240,15 @@ func DialInstanceContext(ctx context.Context, addr string, timeout time.Duration
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, frame{msgType: msgInfo})
-	if err != nil {
-		_ = c.close()
-		return nil, err
-	}
-	if err := decodeMaybeErr(resp, msgInfo); err != nil {
-		_ = c.close()
-		return nil, err
-	}
-	n, err := getU64(resp.payload, 0)
-	if err != nil {
-		_ = c.close()
-		return nil, err
-	}
-	capacity, err := getF64(resp.payload, 8)
+	var n uint64
+	var capacity float64
+	err = c.roundTrip(ctx, frame{msgType: msgInfo}, func(resp frame) (err error) {
+		if n, err = getU64(resp.payload, 0); err != nil {
+			return err
+		}
+		capacity, err = getF64(resp.payload, 8)
+		return err
+	})
 	if err != nil {
 		_ = c.close()
 		return nil, err
@@ -242,24 +268,24 @@ func (r *RemoteAccess) N() int { return r.n }
 // Capacity returns the remote instance's weight limit.
 func (r *RemoteAccess) Capacity() float64 { return r.capacity }
 
-// QueryItem fetches one item's profit and weight.
+// QueryItem fetches one item's profit and weight. It is safe to call
+// while another goroutine's SampleFrame is fetching on the same
+// connection: each decodes its own response under the connection's
+// lock.
 func (r *RemoteAccess) QueryItem(ctx context.Context, i int) (knapsack.Item, error) {
-	resp, err := r.conn.roundTrip(ctx, frame{msgType: msgQuery, payload: putU64(nil, uint64(i))})
+	var it knapsack.Item
+	//lint:alloc stays on the stack: roundTrip only calls decode and never retains it, so the closure does not escape (go build -gcflags=-m)
+	err := r.conn.roundTrip(ctx, frame{msgType: msgQuery, payload: putU64(nil, uint64(i))}, func(resp frame) (err error) {
+		if it.Profit, err = getF64(resp.payload, 0); err != nil {
+			return err
+		}
+		it.Weight, err = getF64(resp.payload, 8)
+		return err
+	})
 	if err != nil {
 		return knapsack.Item{}, err
 	}
-	if err := decodeMaybeErr(resp, msgQuery); err != nil {
-		return knapsack.Item{}, err
-	}
-	profit, err := getF64(resp.payload, 0)
-	if err != nil {
-		return knapsack.Item{}, err
-	}
-	weight, err := getF64(resp.payload, 8)
-	if err != nil {
-		return knapsack.Item{}, err
-	}
-	return knapsack.Item{Profit: profit, Weight: weight}, nil
+	return it, nil
 }
 
 // Sample draws one profit-weighted item (see SampleFrame).
@@ -287,23 +313,17 @@ func (r *RemoteAccess) SampleFrame(ctx context.Context, src *rng.Source, dst []o
 	}
 	filled := 0
 	for filled < len(dst) {
-		f, fresh := stream.tail, len(stream.tail) == 0
-		if fresh {
-			var err error
-			if f, err = r.fetch(ctx, stream, len(dst)-filled); err != nil {
-				return filled, err
-			}
+		var k int
+		var err error
+		if len(stream.tail) == 0 {
+			k, err = r.fetch(ctx, stream, dst[filled:])
+		} else {
+			// Keep what this call does not consume, the entry that
+			// failed its check included.
+			k, err = stream.tail.decode(dst[filled:], r.n)
+			stream.tail = stream.tail[k*sampleEntryLen:]
 		}
-		k, err := f.decode(dst[filled:], r.n)
 		filled += k
-		// Keep what this call did not consume, the entry that failed
-		// its check included. A fresh payload aliases the connection's
-		// read buffer, so its tail is copied into the stream's own.
-		stream.tail = f[k*sampleEntryLen:]
-		if fresh {
-			stream.buf = append(stream.buf[:0], stream.tail...) //lint:alloc grows the stream's tail buffer to at most one batch, then reuses it for every later batch
-			stream.tail = sampleFrame(stream.buf)
-		}
 		if err != nil {
 			return filled, err
 		}
@@ -328,15 +348,17 @@ func (r *RemoteAccess) stream(src *rng.Source) *sampleStream {
 	return stream
 }
 
-// fetch requests the stream's next draws and returns their payload,
-// which aliases the connection's read buffer until the next RPC. It
-// opens the next batch with need draws when that is less than a whole
-// batch: a request's draws are a prefix of its batch's per-draw
-// sequence. The stream's next fetch resumes a batch opened short by
-// fetching it whole and skipping the prefix already delivered. A
-// failed fetch abandons its batch. r.mu must be held.
-func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream, need int) (sampleFrame, error) {
-	b, count, skip := stream.batchNum, min(need, r.batch), 0
+// fetch requests the stream's next draws, decodes them into dst and
+// returns how many it filled. It opens the next batch with len(dst)
+// draws when that is less than a whole batch: a request's draws are a
+// prefix of its batch's per-draw sequence. The stream's next fetch
+// resumes a batch opened short by fetching it whole and skipping the
+// prefix already delivered. The response's entries past dst, the one
+// that failed its check included, are copied into the stream's tail
+// before the connection's read buffer is released. A failed request
+// abandons its batch. r.mu must be held.
+func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream, dst []oracle.Draw) (filled int, err error) {
+	b, count, skip := stream.batchNum, min(len(dst), r.batch), 0
 	if stream.short > 0 {
 		b, count, skip = b-1, r.batch, stream.short
 		stream.short = 0
@@ -348,30 +370,27 @@ func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream, need int
 	var payload [16]byte
 	binary.LittleEndian.PutUint64(payload[0:8], uint64(count))
 	binary.LittleEndian.PutUint64(payload[8:16], stream.seed^(b*0x9e3779b97f4a7c15))
-	resp, err := r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload[:]})
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeMaybeErr(resp, msgSample); err != nil {
-		return nil, err
-	}
-	f, err := decodeSampleFrame(resp.payload, count)
-	if err != nil {
-		return nil, err
-	}
-	if count < r.batch {
-		stream.short = count
-	}
-	return f[skip*sampleEntryLen:], nil
+	//lint:alloc stays on the stack: roundTrip only calls decode and never retains it, so the closure does not escape (go build -gcflags=-m)
+	err = r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload[:]}, func(resp frame) error {
+		f, err := decodeSampleFrame(resp.payload, count)
+		if err != nil {
+			return err
+		}
+		if count < r.batch {
+			stream.short = count
+		}
+		f = f[skip*sampleEntryLen:]
+		filled, err = f.decode(dst, r.n)
+		stream.buf = append(stream.buf[:0], f[filled*sampleEntryLen:]...) //lint:alloc grows the stream's tail buffer to at most one batch, then reuses it for every later batch
+		stream.tail = sampleFrame(stream.buf)
+		return err
+	})
+	return filled, err
 }
 
 // Ping performs a health-check round trip.
 func (r *RemoteAccess) Ping(ctx context.Context) error {
-	resp, err := r.conn.roundTrip(ctx, frame{msgType: msgPing})
-	if err != nil {
-		return err
-	}
-	return decodeMaybeErr(resp, msgPing)
+	return r.conn.roundTrip(ctx, frame{msgType: msgPing}, nil)
 }
 
 // Close releases the connection.
@@ -498,17 +517,20 @@ func (c *LCAClient) InSolutionEpochTenant(ctx context.Context, id engine.TenantI
 }
 
 func (c *LCAClient) inSolution(ctx context.Context, i int, id *engine.TenantID, ep engine.EpochID) (bool, engine.EpochID, error) {
-	resp, err := c.conn.roundTrip(ctx, c.request(msgInSol, putU64(nil, uint64(i)), id, ep))
+	var in bool
+	var served engine.EpochID
+	//lint:alloc stays on the stack: roundTrip only calls decode and never retains it, so the closure does not escape (go build -gcflags=-m)
+	err := c.conn.roundTrip(ctx, c.request(msgInSol, putU64(nil, uint64(i)), id, ep), func(resp frame) error {
+		if len(resp.payload) != 1 {
+			return fmt.Errorf("%w: InSolution payload %d bytes", ErrBadMessage, len(resp.payload))
+		}
+		in, served = resp.payload[0] == 1, resp.epoch
+		return nil
+	})
 	if err != nil {
 		return false, 0, err
 	}
-	if err := decodeMaybeErr(resp, msgInSol); err != nil {
-		return false, 0, err
-	}
-	if len(resp.payload) != 1 {
-		return false, 0, fmt.Errorf("%w: InSolution payload %d bytes", ErrBadMessage, len(resp.payload))
-	}
-	return resp.payload[0] == 1, resp.epoch, nil
+	return in, served, nil
 }
 
 // InSolutionBatch asks the replica about several items in one RPC and
@@ -549,31 +571,29 @@ func (c *LCAClient) inSolutionBatch(ctx context.Context, indices []int, id *engi
 	for _, i := range indices {
 		payload = putU64(payload, uint64(i))
 	}
-	resp, err := c.conn.roundTrip(ctx, c.request(msgInSolBatch, payload, id, ep))
+	answers := make([]bool, len(indices)) //lint:alloc escapes to the caller, which owns the answers
+	var served engine.EpochID
+	//lint:alloc stays on the stack: roundTrip only calls decode and never retains it, so the closure does not escape (go build -gcflags=-m)
+	err := c.conn.roundTrip(ctx, c.request(msgInSolBatch, payload, id, ep), func(resp frame) error {
+		if len(resp.payload) != len(indices) {
+			return fmt.Errorf("%w: batch response %d answers for %d queries",
+				ErrBadMessage, len(resp.payload), len(indices))
+		}
+		for k, b := range resp.payload {
+			answers[k] = b == 1
+		}
+		served = resp.epoch
+		return nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := decodeMaybeErr(resp, msgInSolBatch); err != nil {
-		return nil, 0, err
-	}
-	if len(resp.payload) != len(indices) {
-		return nil, 0, fmt.Errorf("%w: batch response %d answers for %d queries",
-			ErrBadMessage, len(resp.payload), len(indices))
-	}
-	answers := make([]bool, len(indices)) //lint:alloc escapes to the caller, which owns the answers
-	for k, b := range resp.payload {
-		answers[k] = b == 1
-	}
-	return answers, resp.epoch, nil
+	return answers, served, nil
 }
 
 // Ping performs a health-check round trip.
 func (c *LCAClient) Ping(ctx context.Context) error {
-	resp, err := c.conn.roundTrip(ctx, frame{msgType: msgPing})
-	if err != nil {
-		return err
-	}
-	return decodeMaybeErr(resp, msgPing)
+	return c.conn.roundTrip(ctx, frame{msgType: msgPing}, nil)
 }
 
 // FetchArtifact retrieves the complete materialized artifact of tenant
@@ -593,16 +613,15 @@ func (c *LCAClient) Ping(ctx context.Context) error {
 func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID, ep engine.EpochID, key []byte) ([]byte, error) {
 	f := c.request(msgStoreFetch, nil, &id, ep)
 	f.authKey = key
-	resp, err := c.conn.roundTrip(ctx, f)
+	var data []byte
+	err := c.conn.roundTrip(ctx, f, func(resp frame) error {
+		data = append([]byte(nil), resp.payload...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeMaybeErr(resp, msgStoreFetch); err != nil {
-		return nil, err
-	}
-	// The response payload aliases the connection's read buffer; copy
-	// before the next RPC reuses it.
-	return append([]byte(nil), resp.payload...), nil
+	return data, nil
 }
 
 // ScrapeMetrics fetches the server's Prometheus-text metrics snapshot
@@ -626,14 +645,12 @@ func (c *LCAClient) ScrapeTenantMetrics(ctx context.Context, id engine.TenantID)
 }
 
 func (c *LCAClient) scrapeMetrics(ctx context.Context, f frame) (string, error) {
-	resp, err := c.conn.roundTrip(ctx, f)
-	if err != nil {
-		return "", err
-	}
-	if err := decodeMaybeErr(resp, msgMetrics); err != nil {
-		return "", err
-	}
-	return string(resp.payload), nil
+	var text string
+	err := c.conn.roundTrip(ctx, f, func(resp frame) error {
+		text = string(resp.payload)
+		return nil
+	})
+	return text, err
 }
 
 // Close releases the connection.

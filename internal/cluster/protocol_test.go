@@ -152,12 +152,8 @@ func TestServerRejectsUnknownMessageType(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.close()
-	resp, err := c.roundTrip(context.Background(), frame{msgType: 0x6e})
-	if err != nil {
-		t.Fatalf("roundTrip: %v", err)
-	}
-	if resp.msgType != msgErr|respBit {
-		t.Errorf("response type %#x, want error", resp.msgType)
+	if err := c.roundTrip(context.Background(), frame{msgType: 0x6e}, nil); !errors.Is(err, ErrRemote) {
+		t.Errorf("roundTrip = %v, want an error frame (ErrRemote)", err)
 	}
 }
 
@@ -180,18 +176,10 @@ func TestInstanceServerRejectsOversizedSampleBatch(t *testing.T) {
 	defer c.close()
 	payload := putU64(nil, maxSampleBatch+1)
 	payload = putU64(payload, 7)
-	resp, err := c.roundTrip(context.Background(), frame{msgType: msgSample, payload: payload})
-	if err != nil {
-		t.Fatalf("roundTrip: %v", err)
-	}
-	if err := decodeMaybeErr(resp, msgSample); !errors.Is(err, ErrRemote) {
+	if err := c.roundTrip(context.Background(), frame{msgType: msgSample, payload: payload}, nil); !errors.Is(err, ErrRemote) {
 		t.Errorf("oversized batch error = %v, want ErrRemote", err)
 	}
-	resp, err = c.roundTrip(context.Background(), frame{msgType: msgPing})
-	if err != nil {
-		t.Fatalf("Ping after the rejected batch: %v", err)
-	}
-	if err := decodeMaybeErr(resp, msgPing); err != nil {
+	if err := c.roundTrip(context.Background(), frame{msgType: msgPing}, nil); err != nil {
 		t.Errorf("Ping after the rejected batch: %v", err)
 	}
 
@@ -219,12 +207,8 @@ func TestLCAServerRejectsWrongMessage(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.close()
-	resp, err := c.roundTrip(context.Background(), frame{msgType: msgInfo})
-	if err != nil {
-		t.Fatalf("roundTrip: %v", err)
-	}
-	if resp.msgType != msgErr|respBit {
-		t.Errorf("response type %#x, want error", resp.msgType)
+	if err := c.roundTrip(context.Background(), frame{msgType: msgInfo}, nil); !errors.Is(err, ErrRemote) {
+		t.Errorf("roundTrip = %v, want an error frame (ErrRemote)", err)
 	}
 }
 

@@ -425,3 +425,67 @@ func BenchmarkInstanceSampleFrame(b *testing.B) {
 		}
 	}
 }
+
+// TestRemoteQueryItemDuringSampleFrame runs point queries and sample
+// frames on one RemoteAccess at once, as a replica does when one query
+// decides its item while another run fetches its draws. Each response
+// is decoded under the connection's lock, so every draw must be
+// exactly its stream's and every item exactly the instance's.
+func TestRemoteQueryItemDuringSampleFrame(t *testing.T) {
+	const samplers, probers, frame, frames = 2, 2, 1000, 12
+	acc, _ := testAccess(t, 5000)
+	srv, err := NewInstanceServer("127.0.0.1:0", acc)
+	if err != nil {
+		t.Fatalf("NewInstanceServer: %v", err)
+	}
+	defer srv.Close()
+	remote, err := DialInstance(srv.Addr(), 0, 0)
+	if err != nil {
+		t.Fatalf("DialInstance: %v", err)
+	}
+	defer remote.Close()
+	want := make([][]oracle.Draw, samplers)
+	for w := range want {
+		want[w] = expectedRemoteDraws(t, acc, rng.New(uint64(200+w)), 4096, frame*frames)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < samplers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src := rng.New(uint64(200 + w))
+			dst := make([]oracle.Draw, frame)
+			for f := 0; f < frames; f++ {
+				if _, err := remote.SampleFrame(ctx, src, dst); err != nil {
+					t.Errorf("sampler %d: frame %d: %v", w, f, err)
+					return
+				}
+				for k, d := range dst {
+					if wantD := want[w][f*frame+k]; d != wantD {
+						t.Errorf("sampler %d: draw %d = %+v, want %+v", w, f*frame+k, d, wantD)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for p := 0; p < probers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < 5000; i += 17 {
+				got, err := remote.QueryItem(ctx, i)
+				if err != nil {
+					t.Errorf("prober %d: QueryItem(%d): %v", p, i, err)
+					return
+				}
+				if wantIt, _ := acc.QueryItem(ctx, i); got != wantIt {
+					t.Errorf("prober %d: QueryItem(%d) = %+v, want %+v", p, i, got, wantIt)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+}

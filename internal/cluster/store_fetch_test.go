@@ -137,17 +137,13 @@ func TestStorePushFrameRefused(t *testing.T) {
 	defer c.close()
 
 	const retiredStorePush uint8 = 9
-	resp, err := c.roundTrip(context.Background(), frame{msgType: retiredStorePush, payload: []byte("LCAS pushed artifact bytes")})
-	if err != nil {
-		t.Fatalf("roundTrip: %v", err)
-	}
-	if resp.msgType != msgErr|respBit {
-		t.Errorf("push frame answered with type %#x, want an error frame", resp.msgType)
+	if err := c.roundTrip(context.Background(), frame{msgType: retiredStorePush, payload: []byte("LCAS pushed artifact bytes")}, nil); !errors.Is(err, ErrRemote) {
+		t.Errorf("push frame answered with %v, want an error frame (ErrRemote)", err)
 	}
 	if n := be.accepted.Load(); n != 0 {
 		t.Errorf("AcceptArtifact ran %d times, want 0", n)
 	}
-	if _, err := c.roundTrip(context.Background(), frame{msgType: msgPing}); err != nil {
+	if err := c.roundTrip(context.Background(), frame{msgType: msgPing}, nil); err != nil {
 		t.Fatalf("ping after refused push: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -114,5 +115,39 @@ func TestServerRequestTimeout(t *testing.T) {
 	totals := eng.Totals()
 	if totals.Deadline != 1 {
 		t.Errorf("totals.Deadline = %d, want 1 (totals %+v)", totals.Deadline, totals)
+	}
+}
+
+// TestRoundTripCanceledDuringRead cancels an RPC whose server accepted
+// the request and never answers: the read must return at once with
+// context.Canceled, not when the connection's timeout expires, and the
+// connection, whose stream position is now unknown, must be broken.
+func TestRoundTripCanceledDuringRead(t *testing.T) {
+	hold := make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	addr := scriptedServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		_ = readRequest(conn)
+		<-hold
+	})
+	const timeout = 5 * time.Second
+	client, err := DialLCA(addr, timeout)
+	if err != nil {
+		t.Fatalf("DialLCA: %v", err)
+	}
+	defer client.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = client.InSolution(ctx, 3)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("InSolution error = %v, want context.Canceled", err)
+	}
+	if elapsed > timeout/4 {
+		t.Errorf("canceled RPC returned after %v; the %v timeout, not the cancel, ended it", elapsed, timeout)
+	}
+	if !client.Broken() {
+		t.Error("connection not broken after a canceled read")
 	}
 }

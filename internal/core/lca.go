@@ -4,19 +4,22 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"lcakp/internal/knapsack"
+	"lcakp/internal/obs"
 	"lcakp/internal/oracle"
 	"lcakp/internal/repro"
 	"lcakp/internal/rng"
 )
 
 // LCAKP is the paper's LCA for Knapsack (Algorithm 2). It is safe for
-// concurrent use: queries share no mutable state beyond an atomic
-// nonce used to give each run fresh sampling randomness, mirroring the
-// model in which every run draws fresh weighted samples while the seed
-// r is shared and read-only.
+// concurrent use. Every run draws fresh weighted samples while the
+// seed r is shared and read-only, as in the model; an atomic nonce
+// gives each run its own sampling randomness. Query and QueryBatch
+// calls that overlap share one run (see Query), and nothing of a run
+// survives its end.
 type LCAKP struct {
 	params Params
 	access oracle.Access
@@ -32,6 +35,30 @@ type LCAKP struct {
 	// values work; tests vary them adversarially.
 	freshBase *rng.Source
 	runNonce  atomic.Uint64
+
+	// mu guards the shared run: running is set while a Query or
+	// QueryBatch run is in flight, runID is its nonce and leader the
+	// trace of the query leading it, and joined is what the queries
+	// that joined it wait on — nil until the first one joins, so a run
+	// that nobody joins allocates nothing for sharing.
+	mu      sync.Mutex
+	running bool
+	runID   uint64
+	leader  obs.TraceID
+	joined  *sharedRun
+}
+
+// sharedRun hands the rule of one in-flight run to the queries that
+// joined it.
+type sharedRun struct {
+	done chan struct{}
+	rule Rule
+	err  error
+	// retry marks a run that ended because its leader's context did:
+	// no rule came of it through any fault of the joiners, so each
+	// joiner whose context is live starts over, and one of them leads
+	// a new run.
+	retry bool
 }
 
 // NewLCAKP builds an LCA over the given access with the given
@@ -63,29 +90,101 @@ func NewLCAKP(access oracle.Access, params Params) (*LCAKP, error) {
 func (l *LCAKP) Params() Params { return l.params }
 
 // Query reports whether item i belongs to the solution C(I, seed) the
-// LCA answers according to. Each call is an independent run: it draws
-// fresh samples, recomputes the decision rule, and answers — no state
-// survives between calls. ctx cancels or deadline-bounds the run; an
-// aborted run returns a wrapped ctx.Err() and leaves the LCA fully
-// reusable (there is no state to corrupt).
+// LCA answers according to. It answers from one run of the pipeline,
+// then probes item i alone. When no run is in flight, the call leads a
+// new one at once: it draws fresh samples and recomputes the decision
+// rule. When a Query or QueryBatch run is already in flight, the call
+// joins it instead and waits for its rule; the rule does not depend on
+// the queried item, so the overlapping calls answer exactly as a batch
+// of their items would. No rule outlives its run, so no state survives
+// between calls that do not overlap (Definition 2.2).
+//
+// The run's samples are charged to the accesses of the call leading
+// it; a joining call makes only its point query, and its trace span
+// records the run it joined (event core.shared_run). ctx cancels or
+// deadline-bounds the call; an aborted call returns a wrapped
+// ctx.Err() and leaves the LCA fully reusable. A run whose leader's
+// context ends does not fail its joiners: one of them leads a new run.
 func (l *LCAKP) Query(ctx context.Context, i int) (bool, error) {
-	fresh := l.freshBase.DeriveIndex("run", int(l.runNonce.Add(1)))
-	return l.QueryWithRandomness(ctx, i, fresh)
+	rule, err := l.sharedRule(ctx, "run")
+	if err != nil {
+		return false, err
+	}
+	return l.decide(ctx, rule, i)
 }
 
 // QueryWithRandomness is Query with caller-controlled fresh sampling
 // randomness, used by tests and experiments to drive many runs with
-// explicitly distinct (or deliberately re-used) randomness.
+// explicitly distinct (or deliberately re-used) randomness. Each call
+// is its own run: it neither joins nor is joined.
 func (l *LCAKP) QueryWithRandomness(ctx context.Context, i int, fresh *rng.Source) (bool, error) {
 	rule, err := l.ComputeRule(ctx, fresh)
 	if err != nil {
 		return false, err
 	}
+	return l.decide(ctx, rule, i)
+}
+
+// decide probes item i and applies rule to it.
+func (l *LCAKP) decide(ctx context.Context, rule Rule, i int) (bool, error) {
 	it, err := l.access.QueryItem(ctx, i)
 	if err != nil {
 		return false, fmt.Errorf("core: query item %d: %w", i, err)
 	}
 	return rule.Decide(i, it), nil
+}
+
+// sharedRule returns the rule of the Query or QueryBatch run in
+// flight, or of a new run that this call leads, drawn with the fresh
+// randomness of label and the run's nonce. A call that joins a run
+// waits for its rule, or until its own context ends.
+func (l *LCAKP) sharedRule(ctx context.Context, label string) (Rule, error) {
+	for {
+		l.mu.Lock()
+		if !l.running {
+			nonce := l.runNonce.Add(1)
+			l.running, l.runID, l.leader = true, nonce, obs.TraceIDFromContext(ctx)
+			l.mu.Unlock()
+			return l.leadRun(ctx, l.freshBase.DeriveIndex(label, int(nonce)))
+		}
+		run := l.joined
+		if run == nil {
+			//lint:alloc made by a run's first joiner only; a run nobody joins allocates nothing for sharing
+			run = &sharedRun{done: make(chan struct{})}
+			l.joined = run
+		}
+		id, leader := l.runID, l.leader
+		l.mu.Unlock()
+		if span := obs.ActiveSpanFromContext(ctx); span != nil {
+			//lint:alloc traced joiners only: the attrs are priced against the run they save
+			span.Event("core.shared_run", obs.Int("run", int64(id)), obs.String("leader_trace", leader.String()))
+		}
+		select {
+		case <-run.done:
+		case <-ctx.Done():
+			return Rule{}, fmt.Errorf("core: waiting for shared run %d: %w", id, ctx.Err())
+		}
+		if !run.retry {
+			return run.rule, run.err
+		}
+	}
+}
+
+// leadRun computes the rule of the shared run this call leads under
+// its own context, then ends the run and hands the result to the
+// queries that joined it.
+func (l *LCAKP) leadRun(ctx context.Context, fresh *rng.Source) (Rule, error) {
+	rule, err := l.ComputeRule(ctx, fresh)
+	l.mu.Lock()
+	run := l.joined
+	l.running, l.joined = false, nil
+	l.mu.Unlock()
+	if run != nil {
+		run.rule, run.err = rule, err
+		run.retry = err != nil && ctx.Err() != nil
+		close(run.done)
+	}
+	return rule, err
 }
 
 // QueryBatch answers several membership queries from a single run of
@@ -94,10 +193,10 @@ func (l *LCAKP) QueryWithRandomness(ctx context.Context, i int, fresh *rng.Sourc
 // comes from the same run, so batch answers are mutually consistent
 // with certainty, not just w.h.p. Across batches the usual stateless
 // guarantees apply. The per-answer amortized access cost drops by a
-// factor of len(indices).
+// factor of len(indices). Like Query, it leads a new run or joins the
+// one in flight, and the two share runs with each other.
 func (l *LCAKP) QueryBatch(ctx context.Context, indices []int) ([]bool, error) {
-	fresh := l.freshBase.DeriveIndex("batch", int(l.runNonce.Add(1)))
-	rule, err := l.ComputeRule(ctx, fresh)
+	rule, err := l.sharedRule(ctx, "batch")
 	if err != nil {
 		return nil, err
 	}

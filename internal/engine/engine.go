@@ -50,9 +50,12 @@ func classify(err error) Outcome {
 // membership query cost and how it ended. This is the LCA literature's
 // per-query accounting (time, query count) as a first-class value.
 type Metrics struct {
-	// PointQueries is the number of oracle point queries the run made.
+	// PointQueries is the number of oracle point queries the query
+	// made.
 	PointQueries int64
-	// Samples is the number of weighted samples the run drew.
+	// Samples is the number of weighted samples drawn on the query's
+	// behalf: a core.LCAKP query that joined another query's run is
+	// charged none, and the run's leader is charged them all.
 	Samples int64
 	// Wall is the query's wall-clock duration.
 	Wall time.Duration

@@ -2,11 +2,20 @@ package gateway
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lcakp/internal/cluster"
+	"lcakp/internal/core"
 	"lcakp/internal/engine"
+	"lcakp/internal/epoch"
+	"lcakp/internal/oracle"
 	"lcakp/internal/store"
+	"lcakp/internal/workload"
 )
 
 // BenchmarkGatewayVsDirect compares repeat-query serving through the
@@ -202,5 +211,123 @@ func BenchmarkGatewayStoreServed(b *testing.B) {
 	}
 	if m := gw.Metrics(); m.Attempts != 0 || m.CacheHits != 0 {
 		b.Errorf("store-served benchmark made %d replica attempts and %d cache hits, want 0 and 0", m.Attempts, m.CacheHits)
+	}
+}
+
+// BenchmarkGatewayConcurrentMiss measures gateway misses served by
+// replicas under concurrent load: k closed-loop clients point-query
+// distinct items through a gateway without store or cache, in front of
+// two replicas over one in-process instance server (zipf, n = 1M,
+// ε = 0.2). It reports answers/s and the p99 latency of one query.
+//
+//   - derive-bound: each replica serves the stateless LCA over a
+//     RemoteAccess to the instance server, so an answer costs a
+//     derivation, which overlapping queries at one replica share;
+//   - rule-served: each replica serves epoch.Manager's sealed rule, so
+//     an answer costs one rule decision and nothing is derived.
+func BenchmarkGatewayConcurrentMiss(b *testing.B) {
+	const n = 1_000_000
+	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: n, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc, err := oracle.NewSliceOracle(gen.Float)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := cluster.NewInstanceServer("127.0.0.1:0", acc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { inst.Close() })
+	id := engine.TenantID{Instance: 0, Seed: 7}
+	params := core.Params{Epsilon: 0.2, Seed: id.Seed}
+	derive := func(ctx context.Context, vt engine.VersionedTenant) (engine.TenantState, error) {
+		remote, err := cluster.DialInstanceContext(ctx, inst.Addr(), 0, 0)
+		if err != nil {
+			return engine.TenantState{}, err
+		}
+		lca, err := core.NewLCAKP(engine.Wrap(remote), params)
+		if err != nil {
+			return engine.TenantState{}, err
+		}
+		return engine.TenantState{Engine: engine.New(lca), Close: remote.Close}, nil
+	}
+	mgr, err := epoch.NewManager(context.Background(), id, gen.Float, params, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mix := range []struct {
+		name    string
+		factory engine.VersionedTenantFactory
+	}{{"derive-bound", derive}, {"rule-served", mgr.Factory()}} {
+		var addrs []string
+		for r := 0; r < 2; r++ {
+			table := engine.NewVersionedTenantTable(mix.factory, 0)
+			b.Cleanup(func() { table.Close() })
+			srv, err := cluster.NewMultiLCAServer("127.0.0.1:0", table)
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv.SetDefaultTenant(id)
+			b.Cleanup(func() { srv.Close() })
+			addrs = append(addrs, srv.Addr())
+		}
+		for _, k := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%s/k=%d", mix.name, k), func(b *testing.B) {
+				gw, err := New(Options{Replicas: addrs, Seed: id.Seed, HedgeDelay: -1, CacheSize: -1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer gw.Close()
+				benchConcurrentMisses(b, gw, n, k)
+			})
+		}
+	}
+}
+
+// benchConcurrentMisses drives b.N point queries from k closed-loop
+// clients, the i-th query asking item i mod n, and reports answers/s
+// and the p99 query latency in µs.
+func benchConcurrentMisses(b *testing.B, gw *Gateway, n, k int) {
+	ctx := context.Background()
+	// A few queries first, so the run measures serving rather than the
+	// replicas' tenant derivations and first dials.
+	for i := 0; i < 8; i++ {
+		if _, err := gw.InSolution(ctx, n-1-i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Int64
+	lat := make([][]time.Duration, k)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for c := range k {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) {
+					return
+				}
+				t0 := time.Now()
+				if _, err := gw.InSolution(ctx, int(i%int64(n))); err != nil {
+					b.Error(err)
+					return
+				}
+				lat[c] = append(lat[c], time.Since(t0))
+			}
+		}(c)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	all := slices.Concat(lat...)
+	slices.Sort(all)
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "answers/s")
+	if len(all) > 0 {
+		b.ReportMetric(float64(all[(len(all)*99+99)/100-1].Microseconds()), "p99_us")
 	}
 }

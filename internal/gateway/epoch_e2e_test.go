@@ -214,7 +214,7 @@ func TestEpochE2EPinnedBitIdentityAcrossRollover(t *testing.T) {
 // concurrency (run under -race in CI): a gateway serving epochs 0 and
 // 1 simultaneously must never return a cross-epoch cache hit — every
 // answer matches its own epoch's baseline even while both epochs churn
-// through the same shards, coalescer, and single-flight tables.
+// through the same shards and single-flight tables.
 func TestEpochCacheIsolationConcurrent(t *testing.T) {
 	const n = 64
 	addrs, _, tables := epochFleet(t, n, 1)
@@ -232,10 +232,9 @@ func TestEpochCacheIsolationConcurrent(t *testing.T) {
 	ctx := context.Background()
 
 	gw, err := New(Options{
-		Replicas:    addrs,
-		Seed:        epochParams.Seed,
-		HedgeDelay:  -1,
-		BatchWindow: 100 * time.Microsecond, // coalesce, so rollover-straddling windows partition by epoch
+		Replicas:   addrs,
+		Seed:       epochParams.Seed,
+		HedgeDelay: -1,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -1,8 +1,7 @@
 // Package gateway is the consistency-preserving serving front door of
 // the distributed deployment: one address that fans out to a fleet of
 // LCA replica servers with connection pooling, health-checked
-// failover, hedged requests, point-query coalescing, and a
-// deterministic answer cache.
+// failover, hedged requests, and a deterministic answer cache.
 //
 // Every feature is an application of the paper's central guarantee.
 // Definition 2.2 makes the answered solution C(I, r) a pure function
@@ -47,7 +46,7 @@ const (
 	DefaultMaxAttempts = 3
 	// DefaultRetryBackoff is the base of the exponential retry backoff.
 	DefaultRetryBackoff = 2 * time.Millisecond
-	// DefaultMaxBatch caps one coalesced batch frame.
+	// DefaultMaxBatch caps one warm-up batch frame.
 	DefaultMaxBatch = 256
 	// DefaultHealthInterval is the replica ping period.
 	DefaultHealthInterval = 250 * time.Millisecond
@@ -103,11 +102,9 @@ type Options struct {
 	// CacheSize is the answer-cache capacity in entries (0 selects
 	// DefaultCacheSize, < 0 disables caching).
 	CacheSize int
-	// BatchWindow is how long the first point query of a burst waits
-	// for companions before its batch frame is sent (0 disables
-	// coalescing).
-	BatchWindow time.Duration
-	// MaxBatch caps one coalesced batch (0 selects DefaultMaxBatch).
+	// MaxBatch caps the items of one warm-up frame: Warm and
+	// WarmTenant fetch in frames of at most MaxBatch items (0 selects
+	// DefaultMaxBatch). Queries' frames are not capped.
 	MaxBatch int
 	// HealthInterval is the replica ping period (0 selects
 	// DefaultHealthInterval).
@@ -189,7 +186,7 @@ func (o Options) withDefaults() Options {
 // Gateway fronts a replica fleet behind a single Backend surface,
 // multiplexing any number of tenants over one shared pool, cache, and
 // router. The tenant set is fixed at New: each tenant owns its wire
-// namespace, quota, coalescer, and counters, while connections and
+// namespace, quota, and counters, while connections and
 // breakers stay per replica (replicas are multi-tenant).
 type Gateway struct {
 	opts     Options
@@ -253,9 +250,6 @@ func New(opts Options) (*Gateway, error) {
 		if id == defID {
 			// Reconfigure the default tenant (typically to attach a
 			// quota).
-			if g.def.coal != nil {
-				g.def.coal.close()
-			}
 			g.def = g.newTenant(defID, to)
 			g.tenants[defID] = g.def
 			continue
@@ -519,16 +513,11 @@ func (g *Gateway) WarmTenant(ctx context.Context, id engine.TenantID, items []in
 	return t.warm(ctx, items)
 }
 
-// Close flushes parked queries, stops the health loop, cancels the
-// peer tier's background pulls and waits for them, and closes all
-// pooled connections. It is idempotent.
+// Close stops the health loop, cancels the peer tier's background
+// pulls and waits for them, and closes all pooled connections. It is
+// idempotent.
 func (g *Gateway) Close() error {
 	g.closeOnce.Do(func() {
-		for _, t := range g.tenants {
-			if t.coal != nil {
-				t.coal.close()
-			}
-		}
 		if g.opts.Store != nil {
 			// Detach the Put hook first so a Put racing Close installs
 			// nothing on a closing gateway.

@@ -368,14 +368,36 @@ func TestGatewayCacheDisabledBatchUsesArtifactTier(t *testing.T) {
 	}
 }
 
-func TestGatewayCoalescerBatchesConcurrentQueries(t *testing.T) {
-	addrs, servers, baseline := testFleet(t, 200, 1)
-	gw, err := New(Options{
-		Replicas:    addrs,
-		Seed:        testParams.Seed,
-		HedgeDelay:  -1,
-		BatchWindow: 20 * time.Millisecond,
-	})
+// TestGatewayConcurrentMissesShareReplicaRun sends a burst of 16
+// point misses for distinct items through a gateway to one replica
+// whose oracle answers slowly, so the misses overlap there. Each miss
+// is its own frame, and the replica shares its in-flight derivation
+// among the overlapping ones: it draws fewer runs' samples than it
+// serves queries, and every answer is the baseline's.
+func TestGatewayConcurrentMissesShareReplicaRun(t *testing.T) {
+	gen, err := workload.Generate(workload.Spec{Name: "uniform", N: 200, Seed: 17})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	acc, err := oracle.NewSliceOracle(gen.Float)
+	if err != nil {
+		t.Fatalf("NewSliceOracle: %v", err)
+	}
+	lca, err := core.NewLCAKP(engine.Wrap(engine.Chain(acc, engine.WithLatency(20*time.Millisecond))), testParams)
+	if err != nil {
+		t.Fatalf("NewLCAKP: %v", err)
+	}
+	eng := engine.New(lca)
+	srv, err := cluster.NewLCAServer("127.0.0.1:0", testTenant, eng)
+	if err != nil {
+		t.Fatalf("NewLCAServer: %v", err)
+	}
+	defer srv.Close()
+	baseline, err := core.NewLCAKP(acc, testParams)
+	if err != nil {
+		t.Fatalf("NewLCAKP baseline: %v", err)
+	}
+	gw, err := New(Options{Replicas: []string{srv.Addr()}, Seed: testParams.Seed, HedgeDelay: -1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -407,13 +429,14 @@ func TestGatewayCoalescerBatchesConcurrentQueries(t *testing.T) {
 			t.Errorf("item %d: gateway %v, baseline %v", i, answers[i], want)
 		}
 	}
-	if m := gw.Metrics(); m.Coalesced == 0 {
-		t.Error("Coalesced = 0; a 16-query burst under a 20ms window should share frames")
+	tot := eng.Totals()
+	if tot.Queries != burst {
+		t.Errorf("replica served %d engine queries, want one per miss (%d)", tot.Queries, burst)
 	}
-	// The replica must have seen far fewer engine queries than the
-	// burst size (batches count once).
-	if tot, _ := servers[0].Metrics(testTenant); tot.Queries >= burst {
-		t.Errorf("replica served %d engine queries for a %d-query burst; coalescing ineffective", tot.Queries, burst)
+	p := lca.Params()
+	if run := int64(p.LargeSamples + p.QuantileSamples); tot.Samples >= burst*run {
+		t.Errorf("replica drew %d samples for %d overlapping misses, want fewer than %d runs' worth (%d)",
+			tot.Samples, burst, burst, burst*run)
 	}
 }
 

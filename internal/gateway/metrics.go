@@ -20,9 +20,6 @@ type Metrics struct {
 	// FlightsShared counts queries answered by joining another query's
 	// in-flight computation (single-flight dedup).
 	FlightsShared int64
-	// Coalesced counts point queries folded into a shared
-	// InSolutionBatch frame by the coalescer.
-	Coalesced int64
 	// Attempts counts replica RPC attempts (first tries and retries).
 	Attempts int64
 	// Retries counts re-sends after a failed attempt.
@@ -76,7 +73,7 @@ func (m Metrics) CacheHitRate() float64 {
 }
 
 // counters is the atomic backing for Metrics, shared by the pool,
-// router, cache, and coalescer. The fields are obs metrics so
+// router, and cache. The fields are obs metrics so
 // RegisterMetrics can expose the live counters directly — Metrics
 // snapshots and scrapes read the same atomics and can never disagree.
 type counters struct {
@@ -85,7 +82,6 @@ type counters struct {
 	cacheHits     obs.Counter
 	cacheMisses   obs.Counter
 	flightsShared obs.Counter
-	coalesced     obs.Counter
 	attempts      obs.Counter
 	retries       obs.Counter
 	failovers     obs.Counter
@@ -112,7 +108,6 @@ func (c *counters) snapshot() Metrics {
 		CacheHits:     c.cacheHits.Value(),
 		CacheMisses:   c.cacheMisses.Value(),
 		FlightsShared: c.flightsShared.Value(),
-		Coalesced:     c.coalesced.Value(),
 		Attempts:      c.attempts.Value(),
 		Retries:       c.retries.Value(),
 		Failovers:     c.failovers.Value(),
@@ -146,7 +141,6 @@ func (g *Gateway) RegisterMetrics(reg *obs.Registry) error {
 		{"lcakp_gateway_cache_hits_total", "answer-cache hits", &c.cacheHits},
 		{"lcakp_gateway_cache_misses_total", "answer-cache misses", &c.cacheMisses},
 		{"lcakp_gateway_flights_shared_total", "queries answered by a shared in-flight fetch", &c.flightsShared},
-		{"lcakp_gateway_coalesced_total", "point queries folded into batch frames", &c.coalesced},
 		{"lcakp_gateway_attempts_total", "replica RPC attempts", &c.attempts},
 		{"lcakp_gateway_retries_total", "RPC re-sends after a failed attempt", &c.retries},
 		{"lcakp_gateway_failovers_total", "retries that switched replica", &c.failovers},

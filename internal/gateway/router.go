@@ -236,7 +236,9 @@ type attemptResult struct {
 // fired at a second replica and the first successful answer wins.
 // Racing is consistency-safe because both replicas compute the same
 // C(I, r) (Lemma 4.9 makes the shared rule reproducible across
-// replicas); the loser's answer is discarded unread.
+// replicas). When callMember returns, the attempt still running is
+// canceled: its RPC returns at once, its answer is discarded unread,
+// and its replica no longer counts it in flight.
 func (r *router) callMember(ctx context.Context, m *member, vt engine.VersionedTenant, indices []int) ([]bool, error) {
 	r.counters.attempts.Add(1)
 	delay := r.hedgeDelay()
@@ -251,6 +253,8 @@ func (r *router) callMember(ctx context.Context, m *member, vt engine.VersionedT
 		return res.answers, res.err
 	}
 
+	ctx, cancel := context.WithCancel(ctx) //lint:alloc hedged mode only: the attempts' shared cancel, one per RPC against a wire round trip
+	defer cancel()
 	ch := make(chan attemptResult, 2) //lint:alloc hedged-mode rendezvous: one channel per RPC against a wire round trip
 	//lint:alloc hedged-mode attempt goroutine; the RPC it carries costs ~3 orders of magnitude more
 	go func() { ch <- r.issue(ctx, m, vt, indices, false) }()

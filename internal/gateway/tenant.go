@@ -66,9 +66,8 @@ type TenantMetrics struct {
 }
 
 // tenant is one served namespace: its share of the answer cache (via
-// key prefix), its own coalescer (a batch frame carries exactly one
-// tenant), its quota, its counters, and the artifact of its current
-// epoch. It implements cluster.Backend, so resolving a frame's tenant
+// key prefix), its quota, its counters, and the artifact of its
+// current epoch. It implements cluster.Backend, so resolving a frame's tenant
 // yields the thing that answers it.
 //
 // The shared machinery — pool, breakers, router, cache shards — is the
@@ -85,8 +84,8 @@ type tenant struct {
 	// epoch is the tenant's current serving epoch, advanced by
 	// Gateway.SetTenantEpoch when a rollover completes. An unpinned
 	// query resolves to it once, at admission; from there the query
-	// names (tenant, epoch) in its cache key, store address, coalescer
-	// partition, and every replica frame.
+	// names (tenant, epoch) in its cache key, store address, and every
+	// replica frame.
 	epoch atomic.Uint64
 	// art is the resident artifact of the tenant's current epoch, nil
 	// until one is installed (see install). It is the first tier a
@@ -97,7 +96,6 @@ type tenant struct {
 	// the read side (artifactAt) is what keeps those bits off frames of
 	// the new epoch.
 	art   atomic.Pointer[store.Artifact]
-	coal  *coalescer // nil when coalescing is disabled
 	quota *tokenBucket
 	c     tenantCounters
 }
@@ -109,9 +107,6 @@ func (g *Gateway) newTenant(id engine.TenantID, to TenantOptions) *tenant {
 	t := &tenant{g: g, id: id, label: id.String()}
 	if to.RateLimit > 0 {
 		t.quota = newTokenBucket(to.RateLimit, to.Burst)
-	}
-	if g.opts.BatchWindow > 0 {
-		t.coal = newCoalescer(g.opts.BatchWindow, g.opts.MaxBatch, g.opts.RPCTimeout, t.routerCall, &g.counters)
 	}
 	return t
 }
@@ -218,21 +213,19 @@ func (t *tenant) fetchOne(ctx context.Context, ep engine.EpochID, i int) (bool, 
 	return t.fetchFleet(ctx, ep, i)
 }
 
-// fetchFleet resolves one item from the replica fleet via the
-// coalescer (when enabled) or a direct single-index batch call. Fleet
-// fetches record latency; a traced fetch leaves its trace ID as the
-// latency bucket's exemplar and stamps a cache_fill event on the
-// active span, so a tail bucket in /metrics names a replayable miss.
+// fetchFleet resolves one item from the replica fleet in a
+// single-index batch frame. Concurrent misses of one (tenant, epoch)
+// need no batching here: the replica shares its in-flight derivation
+// among overlapping queries. Fleet fetches record latency; a traced
+// fetch leaves its trace ID as the latency bucket's exemplar and
+// stamps a cache_fill event on the active span, so a tail bucket in
+// /metrics names a replayable miss.
 func (t *tenant) fetchFleet(ctx context.Context, ep engine.EpochID, i int) (answer bool, err error) {
 	start := time.Now()
-	if t.coal != nil {
-		answer, err = t.coal.query(ctx, ep, i)
-	} else {
-		var answers []bool
-		//lint:alloc miss path: one single-index batch per uncoalesced fetch, against a wire round trip
-		if answers, err = t.routerCall(ctx, ep, []int{i}); err == nil {
-			answer = answers[0]
-		}
+	//lint:alloc miss path: one single-index batch per fetch, against a wire round trip
+	answers, err := t.routerCall(ctx, ep, []int{i})
+	if err == nil {
+		answer = answers[0]
 	}
 	d := time.Since(start)
 	t.g.lat.ObserveExemplar(d, obs.TraceIDFromContext(ctx), t.label)
@@ -256,7 +249,7 @@ func (t *tenant) InSolution(ctx context.Context, i int) (bool, error) {
 
 // InSolutionEpoch is InSolution pinned to one sealed epoch (or the
 // engine.EpochCurrent sentinel). The pin travels the whole path —
-// cache key, store address, coalescer partition, wire frame — so the
+// cache key, store address, wire frame — so the
 // answer is a bit of exactly C(I_ep, r) no matter which tier or
 // replica produced it.
 func (t *tenant) InSolutionEpoch(ctx context.Context, ep engine.EpochID, i int) (bool, error) {

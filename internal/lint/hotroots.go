@@ -59,7 +59,7 @@ var defaultHotRoots = map[string]hotLevel{
 	"lcakp/internal/cluster.(engineBackend).InSolution":         hotQuery,
 	"lcakp/internal/cluster.(engineBackend).InSolutionBatch":    hotQuery,
 
-	// gateway: route / coalesce / cache — the ~70ns cached-hit path
+	// gateway: route / cache — the ~70ns cached-hit path
 	// and everything one miss away from it. Every wire frame resolves
 	// through ResolveEpoch and is answered by an epochView.
 	"lcakp/internal/gateway.(Gateway).ResolveEpoch":      hotQuery,
@@ -67,9 +67,6 @@ var defaultHotRoots = map[string]hotLevel{
 	"lcakp/internal/gateway.(epochView).InSolutionBatch": hotQuery,
 	"lcakp/internal/gateway.(tenant).InSolution":         hotQuery,
 	"lcakp/internal/gateway.(tenant).InSolutionBatch":    hotQuery,
-	"lcakp/internal/gateway.(coalescer).query":           hotQuery,
-	"lcakp/internal/gateway.(coalescer).run":             hotQuery,
-	"lcakp/internal/gateway.(coalescer).flush":           hotQuery,
 	"lcakp/internal/gateway.(answerCache).get":           hotQuery,
 	"lcakp/internal/gateway.(answerCache).put":           hotQuery,
 	"lcakp/internal/gateway.(answerCache).do":            hotQuery,

@@ -130,8 +130,8 @@ func Int(key string, v int64) Attr { return Attr{Key: key, Value: strconv.Format
 type EventLevel uint8
 
 const (
-	// LevelInfo annotates normal decisions (a cache fill, a coalesced
-	// flush, a tenant derivation).
+	// LevelInfo annotates normal decisions (a cache fill, a joined
+	// shared run, a tenant derivation).
 	LevelInfo EventLevel = iota
 	// LevelWarn marks tail-suspect decisions (hedge fired, retry,
 	// failover, breaker opened, quota reject, budget exhausted, fault

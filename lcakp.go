@@ -161,7 +161,7 @@ type (
 
 // Serving-gateway types (internal/gateway): a consistency-preserving
 // front door over a replica fleet, with pooling, failover, hedging,
-// point-query coalescing, and a deterministic answer cache. All of it
+// and a deterministic answer cache. All of it
 // is safe because answers are pure functions of (instance, seed) —
 // Definition 2.2 and Theorem 4.1 — so any replica, any retry, and any
 // cached copy yields the same bit.
@@ -356,8 +356,7 @@ func LoadAPIKeys(path string) (*Authorizer, error) {
 }
 
 // NewGateway builds a serving gateway over a replica fleet; see
-// GatewayOptions for the pooling, failover, hedging, coalescing, and
-// cache knobs.
+// GatewayOptions for the pooling, failover, hedging, and cache knobs.
 func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	return gateway.New(opts)
 }
