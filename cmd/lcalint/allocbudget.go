@@ -13,10 +13,11 @@ import (
 
 // budgetFileName is the checked-in allocation ground truth at the
 // module root: the benchmarks named there are re-measured by
-// -allocbudget, and the measured allocs/op must not exceed the pinned
-// budgets. The //lint:alloc waivers in the tree answer to this file —
-// a waiver claiming "measured 0 allocs/op" that stops being true
-// fails here even though the static analyzer stays quiet.
+// -allocbudget, and the measured allocs/op (and B/op, where pinned)
+// must not exceed the pinned budgets. The //lint:alloc waivers in the
+// tree answer to this file — a waiver claiming "measured 0 allocs/op"
+// that stops being true fails here even though the static analyzer
+// stays quiet.
 const budgetFileName = "ALLOC_BUDGET.json"
 
 // budgetFile is the schema of ALLOC_BUDGET.json.
@@ -37,6 +38,11 @@ type budgetEntry struct {
 	// MaxAllocsPerOp is the inclusive budget; the measured allocs/op
 	// failing it fails the run.
 	MaxAllocsPerOp int64 `json:"max_allocs_per_op"`
+	// MaxBytesPerOp, when set, is the inclusive budget for the
+	// measured B/op. Unlike the allocation count it is set by hand,
+	// with headroom for what a benchmark allocates now and then (a
+	// pooled buffer the GC dropped, say); -update-budget leaves it.
+	MaxBytesPerOp *int64 `json:"max_bytes_per_op,omitempty"`
 }
 
 // benchMeasurement is one parsed benchmark result line.
@@ -80,13 +86,18 @@ func runAllocBudget(root string, update bool, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "MISSING %-55s not reported by %s\n", e.Name, e.Package)
 			continue
 		}
-		status := "ok"
-		if m.allocsPerOp > e.MaxAllocsPerOp {
+		status, bytesBudget := "ok", ""
+		over := m.allocsPerOp > e.MaxAllocsPerOp
+		if e.MaxBytesPerOp != nil {
+			bytesBudget = fmt.Sprintf(" (budget %d)", *e.MaxBytesPerOp)
+			over = over || m.bytesPerOp > *e.MaxBytesPerOp
+		}
+		if over {
 			status = "OVER"
 			failures++
 		}
-		fmt.Fprintf(stdout, "%-7s %-55s %6d allocs/op (budget %d)  %10.1f ns/op  %6d B/op\n",
-			status, e.Name, m.allocsPerOp, e.MaxAllocsPerOp, m.nsPerOp, m.bytesPerOp)
+		fmt.Fprintf(stdout, "%-7s %-55s %6d allocs/op (budget %d)  %10.1f ns/op  %6d B/op%s\n",
+			status, e.Name, m.allocsPerOp, e.MaxAllocsPerOp, m.nsPerOp, m.bytesPerOp, bytesBudget)
 		if update {
 			e.MaxAllocsPerOp = m.allocsPerOp
 		}

@@ -14,9 +14,11 @@
 //
 // -allocbudget switches from static analysis to measurement: the
 // benchmarks pinned in ALLOC_BUDGET.json at the module root are re-run
-// with -benchmem and the measured allocs/op compared against the
-// checked-in budgets (exit 1 on excess). -update-budget rewrites the
-// budgets to the measured values instead.
+// with -benchmem and the measured allocs/op, and B/op where an entry
+// pins bytes too, compared against the checked-in budgets (exit 1 on
+// excess). -update-budget rewrites the allocation budgets to the
+// measured values instead; byte budgets carry deliberate headroom and
+// are edited by hand.
 //
 //	go run ./cmd/lcalint ./...          # what CI's lint job runs
 //	go run ./cmd/lcalint -json ./...    # machine-readable diagnostics

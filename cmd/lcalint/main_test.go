@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -226,6 +227,31 @@ func BenchmarkGrow(b *testing.B) {
 	errOut.Reset()
 	if code := run([]string{"-allocbudget", dir}, &out, &errOut); code != 0 {
 		t.Fatalf("within-budget exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+
+	// Within its allocation count but past a byte budget: the 64-byte
+	// allocation fails a 32 B/op pin and passes a 64 B/op one.
+	for _, tc := range []struct {
+		maxBytes int
+		code     int
+	}{{32, 1}, {64, 0}} {
+		writeFile(t, filepath.Join(dir, budgetFileName), fmt.Sprintf(`{
+  "benchmarks": [
+    {"name": "BenchmarkGrow", "package": ".", "max_allocs_per_op": 1, "max_bytes_per_op": %d}
+  ]
+}
+`, tc.maxBytes))
+		out.Reset()
+		errOut.Reset()
+		if code := run([]string{"-allocbudget", dir}, &out, &errOut); code != tc.code {
+			t.Fatalf("byte budget %d: exit = %d, want %d\nstdout: %s\nstderr: %s", tc.maxBytes, code, tc.code, out.String(), errOut.String())
+		}
+		if want := fmt.Sprintf("B/op (budget %d)", tc.maxBytes); !strings.Contains(out.String(), want) {
+			t.Errorf("byte budget %d: report lacks %q:\n%s", tc.maxBytes, want, out.String())
+		}
+		if got := strings.Contains(out.String(), "OVER"); got != (tc.code == 1) {
+			t.Errorf("byte budget %d: OVER reported %v, want %v:\n%s", tc.maxBytes, got, tc.code == 1, out.String())
+		}
 	}
 }
 

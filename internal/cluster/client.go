@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lcakp/internal/engine"
@@ -85,9 +87,9 @@ func (c *conn) roundTrip(ctx context.Context, req frame, decode func(resp frame)
 	if c.brokenErr != nil {
 		return fmt.Errorf("%w: %v", ErrConnBroken, c.brokenErr)
 	}
-	deadline := time.Now().Add(c.timeout)
+	deadline, ctxDeadline := time.Now().Add(c.timeout), false
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+		deadline, ctxDeadline = d, true
 	}
 	if err := c.netConn.SetDeadline(deadline); err != nil {
 		c.brokenErr = err
@@ -105,7 +107,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame, decode func(resp frame)
 	}
 	if err != nil {
 		c.brokenErr = err
-		return c.rpcErr(ctx, "write request", err)
+		return c.rpcErr(ctx, "write request", err, ctxDeadline)
 	}
 	var resp frame
 	resp, c.rbuf, err = readFrameInto(c.netConn, c.rbuf)
@@ -113,7 +115,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame, decode func(resp frame)
 		// A failed or partial response read leaves the stream position
 		// unknown even when the write succeeded.
 		c.brokenErr = err
-		return c.rpcErr(ctx, "read response", err)
+		return c.rpcErr(ctx, "read response", err, ctxDeadline)
 	}
 	if err := decodeMaybeErr(resp, req.msgType); err != nil || decode == nil {
 		return err
@@ -153,9 +155,15 @@ func (c *conn) broken() bool {
 // rpcErr attributes an I/O failure to the context when its deadline
 // (or cancellation) caused it, so callers can errors.Is against
 // context.DeadlineExceeded / context.Canceled instead of parsing
-// net timeouts.
-func (c *conn) rpcErr(ctx context.Context, op string, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
+// net timeouts. ctxDeadline says the socket's deadline was the
+// context's: a socket timeout then is the context's deadline, even
+// when the socket's timer fired before the context's did.
+func (c *conn) rpcErr(ctx context.Context, op string, err error, ctxDeadline bool) error {
+	ctxErr := ctx.Err()
+	if ctxErr == nil && ctxDeadline && errors.Is(err, os.ErrDeadlineExceeded) {
+		ctxErr = context.DeadlineExceeded
+	}
+	if ctxErr != nil {
 		return fmt.Errorf("cluster: %s: %w (%v)", op, ctxErr, err)
 	}
 	return fmt.Errorf("cluster: %s: %w", op, err)
@@ -172,8 +180,20 @@ func (c *conn) close() error { return c.netConn.Close() }
 // by the server from seed ^ b·φ. A frame call requests at most one
 // batch at a time and opens a batch with only the draws it still
 // needs; fetch says how a later call resumes such a batch.
+//
+// A call that finds the instance connection broken dials a new one
+// first (see live), so one failed RPC, a request deadline among the
+// causes, costs that call and no later one.
 type RemoteAccess struct {
-	conn     *conn
+	addr    string
+	timeout time.Duration
+	// conn is the instance connection. live swaps a new one in under
+	// redial; QueryItem reads it without r.mu, so it is an atomic
+	// pointer. closed, under redial, stops redials after Close.
+	conn   atomic.Pointer[conn]
+	redial sync.Mutex
+	closed bool
+
 	n        int
 	capacity float64
 
@@ -253,13 +273,43 @@ func DialInstanceContext(ctx context.Context, addr string, timeout time.Duration
 		_ = c.close()
 		return nil, err
 	}
-	return &RemoteAccess{
-		conn:     c,
+	r := &RemoteAccess{
+		addr:     addr,
+		timeout:  timeout,
 		n:        int(n),
 		capacity: capacity,
 		batch:    batch,
 		streams:  make(map[*rng.Source]*sampleStream),
-	}, nil
+	}
+	r.conn.Store(c)
+	return r, nil
+}
+
+// live returns the instance connection, replacing it first with a new
+// one when it is broken. A redial keeps every draw where it was: each
+// batch has its own seed and a failed fetch abandons its batch, so the
+// stream's next fetch asks for the next batch on whatever connection
+// carries it. A failed dial is returned, and the next call dials again.
+func (r *RemoteAccess) live(ctx context.Context) (*conn, error) {
+	c := r.conn.Load()
+	if !c.broken() {
+		return c, nil
+	}
+	r.redial.Lock()
+	defer r.redial.Unlock()
+	if r.closed {
+		return nil, fmt.Errorf("cluster: instance connection: %w", net.ErrClosed)
+	}
+	if cur := r.conn.Load(); cur != c {
+		return cur, nil // another call redialed first
+	}
+	nc, err := dial(ctx, r.addr, r.timeout)
+	if err != nil {
+		return nil, err
+	}
+	r.conn.Store(nc)
+	_ = c.close()
+	return nc, nil
 }
 
 // N returns the remote instance's item count.
@@ -273,9 +323,13 @@ func (r *RemoteAccess) Capacity() float64 { return r.capacity }
 // connection: each decodes its own response under the connection's
 // lock.
 func (r *RemoteAccess) QueryItem(ctx context.Context, i int) (knapsack.Item, error) {
+	c, err := r.live(ctx)
+	if err != nil {
+		return knapsack.Item{}, err
+	}
 	var it knapsack.Item
 	//lint:alloc stays on the stack: roundTrip only calls decode and never retains it, so the closure does not escape (go build -gcflags=-m)
-	err := r.conn.roundTrip(ctx, frame{msgType: msgQuery, payload: putU64(nil, uint64(i))}, func(resp frame) (err error) {
+	err = c.roundTrip(ctx, frame{msgType: msgQuery, payload: putU64(nil, uint64(i))}, func(resp frame) (err error) {
 		if it.Profit, err = getF64(resp.payload, 0); err != nil {
 			return err
 		}
@@ -370,8 +424,12 @@ func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream, dst []or
 	var payload [16]byte
 	binary.LittleEndian.PutUint64(payload[0:8], uint64(count))
 	binary.LittleEndian.PutUint64(payload[8:16], stream.seed^(b*0x9e3779b97f4a7c15))
+	c, err := r.live(ctx)
+	if err != nil {
+		return 0, err
+	}
 	//lint:alloc stays on the stack: roundTrip only calls decode and never retains it, so the closure does not escape (go build -gcflags=-m)
-	err = r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload[:]}, func(resp frame) error {
+	err = c.roundTrip(ctx, frame{msgType: msgSample, payload: payload[:]}, func(resp frame) error {
 		f, err := decodeSampleFrame(resp.payload, count)
 		if err != nil {
 			return err
@@ -390,11 +448,20 @@ func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream, dst []or
 
 // Ping performs a health-check round trip.
 func (r *RemoteAccess) Ping(ctx context.Context) error {
-	return r.conn.roundTrip(ctx, frame{msgType: msgPing}, nil)
+	c, err := r.live(ctx)
+	if err != nil {
+		return err
+	}
+	return c.roundTrip(ctx, frame{msgType: msgPing}, nil)
 }
 
-// Close releases the connection.
-func (r *RemoteAccess) Close() error { return r.conn.close() }
+// Close releases the connection; later calls fail without redialing.
+func (r *RemoteAccess) Close() error {
+	r.redial.Lock()
+	defer r.redial.Unlock()
+	r.closed = true
+	return r.conn.Load().close()
+}
 
 // LCAClient queries a remote LCA replica (or anything speaking the
 // membership protocol — a gateway, a multi-tenant server).

@@ -151,3 +151,89 @@ func TestRoundTripCanceledDuringRead(t *testing.T) {
 		t.Error("connection not broken after a canceled read")
 	}
 }
+
+// TestReplicaRedialsAfterInstanceTimeout delays the instance behind a
+// replica by 200 ms while the replica's request timeout is 50 ms: the
+// timed-out query, cut mid-sample, breaks the replica's instance
+// connection and counts as a deadline, not an error. With both lifted,
+// the replica redials its instance once and the next queries succeed;
+// before the redial every later query of the tenant failed with
+// ErrConnBroken until the tenant was evicted.
+func TestReplicaRedialsAfterInstanceTimeout(t *testing.T) {
+	acc, _ := testAccess(t, 200)
+	slow := &slowAccess{inner: acc}
+	slow.delay.Store(int64(200 * time.Millisecond))
+	inst, err := NewInstanceServer("127.0.0.1:0", slow)
+	if err != nil {
+		t.Fatalf("NewInstanceServer: %v", err)
+	}
+	defer inst.Close()
+	remote, err := DialInstance(inst.Addr(), 0, 0)
+	if err != nil {
+		t.Fatalf("DialInstance: %v", err)
+	}
+	defer remote.Close()
+	lca, err := core.NewLCAKP(remote, core.Params{Epsilon: 0.25, Seed: 2})
+	if err != nil {
+		t.Fatalf("NewLCAKP: %v", err)
+	}
+	eng := engine.New(lca)
+	srv, err := NewLCAServer("127.0.0.1:0", testTenant, eng)
+	if err != nil {
+		t.Fatalf("NewLCAServer: %v", err)
+	}
+	defer srv.Close()
+	srv.SetRequestTimeout(50 * time.Millisecond)
+	client, err := DialLCA(srv.Addr(), 0)
+	if err != nil {
+		t.Fatalf("DialLCA: %v", err)
+	}
+	defer client.Close()
+
+	ctx := context.Background()
+	if _, err := client.InSolution(ctx, 3); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "deadline") {
+		t.Fatalf("InSolution against the slow instance: %v, want a remote deadline error", err)
+	}
+	if !remote.conn.Load().broken() {
+		t.Fatal("the timed-out sample RPC left the instance connection usable; the test no longer covers a redial")
+	}
+
+	slow.delay.Store(0)
+	srv.SetRequestTimeout(0)
+	for i := range 3 {
+		if _, err := client.InSolution(ctx, i); err != nil {
+			t.Fatalf("query %d after lifting the delay and the timeout: %v", i, err)
+		}
+	}
+	totals := eng.Totals()
+	if totals.Deadline != 1 || totals.Errors != 0 || totals.OK != 3 {
+		t.Errorf("totals: %d deadline, %d errors, %d ok; want 1, 0 and 3 (%+v)", totals.Deadline, totals.Errors, totals.OK, totals)
+	}
+}
+
+// TestSocketTimeoutUnderContextDeadline cuts an RPC by a context
+// deadline far below the connection's timeout against a server that
+// never answers: the error must be context.DeadlineExceeded whichever
+// of the socket's and the context's timers fires first.
+func TestSocketTimeoutUnderContextDeadline(t *testing.T) {
+	hold := make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	addr := scriptedServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		_ = readRequest(conn)
+		<-hold
+	})
+	for i := range 20 {
+		client, err := DialLCA(addr, 5*time.Second)
+		if err != nil {
+			t.Fatalf("DialLCA: %v", err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_, err = client.InSolution(ctx, 3)
+		cancel()
+		client.Close()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("attempt %d: InSolution error = %v, want context.DeadlineExceeded", i, err)
+		}
+	}
+}

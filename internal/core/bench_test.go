@@ -76,29 +76,32 @@ func fmtEps(eps float64) string {
 }
 
 // The per-stage benchmarks below split one ComputeRule at ε = 0.2 into
-// the stages of Algorithm 2, each over fresh randomness per op.
+// the stages of Algorithm 2, each over fresh randomness per op and
+// with the op's scratch from the LCA's pool, as ComputeRule takes it.
 
 func BenchmarkCollectLarge(b *testing.B) {
 	lca, _ := benchLCA(b, 10_000, 0.2)
 	root := rng.New(1)
-	draws := lca.drawBuffer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := lca.collectLarge(context.Background(), root.DeriveIndex("r", i), draws); err != nil {
+		s := lca.scratch.Get().(*runScratch)
+		if _, _, err := lca.collectLarge(context.Background(), root.DeriveIndex("r", i), s.draws); err != nil {
 			b.Fatal(err)
 		}
+		lca.scratch.Put(s)
 	}
 }
 
 func BenchmarkEstimateEPS(b *testing.B) {
 	lca, _ := benchLCA(b, 10_000, 0.2)
 	root := rng.New(1)
-	draws := lca.drawBuffer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := lca.estimateEPS(context.Background(), root.DeriveIndex("r", i), 0, draws); err != nil {
+		s := lca.scratch.Get().(*runScratch)
+		if _, _, _, err := lca.estimateEPS(context.Background(), root.DeriveIndex("r", i), 0, s); err != nil {
 			b.Fatal(err)
 		}
+		lca.scratch.Put(s)
 	}
 }
 
@@ -108,12 +111,12 @@ func BenchmarkConvertGreedy(b *testing.B) {
 	lca, _ := benchLCA(b, 10_000, 0.2)
 	ctx := context.Background()
 	fresh := rng.New(1)
-	draws := lca.drawBuffer()
-	large, _, err := lca.collectLarge(ctx, fresh.Derive("large"), draws)
+	s := lca.newScratch()
+	large, _, err := lca.collectLarge(ctx, fresh.Derive("large"), s.draws)
 	if err != nil {
 		b.Fatal(err)
 	}
-	thresholds, _, _, err := lca.estimateEPS(ctx, fresh.Derive("eps"), 0, draws)
+	thresholds, _, _, err := lca.estimateEPS(ctx, fresh.Derive("eps"), 0, s)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,11 +23,12 @@ import (
 // (repro.RStat) with randomness derived from the shared seed, so two
 // runs make the same approve/reject decisions w.h.p.
 type weightGuard struct {
-	// effs and invEffs hold, for each small item draw in the EPS
-	// sample, its efficiency and 1/efficiency; draws of garbage or
-	// large items contribute zeros and are accounted via total.
-	effs    []float64
-	invEffs []float64
+	// effs holds the efficiency of each small item draw in the EPS
+	// sample; draws of garbage or large items contribute zeros and are
+	// accounted via total. estimate takes the inverses where it reads
+	// them: only tied-EPS instances consult the guard, so a table of
+	// them built with the guard would cost every run for nothing.
+	effs []float64
 	// total is the full draw count (the estimator divides by it).
 	total int
 	// eps is the run's ε (margin parameter).
@@ -39,23 +40,16 @@ type weightGuard struct {
 }
 
 // newWeightGuard builds a guard from the EPS sample's small-item
-// efficiencies. totalDraws is the full Q̄ size including filtered
-// draws.
+// efficiencies, which it keeps without copying. totalDraws is the full
+// Q̄ size including filtered draws.
 func newWeightGuard(smallEffs []float64, totalDraws int, eps, capacity float64, shared *rng.Source) *weightGuard {
-	g := &weightGuard{
+	return &weightGuard{
 		effs:     smallEffs,
-		invEffs:  make([]float64, len(smallEffs)),
 		total:    totalDraws,
 		eps:      eps,
 		capacity: capacity,
 		shared:   shared,
 	}
-	for i, e := range smallEffs {
-		if e > 0 {
-			g.invEffs[i] = 1 / e
-		}
-	}
-	return g
 }
 
 // estimate returns the reproducibly rounded weight estimate Ŵ(v) for
@@ -67,9 +61,11 @@ func (g *weightGuard) estimate(v float64, candidateIdx int) (rounded, stderr flo
 		return 0, 0
 	}
 	sum, sumSq := 0.0, 0.0
-	for i, e := range g.effs {
-		if e >= v {
-			x := g.invEffs[i]
+	for _, e := range g.effs {
+		// A non-positive efficiency, which the EPS sample never keeps,
+		// weighs nothing.
+		if e >= v && e > 0 {
+			x := 1 / e
 			sum += x
 			sumSq += float64(x * x)
 		}

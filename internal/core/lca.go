@@ -46,6 +46,23 @@ type LCAKP struct {
 	runID   uint64
 	leader  obs.TraceID
 	joined  *sharedRun
+
+	// scratch pools the buffers of one run (see runScratch).
+	scratch sync.Pool
+}
+
+// runScratch is the buffers of one run of ComputeRule: the draw frame
+// both sampling stages share, the EPS sample's domain indices and the
+// ECDF's sorted copy of them, and the small-item efficiencies the
+// weight guard reads. A run takes one from its LCA's pool and returns
+// it once the rule is built. Every buffer is overwritten before it is
+// read and no Rule keeps one, so nothing of a run reaches the next
+// (Definition 2.2); the pool only spares the allocations.
+type runScratch struct {
+	draws   []oracle.Draw
+	indices []int
+	sorted  []int
+	effs    []float64
 }
 
 // sharedRun hands the rule of one in-flight run to the queries that
@@ -77,13 +94,30 @@ func NewLCAKP(access oracle.Access, params Params) (*LCAKP, error) {
 		return nil, err
 	}
 	root := rng.New(norm.Seed)
-	return &LCAKP{
+	l := &LCAKP{
 		params:     norm,
 		access:     access,
 		domain:     domain,
 		sharedRoot: root.Derive("lcakp", "shared"),
 		freshBase:  root.Derive("lcakp", "fresh"),
-	}, nil
+	}
+	l.scratch.New = func() any { return l.newScratch() }
+	return l, nil
+}
+
+// drawChunk is how many draws a derivation asks its access for in one
+// frame call: the instance server's frame size.
+const drawChunk = 4096
+
+// newScratch allocates one run's buffers at the sizes a run fills.
+func (l *LCAKP) newScratch() *runScratch {
+	q := l.params.QuantileSamples
+	return &runScratch{
+		draws:   make([]oracle.Draw, min(drawChunk, max(l.params.LargeSamples, q))),
+		indices: make([]int, 0, q),
+		sorted:  make([]int, 0, q),
+		effs:    make([]float64, 0, q),
+	}
 }
 
 // Params returns the normalized parameters in use.
@@ -214,16 +248,6 @@ func (l *LCAKP) QueryBatch(ctx context.Context, indices []int) ([]bool, error) {
 	return answers, nil
 }
 
-// drawChunk is how many draws a derivation asks its access for in one
-// frame call: the instance server's frame size.
-const drawChunk = 4096
-
-// drawBuffer is one derivation's frame buffer, shared by both sampling
-// stages.
-func (l *LCAKP) drawBuffer() []oracle.Draw {
-	return make([]oracle.Draw, min(drawChunk, max(l.params.LargeSamples, l.params.QuantileSamples)))
-}
-
 // ComputeRule executes one full run of Algorithm 2 up to (and
 // including) CONVERT-GREEDY and returns the local decision rule.
 // fresh provides this run's sampling randomness; the reproducible
@@ -231,13 +255,16 @@ func (l *LCAKP) drawBuffer() []oracle.Draw {
 // stages draw in frames of at most drawChunk draws and check
 // cancellation and deadline expiry before each, so an aborted run
 // stops within one frame call (at most drawChunk draws) of ctx firing.
+// The run's buffers come from the LCA's pool and go back to it once
+// the rule is built.
 func (l *LCAKP) ComputeRule(ctx context.Context, fresh *rng.Source) (Rule, error) {
 	eps := l.params.Epsilon
-	draws := l.drawBuffer()
+	s := l.scratch.Get().(*runScratch)
+	defer l.scratch.Put(s)
 
 	// Line 1-3: collect the large items. Sampling proportionally to
 	// profit finds every item with profit > ε² w.h.p. (Lemma 4.2).
-	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"), draws)
+	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"), s.draws)
 	if err != nil {
 		return Rule{}, err
 	}
@@ -249,7 +276,7 @@ func (l *LCAKP) ComputeRule(ctx context.Context, fresh *rng.Source) (Rule, error
 	if 1-largeMass >= eps {
 		var smallEffs []float64
 		var totalDraws int
-		thresholds, smallEffs, totalDraws, err = l.estimateEPS(ctx, fresh.Derive("eps"), largeMass, draws)
+		thresholds, smallEffs, totalDraws, err = l.estimateEPS(ctx, fresh.Derive("eps"), largeMass, s)
 		if err != nil {
 			return Rule{}, err
 		}
@@ -276,8 +303,12 @@ func (l *LCAKP) ComputeRule(ctx context.Context, fresh *rng.Source) (Rule, error
 func (l *LCAKP) collectLarge(ctx context.Context, fresh *rng.Source, draws []oracle.Draw) (map[int]knapsack.Item, float64, error) {
 	eps2 := l.params.Eps2()
 	large := make(map[int]knapsack.Item)
-	seenItems := make(map[int]knapsack.Item)
-	ids := make([]int, 0, l.params.LargeSamples)
+	var seenItems map[int]knapsack.Item
+	var ids []int
+	if l.params.UseHeavyHitters {
+		seenItems = make(map[int]knapsack.Item)
+		ids = make([]int, 0, l.params.LargeSamples)
+	}
 	mass := 0.0
 	for s := 0; s < l.params.LargeSamples; {
 		if err := ctx.Err(); err != nil {
@@ -328,8 +359,9 @@ func (l *LCAKP) collectLarge(ctx context.Context, fresh *rng.Source, draws []ora
 // index, so independent runs reconstruct identical random choices.
 // It also returns the efficiencies of the sampled SMALL items plus the
 // total draw count, the inputs of the degenerate-case weight guard.
-// draws is the frame buffer.
-func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass float64, draws []oracle.Draw) ([]float64, []float64, int, error) {
+// The sample, its sorted copy and the efficiencies live in s, the
+// run's scratch, as does the frame buffer.
+func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass float64, s *runScratch) ([]float64, []float64, int, error) {
 	eps := l.params.Epsilon
 	eps2 := l.params.Eps2()
 
@@ -347,17 +379,16 @@ func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass fl
 	// as domain indices (for the quantile estimator) and of small items
 	// as raw values (for the weight guard).
 	sampleSrc := fresh.Derive("draw")
-	indices := make([]int, 0, l.params.QuantileSamples)
-	smallEffs := make([]float64, 0, l.params.QuantileSamples)
-	for s := 0; s < l.params.QuantileSamples; {
+	indices, smallEffs := s.indices[:0], s.effs[:0]
+	for n := 0; n < l.params.QuantileSamples; {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, fmt.Errorf("core: EPS sampling aborted at sample %d: %w", s, err)
+			return nil, nil, 0, fmt.Errorf("core: EPS sampling aborted at sample %d: %w", n, err)
 		}
-		frame := draws[:min(len(draws), l.params.QuantileSamples-s)]
-		if n, err := l.access.SampleFrame(ctx, sampleSrc, frame); err != nil {
-			return nil, nil, 0, fmt.Errorf("%w: EPS sample %d: %w", ErrSampling, s+n, err)
+		frame := s.draws[:min(len(s.draws), l.params.QuantileSamples-n)]
+		if k, err := l.access.SampleFrame(ctx, sampleSrc, frame); err != nil {
+			return nil, nil, 0, fmt.Errorf("%w: EPS sample %d: %w", ErrSampling, n+k, err)
 		}
-		s += len(frame)
+		n += len(frame)
 		for _, d := range frame {
 			if d.Item.Profit > eps2 {
 				continue
@@ -369,12 +400,13 @@ func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass fl
 			}
 		}
 	}
+	s.indices, s.effs = indices, smallEffs
 	if len(indices) == 0 {
 		return nil, nil, 0, nil
 	}
 
 	// One empirical CDF serves every threshold's estimator call.
-	cdf := repro.NewECDF(indices)
+	cdf := repro.NewECDF(indices, s.sorted)
 	thresholds := make([]float64, 0, t)
 	for k := 1; k <= t; k++ {
 		p := 1 - float64(float64(k)*q)

@@ -39,15 +39,16 @@ type ValueEstimate struct {
 // runs return the same estimate w.h.p.
 func (l *LCAKP) EstimateOPT(ctx context.Context, fresh *rng.Source) (ValueEstimate, error) {
 	eps := l.params.Epsilon
-	draws := l.drawBuffer()
+	s := l.scratch.Get().(*runScratch)
+	defer l.scratch.Put(s)
 
-	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"), draws)
+	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"), s.draws)
 	if err != nil {
 		return ValueEstimate{}, err
 	}
 	var thresholds []float64
 	if 1-largeMass >= eps {
-		thresholds, _, _, err = l.estimateEPS(ctx, fresh.Derive("eps"), largeMass, draws)
+		thresholds, _, _, err = l.estimateEPS(ctx, fresh.Derive("eps"), largeMass, s)
 		if err != nil {
 			return ValueEstimate{}, err
 		}

@@ -273,24 +273,23 @@ const frameChunk = 256
 // sampleFrame fills dst with the draws len(dst) successive SampleIndex
 // calls would return, each with its item from items. It runs in two
 // passes per chunk: the first draws every (column, coin) pair from src
-// in SampleIndex's order, the second resolves the columns and gathers
-// the items. The second pass's iterations are independent, so their
-// cache misses on the table and the items overlap, where a one-pass
-// loop waits on each draw's coin branch before it issues the next
-// draw's loads.
+// in SampleIndex's order, in one rng.Source.IntnCoins call that keeps
+// the generator in registers; the second resolves the columns and
+// gathers the items. The second pass's iterations are independent, so
+// their cache misses on the table and the items overlap, where a
+// one-pass loop waits on each draw's coin branch before it issues the
+// next draw's loads. A coin is the top 53 bits Float64 scales, so the
+// test float64(coin)/2^53 >= prob is SampleIndex's.
 func (a *AliasSampler) sampleFrame(src *rng.Source, items []knapsack.Item, dst []Draw) {
 	var cols [frameChunk]int
-	var coins [frameChunk]float64
+	var coins [frameChunk]uint64
 	n := len(a.table)
 	for len(dst) > 0 {
 		k := min(len(dst), frameChunk)
-		for j := range k {
-			cols[j] = src.Intn(n)
-			coins[j] = src.Float64()
-		}
+		src.IntnCoins(n, cols[:k], coins[:k])
 		for j := range k {
 			i := cols[j]
-			if col := a.table[i]; coins[j] >= col.prob {
+			if col := a.table[i]; float64(coins[j])/(1<<53) >= col.prob {
 				i = col.alias
 			}
 			dst[j] = Draw{Index: i, Item: items[i]}

@@ -21,12 +21,12 @@ func BenchmarkECDFBuild(b *testing.B) {
 	samples := benchSamples(50_000, 1<<12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = NewECDF(samples)
+		_ = NewECDF(samples, nil)
 	}
 }
 
 func BenchmarkECDFQuery(b *testing.B) {
-	e := NewECDF(benchSamples(50_000, 1<<12))
+	e := NewECDF(benchSamples(50_000, 1<<12), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = e.FractionLE(i % (1 << 12))
@@ -62,7 +62,7 @@ func BenchmarkTrieQuantile(b *testing.B) {
 	root := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Quantile(NewECDF(samples), 1<<12, 0.7, root.DeriveIndex("s", i), nil); err != nil {
+		if _, err := est.Quantile(NewECDF(samples, nil), 1<<12, 0.7, root.DeriveIndex("s", i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +74,17 @@ func BenchmarkPaddedMedianQuantile(b *testing.B) {
 	root := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Quantile(NewECDF(samples), 1<<12, 0.7, root.DeriveIndex("s", i), root.DeriveIndex("f", i)); err != nil {
+		if _, err := est.Quantile(NewECDF(samples, nil), 1<<12, 0.7, root.DeriveIndex("s", i), root.DeriveIndex("f", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewDomain builds the default ε = 0.2 domain, its bucket
+// table included: every LCA, and so every epoch seal, builds one.
+func BenchmarkNewDomain(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewDomain(0.2*0.2/8, 1e9, 12); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -223,3 +223,117 @@ func TestDomainLogSubnormal(t *testing.T) {
 		}
 	}
 }
+
+// tableCell is the bucket table's answer for v, and false where the
+// table has none.
+func tableCell(d *Domain, v float64) (int, bool) {
+	k := math.Float64bits(v)>>d.shift - d.first
+	if k >= uint64(len(d.cells)) || d.cells[k] == unknownCell {
+		return 0, false
+	}
+	return int(d.cells[k]), true
+}
+
+// TestDomainTableMatchesLog holds every trusted bucket of the bucket
+// table to the math.Log formula at its first, middle and last float,
+// for every width from 1 to 16 bits over the default ε = 0.2 range and
+// over [1e-300, 1e300], a range that takes fewer mantissa bits per
+// bucket, and checks the buckets holding Min and Max are unknown.
+func TestDomainTableMatchesLog(t *testing.T) {
+	for _, rg := range []struct{ min, max float64 }{
+		{0.2 * 0.2 / 8, 1e9},
+		{1e-300, 1e300},
+		{math.SmallestNonzeroFloat64, 1},
+	} {
+		for bits := 1; bits <= 16; bits++ {
+			d, err := NewDomain(rg.min, rg.max, bits)
+			if err != nil {
+				t.Fatalf("NewDomain: %v", err)
+			}
+			for _, v := range []float64{d.min, d.max} {
+				if _, ok := tableCell(d, v); ok {
+					t.Fatalf("bits=%d [%g, %g]: the table answers the bound %v", bits, d.min, d.max, v)
+				}
+			}
+			width := uint64(1) << d.shift
+			for k, c := range d.cells {
+				if c == unknownCell {
+					continue
+				}
+				lo := (d.first + uint64(k)) << d.shift
+				for _, b := range []uint64{lo, lo + width/2, lo + width - 1} {
+					v := math.Float64frombits(b)
+					if want := logIndex(d, v); int(c) != want {
+						t.Fatalf("bits=%d [%g, %g]: table cell %d for %v = %#016x, math.Log formula %d",
+							bits, d.min, d.max, c, v, b, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDomainTableAnswersMost keeps the table from silently vanishing:
+// on the default 12-bit domain it must answer at least 85% of 10⁶
+// log-uniform values itself (about 89% of log space lies in buckets
+// inside one cell).
+func TestDomainTableAnswersMost(t *testing.T) {
+	d, err := NewDomain(0.2*0.2/8, 1e9, 12)
+	if err != nil {
+		t.Fatalf("NewDomain: %v", err)
+	}
+	src := rng.New(31)
+	lo, hi := math.Log(d.min), math.Log(d.max)
+	const n = 1_000_000
+	answered := 0
+	for range n {
+		v := math.Exp(src.Uniform(lo, hi))
+		if c, ok := tableCell(d, v); ok {
+			answered++
+			if want := logIndex(d, v); c != want {
+				t.Fatalf("table cell %d for %v, math.Log formula %d", c, v, want)
+			}
+		}
+	}
+	if answered < n*85/100 {
+		t.Errorf("table answered %d of %d log-uniform values, want at least 85%%", answered, n)
+	}
+}
+
+// TestDomainTableGeometry checks the table is built from the domain's
+// geometry: none where a bucket can be wider than a cell, as at 30
+// bits, or where the cells outnumber a uint16, and Index still matches
+// the math.Log formula there.
+func TestDomainTableGeometry(t *testing.T) {
+	src := rng.New(37)
+	for _, tc := range []struct {
+		min, max float64
+		bits     int
+		table    bool
+	}{
+		{0.2 * 0.2 / 8, 1e9, 12, true},
+		{0.2 * 0.2 / 8, 1e9, 14, true},
+		{0.2 * 0.2 / 8, 1e9, 15, false},
+		{0.2 * 0.2 / 8, 1e9, 30, false},
+		{1e-300, 1e300, 16, true},
+		{1e-300, 1e300, 17, false},
+	} {
+		d, err := NewDomain(tc.min, tc.max, tc.bits)
+		if err != nil {
+			t.Fatalf("NewDomain: %v", err)
+		}
+		if got := len(d.cells) > 0; got != tc.table {
+			t.Errorf("bits=%d [%g, %g]: table built %v, want %v", tc.bits, tc.min, tc.max, got, tc.table)
+		}
+		if len(d.cells) > 16*d.Size() {
+			t.Errorf("bits=%d [%g, %g]: %d buckets for %d cells, want at most 16 per cell", tc.bits, tc.min, tc.max, len(d.cells), d.Size())
+		}
+		lo, hi := math.Log(tc.min)-1, math.Log(tc.max)+1
+		for range 100_000 {
+			v := math.Exp(src.Uniform(lo, hi))
+			if got, want := d.Index(v), logIndex(d, v); got != want {
+				t.Fatalf("bits=%d [%g, %g]: Index(%v) = %d, math.Log formula %d", tc.bits, tc.min, tc.max, v, got, want)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -11,10 +12,10 @@ import (
 // rank queries read the sorted copy in O(log n), and PaddedMedian pads
 // from the draws in their original order.
 //
-// The sorted copy is built by an LSD radix sort over the bits the
-// sample spans, in O(n + 2^radixBits) per pass. A sample over the
-// default 12-bit efficiency domain takes a single counting pass; a
-// 30-bit domain takes three.
+// The sorted copy is built in O(n + 2^radixBits). A sample spanning at
+// most 2^radixBits values, as every sample over the default 12-bit
+// efficiency domain does, is sorted by counting; a wider one by LSD
+// radix passes over the bits it spans, three for a 30-bit domain.
 type ECDF struct {
 	draws  []int
 	sorted []int
@@ -26,16 +27,24 @@ const radixBits = 12
 
 // NewECDF builds an ECDF from a sample of domain indices. It keeps
 // samples as the draw-order view without copying it: the caller must
-// not modify samples while the ECDF is in use.
-func NewECDF(samples []int) *ECDF {
-	return &ECDF{draws: samples, sorted: radixSort(samples)}
+// not modify samples while the ECDF is in use. The sorted copy is
+// written into buf when its capacity holds the sample, and into a new
+// slice otherwise; buf, typically a derivation's scratch, must not
+// share memory with samples and belongs to the ECDF while it is in
+// use.
+func NewECDF(samples, buf []int) *ECDF {
+	return &ECDF{draws: samples, sorted: radixSort(samples, buf)}
 }
 
-// radixSort returns a sorted copy of xs. Keys are offsets from the
-// sample minimum, so the passes cover only the bits the sample spans;
-// each pass sorts stably by one digit of at most radixBits bits.
-func radixSort(xs []int) []int {
-	sorted := make([]int, len(xs))
+// radixSort writes the values of xs in ascending order into buf, grown
+// when its capacity is short, and returns it. Keys are offsets from the
+// sample minimum. A sample spanning at most 2^radixBits values is
+// sorted by counting: the output is written straight from the counts,
+// without a second read of xs. A wider one takes LSD passes over the
+// bits it spans, each sorting stably by one digit of at most radixBits
+// bits.
+func radixSort(xs, buf []int) []int {
+	sorted := slices.Grow(buf[:0], len(xs))[:len(xs)]
 	if len(xs) == 0 {
 		return sorted
 	}
@@ -44,25 +53,34 @@ func radixSort(xs []int) []int {
 		lo = min(lo, x)
 		hi = max(hi, x)
 	}
-	width := bits.Len64(uint64(hi) - uint64(lo))
-	if width == 0 {
-		copy(sorted, xs)
+	span := uint64(hi) - uint64(lo)
+	var count [1 << radixBits]int
+	if span < 1<<radixBits {
+		counts := count[:span+1]
+		for _, x := range xs {
+			counts[uint64(x)-uint64(lo)]++
+		}
+		out := sorted
+		for d, c := range counts {
+			run := out[:c]
+			for i := range run {
+				run[i] = lo + d
+			}
+			out = out[c:]
+		}
 		return sorted
 	}
+
+	width := bits.Len64(span)
 	passes := (width + radixBits - 1) / radixBits
 	digit := uint((width + passes - 1) / passes)
 	mask := uint64(1)<<digit - 1
-
 	// Passes alternate between two buffers; start in the one that
 	// leaves the last pass's output in sorted.
-	dst, spare := sorted, []int(nil)
-	if passes > 1 {
-		spare = make([]int, len(xs))
-		if passes%2 == 0 {
-			dst, spare = spare, dst
-		}
+	dst, spare := sorted, make([]int, len(xs))
+	if passes%2 == 0 {
+		dst, spare = spare, dst
 	}
-	var count [1 << radixBits]int
 	src := xs
 	for p := range passes {
 		shift := uint(p) * digit

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"lcakp/internal/rng"
@@ -65,7 +66,7 @@ func TestEstimatorsGolden(t *testing.T) {
 	}
 	for _, g := range golden {
 		// One ECDF per sample serves every p, as in a derivation.
-		cdf := NewECDF(goldenSample(g.bits))
+		cdf := NewECDF(goldenSample(g.bits), nil)
 		got := make([]int, len(ps))
 		for k, p := range ps {
 			shared := rng.New(11).DeriveIndex("shared", k)
@@ -101,7 +102,7 @@ func TestECDFSortedMatchesSort(t *testing.T) {
 				}
 			}
 			drawOrder := slices.Clone(samples)
-			e := NewECDF(samples)
+			e := NewECDF(samples, nil)
 			if want := slices.Sorted(slices.Values(samples)); !slices.Equal(e.sorted, want) {
 				t.Fatalf("span=%d n=%d: radix order differs from a comparison sort", span, n)
 			}
@@ -109,5 +110,43 @@ func TestECDFSortedMatchesSort(t *testing.T) {
 				t.Fatalf("span=%d n=%d: draw order not kept", span, n)
 			}
 		}
+	}
+}
+
+// TestRadixSortCountingMatchesSort holds the counting path, taken by
+// every sample spanning at most 2^12 values, to sort.Ints for each
+// span (max - min) from 0 to 2^12, the last one the first the radix
+// passes take, with both ends drawn and negative minima included, and
+// for a single repeated value. It checks the sorted copy lands in the
+// caller's buffer when it is large enough.
+func TestRadixSortCountingMatchesSort(t *testing.T) {
+	src := rng.New(7)
+	buf := make([]int, 0, 300)
+	for span := 0; span <= 1<<radixBits; span++ {
+		n := 2 + src.Intn(250)
+		lo := src.Intn(1<<20) - 1<<19
+		xs := make([]int, n)
+		for i := range xs {
+			xs[i] = lo + src.Intn(span+1)
+		}
+		xs[src.Intn(n)], xs[src.Intn(n)] = lo, lo+span
+		got := radixSort(xs, buf)
+		want := slices.Clone(xs)
+		sort.Ints(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("span=%d n=%d: counting sort differs from sort.Ints", span, n)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Fatalf("span=%d n=%d: sorted copy not written into the caller's buffer", span, n)
+		}
+	}
+	for _, n := range []int{1, 2, 1000} {
+		xs := slices.Repeat([]int{-42}, n)
+		if got := radixSort(xs, nil); !slices.Equal(got, xs) {
+			t.Fatalf("n=%d copies of one value: sorted %v", n, got[:min(n, 4)])
+		}
+	}
+	if got := radixSort([]int{3, 1, 2}, make([]int, 1)); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("short buffer: sorted %v", got)
 	}
 }

@@ -215,7 +215,7 @@ func (m PaddedMedian) Quantile(cdf *ECDF, domainSize int, p float64, shared, fre
 		return 0, ErrNoSamples
 	}
 	inner := Trie{Tau: m.Tau / 2}
-	v, err := inner.Quantile(NewECDF(padded), extSize, 0.5, shared, nil)
+	v, err := inner.Quantile(NewECDF(padded, nil), extSize, 0.5, shared, nil)
 	if err != nil {
 		return 0, fmt.Errorf("padded median: %w", err)
 	}

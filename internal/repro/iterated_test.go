@@ -44,11 +44,11 @@ func TestIteratedDeterministicGivenSharedAndSample(t *testing.T) {
 	gen := uniformGen(3000, 1<<10)
 	samples := gen(rng.New(1))
 	est := Iterated{Tau: 0.1, StageBits: 3}
-	a, err := est.Quantile(NewECDF(samples), 1<<10, 0.4, rng.New(9).Derive("s"), nil)
+	a, err := est.Quantile(NewECDF(samples, nil), 1<<10, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
-	b, err := est.Quantile(NewECDF(samples), 1<<10, 0.4, rng.New(9).Derive("s"), nil)
+	b, err := est.Quantile(NewECDF(samples, nil), 1<<10, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestIteratedArgValidation(t *testing.T) {
 	if _, err := est.Quantile(nil, 8, 0.5, rng.New(1), nil); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("empty samples: %v", err)
 	}
-	if _, err := est.Quantile(NewECDF([]int{1}), 8, 0.5, nil, nil); !errors.Is(err, ErrBadParam) {
+	if _, err := est.Quantile(NewECDF([]int{1}, nil), 8, 0.5, nil, nil); !errors.Is(err, ErrBadParam) {
 		t.Errorf("nil shared: %v", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestIteratedOutputInDomain(t *testing.T) {
 				samples[i] = root.Intn(size)
 			}
 			for _, p := range []float64{0, 0.3, 0.99, 1} {
-				out, err := est.Quantile(NewECDF(samples), size, p, root.Derive("s"), nil)
+				out, err := est.Quantile(NewECDF(samples, nil), size, p, root.Derive("s"), nil)
 				if err != nil {
 					t.Fatalf("size=%d stage=%d p=%v: %v", size, stageBits, p, err)
 				}

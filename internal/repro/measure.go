@@ -48,11 +48,11 @@ func MeasureReproducibility(
 		freshA := root.DeriveIndex("fresh-a", trial)
 		freshB := root.DeriveIndex("fresh-b", trial)
 
-		outA, err := est.Quantile(NewECDF(samplesA), domainSize, p, shared1, freshA)
+		outA, err := est.Quantile(NewECDF(samplesA, nil), domainSize, p, shared1, freshA)
 		if err != nil {
 			return PairStats{}, fmt.Errorf("trial %d run A: %w", trial, err)
 		}
-		outB, err := est.Quantile(NewECDF(samplesB), domainSize, p, shared2, freshB)
+		outB, err := est.Quantile(NewECDF(samplesB, nil), domainSize, p, shared2, freshB)
 		if err != nil {
 			return PairStats{}, fmt.Errorf("trial %d run B: %w", trial, err)
 		}
@@ -99,7 +99,7 @@ func MeasureAccuracy(
 		shared := root.DeriveIndex("shared", trial)
 		fresh := root.DeriveIndex("fresh", trial)
 		samples := gen(root.DeriveIndex("samples", trial))
-		out, err := est.Quantile(NewECDF(samples), domainSize, p, shared, fresh)
+		out, err := est.Quantile(NewECDF(samples, nil), domainSize, p, shared, fresh)
 		if err != nil {
 			return 0, fmt.Errorf("trial %d: %w", trial, err)
 		}

@@ -83,7 +83,7 @@ func TestDomainInvalid(t *testing.T) {
 }
 
 func TestECDFBasics(t *testing.T) {
-	e := NewECDF([]int{5, 1, 3, 3, 9})
+	e := NewECDF([]int{5, 1, 3, 3, 9}, nil)
 	if e.N() != 5 {
 		t.Errorf("N = %d", e.N())
 	}
@@ -102,7 +102,7 @@ func TestECDFBasics(t *testing.T) {
 }
 
 func TestECDFQuantile(t *testing.T) {
-	e := NewECDF([]int{10, 20, 30, 40})
+	e := NewECDF([]int{10, 20, 30, 40}, nil)
 	tests := []struct {
 		p    float64
 		want int
@@ -116,7 +116,7 @@ func TestECDFQuantile(t *testing.T) {
 }
 
 func TestECDFEmpty(t *testing.T) {
-	e := NewECDF(nil)
+	e := NewECDF(nil, nil)
 	if _, ok := e.Quantile(0.5); ok {
 		t.Error("Quantile on empty ECDF returned ok")
 	}
@@ -130,7 +130,7 @@ func TestECDFEmpty(t *testing.T) {
 
 func TestECDFDoesNotMutateInput(t *testing.T) {
 	in := []int{3, 1, 2}
-	_ = NewECDF(in)
+	_ = NewECDF(in, nil)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Errorf("input mutated: %v", in)
 	}
@@ -229,11 +229,11 @@ func TestTrieDeterministicGivenSharedAndSample(t *testing.T) {
 	gen := uniformGen(2000, 1<<8)
 	samples := gen(rng.New(1))
 	est := Trie{Tau: 0.1}
-	a, err := est.Quantile(NewECDF(samples), 1<<8, 0.4, rng.New(9).Derive("s"), nil)
+	a, err := est.Quantile(NewECDF(samples, nil), 1<<8, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
-	b, err := est.Quantile(NewECDF(samples), 1<<8, 0.4, rng.New(9).Derive("s"), nil)
+	b, err := est.Quantile(NewECDF(samples, nil), 1<<8, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
@@ -250,23 +250,23 @@ func TestEstimatorArgValidation(t *testing.T) {
 		if _, err := est.Quantile(nil, 8, 0.5, shared, fresh); !errors.Is(err, ErrNoSamples) {
 			t.Errorf("%s empty samples: %v", est.Name(), err)
 		}
-		if _, err := est.Quantile(NewECDF(samples), 1, 0.5, shared, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(NewECDF(samples, nil), 1, 0.5, shared, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s domain=1: %v", est.Name(), err)
 		}
-		if _, err := est.Quantile(NewECDF(samples), 8, -0.1, shared, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(NewECDF(samples, nil), 8, -0.1, shared, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s p=-0.1: %v", est.Name(), err)
 		}
-		if _, err := est.Quantile(NewECDF(samples), 8, 1.1, shared, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(NewECDF(samples, nil), 8, 1.1, shared, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s p=1.1: %v", est.Name(), err)
 		}
 	}
 	// Reproducible estimators demand shared randomness.
 	for _, est := range []Estimator{Snap{Tau: 0.1}, Trie{Tau: 0.1}, PaddedMedian{Tau: 0.1}} {
-		if _, err := est.Quantile(NewECDF(samples), 8, 0.5, nil, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(NewECDF(samples, nil), 8, 0.5, nil, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s nil shared: %v", est.Name(), err)
 		}
 	}
-	if _, err := (PaddedMedian{Tau: 0.1}).Quantile(NewECDF(samples), 8, 0.5, shared, nil); !errors.Is(err, ErrBadParam) {
+	if _, err := (PaddedMedian{Tau: 0.1}).Quantile(NewECDF(samples, nil), 8, 0.5, shared, nil); !errors.Is(err, ErrBadParam) {
 		t.Error("PaddedMedian accepted nil fresh randomness")
 	}
 }
@@ -285,7 +285,7 @@ func TestQuantileOutputInDomainQuick(t *testing.T) {
 		shared := rng.New(seed + 1)
 		fresh := rng.New(seed + 2)
 		for _, est := range []Estimator{Naive{}, Snap{Tau: 0.1}, Trie{Tau: 0.1}, PaddedMedian{Tau: 0.1}} {
-			out, err := est.Quantile(NewECDF(samples), size, p, shared, fresh)
+			out, err := est.Quantile(NewECDF(samples, nil), size, p, shared, fresh)
 			if err != nil || out < 0 || out >= size {
 				return false
 			}

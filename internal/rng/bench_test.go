@@ -45,3 +45,14 @@ func BenchmarkZipfDraw(b *testing.B) {
 		_ = z.Draw(src)
 	}
 }
+
+// BenchmarkIntnCoins draws one 256-pair alias chunk per op, the unit
+// the alias sampler's frame asks for.
+func BenchmarkIntnCoins(b *testing.B) {
+	src := New(1)
+	var cols [256]int
+	var coins [256]uint64
+	for i := 0; i < b.N; i++ {
+		src.IntnCoins(1_000_000, cols[:], coins[:])
+	}
+}

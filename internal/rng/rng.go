@@ -65,17 +65,23 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 pseudo-random bits (xoshiro256**).
 func (s *Source) Uint64() uint64 {
-	result := rotl(s.s[1]*5, 7) * 9
+	var v uint64
+	v, s.s[0], s.s[1], s.s[2], s.s[3] = next(s.s[0], s.s[1], s.s[2], s.s[3])
+	return v
+}
 
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = rotl(s.s[3], 45)
-
-	return result
+// next is one xoshiro256** step over a state held in locals: the
+// output and the state after it.
+func next(s0, s1, s2, s3 uint64) (v, n0, n1, n2, n3 uint64) {
+	v = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return v, s0, s1, s2, s3
 }
 
 // Derive returns a child Source that is a deterministic function of the
@@ -149,6 +155,40 @@ func (s *Source) boundedUint64(bound uint64) uint64 {
 			return hi
 		}
 	}
+}
+
+// IntnCoins fills cols and coins with what successive Intn(n),
+// Uint64()>>11 call pairs would return, pair j in cols[j] and
+// coins[j], and leaves the source where those calls would. It is one
+// call per chunk of alias draws (column, then coin) that keeps the
+// generator state in locals between draws. coins must be at least as
+// long as cols. It panics if n <= 0, as Intn does.
+func (s *Source) IntnCoins(n int, cols []int, coins []uint64) {
+	if n <= 0 {
+		panic(fmt.Sprintf("rng: IntnCoins called with non-positive n %d", n))
+	}
+	coins = coins[:len(cols)]
+	bound := uint64(n)
+	// boundedUint64's test, lo >= bound || lo >= -bound%bound, with
+	// the remainder taken once: it is below bound, so the test is
+	// lo >= reject.
+	reject := -bound % bound
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	for j := range cols {
+		for {
+			var v uint64
+			v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+			hi, lo := bits.Mul64(v, bound)
+			if lo >= reject {
+				cols[j] = int(hi)
+				break
+			}
+		}
+		var v uint64
+		v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		coins[j] = v >> 11
+	}
+	s.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Uniform returns a uniformly distributed value in [lo, hi). It panics

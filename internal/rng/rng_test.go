@@ -259,3 +259,38 @@ func TestBoundedUint64Quick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIntnCoinsMatchesIntnUint64 holds IntnCoins to the interleaved
+// Intn(n), Uint64()>>11 sequence it replaces, on bounds from the
+// trivial to a rejection-heavy 2^62+1 (Lemire's test rejects about a
+// quarter of its draws there), and checks the source is left where
+// the calls would leave it.
+func TestIntnCoinsMatchesIntnUint64(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1000, 1 << 20, 1_000_000, 1<<62 + 1} {
+		for _, k := range []int{0, 1, 7, 256, 1000} {
+			bulk, one := New(uint64(n)^uint64(k)), New(uint64(n)^uint64(k))
+			cols, coins := make([]int, k), make([]uint64, k)
+			bulk.IntnCoins(n, cols, coins)
+			for j := range k {
+				col, coin := one.Intn(n), one.Uint64()>>11
+				if cols[j] != col || coins[j] != coin {
+					t.Fatalf("n=%d k=%d: pair %d = (%d, %d), want (%d, %d)", n, k, j, cols[j], coins[j], col, coin)
+				}
+			}
+			for j := range 4 {
+				if a, b := bulk.Uint64(), one.Uint64(); a != b {
+					t.Fatalf("n=%d k=%d: source left at a different position (draw %d after: %x vs %x)", n, k, j, a, b)
+				}
+			}
+		}
+	}
+}
+
+func TestIntnCoinsPanicsOnNonPositive(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("IntnCoins(0) did not panic")
+		}
+	}()
+	New(1).IntnCoins(0, make([]int, 1), make([]uint64, 1))
+}
