@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"lcakp/internal/core"
@@ -67,21 +68,27 @@ func BenchmarkRemoteSampleUnbatched(b *testing.B) {
 	}
 }
 
+// deriveFixture is BenchmarkDeriveRemote's instance and its alias
+// table, built once per test binary rather than once per b.N round.
+var deriveFixture = sync.OnceValues(func() (*oracle.SliceOracle, error) {
+	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 1_000_000, Seed: 1})
+	if err != nil {
+		return nil, err
+	}
+	return oracle.NewSliceOracle(gen.Float)
+})
+
 // BenchmarkDeriveRemote is the replica's half of a cold derivation:
 // one engine query over core.LCAKP on engine.Wrap of a RemoteAccess,
 // whose 17,666 draws come in six requests of exactly those draws from
 // an in-process instance server over loopback (zipf, n = 1M, ε = 0.2).
 // The instance server's work runs in the same process and is included.
 func BenchmarkDeriveRemote(b *testing.B) {
-	const n = 1_000_000
-	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: n, Seed: 1})
+	acc, err := deriveFixture()
 	if err != nil {
 		b.Fatal(err)
 	}
-	acc, err := oracle.NewSliceOracle(gen.Float)
-	if err != nil {
-		b.Fatal(err)
-	}
+	n := acc.N()
 	srv, err := NewInstanceServer("127.0.0.1:0", acc)
 	if err != nil {
 		b.Fatal(err)

@@ -42,16 +42,18 @@ type Rule struct {
 //     not the singleton, ESmall is set, and the item's efficiency is at
 //     least ESmall;
 //   - garbage: never in the solution.
+//
+// A small item takes one comparison, eff ≥ max(ε², ESmall), behind the
+// rule-constant test !Singleton && ESmall ≥ 0. It answers as the two
+// tests eff ≥ ε² and eff ≥ ESmall do for every value, NaN and ±Inf
+// included, and keeps Decide within the inliner's budget, so a scan
+// over every item pays no call per item.
 func (r Rule) Decide(i int, it knapsack.Item) bool {
 	eps2 := r.Epsilon * r.Epsilon
 	if it.Profit > eps2 {
 		return r.LargeIn[i]
 	}
-	if r.Singleton || r.ESmall < 0 {
-		return false
-	}
-	eff := it.Efficiency()
-	return eff >= eps2 && eff >= r.ESmall
+	return !r.Singleton && r.ESmall >= 0 && it.Efficiency() >= max(eps2, r.ESmall)
 }
 
 // Equal reports whether two rules encode the same decision function

@@ -272,3 +272,51 @@ func TestConvertGreedyInfiniteEfficiencyCutoff(t *testing.T) {
 		t.Error("ESmall is NaN")
 	}
 }
+
+// twoTestDecide is Decide as it stood before a small item took one
+// comparison: the singleton and unset-threshold tests, then eff ≥ ε²
+// and eff ≥ ESmall.
+func twoTestDecide(r Rule, i int, it knapsack.Item) bool {
+	eps2 := r.Epsilon * r.Epsilon
+	if it.Profit > eps2 {
+		return r.LargeIn[i]
+	}
+	if r.Singleton || r.ESmall < 0 {
+		return false
+	}
+	eff := it.Efficiency()
+	return eff >= eps2 && eff >= r.ESmall
+}
+
+// TestDecideMatchesTwoTestPredicate holds Decide to the two-test
+// predicate on profits above, at and below ε², zero weights (+Inf
+// efficiency), p = w = 0, NaN fields, every ESmall regime (unset, below,
+// at and above ε², +Inf, NaN) and the singleton flag.
+func TestDecideMatchesTwoTestPredicate(t *testing.T) {
+	const eps = 0.2
+	eps2 := eps * eps
+	nan, inf := math.NaN(), math.Inf(1)
+	profits := []float64{0.5, math.Nextafter(eps2, 1), eps2, math.Nextafter(eps2, 0), 0.01, 1e-300, 0, math.Copysign(0, -1), nan}
+	weights := []float64{0, math.Copysign(0, -1), 5e-324, 1e-3, eps2, 0.25, 1, math.MaxFloat64, nan}
+	eSmalls := []float64{-1, 0, 0.01, eps2, math.Nextafter(eps2, 1), 0.5, 40, inf, nan}
+	checked := 0
+	for _, singleton := range []bool{false, true} {
+		for _, eSmall := range eSmalls {
+			r := Rule{Epsilon: eps, LargeIn: map[int]bool{1: true}, ESmall: eSmall, Singleton: singleton}
+			for _, p := range profits {
+				for _, w := range weights {
+					for i := range 2 {
+						it := knapsack.Item{Profit: p, Weight: w}
+						if got, want := r.Decide(i, it), twoTestDecide(r, i, it); got != want {
+							t.Errorf("singleton=%v ESmall=%v: Decide(%d, %+v) = %v, want %v", singleton, eSmall, i, it, got, want)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked != 2*len(eSmalls)*len(profits)*len(weights)*2 {
+		t.Fatalf("checked %d cases", checked)
+	}
+}

@@ -19,18 +19,17 @@ import (
 // pinned queries to drain across a rollover without re-derivation.
 const DefaultRetain = 4
 
-// Snapshot is one sealed epoch: the instance I_e, the LCA over it,
-// and the rule materialized from (I_e, r) through the canonical §12
-// randomness — the exact same bytes-level derivation the artifact
-// store pins, so a snapshot, a store artifact, and a remote replica at
-// the same epoch can never disagree.
+// Snapshot is one sealed epoch: the instance I_e and the rule
+// materialized from (I_e, r) through the canonical §12 randomness —
+// the exact same bytes-level derivation the artifact store pins, so a
+// snapshot, a store artifact, and a remote replica at the same epoch
+// can never disagree. It keeps no LCA: nothing reads the one over I_e,
+// or its alias table, once the rule is derived.
 type Snapshot struct {
 	// Epoch identifies the version.
 	Epoch engine.EpochID
 	// Instance is I_e (never mutated after sealing).
 	Instance *knapsack.Instance
-	// LCA is the stateless algorithm over I_e with the tenant's seed.
-	LCA *core.LCAKP
 	// Rule is the materialized decision rule for (I_e, r).
 	Rule core.Rule
 	// Log holds the mutations sealed into this epoch (empty for 0).
@@ -103,7 +102,6 @@ func (m *Manager) deriveSnapshot(ctx context.Context, ep engine.EpochID, inst *k
 	return &Snapshot{
 		Epoch:    ep,
 		Instance: inst,
-		LCA:      lca,
 		Rule:     rule,
 		Log:      log,
 		SealWall: time.Since(start),

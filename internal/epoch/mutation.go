@@ -14,6 +14,7 @@ package epoch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lcakp/internal/knapsack"
 )
@@ -102,17 +103,15 @@ func (m Mutation) validate(nextLen int) error {
 
 // validFields mirrors knapsack.Item validity: finite, non-negative.
 func validFields(p, w float64) bool {
-	return p >= 0 && w >= 0 &&
-		!math.IsInf(p, 0) && !math.IsNaN(p) &&
-		!math.IsInf(w, 0) && !math.IsNaN(w)
+	return p >= 0 && p <= math.MaxFloat64 && w >= 0 && w <= math.MaxFloat64
 }
 
 // Apply replays a log against base and returns I_{e+1}. The base is
 // not modified; the log is validated mutation by mutation at the
-// length it applies to (see Mutation.validate).
+// length it applies to (see Mutation.validate). slices.Clone copies
+// the base without zeroing the new slice first.
 func Apply(base *knapsack.Instance, log []Mutation) (*knapsack.Instance, error) {
-	items := make([]knapsack.Item, len(base.Items), len(base.Items)+len(log))
-	copy(items, base.Items)
+	items := slices.Clone(base.Items)
 	for k, m := range log {
 		if err := m.validate(len(items)); err != nil {
 			return nil, fmt.Errorf("epoch: apply mutation %d: %w", k, err)

@@ -60,11 +60,11 @@ func (it Item) Efficiency() float64 {
 	return it.Profit / it.Weight
 }
 
-// valid reports whether the item has finite, non-negative fields.
+// valid reports whether the item has finite, non-negative fields: two
+// range comparisons per field, which NaN and ±Inf fail.
 func (it Item) valid() bool {
-	return it.Profit >= 0 && it.Weight >= 0 &&
-		!math.IsInf(it.Profit, 0) && !math.IsNaN(it.Profit) &&
-		!math.IsInf(it.Weight, 0) && !math.IsNaN(it.Weight)
+	return it.Profit >= 0 && it.Profit <= math.MaxFloat64 &&
+		it.Weight >= 0 && it.Weight <= math.MaxFloat64
 }
 
 // Instance is a Knapsack instance: a set of items and a capacity

@@ -189,3 +189,27 @@ func TestCloneIndependence(t *testing.T) {
 		t.Errorf("Clone shares storage: %+v", in)
 	}
 }
+
+// TestItemValidRanges holds Item.valid's two range comparisons per
+// field to the six tests it replaced, for ±0, subnormals, MaxFloat64,
+// ±Inf, NaN and negatives in each field: an item is valid iff both
+// fields lie in [0, MaxFloat64].
+func TestItemValidRanges(t *testing.T) {
+	sixTests := func(it Item) bool {
+		return it.Profit >= 0 && it.Weight >= 0 &&
+			!math.IsInf(it.Profit, 0) && !math.IsNaN(it.Profit) &&
+			!math.IsInf(it.Weight, 0) && !math.IsNaN(it.Weight)
+	}
+	good := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1030, 0.5, 1, math.MaxFloat64}
+	bad := []float64{math.Inf(1), math.Inf(-1), math.NaN(), -math.SmallestNonzeroFloat64, -1, -math.MaxFloat64}
+	values := append(append([]float64(nil), good...), bad...)
+	for pi, p := range values {
+		for wi, w := range values {
+			it := Item{Profit: p, Weight: w}
+			want := pi < len(good) && wi < len(good)
+			if got := it.valid(); got != want || got != sixTests(it) {
+				t.Errorf("Item{%v, %v}.valid() = %v, want %v (six tests: %v)", p, w, got, want, sixTests(it))
+			}
+		}
+	}
+}

@@ -197,63 +197,114 @@ type aliasColumn struct {
 
 var _ IndexSampler = (*AliasSampler)(nil)
 
-// NewAliasSampler builds an alias table over the instance's profits.
+// NewAliasSampler builds an alias table over the instance's profits,
+// read in place.
 func NewAliasSampler(inst *knapsack.Instance) (*AliasSampler, error) {
-	return NewAliasSamplerWeights(profits(inst))
+	table := make([]aliasColumn, len(inst.Items))
+	total := 0.0
+	for i, it := range inst.Items {
+		if !validWeight(it.Profit) {
+			return nil, invalidWeight(it.Profit)
+		}
+		table[i].prob = it.Profit
+		total += it.Profit
+	}
+	return vose(table, total)
 }
 
 // NewAliasSamplerWeights builds an alias table over arbitrary
 // non-negative weights. It returns ErrNoMass if the weights sum to
 // zero (or contain no positive entries).
 func NewAliasSamplerWeights(weights []float64) (*AliasSampler, error) {
-	n := len(weights)
+	table := make([]aliasColumn, len(weights))
 	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("oracle: invalid sampling weight %v", w)
+	for i, w := range weights {
+		if !validWeight(w) {
+			return nil, invalidWeight(w)
 		}
+		table[i].prob = w
 		total += w
 	}
+	return vose(table, total)
+}
+
+// validWeight reports whether w is a finite non-negative weight: NaN
+// and ±Inf fail one of the two comparisons.
+func validWeight(w float64) bool { return w >= 0 && w <= math.MaxFloat64 }
+
+// invalidWeight is the error for a weight validWeight rejects.
+func invalidWeight(w float64) error {
+	return fmt.Errorf("oracle: invalid sampling weight %v", w)
+}
+
+// vose completes an alias table whose columns hold their raw weights,
+// summing to total, by Vose's construction. A column's prob holds its
+// scaled weight until the column is closed, and a closed column's
+// scaled weight is exactly its final prob.
+//
+// Both of Vose's stacks live in one worklist of n indices: the small
+// columns from the front, work[:small], and the large ones from the
+// back, work[large:], each with its top at the boundary, so pushes and
+// pops run in the order two separate stacks would. The scaling pass
+// writes each index to both boundaries and advances one, so it takes
+// no branch on the class. The pairing loop keeps the draining large
+// column's weight in p until it falls below 1 or the small columns run
+// out; p + prob[s] - 1 is evaluated in the same order either way, so
+// the table is the two-stack loop's bit for bit.
+func vose(table []aliasColumn, total float64) (*AliasSampler, error) {
+	n := len(table)
 	if n == 0 || total <= 0 {
 		return nil, ErrNoMass
 	}
-
-	// Vose's loop runs in place: a column's prob holds its scaled
-	// weight until the column is closed, and a closed column's scaled
-	// weight is exactly its final prob.
-	table := make([]aliasColumn, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, w := range weights {
-		table[i].prob = w * float64(n) / total
-		if table[i].prob < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
+	if uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("oracle: %d weights exceed the alias worklist's u32 indices", n)
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-
-		table[s].alias = l
-		table[l].prob = table[l].prob + table[s].prob - 1
-		if table[l].prob < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
+	work := make([]uint32, n)
+	small, large := 0, n
+	for i := range table {
+		p := table[i].prob * float64(n) / total
+		table[i].prob = p
+		work[small] = uint32(i)
+		work[large-1] = uint32(i)
+		s := b2i(p < 1)
+		small += s
+		large -= 1 - s
+	}
+	for small > 0 && large < n {
+		l := work[large]
+		p := table[l].prob
+		for small > 0 {
+			small--
+			s := work[small]
+			table[s].alias = int(l)
+			p = p + table[s].prob - 1
+			if p < 1 {
+				break
+			}
+		}
+		table[l].prob = p
+		if p < 1 {
+			large++
+			work[small] = l
+			small++
 		}
 	}
 	// Numerical residue: remaining columns are full.
-	for _, i := range large {
-		table[i] = aliasColumn{prob: 1, alias: i}
+	for _, i := range work[large:] {
+		table[i] = aliasColumn{prob: 1, alias: int(i)}
 	}
-	for _, i := range small {
-		table[i] = aliasColumn{prob: 1, alias: i}
+	for _, i := range work[:small] {
+		table[i] = aliasColumn{prob: 1, alias: int(i)}
 	}
 	return &AliasSampler{table: table}, nil
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SampleIndex draws one index in O(1).
@@ -314,8 +365,8 @@ func NewPrefixSampler(inst *knapsack.Instance) (*PrefixSampler, error) {
 	cum := make([]float64, len(ws))
 	total := 0.0
 	for i, w := range ws {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("oracle: invalid sampling weight %v", w)
+		if !validWeight(w) {
+			return nil, invalidWeight(w)
 		}
 		total += w
 		cum[i] = total

@@ -195,9 +195,30 @@ func (a *Artifact) Rule() (RuleSection, error) {
 // — so equal inputs yield bit-identical artifacts wherever they are
 // produced.
 func NewArtifactEpoch(instance, seed, epoch uint64, epsilon float64, answers []bool, rule RuleSection) (*Artifact, error) {
-	n := len(answers)
+	enc, err := newEncoding(instance, seed, epoch, epsilon, len(answers), rule)
+	if err != nil {
+		return nil, err
+	}
+	for i, in := range answers {
+		enc.set(i, in)
+	}
+	return enc.seal()
+}
+
+// encoding is one artifact image being written, the one encoder behind
+// NewArtifactEpoch and MaterializeEpoch: the header and rule section
+// are in place, the answer section stays zero until set marks its
+// members, and seal appends the trailer.
+type encoding struct {
+	data    []byte
+	answers []byte // aliases data's answer section
+}
+
+// newEncoding lays out the artifact of n answers under the content
+// address, sorting rule.Large in place.
+func newEncoding(instance, seed, epoch uint64, epsilon float64, n int, rule RuleSection) (encoding, error) {
 	if uint64(n) > math.MaxUint32 {
-		return nil, fmt.Errorf("store: %d items exceed the u32 item-count field", n)
+		return encoding{}, fmt.Errorf("store: %d items exceed the u32 item-count field", n)
 	}
 	sort.Slice(rule.Large, func(i, j int) bool { return rule.Large[i] < rule.Large[j] })
 
@@ -205,7 +226,7 @@ func NewArtifactEpoch(instance, seed, epoch uint64, epsilon float64, answers []b
 	ruleBytes := appendRuleSection(nil, rule)
 	total := headerSize + answerLen + len(ruleBytes) + trailerSize
 	if total > MaxArtifactSize {
-		return nil, fmt.Errorf("store: artifact of %d bytes exceeds MaxArtifactSize", total)
+		return encoding{}, fmt.Errorf("store: artifact of %d bytes exceeds MaxArtifactSize", total)
 	}
 
 	data := make([]byte, 0, total)
@@ -222,15 +243,24 @@ func NewArtifactEpoch(instance, seed, epoch uint64, epsilon float64, answers []b
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(ruleBytes)))
 	data = binary.LittleEndian.AppendUint64(data, epoch)
 
+	// The answer section is zero from make until set marks members.
 	data = data[:headerSize+answerLen]
-	for i, in := range answers {
-		if in {
-			data[headerSize+i>>3] |= 1 << (i & 7)
-		}
-	}
 	data = append(data, ruleBytes...)
-	data = binary.LittleEndian.AppendUint64(data, crc64.Checksum(data, crcTable))
-	return decodeArtifact(data)
+	return encoding{data: data, answers: data[headerSize : headerSize+answerLen]}, nil
+}
+
+// set marks item i a member when in holds, without a branch on in.
+func (e encoding) set(i int, in bool) {
+	var bit byte
+	if in {
+		bit = 1
+	}
+	e.answers[i>>3] |= bit << (i & 7)
+}
+
+// seal appends the checksum trailer and returns the finished artifact.
+func (e encoding) seal() (*Artifact, error) {
+	return decodeArtifact(binary.LittleEndian.AppendUint64(e.data, crc64.Checksum(e.data, crcTable)))
 }
 
 // appendRuleSection encodes the rule section:

@@ -62,6 +62,11 @@ func MaterializeRule(ctx context.Context, lca *core.LCAKP) (core.Rule, error) {
 	return lca.ComputeRule(ctx, fresh)
 }
 
+// scanCheck is how many items the materialize scan probes between
+// context checks: a canceled scan stops within 4,096 items, as a
+// derivation stops within one 4,096-draw sampling frame.
+const scanCheck = 4096
+
 // MaterializeEpoch evaluates a derived rule over every item of one
 // epoch's instance I_e and encodes the complete solution as an
 // artifact addressed by (instance, seed, epoch). This is the
@@ -70,21 +75,28 @@ func MaterializeRule(ctx context.Context, lca *core.LCAKP) (core.Rule, error) {
 // a bit probe. The scan is deterministic (index order, one probe per
 // item), so two processes materializing the same (I_e, r) emit
 // bit-identical artifacts — TestMaterializeDeterministicBytes holds
-// this against the encoder.
+// this against the encoder. Each answer is set straight into the
+// artifact's answer section by the encoder NewArtifactEpoch uses, and
+// ctx is checked once per scanCheck items.
 //
 //lint:coldpath materialization is offline preprocessing, never on the query path
 func MaterializeEpoch(ctx context.Context, access oracle.Access, rule core.Rule, instance, seed, epoch uint64) (*Artifact, error) {
 	n := access.N()
-	answers := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("store: materialize item %d/%d: %w", i, n, err)
+	enc, err := newEncoding(instance, seed, epoch, rule.Epsilon, n, FromRule(rule))
+	if err != nil {
+		return nil, err
+	}
+	for i := range n {
+		if i&(scanCheck-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("store: materialize item %d/%d: %w", i, n, err)
+			}
 		}
 		it, err := access.QueryItem(ctx, i)
 		if err != nil {
 			return nil, fmt.Errorf("store: materialize item %d/%d: %w", i, n, err)
 		}
-		answers[i] = rule.Decide(i, it)
+		enc.set(i, rule.Decide(i, it))
 	}
-	return NewArtifactEpoch(instance, seed, epoch, rule.Epsilon, answers, FromRule(rule))
+	return enc.seal()
 }
