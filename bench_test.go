@@ -301,36 +301,6 @@ func BenchmarkSuiteQuick(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplerAliasVsPrefix is the sampler ablation called out in
-// DESIGN.md §5: O(1) alias draws vs O(log n) prefix-sum draws.
-func BenchmarkSamplerAliasVsPrefix(b *testing.B) {
-	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 1_000_000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	alias, err := oracle.NewAliasSampler(gen.Float)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prefix, err := oracle.NewPrefixSampler(gen.Float)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		sampler oracle.IndexSampler
-	}{{"alias", alias}, {"prefix", prefix}} {
-		b.Run(tc.name, func(b *testing.B) {
-			src := rng.New(2)
-			for i := 0; i < b.N; i++ {
-				if _, err := tc.sampler.SampleIndex(context.Background(), src); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEstimatorAblation times one quantile call per estimator —
 // the consistency-mechanism ablation of DESIGN.md §5.
 func BenchmarkEstimatorAblation(b *testing.B) {

@@ -6,6 +6,7 @@
 //
 //	lcalint [-fix] [-list] [-json] [packages]
 //	lcalint -allocbudget [-update-budget]
+//	lcalint -unlinked
 //
 // With "./..." (or no arguments) the whole module containing the
 // working directory is analyzed; otherwise each argument names a
@@ -20,10 +21,18 @@
 // measured values instead; byte budgets carry deliberate headroom and
 // are edited by hand.
 //
+// -unlinked takes the inventory of code no binary runs: it builds every
+// main package of the module, and of each module nested in it, with
+// inlining off, reads the binaries' text symbols, and fails on a
+// production function that none of them links unless UNLINKED.json at
+// the module root names it with an allowed reason (exit 1 also on a
+// stale entry or one without a reason).
+//
 //	go run ./cmd/lcalint ./...          # what CI's lint job runs
 //	go run ./cmd/lcalint -json ./...    # machine-readable diagnostics
 //	go run ./cmd/lcalint -fix ./...     # apply cheap suggested fixes
 //	go run ./cmd/lcalint -allocbudget   # what CI's alloc-budget job runs
+//	go run ./cmd/lcalint -unlinked      # what CI's unlinked job runs
 package main
 
 import (
@@ -50,9 +59,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := flags.Bool("json", false, "emit diagnostics as a JSON array")
 	allocBudget := flags.Bool("allocbudget", false, "re-measure the benchmarks pinned in ALLOC_BUDGET.json and fail on budget excess")
 	updateBudget := flags.Bool("update-budget", false, "with -allocbudget, write the measured values back to ALLOC_BUDGET.json")
+	unlinked := flags.Bool("unlinked", false, "list the production functions no binary links and fail on any UNLINKED.json does not allow")
 	flags.Usage = func() {
 		fmt.Fprintln(stderr, "usage: lcalint [-fix] [-list] [-json] [packages]")
 		fmt.Fprintln(stderr, "       lcalint -allocbudget [-update-budget]")
+		fmt.Fprintln(stderr, "       lcalint -unlinked")
 		flags.PrintDefaults()
 	}
 	if err := flags.Parse(args); err != nil {
@@ -72,6 +83,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *allocBudget {
 		return runAllocBudget(root, *updateBudget, stdout, stderr)
+	}
+	if *unlinked {
+		return runUnlinked(root, stdout, stderr)
 	}
 	res, err := lint.RunSuite(root, dirs, nil)
 	if err != nil {

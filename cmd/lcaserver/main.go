@@ -213,8 +213,8 @@ func run(args []string, stdout, stderr io.Writer, wait func()) int {
 	}
 	if eng != nil {
 		t := eng.Totals()
-		fmt.Fprintf(stdout, "lcaserver: served %d queries (%d point queries, %d samples; ok=%d canceled=%d deadline=%d budget=%d error=%d)\n",
-			t.Queries, t.PointQueries, t.Samples, t.OK, t.Canceled, t.Deadline, t.Budget, t.Errors)
+		fmt.Fprintf(stdout, "lcaserver: served %d queries (%d point queries, %d samples; ok=%d canceled=%d deadline=%d error=%d)\n",
+			t.Queries, t.PointQueries, t.Samples, t.OK, t.Canceled, t.Deadline, t.Errors)
 	}
 	if tracer != nil {
 		if err := tracer.Recorder().WriteText(stdout); err != nil {

@@ -246,12 +246,12 @@ func TestEndToEndInstancePlusReplica(t *testing.T) {
 		if err != nil {
 			t.Fatalf("InSolution(%d): %v", i, err)
 		}
-		if got, err := client.InSolutionTenant(ctx, own, i); err != nil || got != want {
-			t.Fatalf("InSolutionTenant(%s, %d) = (%v, %v), want the untenanted answer %v", own, i, got, err, want)
+		if got, _, err := client.InSolutionEpochTenant(ctx, own, engine.EpochCurrent, i); err != nil || got != want {
+			t.Fatalf("InSolutionEpochTenant(%s, %d) = (%v, %v), want the untenanted answer %v", own, i, got, err, want)
 		}
 	}
 	// -instance-hash and -seed name the one tenant the replica serves.
-	if _, err := client.InSolutionTenant(ctx, engine.TenantID{Instance: 4, Seed: 5}, 0); !errors.Is(err, cluster.ErrRemote) ||
+	if _, _, err := client.InSolutionEpochTenant(ctx, engine.TenantID{Instance: 4, Seed: 5}, engine.EpochCurrent, 0); !errors.Is(err, cluster.ErrRemote) ||
 		!strings.Contains(err.Error(), "unknown tenant") {
 		t.Fatalf("query for another tenant: err = %v, want an unknown-tenant rejection", err)
 	}

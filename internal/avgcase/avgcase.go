@@ -112,7 +112,6 @@ func (m *ZipfModel) SampleItem(src *rng.Source) knapsack.Item {
 // calibrated offline from the model. Query cost is one point query;
 // consistency is exact (the decision function is deterministic).
 type ThresholdLCA struct {
-	model Model
 	// eStar is the inclusion threshold in NORMALIZED efficiency units
 	// (the units the LCA sees after the instance is normalized so
 	// total profit = total weight = 1).
@@ -203,7 +202,6 @@ func NewThresholdLCA(model Model, cal Calibration) (*ThresholdLCA, error) {
 		return nil, fmt.Errorf("%w: degenerate model moments (%v, %v)", ErrBadModel, meanP, meanW)
 	}
 	return &ThresholdLCA{
-		model:            model,
 		eStar:            eRaw * meanW / meanP,
 		capacityFraction: cal.CapacityFraction,
 		margin:           cal.Margin,
@@ -212,9 +210,6 @@ func NewThresholdLCA(model Model, cal Calibration) (*ThresholdLCA, error) {
 
 // Threshold returns the calibrated normalized-efficiency threshold.
 func (l *ThresholdLCA) Threshold() float64 { return l.eStar }
-
-// Model returns the model the LCA was calibrated for.
-func (l *ThresholdLCA) Model() Model { return l.model }
 
 // Decide answers a membership query from the queried item alone: one
 // point query, no sampling, deterministic.

@@ -446,15 +446,6 @@ func (r *RemoteAccess) fetch(ctx context.Context, stream *sampleStream, dst []or
 	return filled, err
 }
 
-// Ping performs a health-check round trip.
-func (r *RemoteAccess) Ping(ctx context.Context) error {
-	c, err := r.live(ctx)
-	if err != nil {
-		return err
-	}
-	return c.roundTrip(ctx, frame{msgType: msgPing}, nil)
-}
-
 // Close releases the connection; later calls fail without redialing.
 func (r *RemoteAccess) Close() error {
 	r.redial.Lock()
@@ -560,13 +551,6 @@ func (c *LCAClient) InSolution(ctx context.Context, i int) (bool, error) {
 	return in, err
 }
 
-// InSolutionTenant is InSolution addressed to tenant id, overriding
-// any connection-level default for this call.
-func (c *LCAClient) InSolutionTenant(ctx context.Context, id engine.TenantID, i int) (bool, error) {
-	in, _, err := c.inSolution(ctx, i, &id, engine.EpochCurrent)
-	return in, err
-}
-
 // InSolutionEpoch asks whether item i is in the solution of epoch ep
 // (engine.EpochCurrent: the current one) and reports the epoch served.
 // A concrete pin is echoed verbatim — the server serves exactly that
@@ -607,13 +591,6 @@ func (c *LCAClient) inSolution(ctx context.Context, i int, id *engine.TenantID, 
 // by the batch size.
 func (c *LCAClient) InSolutionBatch(ctx context.Context, indices []int) ([]bool, error) {
 	answers, _, err := c.inSolutionBatch(ctx, indices, nil, engine.EpochCurrent)
-	return answers, err
-}
-
-// InSolutionBatchTenant is InSolutionBatch addressed to tenant id,
-// overriding any connection-level default for this call.
-func (c *LCAClient) InSolutionBatchTenant(ctx context.Context, id engine.TenantID, indices []int) ([]bool, error) {
-	answers, _, err := c.inSolutionBatch(ctx, indices, &id, engine.EpochCurrent)
 	return answers, err
 }
 

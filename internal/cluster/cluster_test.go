@@ -205,19 +205,6 @@ func TestFleetSizeValidation(t *testing.T) {
 	}
 }
 
-func TestShutdownWithContext(t *testing.T) {
-	acc, _ := testAccess(t, 20)
-	srv, err := NewInstanceServer("127.0.0.1:0", acc)
-	if err != nil {
-		t.Fatalf("NewInstanceServer: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-}
-
 func TestInSolutionBatch(t *testing.T) {
 	acc, gen := testAccess(t, 300)
 	srv := newTestLCAServer(t, acc)
@@ -382,63 +369,6 @@ func TestRemoteAccessStreamEviction(t *testing.T) {
 func TestDialInstanceUnreachable(t *testing.T) {
 	if _, err := DialInstance("127.0.0.1:1", 500*time.Millisecond, 0); err == nil {
 		t.Error("dial to closed port succeeded")
-	}
-}
-
-// TestLCAOverShardedRemoteInstances is the full deployment story: the
-// instance lives on THREE separate TCP servers (contiguous shards), a
-// replica composes them through the two-level sharded sampler, and an
-// unmodified LCA answers consistent queries over the network without
-// any single machine ever holding the whole input.
-func TestLCAOverShardedRemoteInstances(t *testing.T) {
-	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 600, Seed: 29})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	pieces, masses, err := oracle.SplitInstance(gen.Float, 3)
-	if err != nil {
-		t.Fatalf("SplitInstance: %v", err)
-	}
-
-	remotes := make([]oracle.Access, len(pieces))
-	for i, piece := range pieces {
-		srv, err := NewInstanceServer("127.0.0.1:0", piece)
-		if err != nil {
-			t.Fatalf("shard %d server: %v", i, err)
-		}
-		defer srv.Close()
-		remote, err := DialInstance(srv.Addr(), 0, 1024)
-		if err != nil {
-			t.Fatalf("shard %d dial: %v", i, err)
-		}
-		defer remote.Close()
-		remotes[i] = remote
-	}
-	sharded, err := oracle.NewSharded(remotes, masses)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-
-	lca, err := core.NewLCAKP(sharded, core.Params{Epsilon: 0.25, Seed: 31})
-	if err != nil {
-		t.Fatalf("NewLCAKP: %v", err)
-	}
-	answers, err := lca.QueryBatch(context.Background(), []int{0, 250, 599})
-	if err != nil {
-		t.Fatalf("QueryBatch over shards: %v", err)
-	}
-	if len(answers) != 3 {
-		t.Fatalf("got %d answers", len(answers))
-	}
-	// Validate against a flat-view rule: the sharded-network path must
-	// produce a feasible solution for the underlying instance.
-	rule, err := lca.ComputeRule(context.Background(), rng.New(7).Derive("x"))
-	if err != nil {
-		t.Fatalf("ComputeRule: %v", err)
-	}
-	sol := rule.MappingGreedy(gen.Float)
-	if !sol.Feasible(gen.Float) {
-		t.Error("sharded-remote rule produced infeasible solution")
 	}
 }
 

@@ -143,24 +143,13 @@ type frame struct {
 	authKey []byte
 }
 
-// writeFrame writes one frame to w:
+// appendFrame appends f's complete wire image to dst and returns the
+// extended slice:
 //
 //	[len:u32][version][type][flags][epoch:8][trace?:16][tenant?:16][auth?:1+k][payload]
-func writeFrame(w io.Writer, f frame) error {
-	buf, err := appendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("cluster: write frame: %w", err)
-	}
-	return nil
-}
-
-// appendFrame appends f's complete wire image to dst and returns the
-// extended slice. It is writeFrame's allocation-free core: the serving
-// loop and the client connection pass a reused scratch buffer so a
-// steady-state RPC writes zero heap bytes for framing.
+//
+// The serving loop and the client connection pass a reused scratch
+// buffer so a steady-state RPC writes zero heap bytes for framing.
 func appendFrame(dst []byte, f frame) ([]byte, error) {
 	if len(f.payload) > MaxFrameSize {
 		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.payload))
@@ -198,12 +187,6 @@ func appendFrame(dst []byte, f frame) ([]byte, error) {
 		dst = append(dst, f.authKey...)
 	}
 	return append(dst, f.payload...), nil
-}
-
-// readFrame reads one frame from r.
-func readFrame(r io.Reader) (frame, error) {
-	f, _, err := readFrameInto(r, nil)
-	return f, err
 }
 
 // readFrameInto reads one frame from r into buf, growing buf only when

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -17,6 +18,33 @@ import (
 	"lcakp/internal/obs"
 	"lcakp/internal/rng"
 )
+
+// writeFrame writes one frame to w.
+func writeFrame(w io.Writer, f frame) error {
+	buf, err := appendFrame(nil, f)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("cluster: write frame: %w", err)
+	}
+	return nil
+}
+
+// readFrame reads one frame from r.
+func readFrame(r io.Reader) (frame, error) {
+	f, _, err := readFrameInto(r, nil)
+	return f, err
+}
+
+// Ping performs a health-check round trip to the instance server.
+func (r *RemoteAccess) Ping(ctx context.Context) error {
+	c, err := r.live(ctx)
+	if err != nil {
+		return err
+	}
+	return c.roundTrip(ctx, frame{msgType: msgPing}, nil)
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []frame{

@@ -318,27 +318,6 @@ func (s *server) Close() error {
 	return err
 }
 
-// Shutdown closes the server when ctx is done or immediately if it
-// already is; it exists for callers managing lifecycles by context.
-func (s *server) Shutdown(ctx context.Context) error {
-	done := make(chan struct{})
-	var err error
-	go func() {
-		err = s.Close()
-		close(done)
-	}()
-	select {
-	case <-ctx.Done():
-		<-done // Close is already in flight; wait for it regardless
-		if err == nil {
-			err = ctx.Err()
-		}
-		return err
-	case <-done:
-		return err
-	}
-}
-
 // InstanceServer hosts a Knapsack instance and serves oracle access
 // (point queries, weighted samples, instance info) to remote LCA
 // replicas.
@@ -805,12 +784,3 @@ func NewLCAServer(addr string, id engine.TenantID, eng *engine.Engine) (*MultiLC
 // SetDefaultTenant routes untenanted frames to id. Without one,
 // untenanted frames are rejected with ErrUnknownTenant.
 func (s *MultiLCAServer) SetDefaultTenant(id engine.TenantID) { s.resolver.def.Store(&id) }
-
-// Table returns the server's tenant table.
-func (s *MultiLCAServer) Table() *engine.TenantTable { return s.table }
-
-// Metrics returns the cumulative engine accounting of one resident
-// tenant.
-func (s *MultiLCAServer) Metrics(id engine.TenantID) (engine.Totals, bool) {
-	return s.table.Totals(id)
-}

@@ -95,9 +95,9 @@ func TestSingleTenantResolver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("InSolution: %v", err)
 		}
-		got, err := client.InSolutionTenant(ctx, testTenant, i)
+		got, _, err := client.InSolutionEpochTenant(ctx, testTenant, engine.EpochCurrent, i)
 		if err != nil {
-			t.Fatalf("InSolutionTenant: %v", err)
+			t.Fatalf("InSolutionEpochTenant: %v", err)
 		}
 		if got != want {
 			t.Errorf("item %d: tenanted and untenanted queries to a one-tenant replica disagreed", i)
@@ -107,7 +107,7 @@ func TestSingleTenantResolver(t *testing.T) {
 		{Instance: testTenant.Instance, Seed: testTenant.Seed + 1},
 		{Instance: testTenant.Instance + 1, Seed: testTenant.Seed},
 	} {
-		if _, err := client.InSolutionTenant(ctx, other, 3); !errors.Is(err, ErrRemote) ||
+		if _, _, err := client.InSolutionEpochTenant(ctx, other, engine.EpochCurrent, 3); !errors.Is(err, ErrRemote) ||
 			!strings.Contains(err.Error(), "unknown tenant") {
 			t.Errorf("tenant %s: error = %v, want an unknown-tenant rejection", other, err)
 		}
@@ -139,11 +139,11 @@ func TestMultiLCAServerClientPaths(t *testing.T) {
 	baseA := epochBaseline(t, engine.VersionedTenant{Tenant: a}, 43)
 	baseB := epochBaseline(t, engine.VersionedTenant{Tenant: b}, 43)
 
-	gotA, err := client.InSolutionBatchTenant(ctx, a, indices)
+	gotA, _, err := client.InSolutionBatchEpochTenant(ctx, a, engine.EpochCurrent, indices)
 	if err != nil {
 		t.Fatalf("batch tenant a: %v", err)
 	}
-	gotB, err := client.InSolutionBatchTenant(ctx, b, indices)
+	gotB, _, err := client.InSolutionBatchEpochTenant(ctx, b, engine.EpochCurrent, indices)
 	if err != nil {
 		t.Fatalf("batch tenant b: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestEpochBatchAcrossRollover(t *testing.T) {
 	if err != nil || served != 0 {
 		t.Fatalf("pre-roll batch: served=%d err=%v", served, err)
 	}
-	if err := srv.Table().SetCurrentEpoch(id, 3); err != nil {
+	if err := srv.table.SetCurrentEpoch(id, 3); err != nil {
 		t.Fatal(err)
 	}
 	after, served, err := client.InSolutionBatchEpochTenant(ctx, id, 0, indices)
@@ -282,7 +282,7 @@ func TestEpochAgainstNonEpochAwareServer(t *testing.T) {
 	if _, _, err := pc.InSolutionEpoch(ctx, 2, 7); !errors.Is(err, ErrRemote) {
 		t.Fatalf("epoch 2 pinned at a plain backend: err=%v, want ErrRemote", err)
 	}
-	if _, err := pc.InSolutionTenant(ctx, testTenant, 7); !errors.Is(err, ErrRemote) ||
+	if _, _, err := pc.InSolutionEpochTenant(ctx, testTenant, engine.EpochCurrent, 7); !errors.Is(err, ErrRemote) ||
 		!strings.Contains(err.Error(), "unknown tenant") {
 		t.Fatalf("tenanted frame at a plain backend: err=%v, want an unknown-tenant rejection", err)
 	}

@@ -147,18 +147,6 @@ func (l *LCAKP) Query(ctx context.Context, i int) (bool, error) {
 	return l.decide(ctx, rule, i)
 }
 
-// QueryWithRandomness is Query with caller-controlled fresh sampling
-// randomness, used by tests and experiments to drive many runs with
-// explicitly distinct (or deliberately re-used) randomness. Each call
-// is its own run: it neither joins nor is joined.
-func (l *LCAKP) QueryWithRandomness(ctx context.Context, i int, fresh *rng.Source) (bool, error) {
-	rule, err := l.ComputeRule(ctx, fresh)
-	if err != nil {
-		return false, err
-	}
-	return l.decide(ctx, rule, i)
-}
-
 // decide probes item i and applies rule to it.
 func (l *LCAKP) decide(ctx context.Context, rule Rule, i int) (bool, error) {
 	it, err := l.access.QueryItem(ctx, i)

@@ -100,3 +100,15 @@ func TestLCAKPConsistencyAcrossRuns(t *testing.T) {
 		t.Errorf("only %d/%d runs agreed with the base rule", agree, runs)
 	}
 }
+
+// QueryWithRandomness is Query with caller-controlled fresh sampling
+// randomness, used by tests to drive many runs with explicitly
+// distinct (or deliberately re-used) randomness. Each call is its own
+// run: it neither joins nor is joined.
+func (l *LCAKP) QueryWithRandomness(ctx context.Context, i int, fresh *rng.Source) (bool, error) {
+	rule, err := l.ComputeRule(ctx, fresh)
+	if err != nil {
+		return false, err
+	}
+	return l.decide(ctx, rule, i)
+}

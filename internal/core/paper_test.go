@@ -1,92 +1,65 @@
 package core
 
 import (
-	"errors"
 	"math"
-	"strings"
 	"testing"
+
+	"lcakp/internal/repro"
 )
 
-func TestNewPaperBudgetFormulas(t *testing.T) {
-	b, err := NewPaperBudget(0.1, 1000)
-	if err != nil {
-		t.Fatalf("NewPaperBudget: %v", err)
-	}
-	if math.Abs(b.Tau-0.002) > 1e-12 || math.Abs(b.Rho-0.01/18) > 1e-12 || b.Beta != b.Rho/2 {
-		t.Errorf("derived params: %+v", b)
-	}
-	if b.MaxThresholds != 10 {
-		t.Errorf("MaxThresholds = %d, want 10", b.MaxThresholds)
-	}
+// paperRMedian is the rMedian sample complexity E4 prints for ε over
+// an instance of n items: ILPS22 Theorem 2.7 at τ = ε²/5 and
+// ρ = ε²/18, over a domain of 2^(4⌈log₂ n⌉) efficiencies.
+func paperRMedian(eps float64, n int) float64 {
+	bits := 4 * int(math.Ceil(math.Log2(float64(n))))
+	return repro.PaperRMedianSampleComplexity(bits, eps*eps/5, eps*eps/18)
+}
+
+// TestPaperFormulas pins the literal paper formulas that E4 and E8b
+// print next to the measured counts.
+func TestPaperFormulas(t *testing.T) {
 	// m at delta = 0.01: ceil(600*(ln 100 + 1)) = ceil(3363.4).
-	if b.LargeSamples < 3360 || b.LargeSamples > 3368 {
-		t.Errorf("LargeSamples = %d, want ~3364", b.LargeSamples)
+	m, err := PaperLargeSampleCount(0.01, 1)
+	if err != nil {
+		t.Fatalf("PaperLargeSampleCount: %v", err)
 	}
-	// d = 4*ceil(log2 1000) = 40.
-	if b.DomainBits != 40 {
-		t.Errorf("DomainBits = %d, want 40", b.DomainBits)
+	if m < 3360 || m > 3368 {
+		t.Errorf("m = %d, want ~3364", m)
 	}
 	// The rMedian term must dwarf everything else — that is the point.
-	if b.RMedianSamples < 1e20 {
-		t.Errorf("RMedianSamples = %v, expected astronomical", b.RMedianSamples)
-	}
-	if b.TotalSamples <= b.RMedianSamples {
-		t.Errorf("TotalSamples %v <= rMedian term %v", b.TotalSamples, b.RMedianSamples)
-	}
-	if s := b.String(); !strings.Contains(s, "eps=0.1") || !strings.Contains(s, "m=") {
-		t.Errorf("String() = %q", s)
+	if r := paperRMedian(0.1, 1000); r < 1e20 {
+		t.Errorf("rMedian samples = %v, expected astronomical", r)
 	}
 }
 
-func TestNewPaperBudgetGrowsAsEpsilonShrinks(t *testing.T) {
-	loose, err := NewPaperBudget(0.3, 10000)
+func TestPaperFormulasGrowAsEpsilonShrinks(t *testing.T) {
+	loose, err := PaperLargeSampleCount(0.3*0.3, 1)
 	if err != nil {
-		t.Fatalf("NewPaperBudget: %v", err)
+		t.Fatalf("PaperLargeSampleCount: %v", err)
 	}
-	tight, err := NewPaperBudget(0.05, 10000)
+	tight, err := PaperLargeSampleCount(0.05*0.05, 1)
 	if err != nil {
-		t.Fatalf("NewPaperBudget: %v", err)
+		t.Fatalf("PaperLargeSampleCount: %v", err)
 	}
-	if tight.TotalSamples <= loose.TotalSamples {
-		t.Errorf("budget not increasing as eps shrinks: %v <= %v",
-			tight.TotalSamples, loose.TotalSamples)
+	if tight <= loose {
+		t.Errorf("m not increasing as eps shrinks: %d <= %d", tight, loose)
 	}
-	if tight.LargeSamples <= loose.LargeSamples {
-		t.Errorf("m not increasing: %d <= %d", tight.LargeSamples, loose.LargeSamples)
+	if r, l := paperRMedian(0.05, 10000), paperRMedian(0.3, 10000); r <= l {
+		t.Errorf("rMedian samples not increasing as eps shrinks: %v <= %v", r, l)
 	}
 }
 
-func TestNewPaperBudgetLogStarGrowth(t *testing.T) {
-	// Growing n only enters through log*|X|: the budget is flat over
+func TestPaperRMedianLogStarGrowth(t *testing.T) {
+	// Growing n only enters through log*|X|: the count is flat over
 	// huge ranges of n and jumps at log* boundaries.
-	small, err := NewPaperBudget(0.1, 1<<10)
-	if err != nil {
-		t.Fatalf("NewPaperBudget: %v", err)
-	}
-	big, err := NewPaperBudget(0.1, 1<<20)
-	if err != nil {
-		t.Fatalf("NewPaperBudget: %v", err)
-	}
-	ratio := big.TotalSamples / small.TotalSamples
+	small, big := paperRMedian(0.1, 1<<10), paperRMedian(0.1, 1<<20)
 	// Doubling the bit-length of n multiplies the rMedian term by at
 	// most one extra (3/tau^2)^{Δlog*} factor; for these sizes log*
 	// does not even change, so the ratio must be modest.
-	if ratio > 1e10 {
-		t.Errorf("budget ratio %v across n range, want mild log* growth", ratio)
+	if ratio := big / small; ratio > 1e10 {
+		t.Errorf("rMedian ratio %v across n range, want mild log* growth", ratio)
 	}
-	if big.TotalSamples < small.TotalSamples {
-		t.Errorf("budget decreased with n")
-	}
-}
-
-func TestNewPaperBudgetValidation(t *testing.T) {
-	if _, err := NewPaperBudget(0, 100); !errors.Is(err, ErrBadEpsilon) {
-		t.Errorf("eps=0: %v", err)
-	}
-	if _, err := NewPaperBudget(0.7, 100); !errors.Is(err, ErrBadEpsilon) {
-		t.Errorf("eps=0.7: %v", err)
-	}
-	if _, err := NewPaperBudget(0.1, 1); !errors.Is(err, ErrBadParams) {
-		t.Errorf("n=1: %v", err)
+	if big < small {
+		t.Errorf("rMedian samples decreased with n")
 	}
 }

@@ -24,8 +24,6 @@ const (
 	OutcomeCanceled Outcome = "canceled"
 	// OutcomeDeadline marks a query aborted by a context deadline.
 	OutcomeDeadline Outcome = "deadline"
-	// OutcomeBudget marks a query that exhausted its access budget.
-	OutcomeBudget Outcome = "budget"
 	// OutcomeError marks any other failure.
 	OutcomeError Outcome = "error"
 )
@@ -39,8 +37,6 @@ func classify(err error) Outcome {
 		return OutcomeDeadline
 	case errors.Is(err, context.Canceled):
 		return OutcomeCanceled
-	case errors.Is(err, oracle.ErrBudgetExhausted):
-		return OutcomeBudget
 	default:
 		return OutcomeError
 	}
@@ -62,10 +58,6 @@ type Metrics struct {
 	// Outcome classifies how the query ended.
 	Outcome Outcome
 }
-
-// Accesses returns point queries + samples, the paper's combined
-// query-complexity measure.
-func (m Metrics) Accesses() int64 { return m.PointQueries + m.Samples }
 
 // record is the mutable per-query tally threaded through the context.
 type record struct {
@@ -138,14 +130,13 @@ type Totals struct {
 	Samples      int64
 	// Wall is total wall-clock time spent inside queries.
 	Wall time.Duration
-	// OK, Canceled, Deadline, Budget, and Errors split Queries by
-	// outcome.
-	OK, Canceled, Deadline, Budget, Errors int64
+	// OK, Canceled, Deadline and Errors split Queries by outcome.
+	OK, Canceled, Deadline, Errors int64
 }
 
 // Engine drives a Querier and accounts every query with a Metrics
 // record. It is safe for concurrent use if the Querier is (core.LCAKP
-// is; core.CachedRule via an adapter is too).
+// is).
 //
 // The cumulative tallies are obs metrics so they can be handed to a
 // Registry (RegisterMetrics) for scraping without a second accounting
@@ -161,7 +152,6 @@ type Engine struct {
 	ok           obs.Counter
 	canceled     obs.Counter
 	deadline     obs.Counter
-	budget       obs.Counter
 	errorsN      obs.Counter
 	latency      obs.Histogram
 
@@ -244,8 +234,6 @@ func (e *Engine) finish(rec *record, start time.Time, err error, span *obs.Span)
 		e.canceled.Inc()
 	case OutcomeDeadline:
 		e.deadline.Inc()
-	case OutcomeBudget:
-		e.budget.Inc()
 	default:
 		e.errorsN.Inc()
 	}
@@ -262,14 +250,9 @@ func (e *Engine) Totals() Totals {
 		OK:           e.ok.Value(),
 		Canceled:     e.canceled.Value(),
 		Deadline:     e.deadline.Value(),
-		Budget:       e.budget.Value(),
 		Errors:       e.errorsN.Value(),
 	}
 }
-
-// Latency returns a snapshot of the engine's query-latency histogram
-// (the distribution behind Totals.Wall).
-func (e *Engine) Latency() obs.Snapshot { return e.latency.Snapshot() }
 
 // RegisterMetrics exposes the engine's cumulative tallies on reg under
 // the given name prefix (e.g. "lcakp_engine" yields
@@ -287,7 +270,6 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) error {
 		{"_queries_ok_total", "queries answered successfully", &e.ok},
 		{"_queries_canceled_total", "queries aborted by cancellation", &e.canceled},
 		{"_queries_deadline_total", "queries aborted by deadline", &e.deadline},
-		{"_queries_budget_total", "queries that exhausted their access budget", &e.budget},
 		{"_query_errors_total", "queries failed for any other reason", &e.errorsN},
 		{"_query_latency_seconds", "query wall-clock latency", &e.latency},
 	} {

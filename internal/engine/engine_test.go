@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"lcakp/internal/core"
 	"lcakp/internal/knapsack"
@@ -61,46 +60,46 @@ func TestCountingCounts(t *testing.T) {
 	}
 }
 
-func TestBudgetedEnforcesBudget(t *testing.T) {
-	ctx := context.Background()
-	b := NewBudgeted(testAccess(t), 3)
-	src := rng.New(1)
-	if _, err := b.QueryItem(ctx, 0); err != nil {
-		t.Fatalf("first query: %v", err)
-	}
-	if _, _, err := b.Sample(ctx, src); err != nil {
-		t.Fatalf("first sample: %v", err)
-	}
-	if _, err := b.QueryItem(ctx, 1); err != nil {
-		t.Fatalf("third access: %v", err)
-	}
-	if _, err := b.QueryItem(ctx, 2); !errors.Is(err, oracle.ErrBudgetExhausted) {
-		t.Errorf("fourth access error = %v, want ErrBudgetExhausted", err)
-	}
-	if _, _, err := b.Sample(ctx, src); !errors.Is(err, oracle.ErrBudgetExhausted) {
-		t.Errorf("fifth access error = %v, want ErrBudgetExhausted", err)
-	}
-	if b.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", b.Remaining())
-	}
-	if b.Spent() < 3 {
-		t.Errorf("Spent = %d, want >= 3", b.Spent())
+// errFailed is the error failAfter's refused accesses return.
+var errFailed = errors.New("backend down")
+
+// failAfter is a test double for a failing backend: it lets the first
+// k accesses through and fails every later one with errFailed. A
+// sample frame forwards the prefix still allowed, then fails, as
+// one-draw frames that stop at the first failure would.
+func failAfter(k int64) Middleware {
+	var calls int64
+	return func(next oracle.Access) oracle.Access {
+		return &access{
+			inner: next,
+			queryItem: func(ctx context.Context, i int) (knapsack.Item, error) {
+				if calls++; calls > k {
+					return knapsack.Item{}, fmt.Errorf("point query %d: %w", i, errFailed)
+				}
+				return next.QueryItem(ctx, i)
+			},
+			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+				ok := min(max(k-calls, 0), int64(len(dst)))
+				n, err := next.SampleFrame(ctx, src, dst[:ok])
+				calls += attempted(n, err)
+				if err != nil || ok == int64(len(dst)) {
+					return n, err
+				}
+				calls++
+				return n, fmt.Errorf("sample: %w", errFailed)
+			},
+		}
 	}
 }
 
-// TestBudgetErrorThroughDeepStack drives an exhausted budget through a
-// 3-deep middleware chain (counting over latency over budget) and
-// checks errors.Is still identifies oracle.ErrBudgetExhausted at the
-// top — the error-normalization contract.
-func TestBudgetErrorThroughDeepStack(t *testing.T) {
+// TestErrorThroughDeepStack drives a failing access through a 3-deep
+// middleware chain (counting over instrument over the failure) and
+// checks errors.Is still identifies the failure at the top — the
+// error-normalization contract.
+func TestErrorThroughDeepStack(t *testing.T) {
 	ctx := context.Background()
 	counter := &Counter{}
-	budget := NewBudget(2)
-	chained := Chain(testAccess(t),
-		WithCounter(counter),
-		WithLatency(time.Microsecond),
-		WithBudget(budget),
-	)
+	chained := Chain(testAccess(t), WithCounter(counter), Instrument(), failAfter(2))
 	src := rng.New(2)
 	if _, err := chained.QueryItem(ctx, 0); err != nil {
 		t.Fatalf("access 1: %v", err)
@@ -109,89 +108,40 @@ func TestBudgetErrorThroughDeepStack(t *testing.T) {
 		t.Fatalf("access 2: %v", err)
 	}
 	_, err := chained.QueryItem(ctx, 1)
-	if !errors.Is(err, oracle.ErrBudgetExhausted) {
-		t.Fatalf("access 3 error = %v, want ErrBudgetExhausted through 3 layers", err)
+	if !errors.Is(err, errFailed) {
+		t.Fatalf("access 3 error = %v, want errFailed through 3 layers", err)
 	}
-	// The rejected access was still seen (and counted) by the outer
+	// The failed access was still seen (and counted) by the outer
 	// layers.
 	if counter.Total() != 3 {
 		t.Errorf("outer counter total = %d, want 3", counter.Total())
 	}
 }
 
-// TestBudgetErrorThroughCore checks the same contract end to end: an
-// LCA run over a budgeted access fails with an error that still
-// satisfies errors.Is(err, oracle.ErrBudgetExhausted) after core's own
-// wrapping.
-func TestBudgetErrorThroughCore(t *testing.T) {
-	lca, err := core.NewLCAKP(NewBudgeted(testAccess(t), 5), core.Params{Epsilon: 0.2, Seed: 3})
+// TestErrorThroughCore checks the same contract end to end: an LCA run
+// over a failing access fails with an error that still satisfies
+// errors.Is after core's own wrapping.
+func TestErrorThroughCore(t *testing.T) {
+	lca, err := core.NewLCAKP(Chain(testAccess(t), failAfter(5)), core.Params{Epsilon: 0.2, Seed: 3})
 	if err != nil {
 		t.Fatalf("NewLCAKP: %v", err)
 	}
 	_, err = lca.Query(context.Background(), 0)
-	if !errors.Is(err, oracle.ErrBudgetExhausted) {
-		t.Fatalf("Query error = %v, want ErrBudgetExhausted through core", err)
-	}
-}
-
-func TestWithLatencyHonorsContext(t *testing.T) {
-	inner := NewCounting(testAccess(t))
-	slow := Chain(inner, WithLatency(10*time.Second))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	_, err := slow.QueryItem(ctx, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryItem error = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("canceled access took %v", elapsed)
-	}
-	// The inner access must never have been touched.
-	if inner.Total() != 0 {
-		t.Errorf("inner saw %d accesses after cancellation", inner.Total())
-	}
-}
-
-func TestWithLatencyDeadline(t *testing.T) {
-	slow := Chain(testAccess(t), WithLatency(10*time.Second))
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, _, err := slow.Sample(ctx, rng.New(1))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Sample error = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-func TestWithFaultsDeterministic(t *testing.T) {
-	ctx := context.Background()
-	injected := errors.New("backend down")
-	faulty := Chain(testAccess(t), WithFaults(3, injected))
-	var failures []int
-	for i := 0; i < 9; i++ {
-		if _, err := faulty.QueryItem(ctx, i%3); err != nil {
-			if !errors.Is(err, injected) {
-				t.Fatalf("access %d error = %v, want injected fault", i, err)
-			}
-			failures = append(failures, i)
-		}
-	}
-	if len(failures) != 3 || failures[0] != 2 || failures[1] != 5 || failures[2] != 8 {
-		t.Errorf("failures at %v, want every 3rd access", failures)
+	if !errors.Is(err, errFailed) {
+		t.Fatalf("Query error = %v, want errFailed through core", err)
 	}
 }
 
 // TestFrameAccountingMatchesPerDraw drives one middleware chain —
-// counter, budget, faults, Instrument, slice oracle — once with a
+// counter, a failing backend, Instrument, slice oracle — once with a
 // 4,096-draw frame and once with 4,096 one-draw frames that stop at
 // the first error, as core's per-draw loop did. Every layer must
 // charge the frame exactly as it charges the draws: same draws, same
-// source position, same Spent, counter totals and per-query record, and
-// the same error, for budgets ending before, inside, at and past the
-// frame and with a fault inside it. The charges must also be the
-// per-draw ones: every attempted draw, the refused or failed one
-// included. A second chain puts Instrument outermost, where it sees
-// the failed draws too.
+// source position, same counter totals and per-query record, and the
+// same error, for failures before, inside, at and past the end of the
+// frame. The charges must also be the per-draw ones: every attempted
+// draw, the failed one included. A second chain puts Instrument
+// outermost, where it sees the failed draw too.
 func TestFrameAccountingMatchesPerDraw(t *testing.T) {
 	const frame = 4096
 	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 5000, Seed: 1})
@@ -202,27 +152,23 @@ func TestFrameAccountingMatchesPerDraw(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSliceOracle: %v", err)
 	}
-	injected := errors.New("backend down")
 
 	// drive runs one fresh chain and returns its draws and everything
 	// it charged.
 	type charged struct {
 		tail            uint64
-		spent           int64
 		counted, record int64
-		budgetErr       bool
-		faultErr        bool
+		failed          bool
 	}
-	drive := func(budget, every int64, instrumentOutermost, oneByOne bool) ([]oracle.Draw, charged) {
+	drive := func(k int64, instrumentOutermost, oneByOne bool) ([]oracle.Draw, charged) {
 		counter := &Counter{}
-		b := NewBudget(budget)
-		mws := []Middleware{WithCounter(counter), WithBudget(b), WithFaults(every, injected), Instrument()}
+		mws := []Middleware{WithCounter(counter), failAfter(k), Instrument()}
 		if instrumentOutermost {
-			mws = append(mws[3:], mws[:3]...)
+			mws = append(mws[2:], mws[:2]...)
 		}
 		chain := Chain(base, mws...)
 		ctx, rec := withRecord(context.Background())
-		src := rng.New(uint64(budget)*31 + uint64(every))
+		src := rng.New(uint64(k)*31 + 7)
 		dst := make([]oracle.Draw, frame)
 		var n int
 		var err error
@@ -236,50 +182,41 @@ func TestFrameAccountingMatchesPerDraw(t *testing.T) {
 			n, err = chain.SampleFrame(ctx, src, dst)
 		}
 		return dst[:n], charged{
-			tail:      src.Uint64(),
-			spent:     b.Spent(),
-			counted:   counter.Samples(),
-			record:    rec.samples.Load(),
-			budgetErr: errors.Is(err, oracle.ErrBudgetExhausted),
-			faultErr:  errors.Is(err, injected),
+			tail:    src.Uint64(),
+			counted: counter.Samples(),
+			record:  rec.samples.Load(),
+			failed:  errors.Is(err, errFailed),
 		}
 	}
 	for _, outer := range []bool{false, true} {
-		for _, budget := range []int64{0, 1, frame - 1, frame, frame + 1} {
-			for _, every := range []int64{0, 7} {
-				name := fmt.Sprintf("instrument outermost=%v B=%d k=%d", outer, budget, every)
-				framedDraws, framed := drive(budget, every, outer, false)
-				perDrawDraws, perDraw := drive(budget, every, outer, true)
-				if len(framedDraws) != len(perDrawDraws) {
-					t.Fatalf("%s: frame filled %d draws, per-draw %d", name, len(framedDraws), len(perDrawDraws))
+		for _, k := range []int64{0, 1, frame - 1, frame, frame + 1} {
+			name := fmt.Sprintf("instrument outermost=%v k=%d", outer, k)
+			framedDraws, framed := drive(k, outer, false)
+			perDrawDraws, perDraw := drive(k, outer, true)
+			if len(framedDraws) != len(perDrawDraws) {
+				t.Fatalf("%s: frame filled %d draws, per-draw %d", name, len(framedDraws), len(perDrawDraws))
+			}
+			for i := range framedDraws {
+				if framedDraws[i] != perDrawDraws[i] {
+					t.Fatalf("%s: draw %d = %+v, per-draw %+v", name, i, framedDraws[i], perDrawDraws[i])
 				}
-				for i := range framedDraws {
-					if framedDraws[i] != perDrawDraws[i] {
-						t.Fatalf("%s: draw %d = %+v, per-draw %+v", name, i, framedDraws[i], perDrawDraws[i])
-					}
-				}
-				if framed != perDraw {
-					t.Errorf("%s: frame charged %+v, per-draw %+v", name, framed, perDraw)
-				}
+			}
+			if framed != perDraw {
+				t.Errorf("%s: frame charged %+v, per-draw %+v", name, framed, perDraw)
+			}
 
-				// The charges per-draw access makes: the draws before
-				// the first refused (budget) or failed (fault) one run,
-				// and every layer that sees that one charges it too.
-				beforeFault := int64(frame)
-				if every > 0 {
-					beforeFault = every - 1
-				}
-				filled := min(budget, beforeFault, frame)
-				attempts := min(filled+1, frame)
-				record := filled
-				if outer {
-					record = attempts
-				}
-				want := charged{tail: framed.tail, spent: attempts, counted: attempts, record: record,
-					budgetErr: filled < frame && budget <= beforeFault, faultErr: filled < frame && budget > beforeFault}
-				if int64(len(framedDraws)) != filled || framed != want {
-					t.Errorf("%s: filled %d and charged %+v, want %d and %+v", name, len(framedDraws), framed, filled, want)
-				}
+			// The charges per-draw access makes: the draws before the
+			// first failed one run, and every layer that sees that one
+			// charges it too.
+			filled := min(k, frame)
+			attempts := min(filled+1, frame)
+			record := filled
+			if outer {
+				record = attempts
+			}
+			want := charged{tail: framed.tail, counted: attempts, record: record, failed: filled < frame}
+			if int64(len(framedDraws)) != filled || framed != want {
+				t.Errorf("%s: filled %d and charged %+v, want %d and %+v", name, len(framedDraws), framed, filled, want)
 			}
 		}
 	}
@@ -324,9 +261,6 @@ func TestEnginePerQueryMetrics(t *testing.T) {
 	}
 	if m1.Samples == 0 {
 		t.Errorf("metrics recorded no samples for a full pipeline run")
-	}
-	if m1.Accesses() != m1.PointQueries+m1.Samples {
-		t.Errorf("Accesses = %d, want %d", m1.Accesses(), m1.PointQueries+m1.Samples)
 	}
 
 	// A second query is an independent run with its own record.
@@ -380,7 +314,6 @@ func TestEngineOutcomeClassification(t *testing.T) {
 		{context.Canceled, OutcomeCanceled},
 		{fmt.Errorf("core: aborted: %w", context.Canceled), OutcomeCanceled},
 		{context.DeadlineExceeded, OutcomeDeadline},
-		{fmt.Errorf("x: %w", oracle.ErrBudgetExhausted), OutcomeBudget},
 		{errors.New("boom"), OutcomeError},
 	}
 	for _, tc := range cases {
@@ -393,13 +326,13 @@ func TestEngineOutcomeClassification(t *testing.T) {
 // TestEngineOutcomeTotals checks that failed queries land in the right
 // outcome buckets of the cumulative totals.
 func TestEngineOutcomeTotals(t *testing.T) {
-	lca, err := core.NewLCAKP(Wrap(NewBudgeted(testAccess(t), 2)), core.Params{Epsilon: 0.2, Seed: 7})
+	lca, err := core.NewLCAKP(Wrap(testAccess(t), failAfter(2)), core.Params{Epsilon: 0.2, Seed: 7})
 	if err != nil {
 		t.Fatalf("NewLCAKP: %v", err)
 	}
 	eng := New(lca)
-	if _, _, err := eng.Query(context.Background(), 0); !errors.Is(err, oracle.ErrBudgetExhausted) {
-		t.Fatalf("Query error = %v, want budget exhaustion", err)
+	if _, _, err := eng.Query(context.Background(), 0); !errors.Is(err, errFailed) {
+		t.Fatalf("Query error = %v, want the backend failure", err)
 	}
 	canceledCtx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -407,7 +340,7 @@ func TestEngineOutcomeTotals(t *testing.T) {
 		t.Fatalf("Query error = %v, want context.Canceled", err)
 	}
 	totals := eng.Totals()
-	if totals.Budget != 1 || totals.Canceled != 1 || totals.OK != 0 {
-		t.Errorf("totals = %+v, want budget=1 canceled=1 ok=0", totals)
+	if totals.Errors != 1 || totals.Canceled != 1 || totals.OK != 0 {
+		t.Errorf("totals = %+v, want errors=1 canceled=1 ok=0", totals)
 	}
 }

@@ -4,9 +4,31 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// residents returns every resident (tenant, epoch) key, sorted by
+// instance, seed and epoch.
+func residents(t *TenantTable) []VersionedTenant {
+	var keys []VersionedTenant
+	t.entries.Range(func(k, _ any) bool {
+		keys = append(keys, k.(VersionedTenant))
+		return true
+	})
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.Tenant.Instance != b.Tenant.Instance {
+			return a.Tenant.Instance < b.Tenant.Instance
+		}
+		if a.Tenant.Seed != b.Tenant.Seed {
+			return a.Tenant.Seed < b.Tenant.Seed
+		}
+		return a.Epoch < b.Epoch
+	})
+	return keys
+}
 
 // epochQuerier answers by parity of i+epoch so two epochs of one
 // tenant are distinguishable bit-for-bit.
@@ -53,12 +75,9 @@ func TestTenantTableEpochsAreDistinctResidents(t *testing.T) {
 	if a0 == a1 {
 		t.Fatal("epoch answers should differ on this querier")
 	}
-	keys := table.ResidentVersioned()
-	if len(keys) != 2 || keys[0].Epoch != 0 || keys[1].Epoch != 1 {
-		t.Fatalf("ResidentVersioned = %v", keys)
-	}
-	if ids := table.Resident(); len(ids) != 1 || ids[0] != id {
-		t.Fatalf("Resident should dedup epochs: %v", ids)
+	keys := residents(table)
+	if len(keys) != 2 || keys[0] != (VersionedTenant{Tenant: id}) || keys[1] != (VersionedTenant{Tenant: id, Epoch: 1}) {
+		t.Fatalf("residents = %v", keys)
 	}
 }
 
@@ -127,7 +146,7 @@ func TestLegacyFactoryRejectsNonZeroEpoch(t *testing.T) {
 	if st := table.Stats(); st.Derivations != 1 || st.DeriveErrors != 1 || st.Resident != 1 {
 		t.Fatalf("stats after refused epoch = %+v", st)
 	}
-	if keys := table.ResidentVersioned(); len(keys) != 1 || keys[0] != (VersionedTenant{Tenant: id}) {
+	if keys := residents(table); len(keys) != 1 || keys[0] != (VersionedTenant{Tenant: id}) {
 		t.Fatalf("refused epoch left residents %v", keys)
 	}
 	if again, ep, err := table.GetEpoch(ctx, id, 0); err != nil || ep != 0 || again != e0 {
@@ -149,7 +168,7 @@ func TestStaleEpochsAgeOutThroughLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys := table.ResidentVersioned()
+	keys := residents(table)
 	if len(keys) != 2 || keys[0].Epoch != 2 || keys[1].Epoch != 3 {
 		t.Fatalf("stale epochs should be evicted oldest-first, resident: %v", keys)
 	}

@@ -1,15 +1,13 @@
 // Package engine is the context-aware query pipeline of the serving
-// system: one composable place to intercept, instrument, and bound the
+// system: one composable place to intercept and instrument the
 // oracle accesses an LCA run makes.
 //
 // The package has two halves:
 //
 //   - a Middleware chain over oracle.Access. Every cross-cutting
-//     concern — query counting, query budgets, latency and fault
-//     injection, per-query metrics — is a Middleware, and Chain
-//     composes them. This replaces the ad-hoc wrapper types that used
-//     to live in internal/oracle: there is exactly one way to
-//     intercept a query.
+//     concern — query counting, per-query metrics — is a Middleware,
+//     and Chain composes them: there is exactly one way to intercept
+//     a query.
 //   - an Engine over a Querier (core.LCAKP satisfies it), which runs
 //     membership queries under a context and returns a per-query
 //     Metrics record (point queries, samples drawn, wall time,
@@ -17,21 +15,15 @@
 //     experiment harness surface these records instead of keeping
 //     private counters.
 //
-// Errors stay inspectable through any chain depth: budget middleware
-// returns errors satisfying errors.Is(err, oracle.ErrBudgetExhausted),
-// latency middleware returns wrapped ctx.Err() when the context fires,
-// and every middleware forwards inner errors unmodified.
+// Errors stay inspectable through any chain depth: every middleware
+// forwards inner errors unmodified.
 package engine
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"sync/atomic"
-	"time"
 
 	"lcakp/internal/knapsack"
-	"lcakp/internal/obs"
 	"lcakp/internal/oracle"
 	"lcakp/internal/rng"
 )
@@ -93,41 +85,6 @@ func attempted(n int, err error) int64 {
 	return int64(n)
 }
 
-// gatedFrame runs a frame through a per-draw gate over tally, an
-// access count shared by concurrent callers, and charges tally as
-// one-draw calls that stop at the first failing one would. pass(t) is
-// how many draws the gate lets through while tally stands at t. The
-// frame forwards that prefix to next; when the gate cut it short, it
-// then fails with fail(), charging the prefix plus the refused draw.
-// When next fails first, the draws after its failure were never
-// attempted, so their charge goes back to tally.
-func gatedFrame(ctx context.Context, next oracle.Access, src *rng.Source, dst []oracle.Draw,
-	tally *atomic.Int64, pass func(t int64) int64, fail func() error) (int, error) {
-	var ok, charge int64
-	for {
-		t := tally.Load()
-		ok = min(max(pass(t), 0), int64(len(dst)))
-		charge = ok
-		if ok < int64(len(dst)) {
-			charge++
-		}
-		if tally.CompareAndSwap(t, t+charge) {
-			break
-		}
-	}
-	if ok > 0 {
-		n, err := next.SampleFrame(ctx, src, dst[:ok])
-		if err != nil {
-			tally.Add(attempted(n, err) - charge)
-			return n, err
-		}
-	}
-	if ok < int64(len(dst)) {
-		return int(ok), fail()
-	}
-	return len(dst), nil
-}
-
 func (a *access) N() int            { return a.inner.N() }
 func (a *access) Capacity() float64 { return a.inner.Capacity() }
 
@@ -186,142 +143,4 @@ type Counting struct {
 func NewCounting(inner oracle.Access) *Counting {
 	c := &Counter{}
 	return &Counting{Access: Chain(inner, WithCounter(c)), Counter: c}
-}
-
-// Budget is a shared combined query+sample allowance. The lower-bound
-// games use it to enforce the q-query limit on candidate strategies.
-type Budget struct {
-	budget int64
-	spent  atomic.Int64
-}
-
-// NewBudget allocates a budget of n total accesses.
-func NewBudget(n int64) *Budget { return &Budget{budget: n} }
-
-// Spent returns how much of the budget has been consumed (it may
-// exceed the budget by the number of rejected calls).
-func (b *Budget) Spent() int64 { return b.spent.Load() }
-
-// Remaining returns the unused budget (never negative).
-func (b *Budget) Remaining() int64 {
-	r := b.budget - b.spent.Load()
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// take consumes one unit, reporting false once the budget is spent.
-func (b *Budget) take() bool { return b.spent.Add(1) <= b.budget }
-
-// WithBudget fails accesses once b is spent. A sample frame forwards
-// only the prefix the budget still covers, then fails, and moves
-// Spent as that many draws and the refused one would. The returned
-// error satisfies errors.Is(err, oracle.ErrBudgetExhausted) through
-// any number of outer layers.
-func WithBudget(b *Budget) Middleware {
-	return func(next oracle.Access) oracle.Access {
-		return &access{
-			inner: next,
-			queryItem: func(ctx context.Context, i int) (knapsack.Item, error) {
-				if !b.take() {
-					obs.AddWarnEvent(ctx, "engine.budget_exhausted", obs.Int("item", int64(i)), obs.Int("budget", b.budget))
-					return knapsack.Item{}, fmt.Errorf("engine: point query %d: %w", i, oracle.ErrBudgetExhausted)
-				}
-				return next.QueryItem(ctx, i)
-			},
-			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
-				return gatedFrame(ctx, next, src, dst, &b.spent, func(spent int64) int64 { return b.budget - spent }, func() error {
-					obs.AddWarnEvent(ctx, "engine.budget_exhausted", obs.Int("budget", b.budget))
-					return fmt.Errorf("engine: sample: %w", oracle.ErrBudgetExhausted)
-				})
-			},
-		}
-	}
-}
-
-// Budgeted is the budget-limited wrapper re-expressed over the
-// middleware chain, the drop-in successor of the old oracle.Budgeted.
-type Budgeted struct {
-	oracle.Access
-	*Budget
-}
-
-// NewBudgeted wraps access with a combined query+sample budget via
-// WithBudget.
-func NewBudgeted(inner oracle.Access, budget int64) *Budgeted {
-	b := NewBudget(budget)
-	return &Budgeted{Access: Chain(inner, WithBudget(b)), Budget: b}
-}
-
-// WithLatency delays every access by d before forwarding, honoring
-// context cancellation and deadlines: if ctx fires during the delay
-// the access fails with a wrapped ctx.Err() and the inner access is
-// never touched. A sample frame is one access: it is delayed once. It
-// is the fault-injection middleware for deadline and slow-backend
-// testing.
-func WithLatency(d time.Duration) Middleware {
-	sleep := func(ctx context.Context) error {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-			return nil
-		case <-ctx.Done():
-			return fmt.Errorf("engine: access delayed %v: %w", d, ctx.Err())
-		}
-	}
-	return func(next oracle.Access) oracle.Access {
-		return &access{
-			inner: next,
-			queryItem: func(ctx context.Context, i int) (knapsack.Item, error) {
-				if err := sleep(ctx); err != nil {
-					return knapsack.Item{}, err
-				}
-				return next.QueryItem(ctx, i)
-			},
-			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
-				if err := sleep(ctx); err != nil {
-					return 0, err
-				}
-				return next.SampleFrame(ctx, src, dst)
-			},
-		}
-	}
-}
-
-// WithFaults fails every k-th access (k = every) with err, forwarding
-// the rest — deterministic fault injection for retry and failover
-// tests. Each draw of a sample frame is one access: a frame forwards
-// the prefix before its failing draw, then fails. every <= 0 disables
-// injection.
-func WithFaults(every int64, err error) Middleware {
-	var calls atomic.Int64
-	inject := func() bool {
-		return every > 0 && calls.Add(1)%every == 0
-	}
-	return func(next oracle.Access) oracle.Access {
-		return &access{
-			inner: next,
-			queryItem: func(ctx context.Context, i int) (knapsack.Item, error) {
-				if inject() {
-					obs.AddWarnEvent(ctx, "engine.fault_injected", obs.Int("item", int64(i)))
-					return knapsack.Item{}, fmt.Errorf("engine: injected fault: %w", err)
-				}
-				return next.QueryItem(ctx, i)
-			},
-			sampleFrame: func(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
-				pass := func(t int64) int64 {
-					if every <= 0 {
-						return math.MaxInt64
-					}
-					return every - 1 - t%every
-				}
-				return gatedFrame(ctx, next, src, dst, &calls, pass, func() error {
-					obs.AddWarnEvent(ctx, "engine.fault_injected")
-					return fmt.Errorf("engine: injected fault: %w", err)
-				})
-			},
-		}
-	}
 }

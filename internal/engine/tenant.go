@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +46,7 @@ type TenantState struct {
 // commitment.
 const DefaultTenantBudget = 64
 
-// ErrTenantTableClosed is returned by Get after Close.
+// ErrTenantTableClosed is returned by GetEpoch after Close.
 var ErrTenantTableClosed = errors.New("engine: tenant table closed")
 
 // tenantEntry is one resident (tenant, epoch) pair. lastUse orders
@@ -59,7 +58,7 @@ type tenantEntry struct {
 	lastUse atomic.Int64
 }
 
-// tenantFlight is one in-progress derivation that concurrent Gets for
+// tenantFlight is one in-progress derivation that concurrent GetEpochs for
 // the same tenant join instead of deriving again.
 type tenantFlight struct {
 	done chan struct{}
@@ -69,7 +68,7 @@ type tenantFlight struct {
 
 // TenantTableStats is a snapshot of the table's counters.
 type TenantTableStats struct {
-	// Lookups counts Get calls; Hits the ones answered from the table.
+	// Lookups counts GetEpoch calls; Hits the ones answered from the table.
 	Lookups, Hits int64
 	// Derivations counts factory runs that succeeded; DeriveErrors the
 	// ones that failed.
@@ -85,7 +84,7 @@ type TenantTableStats struct {
 // derived-engine entries with lazy single-flight derivation and LRU
 // eviction under a resident-tenant budget.
 //
-// The hot path (Get on a resident tenant) is lock-free — one sync.Map
+// The hot path (GetEpoch on a resident tenant) is lock-free — one sync.Map
 // load plus a handful of atomic adds — because it sits in front of
 // every query a multi-tenant replica serves and must not show up next
 // to the ~60ns cached-answer path (BenchmarkTenantTableLookup guards
@@ -95,7 +94,7 @@ type TenantTableStats struct {
 // correctly for callers that already hold it (answers are pure
 // functions of (I, r); there is no state to invalidate). The Close
 // hook may however release the engine's oracle connection, so a query
-// racing an eviction can fail — callers retry through Get, which
+// racing an eviction can fail — callers retry through GetEpoch, which
 // re-derives.
 type TenantTable struct {
 	factory VersionedTenantFactory
@@ -121,10 +120,6 @@ type TenantTable struct {
 	mu      sync.Mutex
 	flights map[VersionedTenant]*tenantFlight
 	closed  bool
-
-	// vecs, when ExposeTenants has been called, carries the per-tenant
-	// labeled engine counters kept in step with residency.
-	vecs atomic.Pointer[tenantVecs]
 }
 
 // NewVersionedTenantTable builds a table whose factory sees the full
@@ -142,18 +137,6 @@ func NewVersionedTenantTable(factory VersionedTenantFactory, budget int) *Tenant
 		budget:  budget,
 		flights: make(map[VersionedTenant]*tenantFlight),
 	}
-}
-
-// Budget returns the resident-tenant cap.
-func (t *TenantTable) Budget() int { return t.budget }
-
-// Get returns the engine serving id at its current epoch, deriving it
-// on first use. Concurrent Gets for the same absent tenant share one
-// derivation; ctx bounds the caller's wait and the leader's factory
-// run.
-func (t *TenantTable) Get(ctx context.Context, id TenantID) (*Engine, error) {
-	eng, _, err := t.GetEpoch(ctx, id, EpochCurrent)
-	return eng, err
 }
 
 // GetEpoch returns the engine serving one sealed epoch of id, deriving
@@ -232,7 +215,7 @@ func (t *TenantTable) derive(ctx context.Context, id VersionedTenant) (*Engine, 
 		t.mu.Unlock()
 		return nil, ErrTenantTableClosed
 	}
-	// Re-check residency under the lock: another Get may have installed
+	// Re-check residency under the lock: another GetEpoch may have installed
 	// the entry between our sync.Map miss and here.
 	if v, ok := t.entries.Load(id); ok {
 		e := v.(*tenantEntry)
@@ -285,7 +268,6 @@ func (t *TenantTable) derive(ctx context.Context, id VersionedTenant) (*Engine, 
 		t.entries.Store(id, e)
 		t.count.Add(1)
 		t.derivations.Inc()
-		t.attachTenantMetrics(id, state.Engine)
 		fl.eng = state.Engine
 		evicted = t.evictOverBudgetLocked()
 	}
@@ -320,53 +302,9 @@ func (t *TenantTable) evictOverBudgetLocked() []*tenantEntry {
 		t.entries.Delete(victim.id)
 		t.count.Add(-1)
 		t.evictions.Inc()
-		t.forgetTenantMetrics(victim.id)
 		evicted = append(evicted, victim)
 	}
 	return evicted
-}
-
-// Resident returns the resident tenant IDs (deduplicated across
-// epochs), sorted for deterministic iteration (instance, then seed).
-func (t *TenantTable) Resident() []TenantID {
-	seen := make(map[TenantID]bool)
-	var ids []TenantID
-	t.entries.Range(func(k, _ any) bool {
-		id := k.(VersionedTenant).Tenant
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-		return true
-	})
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Instance != ids[j].Instance {
-			return ids[i].Instance < ids[j].Instance
-		}
-		return ids[i].Seed < ids[j].Seed
-	})
-	return ids
-}
-
-// ResidentVersioned returns every resident (tenant, epoch) key, sorted
-// (instance, seed, epoch).
-func (t *TenantTable) ResidentVersioned() []VersionedTenant {
-	var keys []VersionedTenant
-	t.entries.Range(func(k, _ any) bool {
-		keys = append(keys, k.(VersionedTenant))
-		return true
-	})
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Tenant.Instance != b.Tenant.Instance {
-			return a.Tenant.Instance < b.Tenant.Instance
-		}
-		if a.Tenant.Seed != b.Tenant.Seed {
-			return a.Tenant.Seed < b.Tenant.Seed
-		}
-		return a.Epoch < b.Epoch
-	})
-	return keys
 }
 
 // Totals returns the cumulative engine metrics of a resident tenant.
@@ -391,7 +329,7 @@ func (t *TenantTable) Stats() TenantTableStats {
 }
 
 // Close evicts every resident tenant (running the Close hooks) and
-// fails all subsequent Gets. It is idempotent.
+// fails all subsequent GetEpochs. It is idempotent.
 func (t *TenantTable) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -406,9 +344,6 @@ func (t *TenantTable) Close() error {
 		return true
 	})
 	t.count.Store(0)
-	for _, e := range entries {
-		t.forgetTenantMetrics(e.id)
-	}
 	t.mu.Unlock()
 
 	var firstErr error
@@ -444,83 +379,4 @@ func (t *TenantTable) RegisterMetrics(reg *obs.Registry, prefix string) error {
 		}
 	}
 	return nil
-}
-
-// tenantVecs is the per-tenant labeled engine-counter surface.
-type tenantVecs struct {
-	queries      *obs.CounterVec
-	pointQueries *obs.CounterVec
-	samples      *obs.CounterVec
-	ok           *obs.CounterVec
-	errorsN      *obs.CounterVec
-}
-
-// ExposeTenants registers per-tenant engine counters on reg as labeled
-// families under the given prefix (label "tenant", value
-// TenantID.String()). Children track residency: they appear on
-// derivation and disappear on eviction, and the family's cardinality
-// is bounded by the table's budget — a tenant churn cannot grow the
-// scrape without bound.
-func (t *TenantTable) ExposeTenants(reg *obs.Registry, prefix string) error {
-	v := &tenantVecs{
-		queries:      obs.NewCounterVec("tenant", t.budget),
-		pointQueries: obs.NewCounterVec("tenant", t.budget),
-		samples:      obs.NewCounterVec("tenant", t.budget),
-		ok:           obs.NewCounterVec("tenant", t.budget),
-		errorsN:      obs.NewCounterVec("tenant", t.budget),
-	}
-	for _, m := range []struct {
-		suffix, help string
-		vec          *obs.CounterVec
-	}{
-		{"_queries_total", "membership queries served, by tenant", v.queries},
-		{"_point_queries_total", "oracle point queries made, by tenant", v.pointQueries},
-		{"_samples_total", "weighted oracle samples drawn, by tenant", v.samples},
-		{"_queries_ok_total", "queries answered successfully, by tenant", v.ok},
-		{"_query_errors_total", "queries failed, by tenant", v.errorsN},
-	} {
-		if err := reg.Register(prefix+m.suffix, m.help, m.vec); err != nil {
-			return fmt.Errorf("engine: expose tenants: %w", err)
-		}
-	}
-	t.vecs.Store(v)
-	// Tenants already resident get their children retroactively.
-	t.entries.Range(func(k, val any) bool {
-		e := val.(*tenantEntry)
-		t.attachTenantMetrics(k.(VersionedTenant), e.state.Engine)
-		return true
-	})
-	return nil
-}
-
-// attachTenantMetrics wires a tenant's engine totals into the labeled
-// families (no-op when ExposeTenants has not been called). Epoch 0
-// keeps the pre-epoch label; sealed epochs get their own children.
-func (t *TenantTable) attachTenantMetrics(id VersionedTenant, eng *Engine) {
-	v := t.vecs.Load()
-	if v == nil {
-		return
-	}
-	label := id.String()
-	// Attach errors (beyond-limit) are deliberately dropped: the bound
-	// wins over completeness.
-	_ = v.queries.AttachFunc(label, func() int64 { return eng.queries.Value() })
-	_ = v.pointQueries.AttachFunc(label, func() int64 { return eng.pointQueries.Value() })
-	_ = v.samples.AttachFunc(label, func() int64 { return eng.samples.Value() })
-	_ = v.ok.AttachFunc(label, func() int64 { return eng.ok.Value() })
-	_ = v.errorsN.AttachFunc(label, func() int64 { return eng.errorsN.Value() })
-}
-
-// forgetTenantMetrics drops an evicted tenant's labeled children.
-func (t *TenantTable) forgetTenantMetrics(id VersionedTenant) {
-	v := t.vecs.Load()
-	if v == nil {
-		return
-	}
-	label := id.String()
-	v.queries.Forget(label)
-	v.pointQueries.Forget(label)
-	v.samples.Forget(label)
-	v.ok.Forget(label)
-	v.errorsN.Forget(label)
 }

@@ -56,11 +56,11 @@ func TestTenantTableDeriveAndHit(t *testing.T) {
 	ctx := context.Background()
 
 	id := TenantID{Instance: 17, Seed: 7}
-	e1, err := table.Get(ctx, id)
+	e1, _, err := table.GetEpoch(ctx, id, EpochCurrent)
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	e2, err := table.Get(ctx, id)
+	e2, _, err := table.GetEpoch(ctx, id, EpochCurrent)
 	if err != nil {
 		t.Fatalf("get again: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestTenantTableDeriveAndHit(t *testing.T) {
 
 	// Distinct tenants answer from distinct engines with distinct bits.
 	other := TenantID{Instance: 17, Seed: 8}
-	eo, err := table.Get(ctx, other)
+	eo, _, err := table.GetEpoch(ctx, other, EpochCurrent)
 	if err != nil {
 		t.Fatalf("get other: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestTenantTableSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			eng, err := table.Get(context.Background(), TenantID{Instance: 1, Seed: 1})
+			eng, _, err := table.GetEpoch(context.Background(), TenantID{Instance: 1, Seed: 1}, EpochCurrent)
 			if err != nil {
 				t.Errorf("get: %v", err)
 				return
@@ -135,17 +135,17 @@ func TestTenantTableEviction(t *testing.T) {
 	a := TenantID{Instance: 1, Seed: 1}
 	b := TenantID{Instance: 2, Seed: 2}
 	c := TenantID{Instance: 3, Seed: 3}
-	if _, err := table.Get(ctx, a); err != nil {
+	if _, _, err := table.GetEpoch(ctx, a, EpochCurrent); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := table.Get(ctx, b); err != nil {
+	if _, _, err := table.GetEpoch(ctx, b, EpochCurrent); err != nil {
 		t.Fatal(err)
 	}
 	// Touch a so b is the LRU victim when c arrives.
-	if _, err := table.Get(ctx, a); err != nil {
+	if _, _, err := table.GetEpoch(ctx, a, EpochCurrent); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := table.Get(ctx, c); err != nil {
+	if _, _, err := table.GetEpoch(ctx, c, EpochCurrent); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,13 +162,12 @@ func TestTenantTableEviction(t *testing.T) {
 	if n := f.closes.Load(); n != 1 {
 		t.Fatalf("closes = %d, want 1 (victim's Close hook)", n)
 	}
-	ids := table.Resident()
-	if len(ids) != 2 || ids[0] != a || ids[1] != c {
-		t.Fatalf("resident = %v, want [a c] sorted", ids)
+	if keys := residents(table); len(keys) != 2 || keys[0].Tenant != a || keys[1].Tenant != c {
+		t.Fatalf("resident = %v, want [a c] sorted", keys)
 	}
 
 	// The evicted tenant re-derives on demand.
-	if _, err := table.Get(ctx, b); err != nil {
+	if _, _, err := table.GetEpoch(ctx, b, EpochCurrent); err != nil {
 		t.Fatalf("re-derive evicted tenant: %v", err)
 	}
 }
@@ -181,7 +180,7 @@ func TestTenantTableDeriveError(t *testing.T) {
 	ctx := context.Background()
 
 	id := TenantID{Instance: 5, Seed: 5}
-	if _, err := table.Get(ctx, id); err == nil {
+	if _, _, err := table.GetEpoch(ctx, id, EpochCurrent); err == nil {
 		t.Fatal("Get should surface the factory error")
 	}
 	if st := table.Stats(); st.DeriveErrors != 1 || st.Resident != 0 {
@@ -190,7 +189,7 @@ func TestTenantTableDeriveError(t *testing.T) {
 	// A failed derivation is not cached: the tenant derives once the
 	// factory recovers.
 	f.fail.Store(false)
-	if _, err := table.Get(ctx, id); err != nil {
+	if _, _, err := table.GetEpoch(ctx, id, EpochCurrent); err != nil {
 		t.Fatalf("get after recovery: %v", err)
 	}
 }
@@ -199,7 +198,7 @@ func TestTenantTableClose(t *testing.T) {
 	f := &countingFactory{}
 	table := NewVersionedTenantTable(f.factory, 4)
 	ctx := context.Background()
-	if _, err := table.Get(ctx, TenantID{Instance: 1, Seed: 1}); err != nil {
+	if _, _, err := table.GetEpoch(ctx, TenantID{Instance: 1, Seed: 1}, EpochCurrent); err != nil {
 		t.Fatal(err)
 	}
 	if err := table.Close(); err != nil {
@@ -208,61 +207,34 @@ func TestTenantTableClose(t *testing.T) {
 	if n := f.closes.Load(); n != 1 {
 		t.Fatalf("closes = %d, want 1", n)
 	}
-	if _, err := table.Get(ctx, TenantID{Instance: 2, Seed: 2}); !errors.Is(err, ErrTenantTableClosed) {
-		t.Fatalf("Get after Close = %v, want ErrTenantTableClosed", err)
+	if _, _, err := table.GetEpoch(ctx, TenantID{Instance: 2, Seed: 2}, EpochCurrent); !errors.Is(err, ErrTenantTableClosed) {
+		t.Fatalf("GetEpoch after Close = %v, want ErrTenantTableClosed", err)
 	}
 }
 
-func TestTenantTableExposeTenants(t *testing.T) {
+func TestTenantTableRegisterMetrics(t *testing.T) {
 	f := &countingFactory{}
 	table := NewVersionedTenantTable(f.factory, 4)
 	defer table.Close()
-	ctx := context.Background()
-
 	reg := obs.NewRegistry()
 	if err := table.RegisterMetrics(reg, "lcakp_tenant_table"); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	if err := table.ExposeTenants(reg, "lcakp_tenant_engine"); err != nil {
-		t.Fatalf("expose tenants: %v", err)
-	}
-
-	id := TenantID{Instance: 17, Seed: 7}
-	eng, err := table.Get(ctx, id)
-	if err != nil {
+	if _, _, err := table.GetEpoch(context.Background(), TenantID{Instance: 17, Seed: 7}, EpochCurrent); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Query(ctx, 4); err != nil {
-		t.Fatal(err)
-	}
-
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
 	for _, want := range []string{
-		`lcakp_tenant_engine_queries_total{tenant="i17-s7"} 1`,
+		"lcakp_tenant_table_lookups_total 1",
 		"lcakp_tenant_table_derivations_total 1",
 		"lcakp_tenant_table_resident 1",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
 		}
-	}
-
-	// Eviction drops the tenant's labeled children.
-	for k := 0; k < 5; k++ {
-		if _, err := table.Get(ctx, TenantID{Instance: 100 + uint64(k), Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.Reset()
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), `tenant="i17-s7"`) {
-		t.Errorf("evicted tenant still exposed:\n%s", b.String())
 	}
 }
 
@@ -282,7 +254,7 @@ func BenchmarkTenantTableLookup(b *testing.B) {
 	table := NewVersionedTenantTable(f.factory, 8)
 	defer table.Close()
 	id := TenantID{Instance: 17, Seed: 7}
-	if _, err := table.Get(context.Background(), id); err != nil {
+	if _, _, err := table.GetEpoch(context.Background(), id, EpochCurrent); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
@@ -290,7 +262,7 @@ func BenchmarkTenantTableLookup(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := table.Get(ctx, id); err != nil {
+			if _, _, err := table.GetEpoch(ctx, id, EpochCurrent); err != nil {
 				b.Fatal(err)
 			}
 		}

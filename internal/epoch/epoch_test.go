@@ -172,7 +172,7 @@ func TestManagerSealAdvancesEpoch(t *testing.T) {
 	if snap1.Epoch != 1 || m.Current() != 1 {
 		t.Fatalf("sealed epoch %d, current %d", snap1.Epoch, m.Current())
 	}
-	if len(m.Pending()) != 0 {
+	if len(m.pending) != 0 {
 		t.Fatal("pending log not cleared by seal")
 	}
 	// The removed item is out of the new epoch's solution.
@@ -262,7 +262,7 @@ func TestFailedSealRestagesLog(t *testing.T) {
 	if m.Current() != 0 {
 		t.Fatal("failed seal advanced the epoch")
 	}
-	if len(m.Pending()) != 1 {
+	if len(m.pending) != 1 {
 		t.Fatal("failed seal dropped the pending log")
 	}
 }
@@ -274,7 +274,7 @@ func TestFactoryThroughTenantTable(t *testing.T) {
 	table := engine.NewVersionedTenantTable(m.Factory(), 8)
 	defer table.Close()
 
-	id := m.Tenant()
+	id := m.tenant
 	eng0, ep, err := table.GetEpoch(ctx, id, engine.EpochCurrent)
 	if err != nil || ep != 0 {
 		t.Fatalf("current epoch: %d %v", ep, err)

@@ -108,23 +108,11 @@ func (m *Manager) deriveSnapshot(ctx context.Context, ep engine.EpochID, inst *k
 	}, nil
 }
 
-// Tenant returns the tenant lineage this manager versions.
-func (m *Manager) Tenant() engine.TenantID { return m.tenant }
-
 // Current returns the latest sealed epoch.
 func (m *Manager) Current() engine.EpochID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.current
-}
-
-// Pending returns a copy of the staged, not-yet-sealed mutations.
-func (m *Manager) Pending() []Mutation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Mutation, len(m.pending))
-	copy(out, m.pending)
-	return out
 }
 
 // Stage validates and appends one mutation to the pending log. Adds

@@ -131,11 +131,6 @@ func (c *answerCache) shardOf(h uint64) *cacheShard {
 	return &c.shards[h>>(64-cacheShardBits)]
 }
 
-// shard returns k's shard (test hook).
-func (c *answerCache) shard(k Key) *cacheShard {
-	return c.shardOf(hashKey(k))
-}
-
 // get returns the cached answer for k, if resident, and marks it used.
 func (c *answerCache) get(k Key) (answer, ok bool) {
 	h := hashKey(k)
@@ -284,15 +279,4 @@ func (c *answerCache) do(ctx context.Context, k Key, fn func() (bool, error)) (b
 	s.mu.Unlock()
 	close(f.done)
 	return f.answer, outcomeLed, f.err
-}
-
-// len reports the total number of resident entries (test hook).
-func (c *answerCache) len() int {
-	total := 0
-	for s := range c.shards {
-		c.shards[s].mu.Lock()
-		total += c.shards[s].used
-		c.shards[s].mu.Unlock()
-	}
-	return total
 }

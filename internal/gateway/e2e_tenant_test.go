@@ -190,7 +190,7 @@ func TestMultiTenantE2E(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	crossed.SetAPIKey("alpha")
-	if _, err := crossed.InSolutionTenant(ctx, tenantB, 0); !errors.Is(err, cluster.ErrRemote) ||
+	if _, _, err := crossed.InSolutionEpochTenant(ctx, tenantB, engine.EpochCurrent, 0); !errors.Is(err, cluster.ErrRemote) ||
 		!strings.Contains(err.Error(), "unauthorized") {
 		t.Fatalf("cross-tenant key: error = %v, want remote unauthorized", err)
 	}
@@ -312,7 +312,7 @@ func TestMultiTenantE2E(t *testing.T) {
 	defer seq.Close()
 	seq.SetAPIKey("beta")
 	for j := 0; j < 2; j++ {
-		got, err := seq.InSolutionTenant(ctx, tenantB, 3)
+		got, _, err := seq.InSolutionEpochTenant(ctx, tenantB, engine.EpochCurrent, 3)
 		if err != nil {
 			t.Fatalf("sequential B query: %v", err)
 		}

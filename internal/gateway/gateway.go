@@ -102,9 +102,9 @@ type Options struct {
 	// CacheSize is the answer-cache capacity in entries (0 selects
 	// DefaultCacheSize, < 0 disables caching).
 	CacheSize int
-	// MaxBatch caps the items of one warm-up frame: Warm and
-	// WarmTenant fetch in frames of at most MaxBatch items (0 selects
-	// DefaultMaxBatch). Queries' frames are not capped.
+	// MaxBatch caps the items of one warm-up frame: Warm fetches in
+	// frames of at most MaxBatch items (0 selects DefaultMaxBatch).
+	// Queries' frames are not capped.
 	MaxBatch int
 	// HealthInterval is the replica ping period (0 selects
 	// DefaultHealthInterval).
@@ -366,34 +366,10 @@ func (g *Gateway) SetTenantEpoch(id engine.TenantID, ep engine.EpochID) error {
 	}
 }
 
-// TenantEpoch reports tenant id's current serving epoch.
-func (g *Gateway) TenantEpoch(id engine.TenantID) (engine.EpochID, bool) {
-	t, ok := g.tenants[id]
-	if !ok {
-		return 0, false
-	}
-	return t.currentEpoch(), true
-}
-
 // InSolution answers one membership query for the default tenant:
 // cache first, then a single-flight-deduplicated fetch from the fleet.
 func (g *Gateway) InSolution(ctx context.Context, i int) (bool, error) {
 	return g.def.InSolution(ctx, i)
-}
-
-// InSolutionEpoch answers one membership query for the default tenant
-// pinned to epoch ep (engine.EpochCurrent resolves to the tenant's
-// current epoch). A pinned query is served bit-identically forever:
-// epoch e's answers are a pure function of (I_e, r), so rollover to
-// e+1 cannot perturb them.
-func (g *Gateway) InSolutionEpoch(ctx context.Context, ep engine.EpochID, i int) (bool, error) {
-	return g.def.InSolutionEpoch(ctx, ep, i)
-}
-
-// InSolutionBatchEpoch answers a batch of membership queries for the
-// default tenant, all pinned to one epoch.
-func (g *Gateway) InSolutionBatchEpoch(ctx context.Context, ep engine.EpochID, indices []int) ([]bool, error) {
-	return g.def.InSolutionBatchEpoch(ctx, ep, indices)
 }
 
 // InSolutionBatch answers a batch of membership queries for the
@@ -452,28 +428,6 @@ func (g *Gateway) TenantExposition(id engine.TenantID) (string, error) {
 	return b.String(), nil
 }
 
-// Ping reports reachability: it succeeds if any replica answers.
-func (g *Gateway) Ping(ctx context.Context) error {
-	var lastErr error
-	for _, m := range g.pool.members {
-		c, err := m.get(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = c.Ping(ctx)
-		m.put(c)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = ErrNoReplicas
-	}
-	return fmt.Errorf("gateway: ping: %w", lastErr)
-}
-
 // Healthy returns the addresses of currently healthy replicas.
 func (g *Gateway) Healthy() []string {
 	members := g.pool.healthySnapshot()
@@ -502,15 +456,6 @@ func (g *Gateway) Latency() obs.Snapshot { return g.lat.Snapshot() }
 // the first client burst hits the cache.
 func (g *Gateway) Warm(ctx context.Context, items []int) (int, error) {
 	return g.def.warm(ctx, items)
-}
-
-// WarmTenant is Warm for one configured tenant.
-func (g *Gateway) WarmTenant(ctx context.Context, id engine.TenantID, items []int) (int, error) {
-	t, ok := g.tenants[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", cluster.ErrUnknownTenant, id)
-	}
-	return t.warm(ctx, items)
 }
 
 // Close stops the health loop, cancels the peer tier's background

@@ -13,7 +13,9 @@ import (
 	"lcakp/internal/cluster"
 	"lcakp/internal/core"
 	"lcakp/internal/engine"
+	"lcakp/internal/knapsack"
 	"lcakp/internal/oracle"
+	"lcakp/internal/rng"
 	"lcakp/internal/store"
 	"lcakp/internal/workload"
 )
@@ -368,6 +370,49 @@ func TestGatewayCacheDisabledBatchUsesArtifactTier(t *testing.T) {
 	}
 }
 
+// slowAccess delays every access by d before forwarding it, or fails
+// with the context's error if it ends first. A sample frame is one
+// access.
+type slowAccess struct {
+	oracle.Access
+	d time.Duration
+}
+
+// delayed is the middleware that makes an access slow.
+func delayed(d time.Duration) engine.Middleware {
+	return func(next oracle.Access) oracle.Access { return slowAccess{Access: next, d: d} }
+}
+
+func (s slowAccess) wait(ctx context.Context) error {
+	timer := time.NewTimer(s.d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (s slowAccess) QueryItem(ctx context.Context, i int) (knapsack.Item, error) {
+	if err := s.wait(ctx); err != nil {
+		return knapsack.Item{}, err
+	}
+	return s.Access.QueryItem(ctx, i)
+}
+
+func (s slowAccess) SampleFrame(ctx context.Context, src *rng.Source, dst []oracle.Draw) (int, error) {
+	if err := s.wait(ctx); err != nil {
+		return 0, err
+	}
+	return s.Access.SampleFrame(ctx, src, dst)
+}
+
+func (s slowAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsack.Item, error) {
+	d, err := oracle.SampleOne(ctx, s, src)
+	return d.Index, d.Item, err
+}
+
 // TestGatewayConcurrentMissesShareReplicaRun sends a burst of 16
 // point misses for distinct items through a gateway to one replica
 // whose oracle answers slowly, so the misses overlap there. Each miss
@@ -383,7 +428,7 @@ func TestGatewayConcurrentMissesShareReplicaRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSliceOracle: %v", err)
 	}
-	lca, err := core.NewLCAKP(engine.Wrap(engine.Chain(acc, engine.WithLatency(20*time.Millisecond))), testParams)
+	lca, err := core.NewLCAKP(engine.Wrap(engine.Chain(acc, delayed(20*time.Millisecond))), testParams)
 	if err != nil {
 		t.Fatalf("NewLCAKP: %v", err)
 	}

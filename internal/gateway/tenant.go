@@ -247,15 +247,6 @@ func (t *tenant) InSolution(ctx context.Context, i int) (bool, error) {
 	return t.inSolutionAt(ctx, t.currentEpoch(), i)
 }
 
-// InSolutionEpoch is InSolution pinned to one sealed epoch (or the
-// engine.EpochCurrent sentinel). The pin travels the whole path —
-// cache key, store address, wire frame — so the
-// answer is a bit of exactly C(I_ep, r) no matter which tier or
-// replica produced it.
-func (t *tenant) InSolutionEpoch(ctx context.Context, ep engine.EpochID, i int) (bool, error) {
-	return t.inSolutionAt(ctx, t.resolveEpoch(ep), i)
-}
-
 // inSolutionAt serves one point query at a resolved epoch.
 func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bool, error) {
 	if t.g.opts.Tracer != nil {
@@ -322,12 +313,6 @@ func (t *tenant) inSolutionAt(ctx context.Context, ep engine.EpochID, i int) (bo
 // (all-or-nothing).
 func (t *tenant) InSolutionBatch(ctx context.Context, indices []int) ([]bool, error) {
 	return t.inSolutionBatchAt(ctx, t.currentEpoch(), indices)
-}
-
-// InSolutionBatchEpoch is InSolutionBatch pinned to one sealed epoch
-// (or the engine.EpochCurrent sentinel).
-func (t *tenant) InSolutionBatchEpoch(ctx context.Context, ep engine.EpochID, indices []int) ([]bool, error) {
-	return t.inSolutionBatchAt(ctx, t.resolveEpoch(ep), indices)
 }
 
 // inSolutionBatchAt serves one batch at a resolved epoch. A position

@@ -93,19 +93,6 @@ func scriptedGateway(t *testing.T, be *scriptedBackend, maxBatch int) *Gateway {
 	return gw
 }
 
-func TestWarmTenantUnknownTenant(t *testing.T) {
-	addrs, _, _ := testFleet(t, 20, 1)
-	gw, err := New(Options{Replicas: addrs, Seed: testParams.Seed, HedgeDelay: -1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer gw.Close()
-	bogus := engine.TenantID{Instance: 999, Seed: 999}
-	if _, err := gw.WarmTenant(context.Background(), bogus, []int{0, 1}); !errors.Is(err, cluster.ErrUnknownTenant) {
-		t.Fatalf("WarmTenant(unknown) = %v, want ErrUnknownTenant", err)
-	}
-}
-
 // TestWarmPartialFailureContinues pins the warm-up failure contract: a
 // failed chunk does not abort the remaining chunks, and the partial
 // failure surfaces as a *WarmError with exact item and chunk counts —
@@ -202,7 +189,7 @@ func TestWarmCancellationMidWarm(t *testing.T) {
 	}
 }
 
-// TestWarmConcurrentWithQueries races WarmTenant against live query
+// TestWarmConcurrentWithQueries races Warm against live query
 // traffic over the same item range — run under -race, this is the
 // warm-vs-serve data-race check, and bit-exactness must hold
 // throughout (warming can never publish a wrong or torn answer,
@@ -223,7 +210,6 @@ func TestWarmConcurrentWithQueries(t *testing.T) {
 			t.Fatalf("baseline Query(%d): %v", i, err)
 		}
 	}
-	id := engine.TenantID{Instance: 0, Seed: testParams.Seed}
 	items := make([]int, n)
 	for i := range items {
 		items[i] = i
@@ -233,8 +219,8 @@ func TestWarmConcurrentWithQueries(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := gw.WarmTenant(ctx, id, items); err != nil {
-			t.Errorf("WarmTenant: %v", err)
+		if _, err := gw.Warm(ctx, items); err != nil {
+			t.Errorf("Warm: %v", err)
 		}
 	}()
 	for w := 0; w < 4; w++ {

@@ -24,9 +24,8 @@ func FuzzGreedyFeasible(f *testing.F) {
 		}
 
 		for name, res := range map[string]Result{
-			"Greedy":        Greedy(in),
-			"Half":          Half(in),
-			"MaximalGreedy": MaximalGreedy(in),
+			"Greedy": Greedy(in),
+			"Half":   Half(in),
 		} {
 			if !res.Solution.Feasible(in) {
 				t.Fatalf("%s returned an infeasible solution: weight %v > capacity %v",

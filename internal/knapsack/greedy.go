@@ -143,25 +143,6 @@ func Half(in *Instance) Result {
 	return newResult(in, prefix)
 }
 
-// MaximalGreedy returns a maximal feasible solution: the plain greedy
-// solution, which by construction cannot be extended by any skipped
-// item... unless a skipped item would still fit after later smaller
-// items were declined. To guarantee maximality we do a final
-// saturation pass. The profits are irrelevant to maximality
-// (Theorem 3.4 sets them all to zero), so scanning in index order is
-// as good as any.
-func MaximalGreedy(in *Instance) Result {
-	remaining := in.Capacity
-	var chosen []int
-	for i, it := range in.Items {
-		if it.Weight <= remaining {
-			chosen = append(chosen, i)
-			remaining -= it.Weight
-		}
-	}
-	return newResult(in, NewSolution(chosen...))
-}
-
 // ProfitDensityBound returns the fractional upper bound on the optimum
 // of the sub-instance consisting of items order[from:] with the given
 // remaining capacity. order must be sorted by non-increasing

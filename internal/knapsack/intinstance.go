@@ -18,15 +18,6 @@ type IntInstance struct {
 	Capacity int64
 }
 
-// NewIntInstance constructs and validates an integer instance.
-func NewIntInstance(items []IntItem, capacity int64) (*IntInstance, error) {
-	inst := &IntInstance{Items: items, Capacity: capacity}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	return inst, nil
-}
-
 // Validate checks structural invariants: at least one item,
 // non-negative capacity, and non-negative item fields.
 func (in *IntInstance) Validate() error {
@@ -54,16 +45,6 @@ func (in *IntInstance) TotalProfit() int64 {
 		total += it.Profit
 	}
 	return total
-}
-
-// Float converts the integer instance to a float64 Instance without
-// normalization.
-func (in *IntInstance) Float() *Instance {
-	items := make([]Item, len(in.Items))
-	for i, it := range in.Items {
-		items[i] = Item{Profit: float64(it.Profit), Weight: float64(it.Weight)}
-	}
-	return &Instance{Items: items, Capacity: float64(in.Capacity)}
 }
 
 // Normalized converts to a float64 Instance with total profit and

@@ -176,20 +176,6 @@ const (
 	ClassGarbage
 )
 
-// String returns a human-readable class name.
-func (c Class) String() string {
-	switch c {
-	case ClassLarge:
-		return "large"
-	case ClassSmall:
-		return "small"
-	case ClassGarbage:
-		return "garbage"
-	default:
-		return fmt.Sprintf("Class(%d)", uint8(c))
-	}
-}
-
 // Classify returns the class of item it under threshold parameter eps,
 // following the paper's definition:
 //

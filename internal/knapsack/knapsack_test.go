@@ -155,15 +155,6 @@ func TestPartitionCoversAllItems(t *testing.T) {
 	}
 }
 
-func TestClassString(t *testing.T) {
-	if ClassLarge.String() != "large" || ClassSmall.String() != "small" || ClassGarbage.String() != "garbage" {
-		t.Error("Class.String() mismatch")
-	}
-	if Class(99).String() != "Class(99)" {
-		t.Errorf("unknown class string = %q", Class(99).String())
-	}
-}
-
 func TestProfitWeightOf(t *testing.T) {
 	in := &Instance{
 		Items:    []Item{{1, 10}, {2, 20}, {3, 30}},

@@ -1,10 +1,6 @@
 package knapsack
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Solution is a subset of item indices of some instance. Solutions are
 // kept sorted by index with no duplicates; use NewSolution to build one
@@ -45,14 +41,6 @@ func (s *Solution) Contains(i int) bool {
 	return k < len(s.indices) && s.indices[k] == i
 }
 
-// Add returns a new solution with item i included.
-func (s *Solution) Add(i int) *Solution {
-	if s.Contains(i) {
-		return s
-	}
-	return NewSolution(append(s.Indices(), i)...)
-}
-
 // Profit returns the total profit of the solution under instance in.
 func (s *Solution) Profit(in *Instance) float64 {
 	return in.ProfitOf(s.indices)
@@ -69,53 +57,6 @@ func (s *Solution) Weight(in *Instance) float64 {
 // rounding error).
 func (s *Solution) Feasible(in *Instance) bool {
 	return s.Weight(in) <= float64(in.Capacity*(1+1e-12))+1e-12
-}
-
-// Maximal reports whether the solution is maximal feasible: it is
-// feasible and no item outside it can be added without exceeding the
-// capacity (Theorem 3.4's relaxation target).
-func (s *Solution) Maximal(in *Instance) bool {
-	if !s.Feasible(in) {
-		return false
-	}
-	w := s.Weight(in)
-	for i, it := range in.Items {
-		if s.Contains(i) {
-			continue
-		}
-		if w+it.Weight <= float64(in.Capacity*(1+1e-12))+1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether two solutions contain exactly the same indices.
-func (s *Solution) Equal(other *Solution) bool {
-	if len(s.indices) != len(other.indices) {
-		return false
-	}
-	for i, v := range s.indices {
-		if other.indices[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the solution as a compact index list such as
-// "{0, 3, 7}".
-func (s *Solution) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, v := range s.indices {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // Result bundles a solution with its profit and weight under the

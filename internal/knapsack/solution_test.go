@@ -33,20 +33,6 @@ func TestSolutionContains(t *testing.T) {
 	}
 }
 
-func TestSolutionAdd(t *testing.T) {
-	s := NewSolution(1)
-	s2 := s.Add(3)
-	if s.Contains(3) {
-		t.Error("Add mutated the receiver")
-	}
-	if !s2.Contains(3) || !s2.Contains(1) {
-		t.Errorf("Add result = %v", s2)
-	}
-	if s3 := s2.Add(3); s3.Len() != 2 {
-		t.Errorf("Add(existing) changed length: %v", s3)
-	}
-}
-
 func TestSolutionProfitWeightFeasible(t *testing.T) {
 	in := &Instance{
 		Items:    []Item{{3, 2}, {4, 5}, {1, 1}},
@@ -64,45 +50,5 @@ func TestSolutionProfitWeightFeasible(t *testing.T) {
 	}
 	if NewSolution(0, 1, 2).Feasible(in) {
 		t.Error("overweight solution reported feasible")
-	}
-}
-
-func TestSolutionMaximal(t *testing.T) {
-	in := &Instance{
-		Items:    []Item{{0, 3}, {0, 3}, {0, 5}},
-		Capacity: 6,
-	}
-	if !NewSolution(0, 1).Maximal(in) {
-		t.Error("{0,1} (weight 6/6) should be maximal")
-	}
-	if NewSolution(0).Maximal(in) {
-		t.Error("{0} should not be maximal: item 1 still fits")
-	}
-	if !NewSolution(2).Maximal(in) {
-		t.Error("{2} (weight 5, nothing else fits) should be maximal")
-	}
-	if NewSolution(0, 1, 2).Maximal(in) {
-		t.Error("infeasible solution reported maximal")
-	}
-}
-
-func TestSolutionEqualAndString(t *testing.T) {
-	a := NewSolution(1, 2)
-	b := NewSolution(2, 1)
-	c := NewSolution(1, 3)
-	if !a.Equal(b) {
-		t.Error("order-insensitive equality failed")
-	}
-	if a.Equal(c) {
-		t.Error("distinct solutions reported equal")
-	}
-	if a.Equal(NewSolution(1)) {
-		t.Error("different lengths reported equal")
-	}
-	if got := a.String(); got != "{1, 2}" {
-		t.Errorf("String() = %q", got)
-	}
-	if got := NewSolution().String(); got != "{}" {
-		t.Errorf("empty String() = %q", got)
 	}
 }

@@ -3,6 +3,7 @@ package knapsack
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -95,7 +96,7 @@ func TestGreedySimple(t *testing.T) {
 	}
 	res := Greedy(in)
 	// Greedy order: item1 (w2), item0 (w5) → full. item2 skipped.
-	if !res.Solution.Equal(NewSolution(0, 1)) {
+	if !slices.Equal(res.Solution.Indices(), []int{0, 1}) {
 		t.Errorf("Greedy solution = %v", res.Solution)
 	}
 	if res.Profit != 16 || res.Weight != 7 {
@@ -113,14 +114,14 @@ func TestGreedyPrefixStopsAtFirstMisfit(t *testing.T) {
 		Capacity: 7,
 	}
 	prefix, firstOut, order := GreedyPrefix(in)
-	if !prefix.Equal(NewSolution(0)) {
+	if !slices.Equal(prefix.Indices(), []int{0}) {
 		t.Errorf("prefix = %v", prefix)
 	}
 	if firstOut != 1 || order[firstOut] != 1 {
 		t.Errorf("firstOut = %d (order %v)", firstOut, order)
 	}
 	// Plain greedy, by contrast, skips and continues.
-	if !Greedy(in).Solution.Equal(NewSolution(0, 2)) {
+	if !slices.Equal(Greedy(in).Solution.Indices(), []int{0, 2}) {
 		t.Errorf("Greedy = %v", Greedy(in).Solution)
 	}
 }
@@ -249,6 +250,16 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// floatOf converts an integer instance to a float64 Instance without
+// normalization.
+func floatOf(in *IntInstance) *Instance {
+	items := make([]Item, len(in.Items))
+	for i, it := range in.Items {
+		items[i] = Item{Profit: float64(it.Profit), Weight: float64(it.Weight)}
+	}
+	return &Instance{Items: items, Capacity: float64(in.Capacity)}
+}
+
 func TestDPByWeightMatchesExhaustive(t *testing.T) {
 	root := rng.New(91)
 	for trial := 0; trial < 200; trial++ {
@@ -258,7 +269,7 @@ func TestDPByWeightMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DPByWeight: %v", err)
 		}
-		want, err := Exhaustive(intIn.Float())
+		want, err := Exhaustive(floatOf(intIn))
 		if err != nil {
 			t.Fatalf("Exhaustive: %v", err)
 		}
@@ -350,22 +361,6 @@ func TestDPTooLarge(t *testing.T) {
 	}
 }
 
-func TestMaximalGreedyIsMaximal(t *testing.T) {
-	root := rng.New(94)
-	for trial := 0; trial < 300; trial++ {
-		src := root.DeriveIndex("maxg", trial)
-		in := randomInstance(src, 1+src.Intn(20))
-		res := MaximalGreedy(in)
-		if !res.Solution.Feasible(in) {
-			t.Fatalf("trial %d: MaximalGreedy infeasible", trial)
-		}
-		if !res.Solution.Maximal(in) {
-			t.Fatalf("trial %d: MaximalGreedy not maximal: %v (instance %+v)",
-				trial, res.Solution, in)
-		}
-	}
-}
-
 func TestGreedySolutionsFeasibleQuick(t *testing.T) {
 	// Property-based via testing/quick: for arbitrary non-negative
 	// inputs, every solver returns a feasible solution.
@@ -373,7 +368,7 @@ func TestGreedySolutionsFeasibleQuick(t *testing.T) {
 		n := int(nRaw%20) + 1
 		src := rng.New(seed)
 		in := randomInstance(src, n)
-		for _, res := range []Result{Greedy(in), Half(in), MaximalGreedy(in)} {
+		for _, res := range []Result{Greedy(in), Half(in)} {
 			if !res.Solution.Feasible(in) {
 				return false
 			}
@@ -420,13 +415,13 @@ func TestProfitDensityBound(t *testing.T) {
 }
 
 func TestIntInstanceValidate(t *testing.T) {
-	if _, err := NewIntInstance(nil, 5); !errors.Is(err, ErrEmptyInstance) {
+	if err := (&IntInstance{Capacity: 5}).Validate(); !errors.Is(err, ErrEmptyInstance) {
 		t.Errorf("empty: %v", err)
 	}
-	if _, err := NewIntInstance([]IntItem{{1, 1}}, -1); !errors.Is(err, ErrNegativeCapacity) {
+	if err := (&IntInstance{Items: []IntItem{{1, 1}}, Capacity: -1}).Validate(); !errors.Is(err, ErrNegativeCapacity) {
 		t.Errorf("negative capacity: %v", err)
 	}
-	if _, err := NewIntInstance([]IntItem{{-1, 1}}, 1); !errors.Is(err, ErrInvalidItem) {
+	if err := (&IntInstance{Items: []IntItem{{-1, 1}}, Capacity: 1}).Validate(); !errors.Is(err, ErrInvalidItem) {
 		t.Errorf("negative profit: %v", err)
 	}
 }

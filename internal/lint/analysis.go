@@ -22,7 +22,7 @@
 // Loading and typechecking (including stdlib imports, resolved from
 // GOROOT source) lives in load.go; the analyzers live in their own
 // files; the // want golden-comment test harness lives in
-// analysistest.go.
+// analysistest_test.go.
 package lint
 
 import (

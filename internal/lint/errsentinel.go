@@ -10,10 +10,10 @@ import (
 // Errsentinel flags ==/!= comparisons against sentinel error values.
 // The query path wraps every error it propagates (fmt.Errorf with %w
 // through core, engine, and cluster), so a direct comparison against
-// oracle.ErrBudgetExhausted, context.Canceled, or any other sentinel
+// oracle.ErrOutOfRange, context.Canceled, or any other sentinel
 // silently stops matching one wrap level later — which is exactly how
-// budget and cancellation outcomes would quietly misclassify. Matching
-// must go through errors.Is.
+// cancellation and deadline outcomes would quietly misclassify.
+// Matching must go through errors.Is.
 var Errsentinel = &Analyzer{
 	Name: "errsentinel",
 	Doc:  "sentinel errors must be matched with errors.Is, never == or !=",

@@ -135,13 +135,3 @@ func fileImports(file *ast.File, path string) bool {
 	}
 	return false
 }
-
-// enclosingFile returns the file of the pass containing pos.
-func enclosingFile(pass *Pass, pos ast.Node) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos.Pos() && pos.Pos() < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}

@@ -27,12 +27,9 @@ var defaultHotRoots = map[string]hotLevel{
 	// oracle: sample frames and item probes run inside the derivation
 	// loops — every allocation here multiplies by the frame or probe
 	// count, so the samplers are strict.
-	"lcakp/internal/oracle.(SliceOracle).SampleFrame":   hotQuery,
-	"lcakp/internal/oracle.(SliceOracle).QueryItem":     hotQuery,
-	"lcakp/internal/oracle.(AliasSampler).SampleIndex":  hotQuery,
-	"lcakp/internal/oracle.(PrefixSampler).SampleIndex": hotQuery,
-	"lcakp/internal/oracle.(Sharded).SampleFrame":       hotQuery,
-	"lcakp/internal/oracle.(Sharded).QueryItem":         hotQuery,
+	"lcakp/internal/oracle.(SliceOracle).SampleFrame":  hotQuery,
+	"lcakp/internal/oracle.(SliceOracle).QueryItem":    hotQuery,
+	"lcakp/internal/oracle.(AliasSampler).SampleIndex": hotQuery,
 
 	// repro: the EPS sample's empirical CDF is built once per
 	// derivation and read by every threshold's estimator call, which
@@ -80,6 +77,6 @@ var defaultHotRoots = map[string]hotLevel{
 	// every cache miss before touching replicas. Opening an artifact
 	// from disk amortizes like a derivation; the per-item bit probe on
 	// a resident handle is strict (0 allocs, BenchmarkStoreLookup).
-	"lcakp/internal/store.(Store).LookupEpoch":   hotDerive,
-	"lcakp/internal/store.(Artifact).InSolution": hotQuery,
+	"lcakp/internal/store.(Store).LookupEpoch": hotDerive,
+	"lcakp/internal/store.(Artifact).Answer":   hotQuery,
 }

@@ -180,9 +180,6 @@ func readModulePath(gomod string) (string, error) {
 // Fset returns the loader-wide file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// ModulePath returns the loaded module's path.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // LoadModule loads every package directory under the module root,
 // skipping testdata and hidden directories. Results are memoized for
 // the loader's lifetime.

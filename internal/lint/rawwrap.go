@@ -6,22 +6,18 @@ import (
 )
 
 // rawwrapExempt are the packages allowed to compose oracle.Access
-// values: internal/engine owns the middleware chain (the one
-// sanctioned interception mechanism), and internal/oracle owns the
-// access model itself (Sharded's shard composition is routing, not
-// middleware).
+// values: internal/engine owns the middleware chain, the one
+// sanctioned interception mechanism.
 var rawwrapExempt = []string{
 	"lcakp/internal/engine",
-	"lcakp/internal/oracle",
 }
 
 // Rawwrap flags oracle.Access implementations outside internal/engine
-// that wrap another Access. PR 1 consolidated every cross-cutting
-// concern (counting, budgets, fault injection, per-query metrics)
-// into the engine middleware chain precisely so instrumentation
-// composes in one place and per-query Metrics see every access; an
-// ad-hoc wrapper elsewhere reintroduces invisible layers the chain
-// cannot account for.
+// that wrap another Access. Every cross-cutting concern (counting,
+// per-query metrics) lives in the engine middleware chain precisely
+// so instrumentation composes in one place and per-query Metrics see
+// every access; an ad-hoc wrapper elsewhere reintroduces invisible
+// layers the chain cannot account for.
 var Rawwrap = &Analyzer{
 	Name: "rawwrap",
 	Doc:  "oracle.Access wrappers outside internal/engine are forbidden; compose middleware via the engine chain",

@@ -63,8 +63,8 @@ func TestLoaderCoversModule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new loader: %v", err)
 	}
-	if loader.ModulePath() != "lcakp" {
-		t.Fatalf("module path = %q, want lcakp", loader.ModulePath())
+	if loader.modulePath != "lcakp" {
+		t.Fatalf("module path = %q, want lcakp", loader.modulePath)
 	}
 	pkgs, err := loader.LoadModule()
 	if err != nil {

@@ -50,9 +50,6 @@ func (m *MaximalInstance) HiddenI() int { return m.i }
 // HiddenJ returns the index whose weight is the fair coin.
 func (m *MaximalInstance) HiddenJ() int { return m.j }
 
-// WJ returns the coin value w_j.
-func (m *MaximalInstance) WJ() float64 { return m.wj }
-
 // QueryWeight reveals the weight of item k, costing one query.
 func (m *MaximalInstance) QueryWeight(k int) (float64, error) {
 	if k < 0 || k >= m.n {

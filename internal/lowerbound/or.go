@@ -249,47 +249,3 @@ func BudgetForSuccess(strategy ORStrategy, n, trials int, beta, target float64, 
 		budget *= 2
 	}
 }
-
-// MajorityVote runs a base strategy three times on a third of the
-// budget each and takes the majority answer — the standard success
-// amplification move, included to show it does NOT beat Theorem 3.2's
-// wall. It is in fact counter-productive here: the reduction's
-// evidence is one-sided (finding the planted bit proves OR = 1; not
-// finding it proves nothing), so splitting the budget lowers each
-// run's detection probability and the majority compounds the loss
-// (see TestMajorityVoteDoesNotBeatTheWall for the measured numbers).
-// Amplification helps two-sided error; it cannot substitute for
-// information.
-type MajorityVote struct {
-	// Base is the amplified strategy (RandomProbe by default).
-	Base ORStrategy
-}
-
-var _ ORStrategy = MajorityVote{}
-
-// Name returns "majority(<base>)".
-func (m MajorityVote) Name() string {
-	base := m.base()
-	return "majority(" + base.Name() + ")"
-}
-
-// base returns the configured base strategy or the default.
-func (m MajorityVote) base() ORStrategy {
-	if m.Base != nil {
-		return m.Base
-	}
-	return RandomProbe{}
-}
-
-// Answer runs three independent base runs on budget/3 each and votes.
-func (m MajorityVote) Answer(inst *ORInstance, budget int, src *rng.Source) bool {
-	base := m.base()
-	per := budget / 3
-	yes := 0
-	for r := 0; r < 3; r++ {
-		if base.Answer(inst, per, src.DeriveIndex("vote", r)) {
-			yes++
-		}
-	}
-	return yes >= 2
-}

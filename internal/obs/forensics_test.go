@@ -106,6 +106,16 @@ func endWithDuration(ctx context.Context, tr *Tracer, name string, d time.Durati
 	return id, sctx
 }
 
+// capturedTrace returns the retained capture for one trace, if any.
+func capturedTrace(slow *SlowTraceLog, id TraceID) (SlowTrace, bool) {
+	for _, st := range slow.Captured() {
+		if st.Trace == id {
+			return st, true
+		}
+	}
+	return SlowTrace{}, false
+}
+
 func TestSlowLogCapturesThresholdCrossers(t *testing.T) {
 	tr := NewTracer(16)
 	slow := NewSlowTraceLog(8, 50*time.Millisecond)
@@ -114,10 +124,10 @@ func TestSlowLogCapturesThresholdCrossers(t *testing.T) {
 	fastID, _ := endWithDuration(context.Background(), tr, "fast", time.Millisecond, false)
 	slowID, _ := endWithDuration(context.Background(), tr, "slow", 80*time.Millisecond, false)
 
-	if _, ok := slow.Trace(fastID); ok {
+	if _, ok := capturedTrace(slow, fastID); ok {
 		t.Errorf("fast trace %v must not be captured", fastID)
 	}
-	st, ok := slow.Trace(slowID)
+	st, ok := capturedTrace(slow, slowID)
 	if !ok {
 		t.Fatalf("slow trace %v not captured", slowID)
 	}
@@ -137,14 +147,14 @@ func TestSlowLogCapturesWarnEventTraces(t *testing.T) {
 	warnID, _ := endWithDuration(context.Background(), tr, "warned", time.Millisecond, true)
 	quietID, _ := endWithDuration(context.Background(), tr, "quiet", time.Millisecond, false)
 
-	st, ok := slow.Trace(warnID)
+	st, ok := capturedTrace(slow, warnID)
 	if !ok {
 		t.Fatalf("warn-event trace %v not captured", warnID)
 	}
 	if st.Reason != "event:trouble" {
 		t.Errorf("capture reason = %q, want event:trouble", st.Reason)
 	}
-	if _, ok := slow.Trace(quietID); ok {
+	if _, ok := capturedTrace(slow, quietID); ok {
 		t.Errorf("quiet trace %v must not be captured", quietID)
 	}
 }
@@ -165,7 +175,7 @@ func TestSlowLogRetainsWholeSpanTree(t *testing.T) {
 	root.AddProbes(2)
 	root.End()
 
-	st, ok := slow.Trace(root.Trace)
+	st, ok := capturedTrace(slow, root.Trace)
 	if !ok {
 		t.Fatalf("trace %v not captured", root.Trace)
 	}
@@ -242,7 +252,7 @@ func TestSlowLogMergedTraceStaysBounded(t *testing.T) {
 	for i := 1; i < spansPerTraceLimit+extra; i++ {
 		endWithDuration(ctx, tr, fmt.Sprintf("q%d", i), time.Millisecond, true)
 	}
-	st, ok := slow.Trace(id)
+	st, ok := capturedTrace(slow, id)
 	if !ok {
 		t.Fatalf("trace %v not captured", id)
 	}
@@ -257,7 +267,7 @@ func TestSlowLogMergedTraceStaysBounded(t *testing.T) {
 // --- histogram exemplars ---
 
 func TestObserveExemplarLinksTraceToBucket(t *testing.T) {
-	h := NewHistogram()
+	h := &Histogram{}
 	h.ObserveExemplar(3*time.Millisecond, TraceID(0xabc), "t1")
 	ex, ok := h.ExemplarNear(0.99)
 	if !ok {
@@ -267,7 +277,7 @@ func TestObserveExemplarLinksTraceToBucket(t *testing.T) {
 		t.Errorf("exemplar = %+v, want trace=abc tenant=t1 value=3ms", ex)
 	}
 	// Untraced observations leave no exemplar.
-	h2 := NewHistogram()
+	h2 := &Histogram{}
 	h2.ObserveExemplar(time.Millisecond, 0, "t1")
 	if _, ok := h2.ExemplarNear(0.5); ok {
 		t.Error("untraced ObserveExemplar must not store an exemplar")
@@ -276,7 +286,10 @@ func TestObserveExemplarLinksTraceToBucket(t *testing.T) {
 
 func TestExemplarInExposition(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("lcakp_forensics_latency_seconds", "latency")
+	h := &Histogram{}
+	if err := reg.Register("lcakp_forensics_latency_seconds", "latency", h); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
 	h.ObserveExemplar(2*time.Millisecond, TraceID(0xdeadbeef), "3:5")
 
 	// The scrapeable exposition must stay strictly plain 0.0.4: no
@@ -314,7 +327,7 @@ func TestExemplarInExposition(t *testing.T) {
 func TestHistogramExemplarSwapRace(t *testing.T) {
 	const workers = 8
 	const perWorker = 5_000
-	h := NewHistogram()
+	h := &Histogram{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -364,22 +377,23 @@ func TestHistogramExemplarSwapRace(t *testing.T) {
 // --- label cardinality under concurrent churn ---
 
 // TestVecCardinalityChurnConcurrent churns far more tenants than the
-// limit through counter and histogram vecs from many goroutines while
-// a reader continuously snapshots the exposition (run under -race in
-// CI). The bound must hold at every instant and the overflow child must
-// absorb the excess.
+// limit through a counter vec from many goroutines — attaching, and
+// re-attaching, each tenant's read-through child — while a reader
+// continuously snapshots the exposition (run under -race in CI). The
+// bound must hold at every instant: an attach beyond it fails.
 func TestVecCardinalityChurnConcurrent(t *testing.T) {
 	const limit = 8
 	const workers = 6
 	const perWorker = 2_000
 	cv := NewCounterVec("tenant", limit)
-	hv := NewHistogramVec("tenant", limit)
 	reg := NewRegistry()
-	reg.MustRegister("lcakp_churn_total", "churning counter vec", cv)
-	reg.MustRegister("lcakp_churn_latency_seconds", "churning histogram vec", hv)
+	if err := reg.Register("lcakp_churn_total", "churning counter vec", cv); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	var stop atomic.Bool
+	var refused atomic.Int64
 	readerDone := make(chan struct{})
 	// Reader: exposition must stay well-formed mid-churn.
 	go func() {
@@ -402,20 +416,11 @@ func TestVecCardinalityChurnConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				tenant := fmt.Sprintf("tenant-%d", (i*7+w)%64)
-				cv.With(tenant).Inc()
-				hv.With(tenant).Observe(time.Duration(i + 1))
-				if i%3 == 0 {
-					// Churn: evict this tenant so later arrivals re-derive
-					// it, racing the limit check.
-					cv.Forget(tenant)
-					hv.Forget(tenant)
+				if err := cv.AttachFunc(tenant, func() int64 { return int64(i) }); err != nil {
+					refused.Add(1)
 				}
 				if n := cv.Len(); n > limit {
 					t.Errorf("CounterVec Len = %d, above limit %d", n, limit)
-					return
-				}
-				if n := hv.Len(); n > limit {
-					t.Errorf("HistogramVec Len = %d, above limit %d", n, limit)
 					return
 				}
 			}
@@ -425,16 +430,11 @@ func TestVecCardinalityChurnConcurrent(t *testing.T) {
 	stop.Store(true)
 	<-readerDone
 
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
+	if refused.Load() == 0 {
+		t.Error("no attach was refused while churning 64 tenants through a limit of 8")
 	}
-	out := buf.String()
-	if !strings.Contains(out, `tenant="`+OverflowLabelValue+`"`) {
-		t.Errorf("exposition after churn past the limit is missing the %s child:\n%s", OverflowLabelValue, out)
-	}
-	if cv.Len() > limit || hv.Len() > limit {
-		t.Errorf("final Len counter=%d hist=%d above limit %d", cv.Len(), hv.Len(), limit)
+	if cv.Len() > limit {
+		t.Errorf("final Len = %d above limit %d", cv.Len(), limit)
 	}
 }
 
@@ -442,18 +442,31 @@ func TestVecCardinalityChurnConcurrent(t *testing.T) {
 
 func TestMetricsExpositionValidAndByteStable(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("lcakp_golden_queries_total", "queries served").Add(42)
-	reg.Gauge("lcakp_golden_residency", "resident tenants").Set(3)
-	h := reg.Histogram("lcakp_golden_latency_seconds", "query latency")
+	queries, h := &Counter{}, &Histogram{}
+	queries.Add(42)
 	h.ObserveExemplar(5*time.Millisecond, TraceID(0x42), "3:5")
 	h.Observe(time.Millisecond)
 	cv := NewCounterVec("tenant", 4)
-	cv.With("3:5").Add(7)
-	cv.With(`we"ird\`).Inc() // escaping must round-trip the parser
-	reg.MustRegister("lcakp_golden_tenant_queries_total", "per-tenant queries", cv)
-	hv := NewHistogramVec("tenant", 4)
-	hv.With("3:5").Observe(2 * time.Millisecond)
-	reg.MustRegister("lcakp_golden_tenant_latency_seconds", "per-tenant latency", hv)
+	if err := cv.AttachFunc("3:5", func() int64 { return 7 }); err != nil {
+		t.Fatalf("AttachFunc: %v", err)
+	}
+	// Escaping must round-trip the parser.
+	if err := cv.AttachFunc(`we"ird\`, func() int64 { return 1 }); err != nil {
+		t.Fatalf("AttachFunc: %v", err)
+	}
+	for _, m := range []struct {
+		name, help string
+		metric     Metric
+	}{
+		{"lcakp_golden_queries_total", "queries served", queries},
+		{"lcakp_golden_residency", "resident tenants", GaugeFunc(func() float64 { return 3 })},
+		{"lcakp_golden_latency_seconds", "query latency", h},
+		{"lcakp_golden_tenant_queries_total", "per-tenant queries", cv},
+	} {
+		if err := reg.Register(m.name, m.help, m.metric); err != nil {
+			t.Fatalf("Register %s: %v", m.name, err)
+		}
+	}
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()

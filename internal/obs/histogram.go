@@ -53,9 +53,6 @@ type Exemplar struct {
 	Value  time.Duration
 }
 
-// NewHistogram returns a fresh histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
 // Observe records one latency. Negative durations clamp to zero.
 func (h *Histogram) Observe(d time.Duration) {
 	v := int64(d)

@@ -53,7 +53,7 @@ func TestBucketUpperMonotone(t *testing.T) {
 }
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram()
+	h := &Histogram{}
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile(0.5) = %v, want 0", got)
 	}
@@ -96,7 +96,7 @@ func TestHistogramConcurrentHammer(t *testing.T) {
 		perWorker     = 20_000
 		spreadBuckets = 977 // prime stride so workers hit many buckets
 	)
-	h := NewHistogram()
+	h := &Histogram{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -156,7 +156,7 @@ func TestHistogramConcurrentHammer(t *testing.T) {
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	// A uniform ramp 1..N: every quantile upper bound must sit within
 	// one sub-bucket (1/16) of the true order statistic.
-	h := NewHistogram()
+	h := &Histogram{}
 	const n = 100_000
 	for v := 1; v <= n; v++ {
 		h.Observe(time.Duration(v))

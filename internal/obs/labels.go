@@ -11,26 +11,21 @@ import (
 // DefaultLabelLimit bounds a vec's distinct label values when the
 // caller passes limit <= 0. Label cardinality is the classic metrics
 // foot-gun: a label fed from an unbounded domain (tenant IDs, item
-// indices) grows the scrape without bound. Every vec therefore folds
-// values beyond its limit into a single overflow child.
+// indices) grows the scrape without bound. Every vec therefore refuses
+// a new label value beyond its limit.
 const DefaultLabelLimit = 64
 
-// OverflowLabelValue is the label value under which out-of-budget
-// children are aggregated.
-const OverflowLabelValue = "_overflow"
-
 // vec is the shared machinery of the labeled metric families: one
-// label dimension, a bounded set of child metrics keyed by label
-// value, and a deterministic sorted exposition. It backs CounterVec,
-// GaugeVec, and HistogramVec; the typed wrappers exist so With can
-// return concrete metric types.
+// label dimension, a bounded set of read-through child metrics keyed
+// by label value, and a deterministic sorted exposition. It backs
+// CounterVec and GaugeVec; the typed wrappers exist so AttachFunc
+// takes the family's callback type.
 type vec struct {
 	label string
 	limit int
 
 	mu       sync.RWMutex
 	children map[string]Metric
-	overflow Metric // lazily created shared child for values beyond limit
 }
 
 func newVec(label string, limit int) *vec {
@@ -38,31 +33,6 @@ func newVec(label string, limit int) *vec {
 		limit = DefaultLabelLimit
 	}
 	return &vec{label: label, limit: limit, children: make(map[string]Metric)}
-}
-
-// child returns the metric for value, creating it with mk when absent.
-// Values beyond the cardinality limit share the overflow child.
-func (v *vec) child(value string, mk func() Metric) Metric {
-	v.mu.RLock()
-	m, ok := v.children[value]
-	v.mu.RUnlock()
-	if ok {
-		return m
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if m, ok := v.children[value]; ok {
-		return m
-	}
-	if len(v.children) >= v.limit {
-		if v.overflow == nil {
-			v.overflow = mk()
-		}
-		return v.overflow
-	}
-	m = mk()
-	v.children[value] = m
-	return m
 }
 
 // attach installs m under value, replacing any existing child — the
@@ -79,13 +49,6 @@ func (v *vec) attach(value string, m Metric) error {
 	return nil
 }
 
-// Forget drops the child registered under value (no-op when absent).
-func (v *vec) Forget(value string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.children, value)
-}
-
 // Len returns the number of distinct resident label values (the
 // overflow child excluded).
 func (v *vec) Len() int {
@@ -94,23 +57,18 @@ func (v *vec) Len() int {
 	return len(v.children)
 }
 
-// snapshot returns the children sorted by label value, the overflow
-// child appended last when present.
+// snapshot returns the children sorted by label value.
 func (v *vec) snapshot() (values []string, metrics []Metric) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	values = make([]string, 0, len(v.children)+1)
+	values = make([]string, 0, len(v.children))
 	for val := range v.children {
 		values = append(values, val)
 	}
 	sort.Strings(values)
-	metrics = make([]Metric, 0, len(values)+1)
+	metrics = make([]Metric, 0, len(values))
 	for _, val := range values {
 		metrics = append(metrics, v.children[val])
-	}
-	if v.overflow != nil {
-		values = append(values, OverflowLabelValue)
-		metrics = append(metrics, v.overflow)
 	}
 	return values, metrics
 }
@@ -155,21 +113,6 @@ func NewCounterVec(label string, limit int) *CounterVec {
 	return &CounterVec{vec: newVec(label, limit)}
 }
 
-// With returns the counter for the given label value, creating it on
-// first use. Beyond the cardinality limit every new value shares one
-// overflow counter, so the family's scrape size is bounded by
-// construction.
-func (v *CounterVec) With(value string) *Counter {
-	m := v.child(value, func() Metric { return NewCounter() })
-	c, ok := m.(*Counter)
-	if !ok {
-		// A CounterFunc was attached under this value; callers needing a
-		// writable counter must not reuse its label.
-		panic(fmt.Sprintf("obs: label %s=%q holds an attached read-through child", v.label, value))
-	}
-	return c
-}
-
 // AttachFunc installs a read-through child under value (replacing any
 // existing child) — the bridge for pre-existing tallies such as a
 // tenant engine's totals. It fails beyond the cardinality limit.
@@ -201,17 +144,6 @@ func NewGaugeVec(label string, limit int) *GaugeVec {
 	return &GaugeVec{vec: newVec(label, limit)}
 }
 
-// With returns the gauge for the given label value, creating it on
-// first use (overflow beyond the limit, as for CounterVec).
-func (v *GaugeVec) With(value string) *Gauge {
-	m := v.child(value, func() Metric { return NewGauge() })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: label %s=%q holds an attached read-through child", v.label, value))
-	}
-	return g
-}
-
 // AttachFunc installs a read-through child under value (replacing any
 // existing child). It fails beyond the cardinality limit.
 func (v *GaugeVec) AttachFunc(value string, fn GaugeFunc) error {
@@ -225,122 +157,6 @@ func (v *GaugeVec) expose(w io.Writer, name string) error {
 	for i, val := range values {
 		if err := metrics[i].expose(w, labeledName(name, v.label, val)); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// HistogramVec is a family of latency histograms partitioned by one
-// label. Build with NewHistogramVec.
-type HistogramVec struct {
-	label string
-	limit int
-
-	mu       sync.RWMutex
-	children map[string]*Histogram
-	overflow *Histogram
-}
-
-// NewHistogramVec builds a histogram family over the given label name;
-// limit bounds distinct label values (<= 0 selects DefaultLabelLimit).
-func NewHistogramVec(label string, limit int) *HistogramVec {
-	if limit <= 0 {
-		limit = DefaultLabelLimit
-	}
-	return &HistogramVec{label: label, limit: limit, children: make(map[string]*Histogram)}
-}
-
-// With returns the histogram for the given label value, creating it on
-// first use (overflow beyond the limit).
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.RLock()
-	h, ok := v.children[value]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok := v.children[value]; ok {
-		return h
-	}
-	if len(v.children) >= v.limit {
-		if v.overflow == nil {
-			v.overflow = NewHistogram()
-		}
-		return v.overflow
-	}
-	h = NewHistogram()
-	v.children[value] = h
-	return h
-}
-
-// Forget drops the child registered under value (no-op when absent).
-func (v *HistogramVec) Forget(value string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.children, value)
-}
-
-// Len returns the number of distinct resident label values.
-func (v *HistogramVec) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.children)
-}
-
-func (v *HistogramVec) kind() string { return "summary" }
-
-// expose writes each child as a Prometheus summary whose sample lines
-// carry both the vec label and the quantile label, followed by one
-// grouped block of <name>_max companion gauges.
-func (v *HistogramVec) expose(w io.Writer, name string) error {
-	v.mu.RLock()
-	values := make([]string, 0, len(v.children)+1)
-	for val := range v.children {
-		values = append(values, val)
-	}
-	sort.Strings(values)
-	children := make([]*Histogram, 0, len(values)+1)
-	for _, val := range values {
-		children = append(children, v.children[val])
-	}
-	if v.overflow != nil {
-		values = append(values, OverflowLabelValue)
-		children = append(children, v.overflow)
-	}
-	v.mu.RUnlock()
-
-	snaps := make([]Snapshot, len(children))
-	for i, h := range children {
-		snaps[i] = h.Snapshot()
-	}
-	for i, val := range values {
-		s := snaps[i]
-		esc := escapeLabelValue(val)
-		for _, qv := range [...]struct {
-			q string
-			d float64
-		}{{"0.5", s.P50.Seconds()}, {"0.95", s.P95.Seconds()}, {"0.99", s.P99.Seconds()}} {
-			if _, err := fmt.Fprintf(w, "%s{%s=\"%s\",quantile=%q} %s\n", name, v.label, esc, qv.q, formatFloat(qv.d)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum{%s=\"%s\"} %s\n", name, v.label, esc, formatFloat(s.Sum.Seconds())); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count{%s=\"%s\"} %d\n", name, v.label, esc, s.Count); err != nil {
-			return err
-		}
-	}
-	if len(values) > 0 {
-		if _, err := fmt.Fprintf(w, "# TYPE %s_max gauge\n", name); err != nil {
-			return err
-		}
-		for i, val := range values {
-			if _, err := fmt.Fprintf(w, "%s_max{%s=\"%s\"} %s\n", name, v.label, escapeLabelValue(val), formatFloat(snaps[i].Max.Seconds())); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

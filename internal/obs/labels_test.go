@@ -3,17 +3,24 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCounterVecExposition(t *testing.T) {
 	v := NewCounterVec("tenant", 8)
-	v.With("i17-s7").Add(3)
-	v.With("i99-s8").Inc()
-	v.With("i17-s7").Inc() // same child
+	// Attach in reverse order: the exposition sorts by label value.
+	for _, c := range []struct {
+		value string
+		n     int64
+	}{{"i99-s8", 1}, {"i17-s7", 4}} {
+		if err := v.AttachFunc(c.value, func() int64 { return c.n }); err != nil {
+			t.Fatalf("AttachFunc: %v", err)
+		}
+	}
 
 	reg := NewRegistry()
-	reg.MustRegister("lcakp_tenant_queries_total", "per-tenant queries", v)
+	if err := reg.Register("lcakp_tenant_queries_total", "per-tenant queries", v); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatalf("write: %v", err)
@@ -34,30 +41,7 @@ func TestCounterVecExposition(t *testing.T) {
 	}
 }
 
-func TestCounterVecOverflow(t *testing.T) {
-	v := NewCounterVec("tenant", 2)
-	v.With("a").Inc()
-	v.With("b").Inc()
-	// Beyond the limit every new value shares the overflow child.
-	v.With("c").Inc()
-	v.With("d").Add(2)
-	if n := v.Len(); n != 2 {
-		t.Fatalf("Len = %d, want 2 (overflow not counted)", n)
-	}
-	var b strings.Builder
-	if err := v.expose(&b, "m"); err != nil {
-		t.Fatalf("expose: %v", err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `m{tenant="_overflow"} 3`) {
-		t.Errorf("overflow child missing or wrong:\n%s", out)
-	}
-	if strings.Contains(out, `tenant="c"`) || strings.Contains(out, `tenant="d"`) {
-		t.Errorf("out-of-budget values leaked their own children:\n%s", out)
-	}
-}
-
-func TestCounterVecAttachFuncAndForget(t *testing.T) {
+func TestCounterVecAttachFunc(t *testing.T) {
 	v := NewCounterVec("tenant", 4)
 	n := int64(7)
 	if err := v.AttachFunc("x", func() int64 { return n }); err != nil {
@@ -72,13 +56,16 @@ func TestCounterVecAttachFuncAndForget(t *testing.T) {
 	if err := v.AttachFunc("x", func() int64 { return 9 }); err != nil {
 		t.Fatalf("re-attach: %v", err)
 	}
-	v.Forget("x")
-	if v.Len() != 0 {
-		t.Fatalf("Len after Forget = %d, want 0", v.Len())
+	b.Reset()
+	_ = v.expose(&b, "m")
+	if !strings.Contains(b.String(), `m{tenant="x"} 9`) || v.Len() != 1 {
+		t.Errorf("re-attached func not exposed in place of the first:\n%s", b.String())
 	}
 	// Attaching beyond the limit fails rather than growing the family.
 	small := NewCounterVec("tenant", 1)
-	small.With("a")
+	if err := small.AttachFunc("a", func() int64 { return 0 }); err != nil {
+		t.Fatalf("attach within limit: %v", err)
+	}
 	if err := small.AttachFunc("b", func() int64 { return 0 }); err == nil {
 		t.Error("AttachFunc beyond limit should fail")
 	}
@@ -86,7 +73,9 @@ func TestCounterVecAttachFuncAndForget(t *testing.T) {
 
 func TestGaugeVecExposition(t *testing.T) {
 	v := NewGaugeVec("replica", 8)
-	v.With("127.0.0.1:1").Set(1)
+	if err := v.AttachFunc("127.0.0.1:1", func() float64 { return 1 }); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
 	if err := v.AttachFunc("127.0.0.1:2", func() float64 { return 0.5 }); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -105,36 +94,11 @@ func TestGaugeVecExposition(t *testing.T) {
 	}
 }
 
-func TestHistogramVecExposition(t *testing.T) {
-	v := NewHistogramVec("tenant", 4)
-	v.With("a").Observe(time.Millisecond)
-	v.With("a").Observe(2 * time.Millisecond)
-	v.With("b").Observe(time.Second)
-
-	reg := NewRegistry()
-	reg.MustRegister("lcakp_tenant_latency_seconds", "per-tenant latency", v)
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE lcakp_tenant_latency_seconds summary",
-		`lcakp_tenant_latency_seconds{tenant="a",quantile="0.5"}`,
-		`lcakp_tenant_latency_seconds_count{tenant="a"} 2`,
-		`lcakp_tenant_latency_seconds_count{tenant="b"} 1`,
-		"# TYPE lcakp_tenant_latency_seconds_max gauge",
-		`lcakp_tenant_latency_seconds_max{tenant="b"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestLabelValueEscaping(t *testing.T) {
 	v := NewCounterVec("tenant", 4)
-	v.With("a\"b\\c\nd").Inc()
+	if err := v.AttachFunc("a\"b\\c\nd", func() int64 { return 1 }); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
 	var b strings.Builder
 	if err := v.expose(&b, "m"); err != nil {
 		t.Fatalf("expose: %v", err)
@@ -142,24 +106,5 @@ func TestLabelValueEscaping(t *testing.T) {
 	want := `m{tenant="a\"b\\c\nd"} 1`
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("escaped exposition = %q, want substring %q", b.String(), want)
-	}
-}
-
-func TestVecConcurrentWith(t *testing.T) {
-	v := NewCounterVec("tenant", 64)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 1000; i++ {
-				v.With("shared").Inc()
-			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if got := v.With("shared").Value(); got != 8000 {
-		t.Fatalf("shared counter = %d, want 8000", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Package obs is the observability subsystem of the serving stack: a
-// dependency-free metrics registry (atomic counters, gauges, and
-// log-bucketed latency histograms), a Prometheus-text exposition
-// surface, and trace propagation primitives (trace IDs carried through
-// context.Context with a fixed-size ring-buffer span recorder).
+// dependency-free metrics registry (atomic counters, read-through
+// gauges, and log-bucketed latency histograms), a Prometheus-text
+// exposition surface, and trace propagation primitives (trace IDs
+// carried through context.Context with a fixed-size ring-buffer span
+// recorder).
 //
 // The LCA model's defining property is bounded per-query cost
 // (Definition 2.2 prices every membership query in oracle accesses),
@@ -25,7 +26,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -34,8 +34,8 @@ import (
 )
 
 // Metric is one registerable metric kind. The interface is closed
-// (unexported methods): Counter, Gauge, Histogram, CounterFunc, and
-// GaugeFunc are the supported kinds.
+// (unexported methods): Counter, Histogram, CounterFunc, GaugeFunc and
+// the labeled CounterVec and GaugeVec are the supported kinds.
 type Metric interface {
 	// kind returns the Prometheus TYPE keyword.
 	kind() string
@@ -48,9 +48,6 @@ type Metric interface {
 type Counter struct {
 	v atomic.Int64
 }
-
-// NewCounter returns a fresh counter at zero.
-func NewCounter() *Counter { return &Counter{} }
 
 // Add increments the counter by n (n must be non-negative; decrements
 // would break the monotonicity scrape consumers rely on).
@@ -66,28 +63,6 @@ func (c *Counter) kind() string { return "counter" }
 
 func (c *Counter) expose(w io.Writer, name string) error {
 	_, err := fmt.Fprintf(w, "%s %d\n", name, c.Value())
-	return err
-}
-
-// Gauge is a settable instantaneous value. The zero value is ready to
-// use; a Gauge must not be copied after first use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// NewGauge returns a fresh gauge at zero.
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) kind() string { return "gauge" }
-
-func (g *Gauge) expose(w io.Writer, name string) error {
-	_, err := fmt.Fprintf(w, "%s %s\n", name, formatFloat(g.Value()))
 	return err
 }
 
@@ -154,61 +129,6 @@ func (r *Registry) Register(name, help string, m Metric) error {
 	}
 	r.entries[name] = entry{name: name, help: help, metric: m}
 	return nil
-}
-
-// MustRegister is Register, panicking on error — for wiring done once
-// at startup where a bad name is a programming error.
-func (r *Registry) MustRegister(name, help string, m Metric) {
-	if err := r.Register(name, help, m); err != nil {
-		panic(err)
-	}
-}
-
-// Counter returns the counter registered under name, creating and
-// registering it on first use. It panics if name is invalid or already
-// registered as a different kind.
-func (r *Registry) Counter(name, help string) *Counter {
-	return getOrCreate(r, name, help, "counter", NewCounter)
-}
-
-// Gauge returns the gauge registered under name, creating and
-// registering it on first use. It panics if name is invalid or already
-// registered as a different kind.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return getOrCreate(r, name, help, "gauge", NewGauge)
-}
-
-// Histogram returns the histogram registered under name, creating and
-// registering it on first use. It panics if name is invalid or already
-// registered as a different kind.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	return getOrCreate(r, name, help, "histogram", NewHistogram)
-}
-
-// getOrCreate returns the metric of kind M registered under name,
-// registering create() on first use. A miss under the read lock is
-// re-checked under the write lock, so goroutines racing on a name's
-// first use all get the one metric that won.
-func getOrCreate[M Metric](r *Registry, name, help, kind string, create func() M) M {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	r.mu.RUnlock()
-	if !ok {
-		if !validMetricName(name) {
-			panic(fmt.Errorf("obs: invalid metric name %q", name))
-		}
-		r.mu.Lock()
-		if e, ok = r.entries[name]; !ok {
-			e = entry{name: name, help: help, metric: create()}
-			r.entries[name] = e
-		}
-		r.mu.Unlock()
-	}
-	m, isKind := e.metric.(M)
-	if !isKind {
-		panic(fmt.Sprintf("obs: metric %s is a %s, not a %s", name, e.metric.kind(), kind))
-	}
-	return m
 }
 
 // WritePrometheus writes every registered metric in the Prometheus

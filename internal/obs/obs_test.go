@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -11,15 +12,24 @@ import (
 
 func TestRegistryRegisterAndExpose(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_queries_total", "queries served")
+	c, h := &Counter{}, &Histogram{}
 	c.Add(41)
 	c.Inc()
-	g := reg.Gauge("test_temperature", "current value")
-	g.Set(3.5)
-	reg.MustRegister("test_healthy", "healthy backends", GaugeFunc(func() float64 { return 2 }))
-	reg.MustRegister("test_requests_total", "requests", CounterFunc(func() int64 { return 7 }))
-	h := reg.Histogram("test_latency_seconds", "query latency")
 	h.Observe(time.Millisecond)
+	for _, m := range []struct {
+		name, help string
+		metric     Metric
+	}{
+		{"test_queries_total", "queries served", c},
+		{"test_temperature", "current value", GaugeFunc(func() float64 { return 3.5 })},
+		{"test_healthy", "healthy backends", GaugeFunc(func() float64 { return 2 })},
+		{"test_requests_total", "requests", CounterFunc(func() int64 { return 7 })},
+		{"test_latency_seconds", "query latency", h},
+	} {
+		if err := reg.Register(m.name, m.help, m.metric); err != nil {
+			t.Fatalf("Register %s: %v", m.name, err)
+		}
+	}
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -58,59 +68,62 @@ func TestRegistryRegisterAndExpose(t *testing.T) {
 
 func TestRegistryRejectsBadAndDuplicateNames(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Register("9starts_with_digit", "", NewCounter()); err == nil {
+	if err := reg.Register("9starts_with_digit", "", &Counter{}); err == nil {
 		t.Error("Register accepted a name starting with a digit")
 	}
-	if err := reg.Register("has spaces", "", NewCounter()); err == nil {
+	if err := reg.Register("has spaces", "", &Counter{}); err == nil {
 		t.Error("Register accepted a name with spaces")
 	}
-	if err := reg.Register("", "", NewCounter()); err == nil {
+	if err := reg.Register("", "", &Counter{}); err == nil {
 		t.Error("Register accepted an empty name")
 	}
 	if err := reg.Register("ok_name", "", nil); err == nil {
 		t.Error("Register accepted a nil metric")
 	}
-	if err := reg.Register("dup", "", NewCounter()); err != nil {
+	if err := reg.Register("dup", "", &Counter{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := reg.Register("dup", "", NewCounter()); err == nil {
+	if err := reg.Register("dup", "", &Counter{}); err == nil {
 		t.Error("Register accepted a duplicate name")
 	}
-	// Get-or-create returns the same instance; a kind clash panics.
-	if reg.Counter("shared_total", "") != reg.Counter("shared_total", "") {
-		t.Error("Counter get-or-create returned distinct instances")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Histogram over an existing counter name did not panic")
-		}
-	}()
-	reg.Histogram("shared_total", "")
 }
 
 func TestRegistryConcurrentUse(t *testing.T) {
 	reg := NewRegistry()
+	c, h := &Counter{}, &Histogram{}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				reg.Counter("con_total", "").Inc()
-				reg.Histogram("con_latency_seconds", "").Observe(time.Microsecond)
+				c.Inc()
+				h.Observe(time.Microsecond)
+				_ = reg.Register(fmt.Sprintf("con_%d_%d_total", w, i), "", CounterFunc(c.Value))
 				_ = reg.WritePrometheus(io.Discard)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := reg.Counter("con_total", "").Value(); got != 8*200 {
+	if got := c.Value(); got != 8*200 {
 		t.Errorf("counter = %d, want %d", got, 8*200)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	if got := strings.Count(sb.String(), "# TYPE "); got != 8*200 {
+		t.Errorf("exposition holds %d families, want %d", got, 8*200)
 	}
 }
 
 func TestDebugServerServesMetricsTracesAndPprof(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("dbg_hits_total", "hits").Add(5)
+	hits := &Counter{}
+	hits.Add(5)
+	if err := reg.Register("dbg_hits_total", "hits", hits); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
 	tr := NewTracer(16)
 	_, span := tr.StartSpan(t.Context(), "dbg.work")
 	span.End()

@@ -95,9 +95,6 @@ func NewSlowTraceLog(capacity int, threshold time.Duration) *SlowTraceLog {
 	}
 }
 
-// Threshold returns the capture latency threshold.
-func (l *SlowTraceLog) Threshold() time.Duration { return l.threshold }
-
 // track registers a locally-started span with its trace's pending
 // entry. Registration at start time is what lets offer tell a
 // still-running local parent apart from a parent living in another
@@ -267,18 +264,6 @@ func (l *SlowTraceLog) Captured() []SlowTrace {
 	}
 	l.mu.Unlock()
 	return out
-}
-
-// Trace returns the retained capture for one trace, if any.
-func (l *SlowTraceLog) Trace(id TraceID) (SlowTrace, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.ring {
-		if l.ring[i].Trace == id {
-			return l.ring[i], true
-		}
-	}
-	return SlowTrace{}, false
 }
 
 // Len returns the number of retained slow traces.

@@ -30,13 +30,6 @@ func (t TraceID) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + t.String() + `"`), nil
 }
 
-// UnmarshalJSON parses the quoted hex form.
-func (t *TraceID) UnmarshalJSON(b []byte) error {
-	v, err := parseHexID(b)
-	*t = TraceID(v)
-	return err
-}
-
 // SpanID identifies one span within a trace; 0 means "no span".
 type SpanID uint64
 
@@ -46,22 +39,6 @@ func (s SpanID) String() string { return fmt.Sprintf("%016x", uint64(s)) }
 // MarshalJSON renders the ID as its quoted hex form.
 func (s SpanID) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil
-}
-
-// UnmarshalJSON parses the quoted hex form.
-func (s *SpanID) UnmarshalJSON(b []byte) error {
-	v, err := parseHexID(b)
-	*s = SpanID(v)
-	return err
-}
-
-// parseHexID decodes a JSON-quoted 64-bit hex ID.
-func parseHexID(b []byte) (uint64, error) {
-	s := strings.Trim(string(b), `"`)
-	if s == "" || s == "null" {
-		return 0, nil
-	}
-	return strconv.ParseUint(s, 16, 64)
 }
 
 // ParseTraceID parses the fixed-width hex form (the String rendering)
@@ -360,9 +337,6 @@ func (t *Tracer) Recorder() *SpanRecorder { return t.rec }
 // SetSlowLog attaches a SlowTraceLog: every span finished after this
 // call is offered to it for tail-based capture. Pass nil to detach.
 func (t *Tracer) SetSlowLog(l *SlowTraceLog) { t.slow.Store(l) }
-
-// SlowLog returns the attached SlowTraceLog, or nil.
-func (t *Tracer) SlowLog() *SlowTraceLog { return t.slow.Load() }
 
 // StartSpan begins a span named name. If ctx carries a SpanContext the
 // new span joins that trace as a child (this is how a replica's engine

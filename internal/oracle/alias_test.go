@@ -108,7 +108,7 @@ var aliasFamilies = map[string]func(n int, src *rng.Source) []float64{
 // and their neighbours.
 var aliasSizes = []int{1, 2, 3, 5, 8, 13, 100, 1023, 1024, 4097, 65_537, 300_001}
 
-// TestAliasTableMatchesTwoStackVose holds both constructors to the
+// TestAliasTableMatchesTwoStackVose holds the alias table to the
 // two-stack construction: every column's prob bits and alias.
 func TestAliasTableMatchesTwoStackVose(t *testing.T) {
 	for name, gen := range aliasFamilies {
@@ -122,27 +122,22 @@ func TestAliasTableMatchesTwoStackVose(t *testing.T) {
 			for i, w := range weights {
 				items[i] = knapsack.Item{Profit: w, Weight: 1}
 			}
-			fromItems, err := NewAliasSampler(&knapsack.Instance{Items: items, Capacity: 1})
+			s, err := NewAliasSampler(&knapsack.Instance{Items: items, Capacity: 1})
 			if err != nil {
 				t.Fatalf("%s n=%d: NewAliasSampler: %v", name, n, err)
 			}
-			fromWeights, err := NewAliasSamplerWeights(weights)
-			if err != nil {
-				t.Fatalf("%s n=%d: NewAliasSamplerWeights: %v", name, n, err)
-			}
-			for label, got := range map[string][]aliasColumn{"NewAliasSampler": fromItems.table, "NewAliasSamplerWeights": fromWeights.table} {
-				for i := range want {
-					if math.Float64bits(got[i].prob) != math.Float64bits(want[i].prob) || got[i].alias != want[i].alias {
-						t.Fatalf("%s n=%d: %s column %d = {%v, %d}, want {%v, %d}",
-							name, n, label, i, got[i].prob, got[i].alias, want[i].prob, want[i].alias)
-					}
+			got := s.table
+			for i := range want {
+				if math.Float64bits(got[i].prob) != math.Float64bits(want[i].prob) || got[i].alias != want[i].alias {
+					t.Fatalf("%s n=%d: column %d = {%v, %d}, want {%v, %d}",
+						name, n, i, got[i].prob, got[i].alias, want[i].prob, want[i].alias)
 				}
 			}
 		}
 	}
 }
 
-// TestAliasBuildErrorsUnchanged holds both constructors to the
+// TestAliasBuildErrorsUnchanged holds the alias build to the
 // two-stack construction's errors: ErrNoMass without positive mass,
 // and the same invalid-weight error for NaN, ±Inf and negative
 // weights; -0 is a valid weight.
@@ -166,13 +161,10 @@ func TestAliasBuildErrorsUnchanged(t *testing.T) {
 		for i, w := range weights {
 			items[i] = knapsack.Item{Profit: w, Weight: 1}
 		}
-		_, fromItems := NewAliasSampler(&knapsack.Instance{Items: items, Capacity: 1})
-		_, fromWeights := NewAliasSamplerWeights(weights)
-		for label, got := range map[string]error{"NewAliasSampler": fromItems, "NewAliasSamplerWeights": fromWeights} {
-			if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() ||
-				errors.Is(got, ErrNoMass) != errors.Is(want, ErrNoMass) {
-				t.Errorf("%s(%v) error = %v, want %v", label, weights, got, want)
-			}
+		_, got := NewAliasSampler(&knapsack.Instance{Items: items, Capacity: 1})
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() ||
+			errors.Is(got, ErrNoMass) != errors.Is(want, ErrNoMass) {
+			t.Errorf("NewAliasSampler(%v) error = %v, want %v", weights, got, want)
 		}
 	}
 }

@@ -31,46 +31,27 @@ func workloadOracle(t testing.TB, name string, n int) *SliceOracle {
 
 // TestSampleFrameMatchesSample holds SampleFrame to the per-draw
 // Sample sequence — same draws, same source position after — on the
-// alias sampler's two-pass frame, on the one-by-one loop a prefix
-// sampler takes, and on a sharded access drawing shard then item.
+// alias sampler's two-pass frame.
 func TestSampleFrameMatchesSample(t *testing.T) {
 	ctx := context.Background()
-	alias := workloadOracle(t, "planted-large", 2000)
-	prefix, err := NewPrefixSampler(alias.inst)
-	if err != nil {
-		t.Fatalf("NewPrefixSampler: %v", err)
-	}
-	shards, masses, err := SplitInstance(alias.inst, 3)
-	if err != nil {
-		t.Fatalf("SplitInstance: %v", err)
-	}
-	sharded, err := NewSharded(shards, masses)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	for name, o := range map[string]Access{
-		"alias":   alias,
-		"prefix":  NewSliceOracleWithSampler(alias.inst, prefix),
-		"sharded": sharded,
-	} {
-		for _, size := range frameSizes {
-			one, frame := rng.New(uint64(size)), rng.New(uint64(size))
-			dst := make([]Draw, size)
-			if n, err := o.SampleFrame(ctx, frame, dst); err != nil || n != size {
-				t.Fatalf("%s: SampleFrame filled %d of %d: %v", name, n, size, err)
+	o := workloadOracle(t, "planted-large", 2000)
+	for _, size := range frameSizes {
+		one, frame := rng.New(uint64(size)), rng.New(uint64(size))
+		dst := make([]Draw, size)
+		if n, err := o.SampleFrame(ctx, frame, dst); err != nil || n != size {
+			t.Fatalf("SampleFrame filled %d of %d: %v", n, size, err)
+		}
+		for k := range dst {
+			idx, item, err := o.Sample(ctx, one)
+			if err != nil {
+				t.Fatalf("Sample: %v", err)
 			}
-			for k := range dst {
-				idx, item, err := o.Sample(ctx, one)
-				if err != nil {
-					t.Fatalf("%s: Sample: %v", name, err)
-				}
-				if dst[k] != (Draw{Index: idx, Item: item}) {
-					t.Fatalf("%s: frame of %d: draw %d = %+v, Sample gave (%d, %+v)", name, size, k, dst[k], idx, item)
-				}
+			if dst[k] != (Draw{Index: idx, Item: item}) {
+				t.Fatalf("frame of %d: draw %d = %+v, Sample gave (%d, %+v)", size, k, dst[k], idx, item)
 			}
-			if one.Uint64() != frame.Uint64() {
-				t.Fatalf("%s: frame of %d left the source at a different position", name, size)
-			}
+		}
+		if one.Uint64() != frame.Uint64() {
+			t.Fatalf("frame of %d left the source at a different position", size)
 		}
 	}
 }

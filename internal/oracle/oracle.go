@@ -11,14 +11,13 @@
 //     the positive result (Theorem 4.1), following Ito–Kiyoshima–
 //     Yoshida.
 //
-// The package provides slice-backed implementations and two weighted
-// samplers (Walker's alias method with O(1) draws, and a prefix-sum
-// binary-search sampler used as a baseline/ablation). Every access
+// The package provides a slice-backed implementation whose weighted
+// sampler is Walker's alias method, with O(1) draws. Every access
 // takes a context.Context so deployments can cancel or deadline-bound
 // a query mid-flight; in-memory implementations never block and ignore
 // the context, remote ones honor it. Cross-cutting instrumentation
-// (counting, budgets, fault injection, per-query metrics) lives in
-// internal/engine as a composable middleware chain over Access.
+// (counting and per-query metrics) lives in internal/engine as a
+// composable middleware chain over Access.
 package oracle
 
 import (
@@ -26,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"lcakp/internal/knapsack"
 	"lcakp/internal/rng"
@@ -39,12 +37,6 @@ var (
 	// ErrNoMass indicates a weighted sampler over an instance with no
 	// positive profit mass.
 	ErrNoMass = errors.New("oracle: no positive profit mass to sample")
-	// ErrBudgetExhausted is returned by budget-limited access (the
-	// engine's budget middleware) when the caller has spent its
-	// allotted number of queries. It lives here, next to the access
-	// interfaces, so every layer can test for it with errors.Is
-	// without importing the middleware package.
-	ErrBudgetExhausted = errors.New("oracle: query budget exhausted")
 )
 
 // Oracle provides point query access to a Knapsack instance. This is
@@ -92,14 +84,6 @@ func SampleOne(ctx context.Context, s Sampler, src *rng.Source) (Draw, error) {
 	return d[0], err
 }
 
-// IndexSampler draws bare indices from a fixed weight vector; it is
-// the low-level primitive behind Sampler implementations and the unit
-// under test for the alias/prefix ablation.
-type IndexSampler interface {
-	// SampleIndex draws one index using randomness from src.
-	SampleIndex(ctx context.Context, src *rng.Source) (int, error)
-}
-
 // Access bundles the two access types the LCA needs.
 type Access interface {
 	Oracle
@@ -117,7 +101,7 @@ type Draw struct {
 // backed by an in-memory instance.
 type SliceOracle struct {
 	inst    *knapsack.Instance
-	sampler IndexSampler
+	sampler *AliasSampler
 }
 
 var _ Access = (*SliceOracle)(nil)
@@ -133,9 +117,10 @@ func NewSliceOracle(inst *knapsack.Instance) (*SliceOracle, error) {
 	return &SliceOracle{inst: inst, sampler: sampler}, nil
 }
 
-// NewSliceOracleWithSampler wraps an instance with an explicit index
-// sampler implementation (used by the sampler ablation benchmarks).
-func NewSliceOracleWithSampler(inst *knapsack.Instance, sampler IndexSampler) *SliceOracle {
+// NewSliceOracleWithSampler wraps an instance with a prebuilt alias
+// sampler over it. With a nil sampler the oracle serves point queries
+// only, and skips the table's O(n) build.
+func NewSliceOracleWithSampler(inst *knapsack.Instance, sampler *AliasSampler) *SliceOracle {
 	return &SliceOracle{inst: inst, sampler: sampler}
 }
 
@@ -161,13 +146,12 @@ func (o *SliceOracle) Sample(ctx context.Context, src *rng.Source) (int, knapsac
 }
 
 // SampleFrame fills dst with profit-weighted draws (see
-// Sampler.SampleFrame). With the alias sampler a frame of several
-// draws is drawn in two passes (see AliasSampler.sampleFrame); a
-// one-draw frame, which would pay for the passes' buffers alone, and
-// any other sampler draw one by one.
+// Sampler.SampleFrame). A frame of several draws is drawn in two
+// passes (see AliasSampler.sampleFrame); a one-draw frame, which would
+// pay for the passes' buffers alone, takes one SampleIndex draw.
 func (o *SliceOracle) SampleFrame(ctx context.Context, src *rng.Source, dst []Draw) (int, error) {
-	if a, ok := o.sampler.(*AliasSampler); ok && len(dst) > 1 {
-		a.sampleFrame(src, o.inst.Items, dst)
+	if len(dst) > 1 {
+		o.sampler.sampleFrame(src, o.inst.Items, dst)
 		return len(dst), nil
 	}
 	for k := range dst {
@@ -195,8 +179,6 @@ type aliasColumn struct {
 	alias int
 }
 
-var _ IndexSampler = (*AliasSampler)(nil)
-
 // NewAliasSampler builds an alias table over the instance's profits,
 // read in place.
 func NewAliasSampler(inst *knapsack.Instance) (*AliasSampler, error) {
@@ -208,22 +190,6 @@ func NewAliasSampler(inst *knapsack.Instance) (*AliasSampler, error) {
 		}
 		table[i].prob = it.Profit
 		total += it.Profit
-	}
-	return vose(table, total)
-}
-
-// NewAliasSamplerWeights builds an alias table over arbitrary
-// non-negative weights. It returns ErrNoMass if the weights sum to
-// zero (or contain no positive entries).
-func NewAliasSamplerWeights(weights []float64) (*AliasSampler, error) {
-	table := make([]aliasColumn, len(weights))
-	total := 0.0
-	for i, w := range weights {
-		if !validWeight(w) {
-			return nil, invalidWeight(w)
-		}
-		table[i].prob = w
-		total += w
 	}
 	return vose(table, total)
 }
@@ -348,64 +314,3 @@ func (a *AliasSampler) sampleFrame(src *rng.Source, items []knapsack.Item, dst [
 		dst = dst[k:]
 	}
 }
-
-// PrefixSampler draws profit-weighted samples in O(log n) per draw by
-// binary search over the profit prefix sums. It exists as the simple
-// baseline against which AliasSampler is benchmarked.
-type PrefixSampler struct {
-	cum []float64
-}
-
-var _ IndexSampler = (*PrefixSampler)(nil)
-
-// NewPrefixSampler builds a prefix-sum sampler over the instance's
-// profits. It returns ErrNoMass for zero total profit.
-func NewPrefixSampler(inst *knapsack.Instance) (*PrefixSampler, error) {
-	ws := profits(inst)
-	cum := make([]float64, len(ws))
-	total := 0.0
-	for i, w := range ws {
-		if !validWeight(w) {
-			return nil, invalidWeight(w)
-		}
-		total += w
-		cum[i] = total
-	}
-	if len(cum) == 0 || total <= 0 {
-		return nil, ErrNoMass
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &PrefixSampler{cum: cum}, nil
-}
-
-// SampleIndex draws one index in O(log n).
-func (p *PrefixSampler) SampleIndex(_ context.Context, src *rng.Source) (int, error) {
-	u := src.Float64()
-	i := sort.SearchFloat64s(p.cum, u)
-	if i >= len(p.cum) {
-		i = len(p.cum) - 1
-	}
-	// Skip zero-mass entries that binary search may land on when u
-	// equals a plateau boundary exactly.
-	for i < len(p.cum)-1 && (i == 0 && p.cum[0] == 0 || i > 0 && p.cum[i] == p.cum[i-1]) {
-		i++
-	}
-	return i, nil
-}
-
-// profits extracts the profit vector of an instance.
-func profits(inst *knapsack.Instance) []float64 {
-	ws := make([]float64, len(inst.Items))
-	for i, it := range inst.Items {
-		ws[i] = it.Profit
-	}
-	return ws
-}
-
-// The counting and budgeted wrappers that used to live here are now
-// middleware in internal/engine (engine.NewCounting, engine.NewBudgeted
-// and the underlying engine.Middleware chain): the oracle package
-// defines only the access model, and exactly one mechanism — the
-// middleware chain — intercepts it.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"lcakp/internal/knapsack"
 	"lcakp/internal/rng"
@@ -63,9 +62,19 @@ func TestSliceOracleSampleRevealsItem(t *testing.T) {
 	}
 }
 
+// aliasOver builds the alias sampler of an instance whose profits are
+// weights.
+func aliasOver(weights []float64) (*AliasSampler, error) {
+	items := make([]knapsack.Item, len(weights))
+	for i, w := range weights {
+		items[i] = knapsack.Item{Profit: w, Weight: 1}
+	}
+	return NewAliasSampler(&knapsack.Instance{Items: items, Capacity: 1})
+}
+
 // checkSamplerFrequencies draws from s and verifies the empirical
 // distribution tracks weights.
-func checkSamplerFrequencies(t *testing.T, s IndexSampler, weights []float64, seed uint64) {
+func checkSamplerFrequencies(t *testing.T, s *AliasSampler, weights []float64, seed uint64) {
 	t.Helper()
 	total := 0.0
 	for _, w := range weights {
@@ -95,9 +104,9 @@ func checkSamplerFrequencies(t *testing.T, s IndexSampler, weights []float64, se
 
 func TestAliasSamplerFrequencies(t *testing.T) {
 	weights := []float64{0.5, 0.25, 0.15, 0.1}
-	s, err := NewAliasSamplerWeights(weights)
+	s, err := aliasOver(weights)
 	if err != nil {
-		t.Fatalf("NewAliasSamplerWeights: %v", err)
+		t.Fatalf("NewAliasSampler: %v", err)
 	}
 	checkSamplerFrequencies(t, s, weights, 3)
 }
@@ -109,9 +118,9 @@ func TestAliasSamplerSkewed(t *testing.T) {
 	for i := 1; i < 100; i++ {
 		weights[i] = 0.1
 	}
-	s, err := NewAliasSamplerWeights(weights)
+	s, err := aliasOver(weights)
 	if err != nil {
-		t.Fatalf("NewAliasSamplerWeights: %v", err)
+		t.Fatalf("NewAliasSampler: %v", err)
 	}
 	src := rng.New(5)
 	head := 0
@@ -133,9 +142,9 @@ func TestAliasSamplerSkewed(t *testing.T) {
 
 func TestAliasSamplerZeroWeightNeverDrawn(t *testing.T) {
 	weights := []float64{1, 0, 2, 0}
-	s, err := NewAliasSamplerWeights(weights)
+	s, err := aliasOver(weights)
 	if err != nil {
-		t.Fatalf("NewAliasSamplerWeights: %v", err)
+		t.Fatalf("NewAliasSampler: %v", err)
 	}
 	src := rng.New(7)
 	for d := 0; d < 50000; d++ {
@@ -150,95 +159,16 @@ func TestAliasSamplerZeroWeightNeverDrawn(t *testing.T) {
 }
 
 func TestAliasSamplerErrors(t *testing.T) {
-	if _, err := NewAliasSamplerWeights(nil); !errors.Is(err, ErrNoMass) {
+	if _, err := aliasOver(nil); !errors.Is(err, ErrNoMass) {
 		t.Errorf("nil weights: %v", err)
 	}
-	if _, err := NewAliasSamplerWeights([]float64{0, 0}); !errors.Is(err, ErrNoMass) {
+	if _, err := aliasOver([]float64{0, 0}); !errors.Is(err, ErrNoMass) {
 		t.Errorf("zero weights: %v", err)
 	}
-	if _, err := NewAliasSamplerWeights([]float64{1, -1}); err == nil {
+	if _, err := aliasOver([]float64{1, -1}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := NewAliasSamplerWeights([]float64{math.NaN()}); err == nil {
+	if _, err := aliasOver([]float64{math.NaN()}); err == nil {
 		t.Error("NaN weight accepted")
-	}
-}
-
-func TestPrefixSamplerFrequencies(t *testing.T) {
-	in := testInstance(t)
-	s, err := NewPrefixSampler(in)
-	if err != nil {
-		t.Fatalf("NewPrefixSampler: %v", err)
-	}
-	checkSamplerFrequencies(t, s, []float64{0.5, 0.3, 0.2}, 9)
-}
-
-func TestPrefixSamplerSkipsZeroMass(t *testing.T) {
-	in := &knapsack.Instance{
-		Items: []knapsack.Item{
-			{Profit: 0, Weight: 1},
-			{Profit: 1, Weight: 1},
-			{Profit: 0, Weight: 1},
-		},
-		Capacity: 1,
-	}
-	s, err := NewPrefixSampler(in)
-	if err != nil {
-		t.Fatalf("NewPrefixSampler: %v", err)
-	}
-	src := rng.New(11)
-	for d := 0; d < 10000; d++ {
-		idx, err := s.SampleIndex(context.Background(), src)
-		if err != nil {
-			t.Fatalf("SampleIndex: %v", err)
-		}
-		if idx != 1 {
-			t.Fatalf("zero-mass index %d drawn", idx)
-		}
-	}
-}
-
-func TestAliasAndPrefixAgreeQuick(t *testing.T) {
-	// Property: both samplers induce (statistically) the same
-	// distribution; compare their empirical head frequency.
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		n := 2 + src.Intn(20)
-		items := make([]knapsack.Item, n)
-		for i := range items {
-			items[i] = knapsack.Item{Profit: src.Float64() + 0.01, Weight: 1}
-		}
-		in := &knapsack.Instance{Items: items, Capacity: 1}
-		alias, err := NewAliasSampler(in)
-		if err != nil {
-			return false
-		}
-		prefix, err := NewPrefixSampler(in)
-		if err != nil {
-			return false
-		}
-		const draws = 20000
-		srcA, srcB := rng.New(seed+1), rng.New(seed+2)
-		headA, headB := 0, 0
-		for d := 0; d < draws; d++ {
-			a, err := alias.SampleIndex(context.Background(), srcA)
-			if err != nil {
-				return false
-			}
-			b, err := prefix.SampleIndex(context.Background(), srcB)
-			if err != nil {
-				return false
-			}
-			if a == 0 {
-				headA++
-			}
-			if b == 0 {
-				headB++
-			}
-		}
-		return math.Abs(float64(headA-headB))/draws < 0.03
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }

@@ -170,16 +170,6 @@ func (s *Series) Add(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// Table converts the series into a two-column table for printing.
-func (s *Series) Table() *Table {
-	t := NewTable(s.Name, s.XLabel, s.YLabel)
-	for i := range s.X {
-		// Arity is fixed at two, so AddRowf cannot fail.
-		_ = t.AddRowf(s.X[i], s.Y[i])
-	}
-	return t
-}
-
 // WriteCSV renders the table as RFC-4180 CSV (header row first). The
 // title and caption are not emitted; CSV consumers want pure data.
 func (t *Table) WriteCSV(w io.Writer) error {

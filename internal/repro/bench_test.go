@@ -43,7 +43,7 @@ func BenchmarkDomainIndex(b *testing.B) {
 	src := rng.New(1)
 	effs := make([]float64, 4096)
 	for k := range effs {
-		effs[k] = math.Exp(src.Uniform(math.Log(d.Min()), math.Log(d.Max())))
+		effs[k] = math.Exp(src.Uniform(math.Log(d.min), math.Log(d.max)))
 	}
 	sum := 0
 	b.ResetTimer()

@@ -50,9 +50,9 @@ var (
 )
 
 // Domain is a finite, ordered discretization of a positive real value
-// range onto a geometric grid of 2^bits cells. Index 0 represents all
-// values <= Min; index Size()-1 represents all values >= Max; interior
-// cell i covers [Min*ratio^(i-1), Min*ratio^i).
+// range [min, max] onto a geometric grid of 2^bits cells. Index 0
+// represents all values <= min; index Size()-1 represents all values
+// >= max; interior cell i covers [min*ratio^(i-1), min*ratio^i).
 //
 // The geometric (log-uniform) spacing matches the multiplicative
 // nature of efficiency ratios: a fixed number of bits gives a fixed
@@ -102,20 +102,11 @@ func NewDomain(min, max float64, bits int) (*Domain, error) {
 	return d, nil
 }
 
-// Bits returns log2 of the domain size.
-func (d *Domain) Bits() int { return d.bits }
-
 // Size returns the number of cells, 2^bits.
 func (d *Domain) Size() int { return 1 << d.bits }
 
-// Min returns the lower edge of the value range.
-func (d *Domain) Min() float64 { return d.min }
-
-// Max returns the upper edge of the value range.
-func (d *Domain) Max() float64 { return d.max }
-
-// Index maps a value to its domain cell. Values at or below Min map to
-// 0; values at or above Max (including +Inf) map to Size()-1; NaN maps
+// Index maps a value to its domain cell. Values at or below min map to
+// 0; values at or above max (including +Inf) map to Size()-1; NaN maps
 // to 0 (callers should have filtered invalid values already).
 //
 // The cell is the one the reference formula
@@ -338,10 +329,4 @@ func (d *Domain) Value(i int) float64 {
 		return d.max
 	}
 	return math.Exp(d.logMin + float64(float64(i)*d.logStp))
-}
-
-// Resolution returns the relative width of one cell: Value(i+1) is
-// about (1+Resolution()) times Value(i).
-func (d *Domain) Resolution() float64 {
-	return math.Expm1(d.logStp)
 }

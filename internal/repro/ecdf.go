@@ -149,19 +149,3 @@ func (e *ECDF) Quantile(p float64) (x int, ok bool) {
 	}
 	return e.sorted[k-1], true
 }
-
-// Min returns the smallest sample and ok=false when empty.
-func (e *ECDF) Min() (int, bool) {
-	if len(e.sorted) == 0 {
-		return 0, false
-	}
-	return e.sorted[0], true
-}
-
-// Max returns the largest sample and ok=false when empty.
-func (e *ECDF) Max() (int, bool) {
-	if len(e.sorted) == 0 {
-		return 0, false
-	}
-	return e.sorted[len(e.sorted)-1], true
-}

@@ -74,47 +74,3 @@ func (h HeavyHitters) Hits(samples []int, shared *rng.Source) ([]int, error) {
 	sort.Ints(hits)
 	return hits, nil
 }
-
-// MeasureSetReproducibility estimates how often two fresh-sample runs
-// of Hits return identical sets, mirroring MeasureReproducibility for
-// set-valued outputs.
-func (h HeavyHitters) MeasureSetReproducibility(
-	gen func(src *rng.Source) []int,
-	trials int,
-	seed uint64,
-) (float64, error) {
-	if trials <= 0 {
-		return 0, fmt.Errorf("%w: trials=%d", ErrBadParam, trials)
-	}
-	root := rng.New(seed)
-	agree := 0
-	for trial := 0; trial < trials; trial++ {
-		shared1 := root.DeriveIndex("shared", trial)
-		shared2 := root.DeriveIndex("shared", trial)
-		a, err := h.Hits(gen(root.DeriveIndex("sa", trial)), shared1)
-		if err != nil {
-			return 0, err
-		}
-		b, err := h.Hits(gen(root.DeriveIndex("sb", trial)), shared2)
-		if err != nil {
-			return 0, err
-		}
-		if equalIntSlices(a, b) {
-			agree++
-		}
-	}
-	return float64(agree) / float64(trials), nil
-}
-
-// equalIntSlices compares two sorted int slices.
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

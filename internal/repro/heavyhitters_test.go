@@ -2,6 +2,8 @@ package repro
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"lcakp/internal/rng"
@@ -116,4 +118,35 @@ func TestHeavyHittersSortedOutput(t *testing.T) {
 			t.Fatalf("hits not sorted: %v", hits)
 		}
 	}
+}
+
+// MeasureSetReproducibility estimates how often two fresh-sample runs
+// of Hits return identical sets, mirroring MeasureReproducibility for
+// set-valued outputs.
+func (h HeavyHitters) MeasureSetReproducibility(
+	gen func(src *rng.Source) []int,
+	trials int,
+	seed uint64,
+) (float64, error) {
+	if trials <= 0 {
+		return 0, fmt.Errorf("%w: trials=%d", ErrBadParam, trials)
+	}
+	root := rng.New(seed)
+	agree := 0
+	for trial := 0; trial < trials; trial++ {
+		shared1 := root.DeriveIndex("shared", trial)
+		shared2 := root.DeriveIndex("shared", trial)
+		a, err := h.Hits(gen(root.DeriveIndex("sa", trial)), shared1)
+		if err != nil {
+			return 0, err
+		}
+		b, err := h.Hits(gen(root.DeriveIndex("sb", trial)), shared2)
+		if err != nil {
+			return 0, err
+		}
+		if slices.Equal(a, b) {
+			agree++
+		}
+	}
+	return float64(agree) / float64(trials), nil
 }

@@ -14,9 +14,11 @@ func TestDomainRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDomain: %v", err)
 	}
-	if d.Size() != 4096 || d.Bits() != 12 {
-		t.Errorf("Size=%d Bits=%d", d.Size(), d.Bits())
+	if d.Size() != 4096 || d.bits != 12 {
+		t.Errorf("Size=%d bits=%d", d.Size(), d.bits)
 	}
+	// Value(i+1) is about (1+res) times Value(i).
+	res := math.Expm1(d.logStp)
 	for _, v := range []float64{1e-3, 0.5, 1, 42, 1e3, 999999} {
 		idx := d.Index(v)
 		back := d.Value(idx)
@@ -25,8 +27,8 @@ func TestDomainRoundTrip(t *testing.T) {
 		if back > v*(1+1e-12) {
 			t.Errorf("Value(Index(%v)) = %v exceeds input", v, back)
 		}
-		if back < v/(1+2*d.Resolution()) {
-			t.Errorf("Value(Index(%v)) = %v too far below input (res %v)", v, back, d.Resolution())
+		if back < v/(1+2*res) {
+			t.Errorf("Value(Index(%v)) = %v too far below input (res %v)", v, back, res)
 		}
 	}
 }
@@ -42,7 +44,7 @@ func TestDomainEdgeCases(t *testing.T) {
 	if d.Index(1e9) != d.Size()-1 || d.Index(math.Inf(1)) != d.Size()-1 {
 		t.Error("values at/above max must map to the top cell")
 	}
-	if d.Value(-3) != d.Min() || d.Value(d.Size()+5) != d.Max() {
+	if d.Value(-3) != d.min || d.Value(d.Size()+5) != d.max {
 		t.Error("out-of-range indices must clamp")
 	}
 }
@@ -119,9 +121,6 @@ func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil, nil)
 	if _, ok := e.Quantile(0.5); ok {
 		t.Error("Quantile on empty ECDF returned ok")
-	}
-	if _, ok := e.Min(); ok {
-		t.Error("Min on empty ECDF returned ok")
 	}
 	if e.FractionLE(3) != 0 {
 		t.Error("FractionLE on empty ECDF nonzero")

@@ -77,34 +77,3 @@ func (r RStat) Estimate(values []float64, shared *rng.Source) (float64, error) {
 	}
 	return out, nil
 }
-
-// MeasureScalarReproducibility estimates how often two fresh-sample
-// runs of Estimate return identical values (analogous to
-// MeasureReproducibility for the quantile estimators).
-func (r RStat) MeasureScalarReproducibility(
-	gen func(src *rng.Source) []float64,
-	trials int,
-	seed uint64,
-) (float64, error) {
-	if trials <= 0 {
-		return 0, fmt.Errorf("%w: trials=%d", ErrBadParam, trials)
-	}
-	root := rng.New(seed)
-	agree := 0
-	for trial := 0; trial < trials; trial++ {
-		shared1 := root.DeriveIndex("shared", trial)
-		shared2 := root.DeriveIndex("shared", trial)
-		a, err := r.Estimate(gen(root.DeriveIndex("sa", trial)), shared1)
-		if err != nil {
-			return 0, err
-		}
-		b, err := r.Estimate(gen(root.DeriveIndex("sb", trial)), shared2)
-		if err != nil {
-			return 0, err
-		}
-		if a == b {
-			agree++
-		}
-	}
-	return float64(agree) / float64(trials), nil
-}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -111,4 +112,35 @@ func TestRStatValidation(t *testing.T) {
 	if _, err := r.MeasureScalarReproducibility(uniformFloatGen(5), 0, 1); !errors.Is(err, ErrBadParam) {
 		t.Errorf("trials=0: %v", err)
 	}
+}
+
+// MeasureScalarReproducibility estimates how often two fresh-sample
+// runs of Estimate return identical values (analogous to
+// MeasureReproducibility for the quantile estimators).
+func (r RStat) MeasureScalarReproducibility(
+	gen func(src *rng.Source) []float64,
+	trials int,
+	seed uint64,
+) (float64, error) {
+	if trials <= 0 {
+		return 0, fmt.Errorf("%w: trials=%d", ErrBadParam, trials)
+	}
+	root := rng.New(seed)
+	agree := 0
+	for trial := 0; trial < trials; trial++ {
+		shared1 := root.DeriveIndex("shared", trial)
+		shared2 := root.DeriveIndex("shared", trial)
+		a, err := r.Estimate(gen(root.DeriveIndex("sa", trial)), shared1)
+		if err != nil {
+			return 0, err
+		}
+		b, err := r.Estimate(gen(root.DeriveIndex("sb", trial)), shared2)
+		if err != nil {
+			return 0, err
+		}
+		if a == b {
+			agree++
+		}
+	}
+	return float64(agree) / float64(trials), nil
 }

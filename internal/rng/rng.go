@@ -200,19 +200,6 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
 }
 
-// NormFloat64 returns a standard normally distributed value using the
-// Marsaglia polar method.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
-}
-
 // ExpFloat64 returns an exponentially distributed value with rate 1.
 func (s *Source) ExpFloat64() float64 {
 	for {
@@ -243,16 +230,6 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 		j := s.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Zipf returns a value in [1, n] drawn from a (truncated) Zipf
-// distribution with exponent alpha > 0 via inverse-CDF sampling over a
-// precomputed table-free harmonic approximation. For the small n used
-// by workload generation, a direct linear scan is both exact and fast
-// enough; callers needing bulk Zipf draws should use NewZipf.
-func (s *Source) Zipf(n int, alpha float64) int {
-	z := NewZipf(n, alpha)
-	return z.Draw(s)
 }
 
 // Zipfian draws Zipf-distributed ranks using precomputed cumulative

@@ -134,25 +134,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	src := New(15)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := src.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %v", variance)
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	src := New(16)
 	const n = 200000

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"lcakp/internal/core"
@@ -567,14 +566,4 @@ func (s *Simulation) summarize() Result {
 		res.P99 = time.Duration(stats.Quantile(latencies, 0.99))
 	}
 	return res
-}
-
-// SortedRecords returns the records ordered by completion time (the
-// event loop appends in completion order already; this re-sorts
-// defensively for callers that mutate).
-func (r Result) SortedRecords() []QueryRecord {
-	out := make([]QueryRecord, len(r.Records))
-	copy(out, r.Records)
-	sort.Slice(out, func(i, j int) bool { return out[i].DoneAt < out[j].DoneAt })
-	return out
 }

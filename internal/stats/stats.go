@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses to summarize measurements: moments, confidence
-// intervals (normal and Wilson), exact sample quantiles, and fixed-bin
-// histograms. Everything is deterministic and allocation-light.
+// harness uses to summarize measurements: means, exact sample
+// quantiles, and Wilson confidence intervals for proportions.
+// Everything is deterministic and allocation-light.
 package stats
 
 import (
@@ -11,52 +11,8 @@ import (
 	"sort"
 )
 
-// ErrNoData indicates a summary requested over an empty sample.
+// ErrNoData indicates a proportion requested over zero trials.
 var ErrNoData = errors.New("stats: no data")
-
-// Summary holds the usual scalar descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1 denominator)
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes the Summary of xs. It returns ErrNoData for an
-// empty slice.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrNoData
-	}
-	s := Summary{
-		N:   len(xs),
-		Min: math.Inf(1),
-		Max: math.Inf(-1),
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	s.Median = Quantile(xs, 0.5)
-	return s, nil
-}
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
@@ -96,16 +52,6 @@ func Quantile(xs []float64, p float64) float64 {
 // z95 is the two-sided 95% standard-normal critical value.
 const z95 = 1.959963984540054
 
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval for the mean of xs. It returns 0 for fewer than 2 samples.
-func CI95(xs []float64) float64 {
-	s, err := Summarize(xs)
-	if err != nil || s.N < 2 {
-		return 0
-	}
-	return z95 * s.Std / math.Sqrt(float64(s.N))
-}
-
 // Proportion is an estimated probability with its Wilson 95% interval.
 type Proportion struct {
 	Successes int
@@ -139,125 +85,4 @@ func NewProportion(successes, trials int) (Proportion, error) {
 		Lo:        math.Max(0, center-half),
 		Hi:        math.Min(1, center+half),
 	}, nil
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); values outside the
-// range clamp into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given number of bins over
-// [lo, hi). It returns an error for a non-positive bin count or an
-// empty range.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: invalid histogram [%v, %v) x %d bins", lo, hi, bins)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 || i < 0 || i >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// Online accumulates mean and variance in one pass with Welford's
-// algorithm — O(1) memory for streaming measurement collection (the
-// simulator and servers use it where retaining every sample would be
-// wasteful). The zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	delta := x - o.mean
-	o.mean += delta / float64(o.n)
-	o.m2 += delta * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean (0 when empty).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the running sample variance (n-1 denominator; 0 for
-// fewer than two observations).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Std returns the running sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Min returns the smallest observation (0 when empty).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation (0 when empty).
-func (o *Online) Max() float64 { return o.max }
-
-// Merge folds another accumulator into this one (Chan et al.'s
-// parallel variance combination), enabling per-goroutine accumulation.
-func (o *Online) Merge(other Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = other
-		return
-	}
-	n1, n2 := float64(o.n), float64(other.n)
-	delta := other.mean - o.mean
-	total := n1 + n2
-	o.mean += delta * n2 / total
-	o.m2 += other.m2 + delta*delta*n1*n2/total
-	o.n += other.n
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
 }

@@ -1,44 +1,10 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatalf("Summarize: %v", err)
-	}
-	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Errorf("summary = %+v", s)
-	}
-	// Sample std with n-1 denominator: sqrt(32/7).
-	if want := math.Sqrt(32.0 / 7); math.Abs(s.Std-want) > 1e-12 {
-		t.Errorf("Std = %v, want %v", s.Std, want)
-	}
-	if s.Median != 4 {
-		t.Errorf("Median = %v, want 4", s.Median)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); !errors.Is(err, ErrNoData) {
-		t.Errorf("error = %v, want ErrNoData", err)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s, err := Summarize([]float64{3})
-	if err != nil {
-		t.Fatalf("Summarize: %v", err)
-	}
-	if s.Std != 0 || s.Mean != 3 || s.Median != 3 {
-		t.Errorf("single-element summary = %+v", s)
-	}
-}
 
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
@@ -68,23 +34,6 @@ func TestQuantile(t *testing.T) {
 	_ = Quantile(unsorted, 0.5)
 	if unsorted[0] != 3 {
 		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	small := make([]float64, 10)
-	large := make([]float64, 1000)
-	for i := range small {
-		small[i] = float64(i % 2)
-	}
-	for i := range large {
-		large[i] = float64(i % 2)
-	}
-	if CI95(small) <= CI95(large) {
-		t.Errorf("CI95 did not shrink: %v <= %v", CI95(small), CI95(large))
-	}
-	if CI95([]float64{1}) != 0 {
-		t.Error("CI95 of single sample != 0")
 	}
 }
 
@@ -146,129 +95,6 @@ func TestProportionBracketsQuick(t *testing.T) {
 			p.Lo <= p.Estimate+1e-12 && p.Hi >= p.Estimate-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	// -3 clamps to bin 0; 100 clamps to bin 4.
-	if h.Counts[0] != 3 { // 0, 1.9, -3
-		t.Errorf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.9, 100
-		t.Errorf("bin 4 = %d, want 2", h.Counts[4])
-	}
-	if got := h.Fraction(0); math.Abs(got-3.0/7) > 1e-12 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-	if h.Fraction(99) != 0 {
-		t.Error("out-of-range Fraction != 0")
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("bins=0 accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	batch, err := Summarize(xs)
-	if err != nil {
-		t.Fatalf("Summarize: %v", err)
-	}
-	if o.N() != batch.N || math.Abs(o.Mean()-batch.Mean) > 1e-12 {
-		t.Errorf("online mean %v vs batch %v", o.Mean(), batch.Mean)
-	}
-	if math.Abs(o.Std()-batch.Std) > 1e-12 {
-		t.Errorf("online std %v vs batch %v", o.Std(), batch.Std)
-	}
-	if o.Min() != batch.Min || o.Max() != batch.Max {
-		t.Errorf("online min/max %v/%v vs batch %v/%v", o.Min(), o.Max(), batch.Min, batch.Max)
-	}
-}
-
-func TestOnlineZeroValueAndSmall(t *testing.T) {
-	var o Online
-	if o.N() != 0 || o.Mean() != 0 || o.Var() != 0 {
-		t.Error("zero value not neutral")
-	}
-	o.Add(5)
-	if o.Var() != 0 || o.Mean() != 5 || o.Min() != 5 || o.Max() != 5 {
-		t.Errorf("single observation: %+v", o)
-	}
-}
-
-func TestOnlineMergeEqualsSequential(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, -3, 0.5}
-	var whole Online
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	var a, b Online
-	for i, x := range xs {
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() || math.Abs(a.Mean()-whole.Mean()) > 1e-12 ||
-		math.Abs(a.Var()-whole.Var()) > 1e-12 ||
-		a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("merged %+v vs sequential %+v", a, whole)
-	}
-	// Merging empties is a no-op in both directions.
-	var empty Online
-	before := a
-	a.Merge(empty)
-	if a != before {
-		t.Error("merging empty changed state")
-	}
-	empty.Merge(a)
-	if empty.N() != a.N() {
-		t.Error("merge into empty lost data")
-	}
-}
-
-func TestOnlineQuick(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%50) + 2
-		xs := make([]float64, n)
-		v := float64(seed%1000) / 7
-		var o Online
-		for i := range xs {
-			v = v*1.1 + float64(i) - 25
-			xs[i] = v
-			o.Add(v)
-		}
-		batch, err := Summarize(xs)
-		if err != nil {
-			return false
-		}
-		return math.Abs(o.Mean()-batch.Mean) < 1e-6*(1+math.Abs(batch.Mean)) &&
-			math.Abs(o.Std()-batch.Std) < 1e-6*(1+batch.Std)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -142,17 +142,6 @@ func (a *Artifact) Bytes() []byte { return a.data }
 // Size returns the encoded size in bytes.
 func (a *Artifact) Size() int { return len(a.data) }
 
-// InSolution reports item i's membership bit. It reads one byte of the
-// mapped answer section; out-of-range indices report an error (the
-// artifact cannot answer for items it was not materialized over).
-func (a *Artifact) InSolution(i int) (bool, error) {
-	in, ok := a.Answer(i)
-	if !ok {
-		return false, fmt.Errorf("store: item %d out of artifact range [0, %d)", i, a.N)
-	}
-	return in, nil
-}
-
 // Answer reports item i's membership bit and whether the artifact
 // covers i. It builds no error, so it inlines into per-position loops.
 func (a *Artifact) Answer(i int) (in, ok bool) {
@@ -164,17 +153,6 @@ func (a *Artifact) Answer(i int) (in, ok bool) {
 
 // Contains reports whether item i is inside the artifact's range.
 func (a *Artifact) Contains(i int) bool { return i >= 0 && i < a.N }
-
-// Answers decodes the full answer section into a bool slice (one entry
-// per item). It exists for warm-up and tests; point lookups should use
-// InSolution, which does not allocate.
-func (a *Artifact) Answers() []bool {
-	out := make([]bool, a.N)
-	for i := range out {
-		out[i] = a.answers[i>>3]&(1<<(i&7)) != 0
-	}
-	return out
-}
 
 // Checksum returns the artifact's trailing CRC-64/ECMA value — a
 // convenient fingerprint for determinism checks and logs.

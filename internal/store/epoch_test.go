@@ -123,7 +123,7 @@ func TestStoreEpochAddressing(t *testing.T) {
 			vt engine.VersionedTenant
 			a  *Artifact
 		}{{vt0, a0}, {vt3, a3}} {
-			want, _ := c.a.InSolution(i)
+			want, _ := c.a.Answer(i)
 			in, ok, err := s.LookupEpoch(ctx, c.vt, i)
 			if err != nil || !ok || in != want {
 				t.Fatalf("LookupEpoch(%s, %d) = (%v, %v, %v), want %v", c.vt, i, in, ok, err, want)

@@ -111,8 +111,9 @@ func FuzzArtifactDecode(f *testing.F) {
 		}
 		answers := make([]bool, a.N)
 		for i := range answers {
-			if answers[i], err = a.InSolution(i); err != nil {
-				t.Fatalf("InSolution(%d) of a decoded %d-item artifact: %v", i, a.N, err)
+			var ok bool
+			if answers[i], ok = a.Answer(i); !ok {
+				t.Fatalf("Answer(%d) of a decoded %d-item artifact out of range", i, a.N)
 			}
 		}
 		rule, err := a.Rule()

@@ -28,27 +28,6 @@ func FromRule(r core.Rule) RuleSection {
 	}
 }
 
-// ToRule reconstructs the core.Rule a rule section encodes, under the
-// artifact's epsilon. The round trip FromRule → ToRule preserves the
-// decision function exactly (core.Rule.Equal), which is what lets a
-// process that only holds the artifact keep answering queries outside
-// a stale cache — or re-serve the rule to a new replica.
-func (rs RuleSection) ToRule(epsilon float64) core.Rule {
-	largeIn := make(map[int]bool, len(rs.Large))
-	for _, i := range rs.Large {
-		largeIn[int(i)] = true
-	}
-	thresholds := make([]float64, len(rs.Thresholds))
-	copy(thresholds, rs.Thresholds)
-	return core.Rule{
-		Epsilon:    epsilon,
-		LargeIn:    largeIn,
-		ESmall:     rs.ESmall,
-		Singleton:  rs.Singleton,
-		Thresholds: thresholds,
-	}
-}
-
 // MaterializeRule runs one rule derivation under the canonical
 // materialization randomness stream — a pure function of the shared
 // seed, not of process state. Ordinary queries deliberately vary their

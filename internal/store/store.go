@@ -119,9 +119,6 @@ func (s *Store) SetOnPut(fn func(*Artifact)) {
 	s.mu.Unlock()
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // PathVersioned returns the content-addressed location of one epoch's
 // artifact: a fan-out subdirectory named by the low byte of instance
 // hash XOR seed, then the (tenant, epoch) key's String() —

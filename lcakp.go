@@ -20,10 +20,10 @@
 //
 // Every query method takes a context.Context: cancel it (or give it a
 // deadline) and the sampling pipeline aborts within one sample frame
-// call (at most 4,096 draws) with a wrapped ctx.Err(). Oracle instrumentation — counting, budgets,
-// latency/fault injection, per-query metrics — composes via the engine
-// middleware chain (internal/engine, re-exported here as Middleware,
-// NewCounting, NewBudgeted, NewEngine).
+// call (at most 4,096 draws) with a wrapped ctx.Err(). Oracle
+// instrumentation — counting and per-query metrics — composes via the
+// engine middleware chain (internal/engine, re-exported here as
+// Middleware, NewCounting, WrapAccess, NewEngine).
 //
 // Every run of Query re-executes the paper's Algorithm 2 from fresh
 // samples; consistency across runs — and across machines — comes only
@@ -98,8 +98,6 @@ type (
 	Middleware = engine.Middleware
 	// Counting wraps Access with query/sample counters.
 	Counting = engine.Counting
-	// Budgeted wraps Access with a hard access budget.
-	Budgeted = engine.Budgeted
 	// Engine runs membership queries with per-query metrics.
 	Engine = engine.Engine
 	// Metrics is one query's cost/outcome record.
@@ -107,10 +105,6 @@ type (
 	// EngineTotals is an engine's cumulative metrics snapshot.
 	EngineTotals = engine.Totals
 )
-
-// ErrBudgetExhausted is returned (wrapped) once a Budgeted access runs
-// out; test with errors.Is.
-var ErrBudgetExhausted = oracle.ErrBudgetExhausted
 
 // Workload generation types.
 type (
@@ -197,9 +191,8 @@ type (
 	// SpanRecorder is a fixed-size ring of finished spans.
 	SpanRecorder = obs.SpanRecorder
 	// Span is one traced operation; Span.Event annotates it with
-	// timestamped, probe-stamped decision points (hedges, failovers,
-	// budget exhaustion) and Span.AddProbes charges its Definition 2.2
-	// cost ledger.
+	// timestamped, probe-stamped decision points (hedges, failovers)
+	// and Span.AddProbes charges its Definition 2.2 cost ledger.
 	Span = obs.Span
 	// SpanEvent is one timestamped annotation on a span.
 	SpanEvent = obs.Event
@@ -237,12 +230,6 @@ func NewSliceOracle(inst *Instance) (*SliceOracle, error) {
 
 // NewCounting wraps access with query/sample counters.
 func NewCounting(inner Access) *Counting { return engine.NewCounting(inner) }
-
-// NewBudgeted wraps access with a hard budget on total accesses; once
-// exhausted, every access fails with a wrapped ErrBudgetExhausted.
-func NewBudgeted(inner Access, budget int64) *Budgeted {
-	return engine.NewBudgeted(inner, budget)
-}
 
 // NewEngine wraps an LCA (or anything with Query/QueryBatch) with
 // per-query metrics recording.
