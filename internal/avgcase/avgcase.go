@@ -116,9 +116,6 @@ type ThresholdLCA struct {
 	// (the units the LCA sees after the instance is normalized so
 	// total profit = total weight = 1).
 	eStar float64
-	// capacityFraction and margin are retained for reporting.
-	capacityFraction float64
-	margin           float64
 }
 
 // Calibration controls threshold computation.
@@ -201,11 +198,7 @@ func NewThresholdLCA(model Model, cal Calibration) (*ThresholdLCA, error) {
 	if meanP <= 0 || meanW <= 0 {
 		return nil, fmt.Errorf("%w: degenerate model moments (%v, %v)", ErrBadModel, meanP, meanW)
 	}
-	return &ThresholdLCA{
-		eStar:            eRaw * meanW / meanP,
-		capacityFraction: cal.CapacityFraction,
-		margin:           cal.Margin,
-	}, nil
+	return &ThresholdLCA{eStar: eRaw * meanW / meanP}, nil
 }
 
 // Threshold returns the calibrated normalized-efficiency threshold.

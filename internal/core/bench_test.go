@@ -77,18 +77,19 @@ func fmtEps(eps float64) string {
 
 // The per-stage benchmarks below split one ComputeRule at ε = 0.2 into
 // the stages of Algorithm 2, each over fresh randomness per op and
-// with the op's scratch from the LCA's pool, as ComputeRule takes it.
+// with the op's scratch taken from the package's pool and given back,
+// as ComputeRule does.
 
 func BenchmarkCollectLarge(b *testing.B) {
 	lca, _ := benchLCA(b, 10_000, 0.2)
 	root := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := lca.scratch.Get().(*runScratch)
+		s := lca.takeScratch()
 		if _, _, err := lca.collectLarge(context.Background(), root.DeriveIndex("r", i), s.draws); err != nil {
 			b.Fatal(err)
 		}
-		lca.scratch.Put(s)
+		scratchPool.Put(s)
 	}
 }
 
@@ -97,11 +98,11 @@ func BenchmarkEstimateEPS(b *testing.B) {
 	root := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := lca.scratch.Get().(*runScratch)
+		s := lca.takeScratch()
 		if _, _, _, err := lca.estimateEPS(context.Background(), root.DeriveIndex("r", i), 0, s); err != nil {
 			b.Fatal(err)
 		}
-		lca.scratch.Put(s)
+		scratchPool.Put(s)
 	}
 }
 
@@ -111,7 +112,7 @@ func BenchmarkConvertGreedy(b *testing.B) {
 	lca, _ := benchLCA(b, 10_000, 0.2)
 	ctx := context.Background()
 	fresh := rng.New(1)
-	s := lca.newScratch()
+	s := lca.takeScratch()
 	large, _, err := lca.collectLarge(ctx, fresh.Derive("large"), s.draws)
 	if err != nil {
 		b.Fatal(err)
@@ -120,6 +121,7 @@ func BenchmarkConvertGreedy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	scratchPool.Put(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ruleSink = convertGreedy(lca.buildTilde(large, thresholds), thresholds, lca.params.Epsilon, nil)

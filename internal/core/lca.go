@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,24 +47,32 @@ type LCAKP struct {
 	runID   uint64
 	leader  obs.TraceID
 	joined  *sharedRun
-
-	// scratch pools the buffers of one run (see runScratch).
-	scratch sync.Pool
 }
 
-// runScratch is the buffers of one run of ComputeRule: the draw frame
-// both sampling stages share, the EPS sample's domain indices and the
-// ECDF's sorted copy of them, and the small-item efficiencies the
-// weight guard reads. A run takes one from its LCA's pool and returns
+// runScratch is the buffers of one run of ComputeRule or EstimateOPT:
+// the draw frame both sampling stages share, the EPS sample's domain
+// indices and the ECDF's sorted copy of them, and the small-item
+// efficiencies the weight guard reads. A run takes one from
+// scratchPool, grown to its own sizes (see takeScratch), and returns
 // it once the rule is built. Every buffer is overwritten before it is
-// read and no Rule keeps one, so nothing of a run reaches the next
-// (Definition 2.2); the pool only spares the allocations.
+// read and no Rule keeps one, so nothing of a run reaches the next,
+// whichever LCA ran it (Definition 2.2); the pool only spares the
+// allocations.
 type runScratch struct {
 	draws   []oracle.Draw
 	indices []int
 	sorted  []int
 	effs    []float64
 }
+
+// scratchPool holds the run sets of every LCA in the process. It is
+// one package-level pool rather than one per LCA: the runtime keeps a
+// pointer to a used pool until the second GC after its use, so a pool
+// inside an LCA would keep a discarded LCA, and the access behind it
+// (a SliceOracle's alias table), alive through the first GC after its
+// last run. Sharing the sets also lets every new LCA, one per sealed
+// epoch, reuse them.
+var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // sharedRun hands the rule of one in-flight run to the queries that
 // joined it.
@@ -94,30 +103,35 @@ func NewLCAKP(access oracle.Access, params Params) (*LCAKP, error) {
 		return nil, err
 	}
 	root := rng.New(norm.Seed)
-	l := &LCAKP{
+	return &LCAKP{
 		params:     norm,
 		access:     access,
 		domain:     domain,
 		sharedRoot: root.Derive("lcakp", "shared"),
 		freshBase:  root.Derive("lcakp", "fresh"),
-	}
-	l.scratch.New = func() any { return l.newScratch() }
-	return l, nil
+	}, nil
 }
 
 // drawChunk is how many draws a derivation asks its access for in one
 // frame call: the instance server's frame size.
 const drawChunk = 4096
 
-// newScratch allocates one run's buffers at the sizes a run fills.
-func (l *LCAKP) newScratch() *runScratch {
+// takeScratch takes a run set from scratchPool and grows it to the
+// sizes a run of l fills: a frame of min(drawChunk, max(LargeSamples,
+// QuantileSamples)) draws, and QuantileSamples capacity for the
+// indices, the sorted copy and the efficiencies. The frame is sliced
+// to exactly that length, so a set grown by an LCA of smaller ε splits
+// the sampling into the same frames as a new one. The run gives the
+// set back with scratchPool.Put.
+func (l *LCAKP) takeScratch() *runScratch {
+	s := scratchPool.Get().(*runScratch)
 	q := l.params.QuantileSamples
-	return &runScratch{
-		draws:   make([]oracle.Draw, min(drawChunk, max(l.params.LargeSamples, q))),
-		indices: make([]int, 0, q),
-		sorted:  make([]int, 0, q),
-		effs:    make([]float64, 0, q),
-	}
+	frame := min(drawChunk, max(l.params.LargeSamples, q))
+	s.draws = slices.Grow(s.draws[:0], frame)[:frame]
+	s.indices = slices.Grow(s.indices[:0], q)
+	s.sorted = slices.Grow(s.sorted[:0], q)
+	s.effs = slices.Grow(s.effs[:0], q)
+	return s
 }
 
 // Params returns the normalized parameters in use.
@@ -243,12 +257,12 @@ func (l *LCAKP) QueryBatch(ctx context.Context, indices []int) ([]bool, error) {
 // stages draw in frames of at most drawChunk draws and check
 // cancellation and deadline expiry before each, so an aborted run
 // stops within one frame call (at most drawChunk draws) of ctx firing.
-// The run's buffers come from the LCA's pool and go back to it once
-// the rule is built.
+// The run's buffers come from the package's pool and go back to it
+// once the rule is built.
 func (l *LCAKP) ComputeRule(ctx context.Context, fresh *rng.Source) (Rule, error) {
 	eps := l.params.Epsilon
-	s := l.scratch.Get().(*runScratch)
-	defer l.scratch.Put(s)
+	s := l.takeScratch()
+	defer scratchPool.Put(s)
 
 	// Line 1-3: collect the large items. Sampling proportionally to
 	// profit finds every item with profit > ε² w.h.p. (Lemma 4.2).

@@ -39,8 +39,8 @@ type ValueEstimate struct {
 // runs return the same estimate w.h.p.
 func (l *LCAKP) EstimateOPT(ctx context.Context, fresh *rng.Source) (ValueEstimate, error) {
 	eps := l.params.Epsilon
-	s := l.scratch.Get().(*runScratch)
-	defer l.scratch.Put(s)
+	s := l.takeScratch()
+	defer scratchPool.Put(s)
 
 	large, largeMass, err := l.collectLarge(ctx, fresh.Derive("large"), s.draws)
 	if err != nil {

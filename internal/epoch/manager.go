@@ -28,7 +28,8 @@ const DefaultRetain = 4
 type Snapshot struct {
 	// Epoch identifies the version.
 	Epoch engine.EpochID
-	// Instance is I_e (never mutated after sealing).
+	// Instance is I_e. Instances are read-only once built: epoch 0's
+	// is the caller's base itself, and Apply copies before it writes.
 	Instance *knapsack.Instance
 	// Rule is the materialized decision rule for (I_e, r).
 	Rule core.Rule
@@ -58,10 +59,13 @@ type Manager struct {
 	sealing bool
 }
 
-// NewManager builds a manager whose epoch 0 is base. retain caps the
-// sealed epochs kept resident (<= 0 selects DefaultRetain); older
-// snapshots are pruned oldest-first, like the TenantTable's LRU. ctx
-// bounds the epoch-0 rule derivation.
+// NewManager builds a manager whose epoch 0 is base. It keeps base
+// itself, not a copy: instances are read-only once built, so managers
+// over one catalog share its items, and neither the manager nor the
+// caller may write them. retain caps the sealed epochs kept resident
+// (<= 0 selects DefaultRetain); older snapshots are pruned
+// oldest-first, like the TenantTable's LRU. ctx bounds the epoch-0
+// rule derivation.
 func NewManager(ctx context.Context, tenant engine.TenantID, base *knapsack.Instance, params core.Params, retain int) (*Manager, error) {
 	if retain <= 0 {
 		retain = DefaultRetain
@@ -75,7 +79,7 @@ func NewManager(ctx context.Context, tenant engine.TenantID, base *knapsack.Inst
 		retain: retain,
 		snaps:  make(map[engine.EpochID]*Snapshot),
 	}
-	snap, err := m.deriveSnapshot(ctx, 0, base.Clone(), nil)
+	snap, err := m.deriveSnapshot(ctx, 0, base, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,9 @@ func (it Item) valid() bool {
 // Instance is a Knapsack instance: a set of items and a capacity
 // (weight limit). The zero value is an empty, invalid instance; build
 // instances with NewInstance or a composite literal followed by
-// Validate.
+// Validate. An instance is read-only once built: oracles, epoch
+// managers and their snapshots share its items without copying them,
+// so a changed catalog is a new instance (see epoch.Apply).
 type Instance struct {
 	Items    []Item
 	Capacity float64
@@ -155,13 +157,6 @@ func (in *Instance) Normalized() (*Instance, error) {
 		items[i] = Item{Profit: it.Profit / totalP, Weight: it.Weight / totalW}
 	}
 	return &Instance{Items: items, Capacity: in.Capacity / totalW}, nil
-}
-
-// Clone returns a deep copy of the instance.
-func (in *Instance) Clone() *Instance {
-	items := make([]Item, len(in.Items))
-	copy(items, in.Items)
-	return &Instance{Items: items, Capacity: in.Capacity}
 }
 
 // Class is the paper's three-way item classification (Section 4).

@@ -171,16 +171,6 @@ func TestProfitWeightOf(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	in := &Instance{Items: []Item{{1, 1}}, Capacity: 2}
-	clone := in.Clone()
-	clone.Items[0].Profit = 99
-	clone.Capacity = 50
-	if in.Items[0].Profit != 1 || in.Capacity != 2 {
-		t.Errorf("Clone shares storage: %+v", in)
-	}
-}
-
 // TestItemValidRanges holds Item.valid's two range comparisons per
 // field to the six tests it replaced, for ±0, subnormals, MaxFloat64,
 // ±Inf, NaN and negatives in each field: an item is valid iff both
