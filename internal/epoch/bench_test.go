@@ -2,11 +2,13 @@ package epoch
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"lcakp/internal/core"
 	"lcakp/internal/engine"
 	"lcakp/internal/knapsack"
+	"lcakp/internal/oracle"
 	"lcakp/internal/rng"
 	"lcakp/internal/workload"
 )
@@ -21,11 +23,11 @@ var benchSizes = []struct {
 var benchParams = core.Params{Epsilon: 0.2, Seed: 3}
 
 // benchInstance generates a zipf instance of n items.
-func benchInstance(b *testing.B, n int) *knapsack.Instance {
-	b.Helper()
+func benchInstance(tb testing.TB, n int) *knapsack.Instance {
+	tb.Helper()
 	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: n, Seed: 1})
 	if err != nil {
-		b.Fatalf("Generate: %v", err)
+		tb.Fatalf("Generate: %v", err)
 	}
 	return gen.Float
 }
@@ -88,6 +90,30 @@ func BenchmarkSeal(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkNewManager boots one tenant over a catalog a live oracle
+// has already indexed, as servebench's instance server has: epoch 0's
+// derivation draws from the catalog's one alias table and builds none.
+func BenchmarkNewManager(b *testing.B) {
+	ctx := context.Background()
+	for _, size := range benchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			base := benchInstance(b, size.n)
+			server, err := oracle.NewSliceOracle(base)
+			if err != nil {
+				b.Fatalf("NewSliceOracle: %v", err)
+			}
+			id := engine.TenantID{Instance: 1, Seed: benchParams.Seed}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := NewManager(ctx, id, base, benchParams, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runtime.KeepAlive(server)
 		})
 	}
 }

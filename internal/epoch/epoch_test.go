@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"lcakp/internal/core"
 	"lcakp/internal/engine"
 	"lcakp/internal/knapsack"
+	"lcakp/internal/oracle"
 	"lcakp/internal/workload"
 )
 
@@ -284,6 +286,49 @@ func TestManagersOverOneInstanceKeepNoPerItemCopy(t *testing.T) {
 		if snap, _ := m.Snapshot(0); snap.Instance != base {
 			t.Errorf("manager %d: epoch 0's instance is not the base it was given", k)
 		}
+	}
+}
+
+// TestSealedEpochTableIsPrivate holds a seal to an alias table of its
+// own that dies with it: Apply has just made the sealed instance and
+// only the seal reads it, so its table is never registered for other
+// oracles to find. With the collector off the seal's table is still in
+// the heap, yet an oracle over the sealed instance builds a table of
+// its own; and the first GC after the seal finds the live heap grown
+// by the sealed instance's 16 B per item, not by a table's 16 more.
+func TestSealedEpochTableIsPrivate(t *testing.T) {
+	const n = 200_000
+	base := benchInstance(t, n)
+	m, err := NewManager(context.Background(), engine.TenantID{Instance: 1, Seed: 1}, base, benchParams, 0)
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	if err := m.StageAll(swapLog(base)); err != nil {
+		t.Fatalf("StageAll: %v", err)
+	}
+	var before, after, built runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	snap, err := m.Seal(context.Background())
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	runtime.ReadMemStats(&built)
+	if _, err := oracle.NewSliceOracle(snap.Instance); err != nil {
+		t.Fatalf("NewSliceOracle: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - built.TotalAlloc; b < 16*n {
+		t.Errorf("an oracle over the sealed instance allocated %d B, less than a %d B table: the seal's table is registered", b, 16*n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap grew by %.2f MB (%.1f B per item)", float64(grown)/(1<<20), float64(grown)/n)
+	if grown >= 24*n {
+		t.Errorf("a seal grew the live heap by %.1f B per item, want < 24: its alias table outlived it", float64(grown)/n)
 	}
 }
 

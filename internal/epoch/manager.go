@@ -62,10 +62,14 @@ type Manager struct {
 // NewManager builds a manager whose epoch 0 is base. It keeps base
 // itself, not a copy: instances are read-only once built, so managers
 // over one catalog share its items, and neither the manager nor the
-// caller may write them. retain caps the sealed epochs kept resident
-// (<= 0 selects DefaultRetain); older snapshots are pruned
-// oldest-first, like the TenantTable's LRU. ctx bounds the epoch-0
-// rule derivation.
+// caller may write them. Epoch 0's oracle is oracle.NewSliceOracle's:
+// while any oracle over base lives (an instance server's, another
+// tenant's booting at once) the derivation draws from base's one alias
+// table instead of building its own, so a tenant's boot costs its
+// rule's derivation, not a re-index of the catalog. retain caps the
+// sealed epochs kept resident (<= 0 selects DefaultRetain); older
+// snapshots are pruned oldest-first, like the TenantTable's LRU. ctx
+// bounds the epoch-0 rule derivation.
 func NewManager(ctx context.Context, tenant engine.TenantID, base *knapsack.Instance, params core.Params, retain int) (*Manager, error) {
 	if retain <= 0 {
 		retain = DefaultRetain
@@ -79,7 +83,11 @@ func NewManager(ctx context.Context, tenant engine.TenantID, base *knapsack.Inst
 		retain: retain,
 		snaps:  make(map[engine.EpochID]*Snapshot),
 	}
-	snap, err := m.deriveSnapshot(ctx, 0, base, nil)
+	access, err := oracle.NewSliceOracle(base)
+	if err != nil {
+		return nil, fmt.Errorf("epoch: %s epoch 0 oracle: %w", tenant, err)
+	}
+	snap, err := m.deriveSnapshot(ctx, 0, access, base, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -88,12 +96,9 @@ func NewManager(ctx context.Context, tenant engine.TenantID, base *knapsack.Inst
 }
 
 // deriveSnapshot builds the Snapshot for one instance version: LCA
-// over a slice oracle, rule via the canonical materialization stream.
-func (m *Manager) deriveSnapshot(ctx context.Context, ep engine.EpochID, inst *knapsack.Instance, log []Mutation) (*Snapshot, error) {
-	access, err := oracle.NewSliceOracle(inst)
-	if err != nil {
-		return nil, fmt.Errorf("epoch: %s epoch %d oracle: %w", m.tenant, uint64(ep), err)
-	}
+// over access, an oracle over inst, and the rule via the canonical
+// materialization stream.
+func (m *Manager) deriveSnapshot(ctx context.Context, ep engine.EpochID, access *oracle.SliceOracle, inst *knapsack.Instance, log []Mutation) (*Snapshot, error) {
 	lca, err := core.NewLCAKP(access, m.params)
 	if err != nil {
 		return nil, fmt.Errorf("epoch: %s epoch %d lca: %w", m.tenant, uint64(ep), err)
@@ -197,7 +202,14 @@ func (m *Manager) sealInto(ctx context.Context, base *Snapshot, next engine.Epoc
 	if err != nil {
 		return nil, fmt.Errorf("epoch: seal %d: %w", uint64(next), err)
 	}
-	return m.deriveSnapshot(ctx, next, inst, log)
+	// Apply has just made inst and this seal alone reads it, so its
+	// alias table is private to the seal and dies with it: the shared
+	// tables of NewSliceOracle are for catalogs several oracles index.
+	sampler, err := oracle.NewAliasSampler(inst)
+	if err != nil {
+		return nil, fmt.Errorf("epoch: %s epoch %d oracle: %w", m.tenant, uint64(next), err)
+	}
+	return m.deriveSnapshot(ctx, next, oracle.NewSliceOracleWithSampler(inst, sampler), inst, log)
 }
 
 // pruneLocked drops the oldest retained snapshots beyond the budget.

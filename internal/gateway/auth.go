@@ -62,9 +62,6 @@ func (a *Authorizer) Grant(key string, tenants ...engine.TenantID) {
 	a.entries = append(a.entries, e)
 }
 
-// Len reports how many keys are loaded.
-func (a *Authorizer) Len() int { return len(a.entries) }
-
 // Allow reports whether key is authorized for tenant id. The digest
 // comparison runs over every entry unconditionally.
 func (a *Authorizer) Allow(key []byte, id engine.TenantID) bool {

@@ -45,3 +45,6 @@ func (c *answerCache) len() int {
 	}
 	return total
 }
+
+// Len reports how many keys are loaded.
+func (a *Authorizer) Len() int { return len(a.entries) }

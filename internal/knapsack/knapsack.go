@@ -72,7 +72,11 @@ func (it Item) valid() bool {
 // instances with NewInstance or a composite literal followed by
 // Validate. An instance is read-only once built: oracles, epoch
 // managers and their snapshots share its items without copying them,
-// so a changed catalog is a new instance (see epoch.Apply).
+// so a changed catalog is a new instance (see epoch.Apply). Oracles
+// over one instance also share one alias table, built from its
+// profits by the first of them (oracle.NewSliceOracle), so writing an
+// item after an oracle exists misleads every later oracle over that
+// instance too, not only the live ones.
 type Instance struct {
 	Items    []Item
 	Capacity float64

@@ -49,14 +49,6 @@ func (v *vec) attach(value string, m Metric) error {
 	return nil
 }
 
-// Len returns the number of distinct resident label values (the
-// overflow child excluded).
-func (v *vec) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.children)
-}
-
 // snapshot returns the children sorted by label value.
 func (v *vec) snapshot() (values []string, metrics []Metric) {
 	v.mu.RLock()

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// Len returns the number of distinct resident label values (the
+// overflow child excluded).
+func (v *vec) Len() int {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return len(v.children)
+}
+
 func TestCounterVecExposition(t *testing.T) {
 	v := NewCounterVec("tenant", 8)
 	// Attach in reverse order: the exposition sorts by label value.

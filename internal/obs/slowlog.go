@@ -266,13 +266,6 @@ func (l *SlowTraceLog) Captured() []SlowTrace {
 	return out
 }
 
-// Len returns the number of retained slow traces.
-func (l *SlowTraceLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ring)
-}
-
 // WriteJSON writes the retained slow traces (newest first) as a JSON
 // document — the /debug/slow payload.
 func (l *SlowTraceLog) WriteJSON(w io.Writer) error {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"lcakp/internal/knapsack"
 	"lcakp/internal/rng"
 	"lcakp/internal/workload"
 )
@@ -15,14 +16,20 @@ import (
 // frame spanning several chunks.
 var frameSizes = []int{1, 7, frameChunk - 1, frameChunk, frameChunk + 1, 4096, 5000}
 
-// workloadOracle builds a slice oracle over a generated workload.
-func workloadOracle(t testing.TB, name string, n int) *SliceOracle {
+// workloadInstance generates an instance of a workload.
+func workloadInstance(t testing.TB, name string, n int) *knapsack.Instance {
 	t.Helper()
 	gen, err := workload.Generate(workload.Spec{Name: name, N: n, Seed: 42})
 	if err != nil {
 		t.Fatalf("Generate(%s): %v", name, err)
 	}
-	o, err := NewSliceOracle(gen.Float)
+	return gen.Float
+}
+
+// workloadOracle builds a slice oracle over a generated workload.
+func workloadOracle(t testing.TB, name string, n int) *SliceOracle {
+	t.Helper()
+	o, err := NewSliceOracle(workloadInstance(t, name, n))
 	if err != nil {
 		t.Fatalf("NewSliceOracle: %v", err)
 	}

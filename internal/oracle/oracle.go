@@ -12,12 +12,19 @@
 //     Yoshida.
 //
 // The package provides a slice-backed implementation whose weighted
-// sampler is Walker's alias method, with O(1) draws. Every access
-// takes a context.Context so deployments can cancel or deadline-bound
-// a query mid-flight; in-memory implementations never block and ignore
-// the context, remote ones honor it. Cross-cutting instrumentation
-// (counting and per-query metrics) lives in internal/engine as a
-// composable middleware chain over Access.
+// sampler is Walker's alias method, with O(1) draws. The alias table is
+// IKY12's per-instance preprocessing, so there is one table per live
+// instance: every oracle NewSliceOracle returns over one instance
+// draws from that instance's one table, which lives as long as some
+// oracle holds it. That makes the read-only contract of
+// knapsack.Instance load-bearing: an instance written after its first
+// oracle would misdraw for every later oracle over it too.
+//
+// Every access takes a context.Context so deployments can cancel or
+// deadline-bound a query mid-flight; in-memory implementations never
+// block and ignore the context, remote ones honor it. Cross-cutting
+// instrumentation (counting and per-query metrics) lives in
+// internal/engine as a composable middleware chain over Access.
 package oracle
 
 import (
@@ -108,9 +115,16 @@ var _ Access = (*SliceOracle)(nil)
 
 // NewSliceOracle wraps an instance with point-query and alias-method
 // weighted-sampling access. It returns ErrNoMass if the instance has
-// no positive profit.
+// no positive profit. The alias table is the instance's one shared
+// table: the first oracle over an instance builds it, and every oracle
+// over that instance while one of them lives draws from it. The
+// instance must be read-only from its first oracle on (see
+// knapsack.Instance); an instance read by one derivation alone can
+// take a private table through NewSliceOracleWithSampler. An instance
+// outside the heap, such as a package-level variable's, is not
+// shared: each of its oracles builds a private table.
 func NewSliceOracle(inst *knapsack.Instance) (*SliceOracle, error) {
-	sampler, err := NewAliasSampler(inst)
+	sampler, err := sharedSampler(inst)
 	if err != nil {
 		return nil, err
 	}
