@@ -37,11 +37,12 @@ type conn struct {
 	// brokenErr records the first transport failure; once set, all
 	// later round trips fail fast with ErrConnBroken wrapping it.
 	brokenErr error
-	// wbuf and rbuf are frame scratch buffers reused across RPCs under
-	// mu, so a steady-state round trip allocates nothing for framing. A
-	// response frame's payload aliases rbuf, so it is read only under
-	// mu (see roundTrip).
-	wbuf, rbuf []byte
+	// wbuf and rd are the frame buffer and reader reused across RPCs
+	// under mu, so a steady-state round trip allocates nothing for
+	// framing. A response frame's payload aliases rd's buffer, so it is
+	// read only under mu (see roundTrip).
+	wbuf []byte
+	rd   frameReader
 }
 
 // dial connects to addr with the given per-RPC timeout (0 selects
@@ -59,7 +60,7 @@ func dial(ctx context.Context, addr string, timeout time.Duration) (*conn, error
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	return &conn{netConn: netConn, timeout: timeout}, nil
+	return &conn{netConn: netConn, timeout: timeout, rd: frameReader{r: netConn}}, nil
 }
 
 // roundTrip sends one request, reads its response, and hands the
@@ -109,8 +110,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame, decode func(resp frame)
 		c.brokenErr = err
 		return c.rpcErr(ctx, "write request", err, ctxDeadline)
 	}
-	var resp frame
-	resp, c.rbuf, err = readFrameInto(c.netConn, c.rbuf)
+	resp, err := c.rd.next()
 	if err != nil {
 		// A failed or partial response read leaves the stream position
 		// unknown even when the write succeeded.

@@ -20,17 +20,19 @@ import (
 // tenant, API key of 0–255 bytes, and epoch (engine.EpochCurrent
 // included) — must read back field for field (replicas answering from
 // the same solution depend on frames meaning the same thing on both
-// ends), and the reader must survive arbitrary bytes — truncated
-// headers, hostile lengths, version and flag garbage — returning an
-// error rather than panicking or over-allocating.
+// ends), also when one reader takes it twice over from chunks whose
+// sizes cycle through split's bytes, each plus one; and the reader
+// must survive arbitrary bytes — truncated headers, hostile lengths,
+// version and flag garbage — returning an error rather than panicking
+// or over-allocating.
 func FuzzProtocolRoundTrip(f *testing.F) {
-	f.Add(uint8(1), []byte{}, uint64(0), uint64(0), false, uint64(0), uint64(0), []byte{}, uint64(0))
-	f.Add(uint8(2), []byte{0, 1, 2, 3, 4, 5, 6, 7}, uint64(3), uint64(4), true, uint64(9), uint64(4), []byte("k1"), uint64(7))
-	f.Add(uint8(0x7f), []byte("remote error text"), uint64(0), uint64(9), false, uint64(0), uint64(0), []byte{}, ^uint64(0))
+	f.Add(uint8(1), []byte{}, uint64(0), uint64(0), false, uint64(0), uint64(0), []byte{}, uint64(0), uint64(0))
+	f.Add(uint8(2), []byte{0, 1, 2, 3, 4, 5, 6, 7}, uint64(3), uint64(4), true, uint64(9), uint64(4), []byte("k1"), uint64(7), uint64(0x0102030405060708))
+	f.Add(uint8(0x7f), []byte("remote error text"), uint64(0), uint64(9), false, uint64(0), uint64(0), []byte{}, ^uint64(0), ^uint64(0))
 	f.Add(uint8(0xff), bytes.Repeat([]byte{0xaa}, 1024), uint64(1), uint64(1), true, ^uint64(0), ^uint64(0),
-		bytes.Repeat([]byte{0x55}, maxAuthKeyLen), uint64(1))
+		bytes.Repeat([]byte{0x55}, maxAuthKeyLen), uint64(1), uint64(0x11))
 	f.Fuzz(func(t *testing.T, msgType uint8, payload []byte, traceID, spanID uint64, tenanted bool,
-		instance, seed uint64, key []byte, epoch uint64) {
+		instance, seed uint64, key []byte, epoch, split uint64) {
 		key = key[:min(len(key), maxAuthKeyLen)]
 		want := frame{
 			msgType: msgType,
@@ -61,6 +63,30 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 			got.trace != want.trace || got.hasTenant != want.hasTenant || got.tenant != want.tenant ||
 			!bytes.Equal(got.authKey, want.authKey) {
 			t.Fatalf("round trip mutated the frame: wrote %+v, read %+v", want, got)
+		}
+
+		// Chunked delivery: the frame twice over, in chunks that cut
+		// anywhere, through one reader.
+		image, err := appendFrame(nil, want)
+		if err != nil {
+			t.Fatalf("appendFrame: %v", err)
+		}
+		sizes := make([]int, 8)
+		for k := range sizes {
+			sizes[k] = 1 + int(split>>(8*k)&0xff)
+		}
+		fr := frameReader{r: &chunkReader{data: append(image, image...), sizes: sizes}}
+		for k := range 2 {
+			got, err := fr.next()
+			if err != nil {
+				t.Fatalf("chunked read of copy %d (chunks %v): %v", k, sizes, err)
+			}
+			if !sameFrame(got, want) {
+				t.Fatalf("chunked read of copy %d (chunks %v) mutated the frame: wrote %+v, read %+v", k, sizes, want, got)
+			}
+		}
+		if _, err := fr.next(); !errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("chunked stream ended with %v, want io.EOF", err)
 		}
 
 		// Adversarial decode: the fuzzed bytes as a raw stream, plus

@@ -148,9 +148,21 @@ type frame struct {
 //
 //	[len:u32][version][type][flags][epoch:8][trace?:16][tenant?:16][auth?:1+k][payload]
 //
-// The serving loop and the client connection pass a reused scratch
-// buffer so a steady-state RPC writes zero heap bytes for framing.
+// The client connection passes a reused scratch buffer so a
+// steady-state RPC writes zero heap bytes for framing.
 func appendFrame(dst []byte, f frame) ([]byte, error) {
+	dst, err := appendFrameHeader(dst, f)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, f.payload...), nil
+}
+
+// appendFrameHeader appends f's wire image up to its payload: every
+// byte appendFrame writes before f.payload. The serving loop writes
+// the header and the payload with one writev, so a response's payload
+// reaches the wire without being copied behind its header.
+func appendFrameHeader(dst []byte, f frame) ([]byte, error) {
 	if len(f.payload) > MaxFrameSize {
 		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.payload))
 	}
@@ -186,36 +198,88 @@ func appendFrame(dst []byte, f frame) ([]byte, error) {
 		dst = append(dst, uint8(len(f.authKey)))
 		dst = append(dst, f.authKey...)
 	}
-	return append(dst, f.payload...), nil
+	return dst, nil
 }
 
-// readFrameInto reads one frame from r into buf, growing buf only when
-// the frame outsizes it, and returns the decoded frame together with
-// the (possibly grown) buffer for the next call. The frame's payload
-// aliases the returned buffer: it is valid only until the buffer's
-// next reuse. The serving loop and the client connection thread their
-// scratch buffer through here so steady-state reads allocate nothing.
-func readFrameInto(r io.Reader, buf []byte) (frame, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return frame{}, buf, err // io.EOF passes through for clean shutdown
+// minFrameBuf is a frame reader's first buffer: room for any frame
+// but a large payload, and for several small frames that arrive at
+// once.
+const minFrameBuf = 4 << 10
+
+// frameReader reads one connection's frames through one buffer. Each
+// read takes whatever bytes have arrived, up to the buffer's end, so a
+// frame that has fully arrived costs one read, where reading its
+// length and its body apart cost two. The buffer grows to the largest
+// frame, and a frame's payload aliases it: it is valid only until the
+// next call to next. The serving loop and the client connection each
+// keep one reader, so steady-state reads allocate nothing.
+type frameReader struct {
+	r io.Reader
+	// buf[head:tail] holds the bytes read and not yet returned in a
+	// frame.
+	buf        []byte
+	head, tail int
+	// err is the error a read returned along with bytes that sufficed;
+	// the next read that needs more bytes returns it.
+	err error
+}
+
+// next reads and decodes the connection's next frame. A stream that
+// ends between frames returns io.EOF itself, for clean shutdown; one
+// that ends inside a length prefix returns io.ErrUnexpectedEOF, and
+// inside a body a wrapped one.
+func (fr *frameReader) next() (frame, error) {
+	if err := fr.fill(4); err != nil {
+		return frame{}, err
 	}
-	size := binary.LittleEndian.Uint32(lenBuf[:])
+	size := binary.LittleEndian.Uint32(fr.buf[fr.head:])
 	if size > MaxFrameSize+maxFrameOverhead {
-		return frame{}, buf, fmt.Errorf("%w: frame size %d", ErrFrameTooLarge, size)
+		return frame{}, fmt.Errorf("%w: frame size %d", ErrFrameTooLarge, size)
 	}
 	if size < frameHeaderLen {
-		return frame{}, buf, fmt.Errorf("%w: frame of %d bytes has no complete header", ErrBadMessage, size)
+		return frame{}, fmt.Errorf("%w: frame of %d bytes has no complete header", ErrBadMessage, size)
 	}
-	if uint32(cap(buf)) < size {
-		buf = make([]byte, size) //lint:alloc grows the reused frame buffer; amortized to zero across a connection's RPCs
+	end := 4 + int(size)
+	if err := fr.fill(end); err != nil {
+		return frame{}, fmt.Errorf("cluster: read frame body: %w", err)
 	}
-	body := buf[:size]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return frame{}, buf, fmt.Errorf("cluster: read frame body: %w", err)
+	body := fr.buf[fr.head+4 : fr.head+end]
+	fr.head += end
+	return decodeFrameBody(body)
+}
+
+// fill reads until buf[head:tail] holds at least n bytes. It moves
+// those bytes to the buffer's front when n bytes would not fit behind
+// them, and grows the buffer when n bytes would not fit at all. A
+// stream that ends with fewer than n bytes but more than none fails
+// with io.ErrUnexpectedEOF, as io.ReadFull does.
+func (fr *frameReader) fill(n int) error {
+	if fr.head == fr.tail {
+		fr.head, fr.tail = 0, 0
 	}
-	f, err := decodeFrameBody(body)
-	return f, buf, err
+	if fr.tail-fr.head >= n {
+		return nil
+	}
+	if len(fr.buf)-fr.head < n {
+		buf := fr.buf
+		if len(buf) < n {
+			buf = make([]byte, max(n, minFrameBuf)) //lint:alloc grows the connection's reused frame buffer to its largest frame; amortized to zero across its RPCs
+		}
+		fr.tail = copy(buf, fr.buf[fr.head:fr.tail])
+		fr.buf, fr.head = buf, 0
+	}
+	for fr.err == nil {
+		k, err := fr.r.Read(fr.buf[fr.tail:])
+		fr.tail += k
+		fr.err = err
+		if fr.tail-fr.head >= n {
+			return nil
+		}
+	}
+	if fr.tail > fr.head && errors.Is(fr.err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return fr.err
 }
 
 // decodeFrameBody decodes a length-stripped frame body; the returned
@@ -308,11 +372,13 @@ func getF64(b []byte, off int) (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
-// appendSample appends one sample entry (see sampleEntryLen) to b.
-func appendSample(b []byte, idx int, item knapsack.Item) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(idx))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(item.Profit))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(item.Weight))
+// putSample writes one sample entry (see sampleEntryLen) at the front
+// of e.
+func putSample(e []byte, idx int, item knapsack.Item) {
+	e = e[:sampleEntryLen]
+	binary.LittleEndian.PutUint64(e[0:8], uint64(idx))
+	binary.LittleEndian.PutUint64(e[8:16], math.Float64bits(item.Profit))
+	binary.LittleEndian.PutUint64(e[16:24], math.Float64bits(item.Weight))
 }
 
 // sampleFrame is a sample response payload kept raw: entry k is the

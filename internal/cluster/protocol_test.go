@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"lcakp/internal/engine"
+	"lcakp/internal/knapsack"
 	"lcakp/internal/obs"
 	"lcakp/internal/rng"
 )
@@ -31,10 +32,19 @@ func writeFrame(w io.Writer, f frame) error {
 	return nil
 }
 
-// readFrame reads one frame from r.
+// readFrame reads one frame from r with a new frame reader. The
+// reader may read past the frame, so callers read one frame per
+// stream, or one per exchange of a request/response stream.
 func readFrame(r io.Reader) (frame, error) {
-	f, _, err := readFrameInto(r, nil)
-	return f, err
+	fr := frameReader{r: r}
+	return fr.next()
+}
+
+// appendSample appends one sample entry (see sampleEntryLen) to b.
+func appendSample(b []byte, idx int, item knapsack.Item) []byte {
+	b = append(b, make([]byte, sampleEntryLen)...)
+	putSample(b[len(b)-sampleEntryLen:], idx, item)
+	return b
 }
 
 // Ping performs a health-check round trip to the instance server.

@@ -27,7 +27,7 @@ type handler interface {
 
 // connScratch is one serving connection's reusable working memory:
 // handlers decode batch requests and build response payloads into it
-// instead of allocating per frame. The serving loop copies a response
+// instead of allocating per frame. The serving loop writes a response
 // to the wire before the next request touches the scratch again, so
 // aliasing it from a returned frame is safe.
 type connScratch struct {
@@ -38,6 +38,26 @@ type connScratch struct {
 	// draws backs one chunk of a sample frame between its draw and its
 	// encoding.
 	draws []oracle.Draw
+	// header backs a response's frame header, and iov and vec the
+	// writev of that header and the response's payload.
+	header []byte
+	iov    [2][]byte
+	vec    net.Buffers
+}
+
+// writeFrame writes f to conn with one writev of its header, built in
+// sc.header, and its payload, which reaches the wire without a copy.
+// It is the serving loop's one write path.
+func (sc *connScratch) writeFrame(conn net.Conn, f frame) error {
+	header, err := appendFrameHeader(sc.header[:0], f)
+	sc.header = header
+	if err != nil {
+		return err
+	}
+	sc.iov = [2][]byte{header, f.payload}
+	sc.vec = sc.iov[:]
+	_, err = sc.vec.WriteTo(conn)
+	return err
 }
 
 // Stats are a server's monotonic operational counters, readable at
@@ -240,19 +260,18 @@ type tenantScraper interface {
 }
 
 // serveConn processes frames from one connection until EOF or error.
-// Frame I/O reuses per-connection buffers (readFrameInto/appendFrame),
-// and handlers build payloads into the connection's scratch: a
-// steady-state request allocates nothing for framing.
+// Frame I/O reuses per-connection buffers (a frameReader and
+// connScratch.writeFrame), and handlers build payloads into the
+// connection's scratch: a steady-state request allocates nothing for
+// framing.
 func (s *server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
 	defer conn.Close()
-	var rbuf, wbuf []byte
+	rd := frameReader{r: conn}
 	var sc connScratch
 	for {
-		var req frame
-		var err error
-		req, rbuf, err = readFrameInto(conn, rbuf)
+		req, err := rd.next()
 		if err != nil {
 			return // EOF or broken pipe: the client is gone
 		}
@@ -283,11 +302,7 @@ func (s *server) serveConn(conn net.Conn) {
 			s.stats.errors.Add(1)
 			s.logRequestError(req, resp)
 		}
-		wbuf, err = appendFrame(wbuf[:0], resp)
-		if err != nil {
-			return
-		}
-		if _, err := conn.Write(wbuf); err != nil {
+		if err := sc.writeFrame(conn, resp); err != nil {
 			return
 		}
 	}
@@ -397,12 +412,16 @@ func (h *instanceHandler) handle(ctx context.Context, req frame, sc *connScratch
 const sampleChunk = 4096
 
 // drawSamples encodes count draws from src into sc.out, filling the
-// response sampleChunk draws at a time.
+// response sampleChunk draws at a time. The payload is sized once, and
+// draw k's entry is written at offset k·sampleEntryLen.
 func (h *instanceHandler) drawSamples(ctx context.Context, src *rng.Source, count int, sc *connScratch) ([]byte, error) {
 	if cap(sc.draws) < sampleChunk {
 		sc.draws = make([]oracle.Draw, sampleChunk) //lint:alloc grows the connection's reused draw buffer once; amortized to zero across its sample RPCs
 	}
-	payload := sc.out[:0]
+	if size := count * sampleEntryLen; cap(sc.out) < size {
+		sc.out = make([]byte, size) //lint:alloc grows the connection's reused payload buffer to its largest sample frame; amortized to zero across its sample RPCs
+	}
+	payload := sc.out[:count*sampleEntryLen]
 	for done := 0; done < count; {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sample batch aborted at %d/%d: %w", done, count, err)
@@ -411,12 +430,11 @@ func (h *instanceHandler) drawSamples(ctx context.Context, src *rng.Source, coun
 		if _, err := h.access.SampleFrame(ctx, src, draws); err != nil {
 			return nil, err
 		}
-		for _, d := range draws {
-			payload = appendSample(payload, d.Index, d.Item)
+		for k, d := range draws {
+			putSample(payload[(done+k)*sampleEntryLen:], d.Index, d.Item)
 		}
 		done += len(draws)
 	}
-	sc.out = payload
 	return payload, nil
 }
 

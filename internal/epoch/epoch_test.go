@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -139,6 +140,78 @@ func TestApplySemantics(t *testing.T) {
 	}
 }
 
+// TestApplyRejectsEachInvalidMutation holds Apply to every rejection
+// Mutation.validate makes, now that the result is not checked again
+// item by item: each invalid mutation, alone or after valid ones,
+// fails Apply and leaves the base as it was.
+func TestApplyRejectsEachInvalidMutation(t *testing.T) {
+	base, err := knapsack.NewInstance([]knapsack.Item{
+		{Profit: 0.5, Weight: 0.5},
+		{Profit: 0.25, Weight: 0.25},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := Mutation{Op: OpReprice, Index: 1, Profit: 0.125, Weight: 0.125}
+	for name, m := range map[string]Mutation{
+		"add at a taken index":  {Op: OpAdd, Index: 1, Profit: 0.1, Weight: 0.1},
+		"add past the end":      {Op: OpAdd, Index: 3, Profit: 0.1, Weight: 0.1},
+		"add with NaN profit":   {Op: OpAdd, Index: 2, Profit: math.NaN(), Weight: 0.1},
+		"add with Inf weight":   {Op: OpAdd, Index: 2, Profit: 0.1, Weight: math.Inf(1)},
+		"add with negative":     {Op: OpAdd, Index: 2, Profit: -0.1, Weight: 0.1},
+		"remove out of range":   {Op: OpRemove, Index: 2},
+		"remove with profit":    {Op: OpRemove, Index: 0, Profit: 0.1},
+		"remove with weight":    {Op: OpRemove, Index: 0, Weight: 0.1},
+		"reprice out of range":  {Op: OpReprice, Index: 2, Profit: 0.1, Weight: 0.1},
+		"reprice with NaN":      {Op: OpReprice, Index: 0, Profit: 0.1, Weight: math.NaN()},
+		"reprice with -Inf":     {Op: OpReprice, Index: 0, Profit: math.Inf(-1), Weight: 0.1},
+		"reprice with negative": {Op: OpReprice, Index: 0, Profit: 0.1, Weight: -1},
+		"unknown op":            {Op: 9, Index: 0},
+		"zero op":               {Op: 0, Index: 0},
+	} {
+		for _, log := range [][]Mutation{{m}, {valid, m}} {
+			if next, err := Apply(base, log); err == nil {
+				t.Errorf("%s (log of %d): Apply accepted it and built %+v", name, len(log), next.Items)
+			}
+		}
+	}
+	if base.N() != 2 || base.Items[0] != (knapsack.Item{Profit: 0.5, Weight: 0.5}) || base.Items[1] != (knapsack.Item{Profit: 0.25, Weight: 0.25}) {
+		t.Errorf("a rejected log changed the base: %+v", base.Items)
+	}
+}
+
+// TestApplyRejectsInvalidBase holds Apply to its base's validity: a
+// base that was never checked is checked once, and an invalid one
+// fails Apply even when the log leaves its invalid item alone.
+func TestApplyRejectsInvalidBase(t *testing.T) {
+	base := &knapsack.Instance{Items: []knapsack.Item{{Profit: 0.5, Weight: 0.5}, {Profit: math.NaN(), Weight: 1}}, Capacity: 1}
+	if _, err := Apply(base, []Mutation{{Op: OpReprice, Index: 0, Profit: 0.25, Weight: 0.25}}); !errors.Is(err, knapsack.ErrInvalidItem) {
+		t.Errorf("Apply over an invalid base: error = %v, want ErrInvalidItem", err)
+	}
+	if _, err := Apply(&knapsack.Instance{Items: base.Items[:1], Capacity: -1}, nil); !errors.Is(err, knapsack.ErrNegativeCapacity) {
+		t.Errorf("Apply over a base of negative capacity: error = %v, want ErrNegativeCapacity", err)
+	}
+}
+
+// TestNewManagerRejectsInvalidBase holds NewManager to checking its
+// base: an empty base, a negative capacity and an invalid item each
+// fail it, now that a base passing the check is not walked again.
+func TestNewManagerRejectsInvalidBase(t *testing.T) {
+	id := engine.TenantID{Instance: 1, Seed: testParams.Seed}
+	for name, base := range map[string]*knapsack.Instance{
+		"empty":             {Capacity: 1},
+		"negative capacity": {Items: []knapsack.Item{{Profit: 1, Weight: 1}}, Capacity: -1},
+		"NaN profit":        {Items: []knapsack.Item{{Profit: 1, Weight: 1}, {Profit: math.NaN(), Weight: 1}}, Capacity: 1},
+		"negative weight":   {Items: []knapsack.Item{{Profit: 1, Weight: -1}}, Capacity: 1},
+	} {
+		for k := range 2 {
+			if _, err := NewManager(context.Background(), id, base, testParams, 0); err == nil {
+				t.Errorf("%s base, boot %d: NewManager accepted it", name, k)
+			}
+		}
+	}
+}
+
 func TestManagerSealAdvancesEpoch(t *testing.T) {
 	const n = 300
 	m := newTestManager(t, n)
@@ -255,7 +328,7 @@ func TestManagerPrunesOldEpochs(t *testing.T) {
 // costing its rule, not copies of its catalog: two managers over one
 // 200k-item zipf instance grow the live heap the first GC after them
 // finds by less than 2 MB, where one copy of the items costs 3.2 MB
-// and one alias table 3.2 MB more, and epoch 0's instance is the
+// and one alias table 2.2 MB more, and epoch 0's instance is the
 // caller's base itself.
 func TestManagersOverOneInstanceKeepNoPerItemCopy(t *testing.T) {
 	gen, err := workload.Generate(workload.Spec{Name: "zipf", N: 200_000, Seed: 1})
@@ -293,12 +366,17 @@ func TestManagersOverOneInstanceKeepNoPerItemCopy(t *testing.T) {
 // own that dies with it: Apply has just made the sealed instance and
 // only the seal reads it, so its table is never registered for other
 // oracles to find. With the collector off the seal's table is still in
-// the heap, yet an oracle over the sealed instance builds a table of
-// its own; and the first GC after the seal finds the live heap grown
-// by the sealed instance's 16 B per item, not by a table's 16 more.
+// the heap, yet an oracle over the sealed instance allocates at least
+// what a fresh NewAliasSampler over an equal instance does, building a
+// table of its own; and the first GC after the seal finds the live
+// heap grown by the sealed instance's 16 B per item, not by half a
+// fresh table more.
 func TestSealedEpochTableIsPrivate(t *testing.T) {
 	const n = 200_000
 	base := benchInstance(t, n)
+	tableAlloc, tableLive := freshTableBytes(t, base)
+	t.Logf("a fresh table over an equal instance allocates %d B and keeps %d B (%.1f B per item)",
+		tableAlloc, tableLive, float64(tableLive)/n)
 	m, err := NewManager(context.Background(), engine.TenantID{Instance: 1, Seed: 1}, base, benchParams, 0)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
@@ -319,17 +397,42 @@ func TestSealedEpochTableIsPrivate(t *testing.T) {
 		t.Fatalf("NewSliceOracle: %v", err)
 	}
 	runtime.ReadMemStats(&after)
-	if b := after.TotalAlloc - built.TotalAlloc; b < 16*n {
-		t.Errorf("an oracle over the sealed instance allocated %d B, less than a %d B table: the seal's table is registered", b, 16*n)
+	if b := after.TotalAlloc - built.TotalAlloc; b < tableAlloc {
+		t.Errorf("an oracle over the sealed instance allocated %d B, less than a %d B table: the seal's table is registered", b, tableAlloc)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
 	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	t.Logf("live heap grew by %.2f MB (%.1f B per item)", float64(grown)/(1<<20), float64(grown)/n)
-	if grown >= 24*n {
-		t.Errorf("a seal grew the live heap by %.1f B per item, want < 24: its alias table outlived it", float64(grown)/n)
+	if bound := 16*n + tableLive/2; grown >= bound {
+		t.Errorf("a seal grew the live heap by %.1f B per item, want < %.1f: its alias table outlived it",
+			float64(grown)/n, float64(bound)/n)
 	}
+}
+
+// freshTableBytes builds the alias table of an instance equal to the
+// one sealing swapLog over base makes, and returns the bytes the build
+// allocates and the bytes the table keeps live.
+func freshTableBytes(t *testing.T, base *knapsack.Instance) (alloc uint64, live int64) {
+	t.Helper()
+	equal, err := Apply(base, swapLog(base))
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	var before, built, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second frees what pools dropped at the first
+	runtime.ReadMemStats(&before)
+	s, err := oracle.NewAliasSampler(equal)
+	if err != nil {
+		t.Fatalf("NewAliasSampler: %v", err)
+	}
+	runtime.ReadMemStats(&built)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	return built.TotalAlloc - before.TotalAlloc, int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
 func TestFailedSealRestagesLog(t *testing.T) {

@@ -66,7 +66,9 @@ type Manager struct {
 // while any oracle over base lives (an instance server's, another
 // tenant's booting at once) the derivation draws from base's one alias
 // table instead of building its own, so a tenant's boot costs its
-// rule's derivation, not a re-index of the catalog. retain caps the
+// rule's derivation, not a re-index of the catalog. The base is checked
+// by knapsack.ValidateOnce, so a catalog built by NewInstance or
+// checked by an earlier manager is not walked again. retain caps the
 // sealed epochs kept resident (<= 0 selects DefaultRetain); older
 // snapshots are pruned oldest-first, like the TenantTable's LRU. ctx
 // bounds the epoch-0 rule derivation.
@@ -74,7 +76,7 @@ func NewManager(ctx context.Context, tenant engine.TenantID, base *knapsack.Inst
 	if retain <= 0 {
 		retain = DefaultRetain
 	}
-	if err := base.Validate(); err != nil {
+	if err := knapsack.ValidateOnce(base); err != nil {
 		return nil, fmt.Errorf("epoch: base instance: %w", err)
 	}
 	m := &Manager{

@@ -108,7 +108,9 @@ func validFields(p, w float64) bool {
 
 // Apply replays a log against base and returns I_{e+1}. The base is
 // not modified; the log is validated mutation by mutation at the
-// length it applies to (see Mutation.validate). slices.Clone copies
+// length it applies to (see Mutation.validate), and the result is
+// built by knapsack.Revise: a valid base with valid items written
+// into it needs no second check of all n items. slices.Clone copies
 // the base without zeroing the new slice first.
 func Apply(base *knapsack.Instance, log []Mutation) (*knapsack.Instance, error) {
 	items := slices.Clone(base.Items)
@@ -125,5 +127,5 @@ func Apply(base *knapsack.Instance, log []Mutation) (*knapsack.Instance, error) 
 			items[m.Index] = knapsack.Item{Profit: m.Profit, Weight: m.Weight}
 		}
 	}
-	return knapsack.NewInstance(items, base.Capacity)
+	return knapsack.Revise(base, items)
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Sentinel errors returned by instance validation and solvers.
@@ -74,12 +75,17 @@ func (it Item) valid() bool {
 // managers and their snapshots share its items without copying them,
 // so a changed catalog is a new instance (see epoch.Apply). Oracles
 // over one instance also share one alias table, built from its
-// profits by the first of them (oracle.NewSliceOracle), so writing an
-// item after an oracle exists misleads every later oracle over that
-// instance too, not only the live ones.
+// profits by the first of them (oracle.NewSliceOracle), and a table
+// reads the profits again on a tie, so writing an item after an
+// oracle exists misleads every later oracle over that instance too,
+// not only the live ones. NewInstance and Revise record on the
+// instance that it passed its check, which ValidateOnce reads.
 type Instance struct {
 	Items    []Item
 	Capacity float64
+	// checked records that the instance was built valid or passed
+	// ValidateOnce.
+	checked atomic.Bool
 }
 
 // NewInstance constructs an instance and validates it.
@@ -88,11 +94,13 @@ func NewInstance(items []Item, capacity float64) (*Instance, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
+	inst.checked.Store(true)
 	return inst, nil
 }
 
 // Validate checks structural invariants: at least one item,
-// non-negative capacity, and finite non-negative item fields.
+// non-negative capacity, and finite non-negative item fields. It walks
+// the items on every call.
 func (in *Instance) Validate() error {
 	if len(in.Items) == 0 {
 		return ErrEmptyInstance
@@ -106,6 +114,41 @@ func (in *Instance) Validate() error {
 		}
 	}
 	return nil
+}
+
+// ValidateOnce validates in unless NewInstance, Revise or an earlier
+// ValidateOnce already found it valid. It is the check of a catalog
+// the caller keeps read-only from then on, as epoch managers do, so a
+// second tenant over a catalog boots without a walk of its items.
+// Code that takes an instance a caller may still write, such as the
+// solvers, calls Validate.
+func ValidateOnce(in *Instance) error {
+	if in.checked.Load() {
+		return nil
+	}
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	in.checked.Store(true)
+	return nil
+}
+
+// Revise returns the instance over items with base's capacity, valid
+// without a walk of its items: items must be base's items with some
+// replaced or appended, each by a valid item, as epoch.Apply builds
+// them from checked mutations. Revise checks base itself with
+// ValidateOnce, so a catalog edit costs its edits, not a check of
+// every item.
+func Revise(base *Instance, items []Item) (*Instance, error) {
+	if err := ValidateOnce(base); err != nil {
+		return nil, err
+	}
+	if len(items) < len(base.Items) {
+		return nil, fmt.Errorf("%w: %d items revise an instance of %d", ErrInvalidItem, len(items), len(base.Items))
+	}
+	inst := &Instance{Items: items, Capacity: base.Capacity}
+	inst.checked.Store(true)
+	return inst, nil
 }
 
 // N returns the number of items.

@@ -194,3 +194,99 @@ func TestItemValidRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateWalksEveryCall holds Validate, the solvers' input check,
+// to a full walk on every call: an instance that passed every check
+// and was then written fails the next Validate and the solvers.
+func TestValidateWalksEveryCall(t *testing.T) {
+	in, err := NewInstance([]Item{{1, 1}, {2, 1}}, 1)
+	if err != nil {
+		t.Fatalf("NewInstance: %v", err)
+	}
+	if err := in.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if err := ValidateOnce(in); err != nil {
+		t.Fatalf("ValidateOnce: %v", err)
+	}
+	in.Capacity = -1
+	if _, err := Exhaustive(in); !errors.Is(err, ErrNegativeCapacity) {
+		t.Errorf("Exhaustive after Capacity = -1: error = %v, want ErrNegativeCapacity", err)
+	}
+	in.Capacity = 1
+	in.Items[1].Profit = math.NaN()
+	if err := in.Validate(); !errors.Is(err, ErrInvalidItem) {
+		t.Errorf("Validate after a NaN profit: error = %v, want ErrInvalidItem", err)
+	}
+}
+
+// TestValidateOnceRecordsSuccessOnly holds ValidateOnce to checking an
+// instance until a check passes: an invalid instance fails every call,
+// and once one passes, or NewInstance built the instance, it is not
+// walked again — a write the read-only contract forbids goes unseen.
+func TestValidateOnceRecordsSuccessOnly(t *testing.T) {
+	bad := &Instance{Items: []Item{{1, 1}, {math.NaN(), 1}}, Capacity: 1}
+	for k := range 2 {
+		if err := ValidateOnce(bad); !errors.Is(err, ErrInvalidItem) {
+			t.Fatalf("call %d on an invalid instance: error = %v, want ErrInvalidItem", k, err)
+		}
+	}
+	literal := &Instance{Items: []Item{{1, 1}, {2, 1}}, Capacity: 1}
+	if err := literal.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	literal.Capacity = -1
+	if err := ValidateOnce(literal); !errors.Is(err, ErrNegativeCapacity) {
+		t.Errorf("ValidateOnce after Validate and a write: error = %v, want ErrNegativeCapacity", err)
+	}
+	literal.Capacity = 1
+	if err := ValidateOnce(literal); err != nil {
+		t.Fatalf("ValidateOnce: %v", err)
+	}
+	built, err := NewInstance([]Item{{1, 1}, {2, 1}}, 1)
+	if err != nil {
+		t.Fatalf("NewInstance: %v", err)
+	}
+	for _, in := range []*Instance{literal, built} {
+		in.Items[1].Profit = -1
+		if err := ValidateOnce(in); err != nil {
+			t.Errorf("ValidateOnce walked a checked instance again: %v", err)
+		}
+	}
+}
+
+// TestReviseChecksBaseOnce holds Revise to the one check it makes: the
+// base, which an invalid base fails, and not the revised items, whose
+// validity the caller vouches for.
+func TestReviseChecksBaseOnce(t *testing.T) {
+	for _, base := range []*Instance{
+		{Items: []Item{{1, 1}, {math.Inf(1), 1}}, Capacity: 1},
+		{Capacity: 1},
+		{Items: []Item{{1, 1}}, Capacity: -1},
+	} {
+		if _, err := Revise(base, append(base.Items, Item{1, 1})); err == nil {
+			t.Errorf("Revise over invalid base %+v accepted", base)
+		}
+	}
+	base, err := NewInstance([]Item{{1, 1}, {2, 1}}, 3)
+	if err != nil {
+		t.Fatalf("NewInstance: %v", err)
+	}
+	if _, err := Revise(base, base.Items[:1]); !errors.Is(err, ErrInvalidItem) {
+		t.Errorf("Revise dropping an item: error = %v, want ErrInvalidItem", err)
+	}
+	next, err := Revise(base, append([]Item{{0.5, 1}}, base.Items[1:]...))
+	if err != nil {
+		t.Fatalf("Revise: %v", err)
+	}
+	if next.Capacity != base.Capacity || next.N() != 2 || next.Items[0].Profit != 0.5 {
+		t.Errorf("Revise built %+v", next)
+	}
+	if err := next.Validate(); err != nil {
+		t.Errorf("revised instance fails Validate: %v", err)
+	}
+	next.Items[0].Profit = -1
+	if err := ValidateOnce(next); err != nil {
+		t.Errorf("ValidateOnce walked a revised instance: %v", err)
+	}
+}

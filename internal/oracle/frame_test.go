@@ -130,7 +130,7 @@ func benchFrameOracle(b *testing.B) *SliceOracle {
 }
 
 // BenchmarkSampleFrame draws one 4,096-draw frame per op at n = 1M,
-// by the two-pass frame and by 4,096 Sample calls.
+// by the chunked frame and by 4,096 Sample calls.
 func BenchmarkSampleFrame(b *testing.B) {
 	o := benchFrameOracle(b)
 	ctx := context.Background()

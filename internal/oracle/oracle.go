@@ -16,9 +16,15 @@
 // IKY12's per-instance preprocessing, so there is one table per live
 // instance: every oracle NewSliceOracle returns over one instance
 // draws from that instance's one table, which lives as long as some
-// oracle holds it. That makes the read-only contract of
-// knapsack.Instance load-bearing: an instance written after its first
-// oracle would misdraw for every later oracle over it too.
+// oracle holds it. A column is 8 bytes, the top 32 bits of its keep
+// probability and its alias, plus 12 B on a side list for each large
+// column Vose drains: ~11 B per item on a zipf catalog. The one draw
+// in 2³² whose coin ties a column's 32 bits recomputes the column's
+// exact probability from the instance's profits, so every draw is the
+// float64 test's, bit for bit.
+// That makes the read-only contract of knapsack.Instance load-bearing:
+// an instance written after its first oracle would misdraw for every
+// later oracle over it too.
 //
 // Every access takes a context.Context so deployments can cancel or
 // deadline-bound a query mid-flight; in-memory implementations never
@@ -32,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"lcakp/internal/knapsack"
 	"lcakp/internal/rng"
@@ -160,9 +167,9 @@ func (o *SliceOracle) Sample(ctx context.Context, src *rng.Source) (int, knapsac
 }
 
 // SampleFrame fills dst with profit-weighted draws (see
-// Sampler.SampleFrame). A frame of several draws is drawn in two
-// passes (see AliasSampler.sampleFrame); a one-draw frame, which would
-// pay for the passes' buffers alone, takes one SampleIndex draw.
+// Sampler.SampleFrame). A frame of several draws is drawn in passes
+// (see AliasSampler.sampleFrame); a one-draw frame, which would pay
+// for the passes' buffers alone, takes one SampleIndex draw.
 func (o *SliceOracle) SampleFrame(ctx context.Context, src *rng.Source, dst []Draw) (int, error) {
 	if len(dst) > 1 {
 		o.sampler.sampleFrame(src, o.inst.Items, dst)
@@ -179,33 +186,47 @@ func (o *SliceOracle) SampleFrame(ctx context.Context, src *rng.Source, dst []Dr
 }
 
 // AliasSampler draws profit-weighted samples in O(1) per draw using
-// Walker's alias method with Vose's O(n) construction. The table is
-// one packed array of {prob, alias} columns, 16 B per item, so a draw
-// touches one cache line of the table instead of two.
+// Walker's alias method with Vose's O(n) construction. Each column is
+// 8 bytes, thr<<32 | alias, where thr = ⌊prob·2³²⌋ holds the top of
+// the column's exact keep probability prob. A draw with coin c (the
+// 53 bits Float64 scales) keeps the column when c/2⁵³ < prob; c's top
+// 32 bits decide that alone unless they equal thr, one draw in 2³²,
+// and only such a tie reads prob itself (see prob).
 type AliasSampler struct {
-	table []aliasColumn
+	table []uint64
+	// items and total are the profits the table was built from and
+	// their sum, from which a tie recomputes a column's scaled weight.
+	items []knapsack.Item
+	total float64
+	// drained lists, ascending, the large columns Vose drained below 1,
+	// and residual the probability each kept: the one kind of column
+	// whose prob is not its scaled weight, 12 B per entry.
+	drained  []uint32
+	residual []float64
 }
 
-// aliasColumn is one column of the alias table: the column keeps its
-// own index with probability prob and yields alias otherwise.
-type aliasColumn struct {
-	prob  float64
-	alias int
-}
+// column packs an alias table column.
+func column(thr, alias uint32) uint64 { return uint64(thr)<<32 | uint64(alias) }
+
+// fullColumn is the column of an index that always yields itself.
+func fullColumn(i uint32) uint64 { return column(math.MaxUint32, i) }
+
+// threshold is the thr of a column that keeps its index with
+// probability p in [0, 1): p·2³² is exact, and the conversion floors it.
+func threshold(p float64) uint32 { return uint32(p * (1 << 32)) }
 
 // NewAliasSampler builds an alias table over the instance's profits,
-// read in place.
+// read in place. The sampler reads the profits again on a tie, so the
+// instance must stay read-only (see knapsack.Instance).
 func NewAliasSampler(inst *knapsack.Instance) (*AliasSampler, error) {
-	table := make([]aliasColumn, len(inst.Items))
 	total := 0.0
-	for i, it := range inst.Items {
+	for _, it := range inst.Items {
 		if !validWeight(it.Profit) {
 			return nil, invalidWeight(it.Profit)
 		}
-		table[i].prob = it.Profit
 		total += it.Profit
 	}
-	return vose(table, total)
+	return vose(inst.Items, total)
 }
 
 // validWeight reports whether w is a finite non-negative weight: NaN
@@ -217,10 +238,10 @@ func invalidWeight(w float64) error {
 	return fmt.Errorf("oracle: invalid sampling weight %v", w)
 }
 
-// vose completes an alias table whose columns hold their raw weights,
-// summing to total, by Vose's construction. A column's prob holds its
-// scaled weight until the column is closed, and a closed column's
-// scaled weight is exactly its final prob.
+// vose builds the alias table of items, whose profits sum to total, by
+// Vose's construction. An open column's 8 bytes hold its scaled weight
+// as float64 bits, and a column is packed only when Vose closes it, so
+// the build writes one 8-byte table.
 //
 // Both of Vose's stacks live in one worklist of n indices: the small
 // columns from the front, work[:small], and the large ones from the
@@ -230,53 +251,63 @@ func invalidWeight(w float64) error {
 // no branch on the class. The pairing loop keeps the draining large
 // column's weight in p until it falls below 1 or the small columns run
 // out; p + prob[s] - 1 is evaluated in the same order either way, so
-// the table is the two-stack loop's bit for bit.
-func vose(table []aliasColumn, total float64) (*AliasSampler, error) {
-	n := len(table)
+// every column's prob and alias are the two-stack loop's bit for bit.
+// Large columns drain from the highest index down, so reversing the
+// drained list once sorts it.
+func vose(items []knapsack.Item, total float64) (*AliasSampler, error) {
+	n := len(items)
 	if n == 0 || total <= 0 {
 		return nil, ErrNoMass
 	}
 	if uint64(n) > math.MaxUint32 {
 		return nil, fmt.Errorf("oracle: %d weights exceed the alias worklist's u32 indices", n)
 	}
+	table := make([]uint64, n)
 	work := make([]uint32, n)
 	small, large := 0, n
 	for i := range table {
-		p := table[i].prob * float64(n) / total
-		table[i].prob = p
+		p := items[i].Profit * float64(n) / total
+		table[i] = math.Float64bits(p)
 		work[small] = uint32(i)
 		work[large-1] = uint32(i)
 		s := b2i(p < 1)
 		small += s
 		large -= 1 - s
 	}
+	drained := make([]uint32, 0, n-large)
+	residual := make([]float64, 0, n-large)
 	for small > 0 && large < n {
 		l := work[large]
-		p := table[l].prob
+		p := math.Float64frombits(table[l])
 		for small > 0 {
 			small--
 			s := work[small]
-			table[s].alias = int(l)
-			p = p + table[s].prob - 1
+			ps := math.Float64frombits(table[s])
+			table[s] = column(threshold(ps), l)
+			p = p + ps - 1
 			if p < 1 {
 				break
 			}
 		}
-		table[l].prob = p
+		table[l] = math.Float64bits(p)
 		if p < 1 {
 			large++
 			work[small] = l
 			small++
+			drained = append(drained, l)
+			residual = append(residual, p)
 		}
 	}
 	// Numerical residue: remaining columns are full.
 	for _, i := range work[large:] {
-		table[i] = aliasColumn{prob: 1, alias: int(i)}
+		table[i] = fullColumn(i)
 	}
 	for _, i := range work[:small] {
-		table[i] = aliasColumn{prob: 1, alias: int(i)}
+		table[i] = fullColumn(i)
 	}
-	return &AliasSampler{table: table}, nil
+	slices.Reverse(drained)
+	slices.Reverse(residual)
+	return &AliasSampler{table: table, items: items, total: total, drained: drained, residual: residual}, nil
 }
 
 // b2i is 1 for true and 0 for false, without a branch.
@@ -287,13 +318,57 @@ func b2i(b bool) int {
 	return 0
 }
 
+// prob returns column i's exact keep probability: 1 for a full column,
+// whose alias is itself; a drained large column's residual, found by
+// binary search; and otherwise its scaled weight, recomputed with the
+// build's own expression.
+func (a *AliasSampler) prob(i int) float64 {
+	if uint32(a.table[i]) == uint32(i) {
+		return 1
+	}
+	lo, hi := 0, len(a.drained)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a.drained[mid] < uint32(i) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(a.drained) && a.drained[lo] == uint32(i) {
+		return a.residual[lo]
+	}
+	return a.items[i].Profit * float64(len(a.table)) / a.total
+}
+
+// resolve returns the index a draw of column i with coin yields: the
+// alias when coin's top 32 bits exceed the column's thr, the column
+// when they fall below it, and on a tie the alias exactly when
+// float64(coin)/2⁵³ >= prob. Clients choose the sampling seed and can
+// force ties, so a tie costs a search of the drained list, never a
+// rebuild. Off a tie the choice is a conditional move, not a branch on
+// the coin, so a frame's table loads do not wait on one another's
+// comparisons (see sampleFrame).
+func (a *AliasSampler) resolve(i int, coin uint64) int {
+	col := a.table[i]
+	thr, c := uint32(col>>32), uint32(coin>>21)
+	if c == thr {
+		if float64(coin)/(1<<53) >= a.prob(i) {
+			return int(uint32(col))
+		}
+		return i
+	}
+	r := i
+	if c > thr {
+		r = int(uint32(col))
+	}
+	return r
+}
+
 // SampleIndex draws one index in O(1).
 func (a *AliasSampler) SampleIndex(_ context.Context, src *rng.Source) (int, error) {
 	i := src.Intn(len(a.table))
-	if col := a.table[i]; src.Float64() >= col.prob {
-		return col.alias, nil
-	}
-	return i, nil
+	return a.resolve(i, src.Uint64()>>11), nil
 }
 
 // frameChunk is how many draws sampleFrame keeps in flight between its
@@ -302,15 +377,13 @@ func (a *AliasSampler) SampleIndex(_ context.Context, src *rng.Source) (int, err
 const frameChunk = 256
 
 // sampleFrame fills dst with the draws len(dst) successive SampleIndex
-// calls would return, each with its item from items. It runs in two
+// calls would return, each with its item from items. It runs in three
 // passes per chunk: the first draws every (column, coin) pair from src
 // in SampleIndex's order, in one rng.Source.IntnCoins call that keeps
-// the generator in registers; the second resolves the columns and
-// gathers the items. The second pass's iterations are independent, so
-// their cache misses on the table and the items overlap, where a
-// one-pass loop waits on each draw's coin branch before it issues the
-// next draw's loads. A coin is the top 53 bits Float64 scales, so the
-// test float64(coin)/2^53 >= prob is SampleIndex's.
+// the generator in registers; the second resolves each column with
+// resolve; the third gathers the items. Each pass's iterations are
+// independent, so the chunk's cache misses on the table overlap, and
+// then its misses on the items.
 func (a *AliasSampler) sampleFrame(src *rng.Source, items []knapsack.Item, dst []Draw) {
 	var cols [frameChunk]int
 	var coins [frameChunk]uint64
@@ -319,10 +392,9 @@ func (a *AliasSampler) sampleFrame(src *rng.Source, items []knapsack.Item, dst [
 		k := min(len(dst), frameChunk)
 		src.IntnCoins(n, cols[:k], coins[:k])
 		for j := range k {
-			i := cols[j]
-			if col := a.table[i]; float64(coins[j])/(1<<53) >= col.prob {
-				i = col.alias
-			}
+			cols[j] = a.resolve(cols[j], coins[j])
+		}
+		for j, i := range cols[:k] {
 			dst[j] = Draw{Index: i, Item: items[i]}
 		}
 		dst = dst[k:]

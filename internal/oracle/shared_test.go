@@ -25,7 +25,8 @@ func registered(key weak.Pointer[knapsack.Instance]) bool {
 
 // TestSliceOraclesShareOneTable holds oracles over one instance to one
 // alias table: the second oracle draws from the first one's table and
-// allocates far less than the table's 16 B per item.
+// allocates far less than a table, whose columns alone are 8 B per
+// item.
 func TestSliceOraclesShareOneTable(t *testing.T) {
 	const n = 200_000
 	inst := workloadInstance(t, "zipf", n)
@@ -44,7 +45,7 @@ func TestSliceOraclesShareOneTable(t *testing.T) {
 		t.Error("two oracles over one instance hold different alias tables")
 	}
 	if bytes, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*n/100); bytes > limit {
-		t.Errorf("the second oracle over an indexed instance allocated %d B, want at most %d (a table is %d B)", bytes, limit, 16*n)
+		t.Errorf("the second oracle over an indexed instance allocated %d B, want at most %d (a table's columns are %d B)", bytes, limit, 8*n)
 	}
 }
 

@@ -74,7 +74,7 @@ func NewDynamic(base *knapsack.Instance, cfg Config) (*Simulation, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := base.Validate(); err != nil {
+	if err := knapsack.ValidateOnce(base); err != nil {
 		return nil, fmt.Errorf("%w: base instance: %v", ErrBadConfig, err)
 	}
 	s := &Simulation{
